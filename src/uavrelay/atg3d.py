@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channels import AtgEnvironment, Placement, atg_normalized_gain, elevation_angles, \
-    slant_distances
+from .channels import AtgEnvironment, Placement
 from .fbl import BlocklengthParams, PowerSplit, af_snr, decoding_error_probability
 from .freespace import BCD_MAX_ITERS, BCD_REL_TOL, SolveResult, optimal_power_for_gains
 from .search import derivative_bisection_max, line_search_max
@@ -59,12 +58,36 @@ class Atg3dScenario:
 
 
 def hop_gains_3d(scn: Atg3dScenario, x: float, height: float) -> tuple[float, float]:
-    """Noise-normalised hop gains for a relay at (x, height)."""
-    theta1, theta2 = elevation_angles(scn.D, x, height)
-    r1, r2 = slant_distances(scn.D, x, height)
+    """Noise-normalised hop gains for a relay at (x, height).
+
+    The hot path of every 3-D solver.  It inlines elevation_angles,
+    slant_distances and atg_normalized_gain with the same float
+    expressions in the same order, so it returns exactly what their
+    composition returns.
+
+    Raises:
+        ValueError: when height is not positive (or NaN), or x lies
+            outside the ground segment [0, D].
+    """
+    D = scn.D
+    if not (height > 0.0):
+        raise ValueError(f"height must be positive, got {height}")
+    if not (0.0 <= x <= D):
+        raise ValueError(f"x = {x} outside the ground segment [0, {D}]")
+    # height > 0 and x in [0, D] keep both angles inside (0, 90] degrees
+    x2 = D - x
+    env1, env2 = scn.env1, scn.env2
+    theta1 = math.degrees(math.atan2(height, x))
+    theta2 = math.degrees(math.atan2(height, x2))
+    r1 = math.hypot(x, height)
+    r2 = math.hypot(x2, height)
+    a, b = env1.s_curve_a, env1.s_curve_b
+    s1 = 1.0 / (1.0 + a * math.exp(-b * (theta1 - a)))
+    a, b = env2.s_curve_a, env2.s_curve_b
+    s2 = 1.0 / (1.0 + a * math.exp(-b * (theta2 - a)))
     return (
-        atg_normalized_gain(scn.env1, theta1, r1),
-        atg_normalized_gain(scn.env2, theta2, r2),
+        env1.gain_scale / (r1 * r1) * 10.0 ** (env1.gain_exponent * s1),
+        env2.gain_scale / (r2 * r2) * 10.0 ** (env2.gain_exponent * s2),
     )
 
 

@@ -11,7 +11,7 @@ loss blends LoS and NLoS excess losses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 
@@ -127,7 +127,8 @@ class AtgEnvironment:
     S-curve 1 / (1 + a exp(-b (theta - a))).  eta_los_db/eta_nlos_db are
     the excess losses on top of free-space propagation; carrier_hz and
     noise_power_db fix the constant path-loss offset and the noise
-    normalisation.
+    normalisation.  gain_scale and gain_exponent depend on these alone
+    and are computed once, at construction.
     """
 
     s_curve_a: float
@@ -136,6 +137,10 @@ class AtgEnvironment:
     excess_loss_nlos_db: float
     carrier_hz: float
     noise_power_db: float
+    # C-tilde = 10^(-C/10) / noise, the noise-normalised gain at 1 m NLoS
+    gain_scale: float = field(init=False, repr=False, compare=False)
+    # A-tilde = -A/10 >= 0; scales the LoS probability inside the gain
+    gain_exponent: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s_curve_a <= 0.0 or self.s_curve_b <= 0.0:
@@ -146,6 +151,12 @@ class AtgEnvironment:
             raise ValueError(f"carrier frequency must be positive, got {self.carrier_hz}")
         if not math.isfinite(self.noise_power_db):
             raise ValueError("noise power (dB) must be finite")
+        noise = self.noise_power_linear
+        if noise == 0.0:
+            raise ValueError(f"noise power {self.noise_power_db} dB underflows to zero watts")
+        # set through object.__setattr__ because the dataclass is frozen
+        object.__setattr__(self, "gain_scale", db_to_linear(-self.path_loss_offset_db) / noise)
+        object.__setattr__(self, "gain_exponent", -self.excess_loss_gap_db / 10.0)
 
     @classmethod
     def from_preset(cls, name: str, carrier_hz: float, noise_power_db: float) -> "AtgEnvironment":
@@ -172,16 +183,6 @@ class AtgEnvironment:
     @property
     def noise_power_linear(self) -> float:
         return db_to_linear(self.noise_power_db)
-
-    @property
-    def gain_exponent(self) -> float:
-        """A-tilde = -A/10 >= 0; scales the LoS probability inside the gain."""
-        return -self.excess_loss_gap_db / 10.0
-
-    @property
-    def gain_scale(self) -> float:
-        """C-tilde = 10^(-C/10) / noise, the noise-normalised gain at 1 m NLoS."""
-        return db_to_linear(-self.path_loss_offset_db) / self.noise_power_linear
 
 
 def _s_curve(env: AtgEnvironment, theta_deg: float) -> float:

@@ -282,6 +282,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
             )
     except ValueError as exc:
         raise ConfigError(f"invalid scenario parameters: {exc}") from None
+    except OverflowError:
+        # a dB value so large that its linear scale exceeds the float range
+        raise ConfigError("invalid scenario parameters: a dB value overflows the "
+                          "linear scale") from None
 
     allowed = FREESPACE_SOLVERS if model == "freespace" else ATG3D_SOLVERS
     solvers = tuple(raw["solvers"])
@@ -354,11 +358,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
 
+def _reject_constant(name: str):
+    # json accepts NaN, Infinity and -Infinity, which standard JSON does not
+    raise ConfigError(f"non-finite number {name} is not allowed in a config")
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate an experiment config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:

@@ -78,13 +78,14 @@ def line_search_max(
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
         return lo, f(lo)
-    xs = [lo + (hi - lo) * i / (presamples - 1) for i in range(presamples)]
+    # the last point is pinned to hi: lo + (hi - lo) * n / n can round past it
+    xs = [lo + (hi - lo) * i / (presamples - 1) for i in range(presamples - 1)] + [hi]
     vals = [f(x) for x in xs]
     if len(interior_local_maxima(vals)) <= 1:
         x_best, v_best = golden_section_max(f, lo, hi, tol)
     else:
         step = (hi - lo) / (fallback_points - 1)
-        grid = [lo + step * i for i in range(fallback_points)]
+        grid = [lo + step * i for i in range(fallback_points - 1)] + [hi]
         grid_vals = [f(x) for x in grid]
         i = max(range(fallback_points), key=lambda k: (grid_vals[k], -k))
         a = max(lo, grid[i] - step)

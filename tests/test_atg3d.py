@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from uavrelay import (
+    ATG_PRESETS,
     AtgEnvironment,
     Atg3dScenario,
     BlocklengthParams,
@@ -16,6 +17,7 @@ from uavrelay import (
     atg_normalized_gain,
     bcd_solve_3d,
     decoding_error_probability,
+    elevation_angles,
     exhaustive_search,
     fixed_height_baseline,
     gamma_3d,
@@ -23,6 +25,7 @@ from uavrelay import (
     interior_local_maxima,
     optimize_height,
     optimize_x,
+    slant_distances,
 )
 from uavrelay.atg3d import _gamma
 
@@ -51,6 +54,39 @@ def test_hop_gains_match_channel_model(atg3d_scn):
     assert g2 == pytest.approx(
         atg_normalized_gain(atg3d_scn.env2, t2, d2), rel=1e-14
     )
+
+
+def _reference_hop_gains(scn, x, h):
+    # the public scalar helpers, composed the way the fused kernel inlines them
+    theta1, theta2 = elevation_angles(scn.D, x, h)
+    r1, r2 = slant_distances(scn.D, x, h)
+    return (atg_normalized_gain(scn.env1, theta1, r1),
+            atg_normalized_gain(scn.env2, theta2, r2))
+
+
+def test_hop_gains_equal_scalar_reference(blk):
+    rng = np.random.default_rng(7)
+    for hop1 in ATG_PRESETS:
+        for hop2 in ATG_PRESETS:
+            D = float(rng.uniform(100.0, 800.0))
+            noise_db = float(rng.uniform(-120.0, -60.0))
+            scn = Atg3dScenario(
+                D, 0.1 * D, 0.9 * D, 5.0, 400.0,
+                AtgEnvironment.from_preset(hop1, 2.5e9, noise_db),
+                AtgEnvironment.from_preset(hop2, 2.5e9, noise_db),
+                4.0, blk,
+            )
+            points = [(float(x), float(h)) for x, h in zip(
+                rng.uniform(0.0, D, 50), rng.uniform(1e-3, 1000.0, 50))]
+            points += [(x, h) for x in (0.0, scn.d1, scn.d2, D)
+                       for h in (scn.h_min, scn.h_max, 1e-9)]
+            for x, h in points:
+                assert hop_gains_3d(scn, x, h) == _reference_hop_gains(scn, x, h), (x, h)
+    scn = make_atg3d("urban", blk)
+    for x, h in ((100.0, math.nan), (100.0, 0.0), (100.0, -1.0),
+                 (-1e-9, 50.0), (scn.D + 1e-9, 50.0), (math.nan, 50.0)):
+        with pytest.raises(ValueError):
+            hop_gains_3d(scn, x, h)
 
 
 def test_gamma_3d_bounds(atg3d_scn):

@@ -88,6 +88,38 @@ def test_config_error_is_machine_readable(runner, tmp_path):
     assert "warp-drive" in diag["detail"]
 
 
+def _with(base, section, key, value):
+    raw = variant(base)
+    raw[section] = {**raw[section], key: value}
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _with(FREESPACE_RAW, "gains_db", "beta1_db", float("inf")),
+        _with(FREESPACE_RAW, "gains_db", "beta1_db", float("-inf")),
+        _with(FREESPACE_RAW, "gains_db", "beta1_db", float("nan")),
+        _with(FREESPACE_RAW, "gains_db", "beta1_db", 4000.0),
+        _with(ATG3D_RAW, "atg", "noise_power_db", 4000.0),
+        _with(ATG3D_RAW, "atg", "noise_power_db", -4000.0),
+    ],
+    ids=["beta-inf", "beta-minus-inf", "beta-nan", "beta-overflow", "noise-overflow",
+         "noise-underflow"],
+)
+def test_extreme_numbers_are_config_errors(runner, tmp_path, raw):
+    # json.dumps writes inf and nan as the non-standard Infinity and NaN
+    cfg = write_config(tmp_path, raw)
+    result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "r.csv")])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_missing_config_file(runner, tmp_path):
     result = runner.invoke(main, ["solve", "--config", str(tmp_path / "nope.json")])
     assert result.exit_code == 2
@@ -178,3 +210,13 @@ def test_default_output_paths_from_config(runner, tmp_path):
     assert result.exit_code == 0
     assert (tmp_path / "from_config.csv").exists()
     assert (tmp_path / "from_config.json").exists()
+
+
+def test_default_output_paths_without_output_section(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, variant(ATG3D_RAW, profile={"hop2_presets": ["urban"]}))
+    assert runner.invoke(main, ["solve", "--config", cfg]).exit_code == 0
+    assert (tmp_path / "results.csv").exists()
+    assert (tmp_path / "results.json").exists()
+    assert runner.invoke(main, ["profile", "--config", cfg, "--step", "50"]).exit_code == 0
+    assert (tmp_path / "profile.csv").exists()

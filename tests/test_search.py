@@ -67,6 +67,30 @@ def test_line_search_multimodal_finds_global_peak():
     assert v >= max(f(t) for t in grid) - 1e-12
 
 
+def test_line_search_never_leaves_the_box():
+    # lo + (hi - lo) * 16 / 16 rounds past hi here
+    lo, hi = 151.585, 446.497
+    x, v = line_search_max(lambda t: t, lo, hi, 0.0294912)
+    assert (x, v) == (hi, hi)
+
+
+def test_line_search_fallback_grid_stays_in_the_box():
+    # the presamples stay inside, but lo + (hi - lo) / 511 * 511 rounds past hi
+    lo, hi = 44.601, 172.463
+
+    def wavy(t):
+        # rises to hi through several interior peaks, so the dense grid runs
+        if not (lo <= t <= hi):
+            raise ValueError(f"{t} evaluated outside [{lo}, {hi}]")
+        u = (t - lo) / (hi - lo)
+        return u + 0.2 * math.sin(6.0 * math.pi * u)
+
+    vals = [wavy(lo + (hi - lo) * i / 16) for i in range(16)] + [wavy(hi)]
+    assert len(interior_local_maxima(vals)) >= 2
+    x, v = line_search_max(wavy, lo, hi, 1e-6)
+    assert (x, v) == (hi, wavy(hi))
+
+
 def test_derivative_bisection_interior_peak():
     x, v = derivative_bisection_max(lambda t: -(t - 3.25) ** 2, 0.0, 8.0, tol=1e-10)
     assert x == pytest.approx(3.25, abs=1e-6)
