@@ -9,6 +9,7 @@ violations and semantic errors both surface as ``ConfigError``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -240,8 +241,22 @@ def _check_sweep(parameter: str | None, values, model: str) -> tuple:
     return tuple(checked)
 
 
+def _check_finite(node, path: tuple = ()) -> None:
+    # JSON-Schema "number" admits NaN and +-inf; no config value may be one
+    if isinstance(node, float) and not math.isfinite(node):
+        where = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"non-finite number {node} at {where} is not allowed in a config")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, path + (key,))
+    elif isinstance(node, (list, tuple)):
+        for i, value in enumerate(node):
+            _check_finite(value, path + (i,))
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON document and build the experiment objects."""
+    _check_finite(raw)
     try:
         jsonschema.validate(raw, SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -358,16 +373,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def _reject_constant(name: str):
-    # json accepts NaN, Infinity and -Infinity, which standard JSON does not
-    raise ConfigError(f"non-finite number {name} is not allowed in a config")
-
-
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate an experiment config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_reject_constant)
+            raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:

@@ -1,7 +1,8 @@
 """Brute-force reference search and the simple baseline schemes.
 
 The exhaustive search evaluates the exact end-to-end SNR on a dense
-grid (vectorised with numpy) and polishes the best cell with one local
+grid (vectorised with numpy, in fixed-size blocks so memory does not
+grow with the grid) and polishes the best cell with one local
 golden-section refinement per axis.  It exists to check the analytic
 solvers, so it deliberately avoids their closed forms.  The baselines
 pin one decision variable (placement or power split) and optimise the
@@ -33,6 +34,10 @@ from .search import golden_section_max
 # for the three-variable one.
 DEFAULT_POINTS_2D = 2000
 DEFAULT_POINTS_3D = 200
+
+# Grid cells per block of the exhaustive search: small enough for the two
+# block buffers to stay in cache, whatever the grid size.
+_BLOCK_CELLS = 1 << 15
 
 # Default pinned flying height of the fixed-height baseline, in metres.
 DEFAULT_FIXED_HEIGHT = 100.0
@@ -124,6 +129,90 @@ def _refine_axis(f, center: float, step: float, lo: float, hi: float,
     return best
 
 
+def _merge_argmax(best, offset: int, block: np.ndarray):
+    # fold one block into the running (flat index, value) maximum the way
+    # np.argmax over the whole grid picks it: the first maximum in C order
+    # wins, and the first NaN wins over every number
+    k = int(np.argmax(block))
+    v = float(block.flat[k])
+    if best is None or v > best[1] or (math.isnan(v) and not math.isnan(best[1])):
+        return offset + k, v
+    return best
+
+
+def _block_buffers(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    # numerator and denominator buffers for blocks of whole grid rows
+    rows = max(1, min(n_rows, _BLOCK_CELLS // n_cols))
+    return np.empty((rows, n_cols)), np.empty((rows, n_cols))
+
+
+def _argmax_rows(g1, g2, p1, p2, pp, bufs, best, offset: int):
+    """Running argmax of the SNR over gain rows (g1, g2) x power columns (p1, p2).
+
+    The rows are swept in blocks written into the reused buffers bufs, so
+    memory stays O(axis) at any grid size.  Each cell keeps the operand
+    order of the full-grid expression: pp = p1*p2 gives the 2-D numerator
+    (g1 g2)(p1 p2), pp = None the 3-D one ((g1 g2) p1) p2; the denominator
+    is (g2 p2 + g1 p1) + 1 in both.
+    """
+    num_buf, den_buf = bufs
+    rows = len(num_buf)
+    for r0 in range(0, len(g1), rows):
+        a1, a2 = g1[r0:r0 + rows, None], g2[r0:r0 + rows, None]
+        num, den = num_buf[:len(a1)], den_buf[:len(a1)]
+        np.multiply(a1, p1, out=num)
+        np.multiply(a2, p2, out=den)
+        np.add(den, num, out=den)
+        np.add(den, 1.0, out=den)
+        if pp is None:
+            np.multiply(a1 * a2, p1, out=num)
+            np.multiply(num, p2, out=num)
+        else:
+            np.multiply(a1 * a2, pp, out=num)
+        np.divide(num, den, out=num)
+        best = _merge_argmax(best, offset + r0 * len(p1), num)
+    return best
+
+
+def _grid_argmax_2d(scn: FreeSpaceScenario, xs: np.ndarray, ps: np.ndarray):
+    """Grid index (ix, ip) and value of the SNR maximum over xs x ps."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_sq = scn.H * scn.H
+        g1 = scn.beta1 / (h_sq + xs * xs)
+        g2 = scn.beta2 / (h_sq + (scn.D - xs) * (scn.D - xs))
+        p2 = scn.p_total - ps
+        bufs = _block_buffers(len(xs), len(ps))
+        k, v = _argmax_rows(g1, g2, ps, p2, ps * p2, bufs, None, 0)
+    return np.unravel_index(k, (len(xs), len(ps))), v
+
+
+def _grid_argmax_3d(scn: Atg3dScenario, xs: np.ndarray, hs: np.ndarray,
+                    ps: np.ndarray):
+    """Grid index (ix, ih, ip) and value of the SNR maximum over xs x hs x ps.
+
+    One x-slice at a time: the slice's (h,) hop gains come from the
+    S-curve gain of Al-Hourani et al. (IEEE WCL 2014), written out here
+    independently of the scalar channel helpers the oracle checks.
+    """
+
+    def env_gain(env, theta, r_sq):
+        s = 1.0 / (1.0 + env.s_curve_a * np.exp(-env.s_curve_b * (theta - env.s_curve_a)))
+        return env.gain_scale / r_sq * 10.0 ** (env.gain_exponent * s)
+
+    bufs = _block_buffers(len(hs), len(ps))
+    best = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        p2 = scn.p_total - ps
+        for ix, x in enumerate(xs):
+            g1 = env_gain(scn.env1, np.degrees(np.arctan2(hs, x)), x * x + hs * hs)
+            g2 = env_gain(scn.env2, np.degrees(np.arctan2(hs, scn.D - x)),
+                          (scn.D - x) * (scn.D - x) + hs * hs)
+            best = _argmax_rows(g1, g2, ps, p2, None, bufs, best,
+                                ix * len(hs) * len(ps))
+    k, v = best
+    return np.unravel_index(k, (len(xs), len(hs), len(ps))), v
+
+
 def exhaustive_search(
     scn: FreeSpaceScenario | Atg3dScenario,
     blk: BlocklengthParams | None = None,
@@ -148,16 +237,8 @@ def _exhaustive_2d(
     xs = _axis(grid.x_range, grid.x_step, (scn.d1, scn.d2), DEFAULT_POINTS_2D)
     ps = _axis(grid.p1_range, grid.p1_step, (0.0, scn.p_total), DEFAULT_POINTS_2D)
 
-    h_sq = scn.H * scn.H
-    g1 = scn.beta1 / (h_sq + xs * xs)
-    g2 = scn.beta2 / (h_sq + (scn.D - xs) * (scn.D - xs))
-    p2 = scn.p_total - ps
-    num = np.outer(g1 * g2, ps * p2)
-    den = np.outer(g2, p2) + np.outer(g1, ps) + 1.0
-    gam = num / den
-
-    ix, ip = np.unravel_index(int(np.argmax(gam)), gam.shape)
-    x_best, p_best, v_best = float(xs[ix]), float(ps[ip]), float(gam[ix, ip])
+    (ix, ip), v_best = _grid_argmax_2d(scn, xs, ps)
+    x_best, p_best = float(xs[ix]), float(ps[ip])
 
     x_lo, x_hi = (scn.d1, scn.d2) if grid.x_range is None else grid.x_range
     p_lo, p_hi = (0.0, scn.p_total) if grid.p1_range is None else grid.p1_range
@@ -183,25 +264,8 @@ def _exhaustive_3d(
     hs = _axis(grid.h_range, grid.h_step, (scn.h_min, scn.h_max), DEFAULT_POINTS_3D)
     ps = _axis(grid.p1_range, grid.p1_step, (0.0, scn.p_total), DEFAULT_POINTS_3D)
 
-    xg, hg = np.meshgrid(xs, hs, indexing="ij")
-    theta1 = np.degrees(np.arctan2(hg, xg))
-    theta2 = np.degrees(np.arctan2(hg, scn.D - xg))
-    r1_sq = xg * xg + hg * hg
-    r2_sq = (scn.D - xg) * (scn.D - xg) + hg * hg
-
-    def env_gain(env, theta, r_sq):
-        s = 1.0 / (1.0 + env.s_curve_a * np.exp(-env.s_curve_b * (theta - env.s_curve_a)))
-        return env.gain_scale / r_sq * 10.0 ** (env.gain_exponent * s)
-
-    g1 = env_gain(scn.env1, theta1, r1_sq)[:, :, None]
-    g2 = env_gain(scn.env2, theta2, r2_sq)[:, :, None]
-    p1 = ps[None, None, :]
-    p2 = scn.p_total - p1
-    gam = (g1 * g2 * p1 * p2) / (g2 * p2 + g1 * p1 + 1.0)
-
-    ix, ih, ip = np.unravel_index(int(np.argmax(gam)), gam.shape)
+    (ix, ih, ip), v_best = _grid_argmax_3d(scn, xs, hs, ps)
     x_best, h_best, p_best = float(xs[ix]), float(hs[ih]), float(ps[ip])
-    v_best = float(gam[ix, ih, ip])
 
     x_lo, x_hi = (scn.d1, scn.d2) if grid.x_range is None else grid.x_range
     h_lo, h_hi = (scn.h_min, scn.h_max) if grid.h_range is None else grid.h_range

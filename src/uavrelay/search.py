@@ -8,14 +8,18 @@ from typing import Callable, Sequence
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _best_of(f: Callable[[float], float], candidates) -> tuple[float, float]:
-    # ascending candidate order + strict improvement = smallest x wins ties
+def _best_of(f: Callable[[float], float], candidates: tuple) -> tuple[float, float]:
+    # ascending candidate order + strict improvement = smallest x wins ties;
+    # NaN values never win, and a NaN-only objective is an error
     best_x = None
     best_v = -math.inf
     for x in candidates:
         v = f(x)
-        if v > best_v:
+        if v > best_v or (best_x is None and not math.isnan(v)):
             best_x, best_v = x, v
+    if best_x is None:
+        raise ValueError(f"objective is NaN at every sampled point of "
+                         f"[{candidates[0]}, {candidates[-1]}]")
     return best_x, best_v
 
 

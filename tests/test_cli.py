@@ -220,3 +220,16 @@ def test_default_output_paths_without_output_section(runner, tmp_path, monkeypat
     assert (tmp_path / "results.json").exists()
     assert runner.invoke(main, ["profile", "--config", cfg, "--step", "50"]).exit_code == 0
     assert (tmp_path / "profile.csv").exists()
+
+
+def test_nan_objective_rows_state_the_cause(runner, tmp_path):
+    # finite but extreme: g1*g2 overflows, and the searched SNR is NaN everywhere
+    raw = _with(ATG3D_RAW, "atg", "noise_power_db", -3000.0)
+    cfg = write_config(tmp_path, variant(raw, solvers=["bcd", "fixed-height"]))
+    out = tmp_path / "n.csv"
+    result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 3
+    statuses = [row[11] for row in read_csv(out)[1:]]
+    assert len(statuses) == 2
+    for status in statuses:
+        assert status.startswith("error: objective is NaN at every sampled point of [")

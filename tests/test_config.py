@@ -256,3 +256,31 @@ def test_shipped_example_configs_parse():
     ):
         cfg = load_config(str(configs_dir / name))
         assert cfg.scenario_id
+
+
+@pytest.mark.parametrize(
+    "section, key, value, where",
+    [
+        ("gains_db", "beta1_db", float("inf"), "gains_db/beta1_db"),
+        ("atg", "noise_power_db", float("nan"), "atg/noise_power_db"),
+        ("sweep", "values", [60, float("inf")], "sweep/values/1"),
+    ],
+)
+def test_parse_config_rejects_non_finite_numbers(section, key, value, where):
+    # the library entry point, without the JSON parser in front of it
+    base = ATG3D_RAW if section == "atg" else FREESPACE_RAW
+    raw = variant(base)
+    if section == "sweep":
+        raw["sweep"] = {"parameter": "total_blocklength", "values": value}
+    else:
+        raw[section] = {**raw[section], key: value}
+    with pytest.raises(ConfigError, match=f"non-finite number .* at {where} "):
+        parse_config(raw)
+
+
+def test_load_config_rejects_overflowing_literal(tmp_path):
+    # 1e999 parses to inf without being one of the NaN/Infinity constants
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(FREESPACE_RAW).replace("4.0", "1e999"))
+    with pytest.raises(ConfigError, match="non-finite number inf at power_budget_w"):
+        load_config(str(path))

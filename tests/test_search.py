@@ -101,3 +101,19 @@ def test_derivative_bisection_monotone_function():
     assert x == pytest.approx(6.0, abs=1e-9)
     x, _ = derivative_bisection_max(lambda t: -t, 1.0, 6.0, tol=1e-10)
     assert x == pytest.approx(1.0, abs=1e-9)
+
+
+def test_nan_everywhere_is_an_error_naming_the_interval():
+    nan = lambda t: math.nan
+    for search in (golden_section_max, line_search_max):
+        with pytest.raises(ValueError, match=r"NaN at every sampled point of \[1.5, 4.0\]"):
+            search(nan, 1.5, 4.0, 1e-6)
+    with pytest.raises(ValueError, match="NaN at every sampled point"):
+        golden_section_max(nan, 2.0, 2.0, 1e-6)
+
+
+def test_nan_points_never_win():
+    # NaN on the left half only: the best finite point still wins
+    f = lambda t: math.nan if t < 2.0 else -t
+    x, v = golden_section_max(f, 0.0, 4.0, 1e-9)
+    assert math.isfinite(v) and x >= 2.0
