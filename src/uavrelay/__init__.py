@@ -7,13 +7,11 @@ line-search solvers for the relay placement problem, an exhaustive-search
 oracle with baseline schemes, and a config-driven experiment harness.
 """
 
-from .atg3d import Atg3dScenario, bcd_solve_3d, gamma_3d, hop_gains_3d, optimize_height, \
-    optimize_x
+from .atg3d import Atg3dScenario, bcd_solve_3d, hop_gains_3d, optimize_height, optimize_x
 from .channels import (
     ATG_PRESETS,
     AtgEnvironment,
     FreeSpaceScenario,
-    Placement,
     atg_normalized_gain,
     db_to_linear,
     elevation_angles,
@@ -24,8 +22,6 @@ from .channels import (
     slant_distances,
 )
 from .config import (
-    ATG3D_SOLVERS,
-    FREESPACE_SOLVERS,
     ConfigError,
     ExperimentConfig,
     ProfileSpec,
@@ -37,7 +33,6 @@ from .cubic import cubic_real_roots, depressed_real_roots
 from .fbl import (
     BlocklengthParams,
     PowerSplit,
-    af_amplification_gain,
     af_snr,
     channel_dispersion,
     decoding_error_probability,
@@ -86,25 +81,21 @@ from .search import golden_section_max, interior_local_maxima, line_search_max
 __version__ = "0.1.0"
 
 __all__ = [
-    "ATG3D_SOLVERS",
     "ATG_PRESETS",
     "Atg3dScenario",
     "AtgEnvironment",
     "BlocklengthParams",
     "ConfigError",
     "ExperimentConfig",
-    "FREESPACE_SOLVERS",
     "FreeSpaceScenario",
     "GridSpec",
     "HighSnrCaseReport",
-    "Placement",
     "PowerSplit",
     "ProfileSpec",
     "ResultRow",
     "RunOutcome",
     "SCHEMA",
     "SolveResult",
-    "af_amplification_gain",
     "af_snr",
     "atg_normalized_gain",
     "bcd_solve",
@@ -122,7 +113,6 @@ __all__ = [
     "fixed_location_baseline",
     "fixed_power_baseline",
     "freespace_gains",
-    "gamma_3d",
     "gamma_tilde",
     "golden_section_max",
     "high_snr_solve",

@@ -3,9 +3,9 @@
 The hop gains follow the elevation-angle model, so the SNR is no longer
 rational in the relay position and the placement blocks lose their
 closed forms.  Height and ground offset are therefore optimised with
-guarded golden-section line searches (with a finite-difference bisection
-available as a cross-check), while the power block keeps the closed
-form.  Blocks are cycled power -> height -> offset.
+guarded golden-section line searches, while the power block keeps the
+closed form.  ``coordinate_ascent`` cycles the blocks power -> height ->
+offset; the baselines cycle a subset of them.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channels import AtgEnvironment, Placement
-from .fbl import BlocklengthParams, PowerSplit, af_snr, decoding_error_probability
-from .freespace import BCD_MAX_ITERS, BCD_REL_TOL, SolveResult, optimal_power_for_gains
-from .search import derivative_bisection_max, line_search_max
+from .channels import AtgEnvironment
+from .fbl import BlocklengthParams, PowerSplit, decoding_error_probability
+from .freespace import SolveResult, coordinate_ascent, optimal_power_for_gains
+from .search import line_search_max
 
 # Line-search interval target relative to the searched span.
 LINE_SEARCH_RTOL = 1e-4
@@ -27,7 +27,8 @@ class Atg3dScenario:
     """Geometry, environments and budgets for the air-to-ground model.
 
     The relay may fly anywhere in [d1, d2] x [h_min, h_max]; env1/env2
-    describe the source->relay and relay->destination hops.
+    describe the source->relay and relay->destination hops.  Scenarios
+    whose hop-gain product could overflow in the box are refused.
     """
 
     D: float
@@ -55,6 +56,19 @@ class Atg3dScenario:
             )
         if not (self.p_total > 0.0 and math.isfinite(self.p_total)):
             raise ValueError(f"p_total must be positive and finite, got {self.p_total}")
+        # each hop gain is at most gain_scale / h_min^2 * 10^gain_exponent, so
+        # a finite bound keeps the SNR numerator h1 h2 p1 p2 finite
+        try:
+            g1, g2 = (env.gain_scale / self.h_min ** 2 * 10.0 ** env.gain_exponent
+                      for env in (self.env1, self.env2))
+            bound = g1 * g2 * self.p_total ** 2
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ValueError(
+                f"hop gains overflow: the gain product bound g1 g2 p_total^2 is {bound} "
+                f"(noise power {self.env1.noise_power_db} / {self.env2.noise_power_db} dB)"
+            )
 
 
 def hop_gains_3d(scn: Atg3dScenario, x: float, height: float) -> tuple[float, float]:
@@ -91,108 +105,84 @@ def hop_gains_3d(scn: Atg3dScenario, x: float, height: float) -> tuple[float, fl
     )
 
 
-def gamma_3d(scn: Atg3dScenario, placement: Placement, powers: PowerSplit) -> float:
-    """End-to-end SNR for a relay placement under the air-to-ground model.
-
-    Raises:
-        ValueError: when the placement leaves the allowed box.
-    """
-    if not (scn.d1 <= placement.x <= scn.d2):
-        raise ValueError(
-            f"x = {placement.x} outside allowed band [{scn.d1}, {scn.d2}]"
-        )
-    if not (scn.h_min <= placement.height <= scn.h_max):
-        raise ValueError(
-            f"height = {placement.height} outside allowed band [{scn.h_min}, {scn.h_max}]"
-        )
-    h1, h2 = hop_gains_3d(scn, placement.x, placement.height)
-    return af_snr(h1, h2, powers)
-
-
 def _gamma(scn: Atg3dScenario, x: float, height: float, powers: PowerSplit) -> float:
     # hot path used by the line searches; bounds are managed by the callers
     h1, h2 = hop_gains_3d(scn, x, height)
     return (h1 * h2 * powers.p1 * powers.p2) / (h2 * powers.p2 + h1 * powers.p1 + 1.0)
 
 
-def optimize_height(
-    scn: Atg3dScenario, x: float, powers: PowerSplit, method: str = "golden"
-) -> float:
-    """Best flying height at fixed offset and powers.
-
-    "golden" runs a guarded golden-section search over [h_min, h_max];
-    "bisect" cross-checks it by bisecting the sign of a finite-difference
-    derivative of the SNR.
-    """
+def optimize_height(scn: Atg3dScenario, x: float, powers: PowerSplit) -> float:
+    """Best flying height at fixed offset and powers (guarded golden section)."""
     tol = LINE_SEARCH_RTOL * (scn.h_max - scn.h_min)
     f = lambda height: _gamma(scn, x, height, powers)
-    if method == "golden":
-        return line_search_max(f, scn.h_min, scn.h_max, tol)[0]
-    if method == "bisect":
-        return derivative_bisection_max(f, scn.h_min, scn.h_max, tol)[0]
-    raise ValueError(f"unknown method {method!r}; expected 'golden' or 'bisect'")
+    return line_search_max(f, scn.h_min, scn.h_max, tol)[0]
 
 
-def optimize_x(
-    scn: Atg3dScenario, height: float, powers: PowerSplit, method: str = "golden"
-) -> float:
-    """Best ground offset at fixed height and powers (same search modes)."""
+def optimize_x(scn: Atg3dScenario, height: float, powers: PowerSplit) -> float:
+    """Best ground offset at fixed height and powers (guarded golden section)."""
     tol = LINE_SEARCH_RTOL * (scn.d2 - scn.d1)
     f = lambda x: _gamma(scn, x, height, powers)
-    if method == "golden":
-        return line_search_max(f, scn.d1, scn.d2, tol)[0]
-    if method == "bisect":
-        return derivative_bisection_max(f, scn.d1, scn.d2, tol)[0]
-    raise ValueError(f"unknown method {method!r}; expected 'golden' or 'bisect'")
+    return line_search_max(f, scn.d1, scn.d2, tol)[0]
+
+
+def _ascent_blocks(scn: Atg3dScenario):
+    """The power, height and offset blocks over states (x, height, powers).
+
+    The power block is exact.  The two line-search blocks only replace
+    the incumbent coordinate when that does not lower the SNR, so any
+    cycle of these blocks gives a non-decreasing trace.
+    """
+
+    def power_block(state):
+        x, height, _ = state
+        return x, height, optimal_power_for_gains(*hop_gains_3d(scn, x, height), scn.p_total)
+
+    def height_block(state):
+        x, height, powers = state
+        new_height = optimize_height(scn, x, powers)
+        if _gamma(scn, x, new_height, powers) >= _gamma(scn, x, height, powers):
+            return x, new_height, powers
+        return state
+
+    def offset_block(state):
+        x, height, powers = state
+        new_x = optimize_x(scn, height, powers)
+        if _gamma(scn, new_x, height, powers) >= _gamma(scn, x, height, powers):
+            return new_x, height, powers
+        return state
+
+    return power_block, height_block, offset_block
+
+
+def _ascend(scn: Atg3dScenario, blk: BlocklengthParams, solver: str, state,
+           blocks) -> SolveResult:
+    """Run coordinate_ascent from state (x, height, powers) over the given blocks."""
+    (x, height, powers), gamma, trace = coordinate_ascent(
+        lambda s: _gamma(scn, *s), state, blocks)
+    eps = decoding_error_probability(gamma, blk)
+    return SolveResult(solver, x, height, powers, gamma, eps, len(trace), trace)
 
 
 def bcd_solve_3d(
     scn: Atg3dScenario,
-    placement0: Placement | None = None,
+    x0: float | None = None,
+    height0: float | None = None,
     powers0: PowerSplit | None = None,
-    rel_tol: float = BCD_REL_TOL,
-    max_cycles: int = BCD_MAX_ITERS,
 ) -> SolveResult:
     """Cycle power, height and offset blocks until the SNR stalls.
 
-    The power block is exact; the two line-search blocks only replace the
-    incumbent coordinate when they actually improve the SNR, so the trace
-    is non-decreasing.  Defaults start from the box midpoint and an even
-    split.
+    Defaults start from the box midpoint and an even split; the trace is
+    non-decreasing (see ``_ascent_blocks``).
 
     Raises:
         ValueError: when the initial placement or powers are infeasible.
     """
-    if placement0 is None:
-        x = 0.5 * (scn.d1 + scn.d2)
-        height = 0.5 * (scn.h_min + scn.h_max)
-    else:
-        x, height = placement0.x, placement0.height
-        if not (scn.d1 <= x <= scn.d2) or not (scn.h_min <= height <= scn.h_max):
-            raise ValueError(f"initial placement ({x}, {height}) outside the allowed box")
+    x = 0.5 * (scn.d1 + scn.d2) if x0 is None else x0
+    height = 0.5 * (scn.h_min + scn.h_max) if height0 is None else height0
+    if not (scn.d1 <= x <= scn.d2) or not (scn.h_min <= height <= scn.h_max):
+        raise ValueError(f"initial placement ({x}, {height}) outside the allowed box")
     if powers0 is None:
-        powers = PowerSplit.even(scn.p_total)
+        powers0 = PowerSplit.even(scn.p_total)
     elif powers0.total > scn.p_total * (1.0 + 1e-12):
         raise ValueError(f"initial powers exceed the budget: {powers0.total} > {scn.p_total}")
-    else:
-        powers = powers0
-
-    gamma = _gamma(scn, x, height, powers)
-    trace: list[float] = []
-    for _ in range(max_cycles):
-        powers = optimal_power_for_gains(*hop_gains_3d(scn, x, height), scn.p_total)
-        new_height = optimize_height(scn, x, powers)
-        if _gamma(scn, x, new_height, powers) >= _gamma(scn, x, height, powers):
-            height = new_height
-        new_x = optimize_x(scn, height, powers)
-        if _gamma(scn, new_x, height, powers) >= _gamma(scn, x, height, powers):
-            x = new_x
-        new_gamma = _gamma(scn, x, height, powers)
-        trace.append(new_gamma)
-        if new_gamma - gamma <= rel_tol * max(gamma, 1e-300):
-            gamma = new_gamma
-            break
-        gamma = new_gamma
-
-    eps = decoding_error_probability(gamma, scn.blk)
-    return SolveResult("bcd", x, height, powers, gamma, eps, len(trace), tuple(trace))
+    return _ascend(scn, scn.blk, "bcd", (x, height, powers0), _ascent_blocks(scn))

@@ -38,14 +38,6 @@ def linear_to_db(value: float) -> float:
 
 
 @dataclass(frozen=True)
-class Placement:
-    """Relay position: ground offset x from the source node, and height."""
-
-    x: float
-    height: float
-
-
-@dataclass(frozen=True)
 class FreeSpaceScenario:
     """Geometry and link budget for the inverse-square model.
 
@@ -62,8 +54,6 @@ class FreeSpaceScenario:
     beta1: float
     beta2: float
     p_total: float
-    h_min: float | None = None
-    h_max: float | None = None
 
     def __post_init__(self):
         if not (self.D > 0.0 and math.isfinite(self.D)):
@@ -79,13 +69,6 @@ class FreeSpaceScenario:
             raise ValueError("reference gains beta1, beta2 must be positive")
         if not (self.p_total > 0.0 and math.isfinite(self.p_total)):
             raise ValueError(f"p_total must be positive and finite, got {self.p_total}")
-        if (self.h_min is None) != (self.h_max is None):
-            raise ValueError("h_min and h_max must be provided together")
-        if self.h_min is not None and not (0.0 < self.h_min <= self.H <= self.h_max):
-            raise ValueError(
-                f"height bounds must satisfy 0 < h_min <= H <= h_max, got "
-                f"h_min={self.h_min}, H={self.H}, h_max={self.h_max}"
-            )
 
     @classmethod
     def from_db(
@@ -97,12 +80,9 @@ class FreeSpaceScenario:
         beta1_db: float,
         beta2_db: float,
         p_total: float,
-        h_min: float | None = None,
-        h_max: float | None = None,
     ) -> "FreeSpaceScenario":
         """Build a scenario from reference gains expressed in dB."""
-        return cls(D, H, d1, d2, db_to_linear(beta1_db), db_to_linear(beta2_db),
-                   p_total, h_min, h_max)
+        return cls(D, H, d1, d2, db_to_linear(beta1_db), db_to_linear(beta2_db), p_total)
 
 
 def freespace_gains(scn: FreeSpaceScenario, x: float) -> tuple[float, float]:

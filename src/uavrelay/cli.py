@@ -16,9 +16,9 @@ from dataclasses import replace
 
 import click
 
-from .atg3d import Atg3dScenario
-from .config import ATG3D_SOLVERS, FREESPACE_SOLVERS, ConfigError, load_config
+from .config import ConfigError, load_config
 from .harness import (
+    check_solvers,
     profile_curves,
     run_experiment,
     write_profile_csv,
@@ -50,13 +50,10 @@ def _override_solvers(config, solver_option: str | None):
     names = tuple(s.strip() for s in solver_option.split(",") if s.strip())
     if not names:
         _fail_config("--solver override is empty")
-    allowed = FREESPACE_SOLVERS if config.model == "freespace" else ATG3D_SOLVERS
-    for name in names:
-        if name not in allowed:
-            _fail_config(
-                f"solver {name!r} is not available for the {config.model} model "
-                f"(choose from {list(allowed)})"
-            )
+    try:
+        check_solvers(config.model, names)
+    except ConfigError as exc:
+        _fail_config(str(exc))
     return replace(config, solvers=names)
 
 

@@ -17,12 +17,9 @@ import jsonschema
 from .atg3d import Atg3dScenario
 from .channels import ATG_PRESETS, AtgEnvironment, FreeSpaceScenario
 from .fbl import BlocklengthParams
-from .oracle import GridSpec
+from .oracle import DEFAULT_FIXED_HEIGHT, GridSpec
 
 SCHEMA_VERSION = 1
-
-FREESPACE_SOLVERS = ("bcd", "high-snr", "exhaustive", "fixed-location", "fixed-power")
-ATG3D_SOLVERS = ("bcd", "exhaustive", "fixed-location", "fixed-power", "fixed-height")
 
 SWEEP_PARAMETERS = ("total_blocklength", "packet_bits", "power_budget_w", "hop2_environment")
 
@@ -302,14 +299,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("invalid scenario parameters: a dB value overflows the "
                           "linear scale") from None
 
-    allowed = FREESPACE_SOLVERS if model == "freespace" else ATG3D_SOLVERS
+    # imported here because the harness imports this module
+    from .harness import check_solvers
+
     solvers = tuple(raw["solvers"])
-    for name in solvers:
-        if name not in allowed:
-            raise ConfigError(
-                f"solver {name!r} is not available for the {model} model "
-                f"(choose from {list(allowed)})"
-            )
+    check_solvers(model, solvers)
 
     sweep = raw.get("sweep")
     sweep_parameter = sweep["parameter"] if sweep else None
@@ -325,7 +319,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid grid: {exc}") from None
 
-    fixed_height = raw.get("fixed_height_m", 100.0)
+    fixed_height = raw.get("fixed_height_m", DEFAULT_FIXED_HEIGHT)
     if model == "atg3d" and not (scenario.h_min <= fixed_height <= scenario.h_max):
         raise ConfigError(
             f"fixed_height_m = {fixed_height} outside the height band "
@@ -343,15 +337,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         rng = p.get("range")
         if rng is not None and rng[0] > rng[1]:
             raise ConfigError(f"profile range is empty: {rng}")
-        profile = ProfileSpec(
-            axis=p.get("axis", "height"),
-            fixed_x_m=p.get("fixed_x_m"),
-            fixed_height_m=p.get("fixed_height_m"),
-            step_m=p.get("step_m", 1.0),
-            sample_range=None if rng is None else (rng[0], rng[1]),
-            hop2_presets=tuple(p.get("hop2_presets", tuple(ATG_PRESETS))),
-            p1_w=p.get("p1_w"),
-        )
+        # the schema's "range" is ProfileSpec.sample_range; lists become tuples
+        profile = ProfileSpec(**{
+            "sample_range" if key == "range" else key:
+                tuple(value) if isinstance(value, list) else value
+            for key, value in p.items()
+        })
         if profile.p1_w is not None and profile.p1_w >= raw["power_budget_w"]:
             raise ConfigError("profile p1_w must leave the relay a positive power")
 

@@ -44,11 +44,18 @@ def depressed_real_roots(rho: float, kappa: float) -> list[float]:
     Returns one root when the discriminant is positive, three otherwise.
     On the repeated-root boundary the near-equal pair collapses to a
     single entry, so a double root shows up once.
+
+    Raises:
+        ValueError: when a coefficient is not finite, or rho^3 overflows.
     """
     if not (math.isfinite(rho) and math.isfinite(kappa)):
         raise ValueError(f"cubic coefficients must be finite, got rho={rho}, kappa={kappa}")
-    disc = 4.0 * rho ** 3 + 27.0 * kappa * kappa
-    scale = max(abs(rho) ** 3, kappa * kappa)
+    try:
+        disc = 4.0 * rho ** 3 + 27.0 * kappa * kappa
+        scale = max(abs(rho) ** 3, kappa * kappa)
+    except OverflowError:
+        raise ValueError(f"cubic coefficients overflow: rho={rho} cubed exceeds the "
+                         f"float range (kappa={kappa})") from None
     if scale == 0.0:
         return [0.0]
     if abs(disc) <= BOUNDARY_RTOL * scale and rho < 0.0:

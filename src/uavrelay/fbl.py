@@ -196,13 +196,3 @@ def af_snr(h1: float, h2: float, powers: PowerSplit) -> float:
     p1, p2 = powers.p1, powers.p2
     return (h1 * h2 * p1 * p2) / (h2 * p2 + h1 * p1 + 1.0)
 
-
-def af_amplification_gain(h1: float, powers: PowerSplit) -> float:
-    """Relay amplification factor G = sqrt(p2 / (p1 h1 + 1)).
-
-    Normalises the relay input (signal plus noise) to the relay transmit
-    power p2.
-    """
-    if not math.isfinite(h1) or h1 < 0.0:
-        raise ValueError(f"h1 must be a finite non-negative gain, got {h1}")
-    return math.sqrt(powers.p2 / (powers.p1 * h1 + 1.0))

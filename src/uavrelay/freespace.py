@@ -16,7 +16,7 @@ from .channels import FreeSpaceScenario, freespace_gains
 from .cubic import cubic_real_roots
 from .fbl import BlocklengthParams, PowerSplit, af_snr, decoding_error_probability
 
-# Iteration defaults for the alternating solver.
+# Stop rule of coordinate_ascent, shared by every alternating solver.
 BCD_REL_TOL = 1e-9
 BCD_MAX_ITERS = 50
 
@@ -38,6 +38,29 @@ class SolveResult:
     error_prob: float
     iterations: int
     trace: tuple[float, ...]
+
+
+def coordinate_ascent(snr, state, blocks):
+    """Cycle the blocks over state until the SNR stalls.
+
+    Each block maps a state to a state that is no worse; snr scores a
+    state.  A cycle runs every block once, in order, and the loop stops
+    once a cycle improves the SNR by at most BCD_REL_TOL relative, or
+    after BCD_MAX_ITERS cycles.  Returns the final state, its SNR and the
+    per-cycle SNR trace.
+    """
+    gamma = snr(state)
+    trace: list[float] = []
+    for _ in range(BCD_MAX_ITERS):
+        for block in blocks:
+            state = block(state)
+        new_gamma = snr(state)
+        trace.append(new_gamma)
+        stalled = new_gamma - gamma <= BCD_REL_TOL * max(gamma, 1e-300)
+        gamma = new_gamma
+        if stalled:
+            break
+    return state, gamma, tuple(trace)
 
 
 def snr_at(scn: FreeSpaceScenario, x: float, powers: PowerSplit) -> float:
@@ -138,14 +161,12 @@ def bcd_solve(
     blk: BlocklengthParams,
     x0: float | None = None,
     powers0: PowerSplit | None = None,
-    rel_tol: float = BCD_REL_TOL,
-    max_iters: int = BCD_MAX_ITERS,
 ) -> SolveResult:
     """Alternate the closed-form power and placement blocks until the SNR stalls.
 
     Starts from the band midpoint and an even split unless told otherwise.
     Each block is an exact maximiser, so the SNR trace is non-decreasing;
-    iteration stops once the relative improvement drops below rel_tol.
+    iteration stops as ``coordinate_ascent`` says.
 
     Raises:
         ValueError: when the initial point violates the scenario bounds.
@@ -161,17 +182,14 @@ def bcd_solve(
             f"initial powers exceed the budget: {powers0.total} > {scn.p_total}"
         )
 
-    x = x0
-    powers = powers0
-    gamma = snr_at(scn, x, powers)
-    trace: list[float] = []
-    for _ in range(max_iters):
-        powers = optimal_power_given_x(scn, x)
-        x = optimal_location_given_power(scn, powers)
-        new_gamma = snr_at(scn, x, powers)
-        trace.append(new_gamma)
-        if new_gamma - gamma <= rel_tol * max(gamma, 1e-300):
-            gamma = new_gamma
-            break
-        gamma = new_gamma
-    return _finish(scn, blk, "bcd", x, powers, len(trace), tuple(trace))
+    def power_block(state):
+        x, _ = state
+        return x, optimal_power_given_x(scn, x)
+
+    def location_block(state):
+        _, powers = state
+        return optimal_location_given_power(scn, powers), powers
+
+    (x, powers), _, trace = coordinate_ascent(
+        lambda state: snr_at(scn, *state), (x0, powers0), (power_block, location_block))
+    return _finish(scn, blk, "bcd", x, powers, len(trace), trace)

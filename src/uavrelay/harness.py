@@ -1,4 +1,4 @@
-"""Experiment runner: solver dispatch, sweeps, result rows and file output.
+"""Experiment runner: the solver table, sweeps, result rows and file output.
 
 Rows are emitted in (solver, sweep index) order regardless of execution
 details, numeric cells use the shortest round-trip float representation,
@@ -15,10 +15,10 @@ import time
 from dataclasses import dataclass, replace
 
 from .atg3d import Atg3dScenario, _gamma, bcd_solve_3d
-from .channels import ATG_PRESETS, AtgEnvironment, FreeSpaceScenario
+from .channels import AtgEnvironment
 from .config import ConfigError, ExperimentConfig, ProfileSpec
 from .fbl import BlocklengthParams, PowerSplit
-from .freespace import SolveResult, bcd_solve
+from .freespace import bcd_solve
 from .highsnr import high_snr_solve
 from .oracle import (
     exhaustive_search,
@@ -93,30 +93,37 @@ def _materialize(config: ExperimentConfig, value):
     return scn, blk
 
 
-def _dispatch(solver: str, scn, blk, config: ExperimentConfig) -> SolveResult:
-    if isinstance(scn, Atg3dScenario):
-        if solver == "bcd":
-            return bcd_solve_3d(scn)
-        if solver == "exhaustive":
-            return exhaustive_search(scn, blk, config.grid)
-        if solver == "fixed-location":
-            return fixed_location_baseline(scn, blk)
-        if solver == "fixed-power":
-            return fixed_power_baseline(scn, blk)
-        if solver == "fixed-height":
-            return fixed_height_baseline(scn, blk, config.fixed_height_m)
-    else:
-        if solver == "bcd":
-            return bcd_solve(scn, blk)
-        if solver == "high-snr":
-            return high_snr_solve(scn, blk)
-        if solver == "exhaustive":
-            return exhaustive_search(scn, blk, config.grid)
-        if solver == "fixed-location":
-            return fixed_location_baseline(scn, blk)
-        if solver == "fixed-power":
-            return fixed_power_baseline(scn, blk)
-    raise ConfigError(f"unknown solver {solver!r}")
+# Model -> solver name -> call(scn, blk, config): the one list of solver
+# names.  Each entry looks its solver up in this module when called, so a
+# wrapper set on that module attribute sees the call.
+SOLVERS = {
+    "freespace": {
+        "bcd": lambda scn, blk, config: bcd_solve(scn, blk),
+        "high-snr": lambda scn, blk, config: high_snr_solve(scn, blk),
+        "exhaustive": lambda scn, blk, config: exhaustive_search(scn, blk, config.grid),
+        "fixed-location": lambda scn, blk, config: fixed_location_baseline(scn, blk),
+        "fixed-power": lambda scn, blk, config: fixed_power_baseline(scn, blk),
+    },
+    "atg3d": {
+        "bcd": lambda scn, blk, config: bcd_solve_3d(scn),
+        "exhaustive": lambda scn, blk, config: exhaustive_search(scn, blk, config.grid),
+        "fixed-location": lambda scn, blk, config: fixed_location_baseline(scn, blk),
+        "fixed-power": lambda scn, blk, config: fixed_power_baseline(scn, blk),
+        "fixed-height": lambda scn, blk, config: fixed_height_baseline(
+            scn, blk, config.fixed_height_m),
+    },
+}
+
+
+def check_solvers(model: str, names) -> None:
+    """Raise ConfigError unless every name is a solver of the model."""
+    allowed = SOLVERS[model]
+    for name in names:
+        if name not in allowed:
+            raise ConfigError(
+                f"solver {name!r} is not available for the {model} model "
+                f"(choose from {list(allowed)})"
+            )
 
 
 def run_experiment(config: ExperimentConfig) -> RunOutcome:
@@ -132,7 +139,7 @@ def run_experiment(config: ExperimentConfig) -> RunOutcome:
             start = time.perf_counter()
             try:
                 scn, blk = _materialize(config, value)
-                result = _dispatch(solver, scn, blk, config)
+                result = SOLVERS[config.model][solver](scn, blk, config)
             except Exception as exc:  # carry on; the row records the failure
                 failures += 1
                 rows.append(ResultRow(

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atg3d import Atg3dScenario, _gamma, hop_gains_3d, optimize_height, optimize_x
+from .atg3d import Atg3dScenario, _ascend, _ascent_blocks, _gamma, hop_gains_3d
 from .channels import FreeSpaceScenario
 from .fbl import BlocklengthParams, PowerSplit, decoding_error_probability
 from .freespace import (
-    BCD_MAX_ITERS,
-    BCD_REL_TOL,
     SolveResult,
     optimal_location_given_power,
     optimal_power_for_gains,
@@ -45,18 +43,14 @@ DEFAULT_FIXED_HEIGHT = 100.0
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis ranges and step sizes for the exhaustive search.
+    """Step sizes for the exhaustive search.
 
-    Unset ranges default to the scenario bounds (the full power budget
-    for p1); unset steps spread the default point count over the range.
-    Ranges must stay inside the scenario bounds.
+    Each axis spans the scenario bounds (the full power budget for p1);
+    unset steps spread the default point count over the axis.
     """
 
-    x_range: tuple[float, float] | None = None
     x_step: float | None = None
-    p1_range: tuple[float, float] | None = None
     p1_step: float | None = None
-    h_range: tuple[float, float] | None = None
     h_step: float | None = None
 
     def __post_init__(self):
@@ -64,10 +58,6 @@ class GridSpec:
                            ("h_step", self.h_step)):
             if step is not None and not (step > 0.0 and math.isfinite(step)):
                 raise ValueError(f"{name} must be positive and finite, got {step}")
-        for name, rng in (("x_range", self.x_range), ("p1_range", self.p1_range),
-                          ("h_range", self.h_range)):
-            if rng is not None and rng[0] > rng[1]:
-                raise ValueError(f"{name} is empty: {rng}")
 
     @classmethod
     def with_points(
@@ -95,12 +85,8 @@ class GridSpec:
         )
 
 
-def _axis(rng, step, bounds, default_points) -> np.ndarray:
-    lo, hi = bounds if rng is None else rng
-    if lo < bounds[0] or hi > bounds[1]:
-        raise ValueError(f"grid range ({lo}, {hi}) outside scenario bounds {bounds}")
-    if hi == lo:
-        return np.array([lo])
+def _axis(step, bounds, default_points) -> np.ndarray:
+    lo, hi = bounds
     if step is None:
         n = default_points
     else:
@@ -234,22 +220,18 @@ def exhaustive_search(
 def _exhaustive_2d(
     scn: FreeSpaceScenario, blk: BlocklengthParams, grid: GridSpec
 ) -> SolveResult:
-    xs = _axis(grid.x_range, grid.x_step, (scn.d1, scn.d2), DEFAULT_POINTS_2D)
-    ps = _axis(grid.p1_range, grid.p1_step, (0.0, scn.p_total), DEFAULT_POINTS_2D)
+    xs = _axis(grid.x_step, (scn.d1, scn.d2), DEFAULT_POINTS_2D)
+    ps = _axis(grid.p1_step, (0.0, scn.p_total), DEFAULT_POINTS_2D)
 
     (ix, ip), v_best = _grid_argmax_2d(scn, xs, ps)
     x_best, p_best = float(xs[ix]), float(ps[ip])
 
-    x_lo, x_hi = (scn.d1, scn.d2) if grid.x_range is None else grid.x_range
-    p_lo, p_hi = (0.0, scn.p_total) if grid.p1_range is None else grid.p1_range
-    if len(xs) > 1:
-        step = float(xs[1] - xs[0])
-        f = lambda x: snr_at(scn, x, PowerSplit(p_best, scn.p_total - p_best))
-        x_best, v_best = _refine_axis(f, x_best, step, x_lo, x_hi, (x_best, v_best))
-    if len(ps) > 1:
-        step = float(ps[1] - ps[0])
-        f = lambda p: snr_at(scn, x_best, PowerSplit(p, scn.p_total - p))
-        p_best, v_best = _refine_axis(f, p_best, step, p_lo, p_hi, (p_best, v_best))
+    f = lambda x: snr_at(scn, x, PowerSplit(p_best, scn.p_total - p_best))
+    x_best, v_best = _refine_axis(f, x_best, float(xs[1] - xs[0]), scn.d1, scn.d2,
+                                  (x_best, v_best))
+    f = lambda p: snr_at(scn, x_best, PowerSplit(p, scn.p_total - p))
+    p_best, v_best = _refine_axis(f, p_best, float(ps[1] - ps[0]), 0.0, scn.p_total,
+                                  (p_best, v_best))
 
     powers = PowerSplit(p_best, scn.p_total - p_best)
     gamma = snr_at(scn, x_best, powers)
@@ -260,32 +242,25 @@ def _exhaustive_2d(
 def _exhaustive_3d(
     scn: Atg3dScenario, blk: BlocklengthParams, grid: GridSpec
 ) -> SolveResult:
-    xs = _axis(grid.x_range, grid.x_step, (scn.d1, scn.d2), DEFAULT_POINTS_3D)
-    hs = _axis(grid.h_range, grid.h_step, (scn.h_min, scn.h_max), DEFAULT_POINTS_3D)
-    ps = _axis(grid.p1_range, grid.p1_step, (0.0, scn.p_total), DEFAULT_POINTS_3D)
+    xs = _axis(grid.x_step, (scn.d1, scn.d2), DEFAULT_POINTS_3D)
+    hs = _axis(grid.h_step, (scn.h_min, scn.h_max), DEFAULT_POINTS_3D)
+    ps = _axis(grid.p1_step, (0.0, scn.p_total), DEFAULT_POINTS_3D)
 
     (ix, ih, ip), v_best = _grid_argmax_3d(scn, xs, hs, ps)
     x_best, h_best, p_best = float(xs[ix]), float(hs[ih]), float(ps[ip])
 
-    x_lo, x_hi = (scn.d1, scn.d2) if grid.x_range is None else grid.x_range
-    h_lo, h_hi = (scn.h_min, scn.h_max) if grid.h_range is None else grid.h_range
-    p_lo, p_hi = (0.0, scn.p_total) if grid.p1_range is None else grid.p1_range
-
     def powers_at(p):
         return PowerSplit(p, scn.p_total - p)
 
-    if len(xs) > 1:
-        step = float(xs[1] - xs[0])
-        f = lambda x: _gamma(scn, x, h_best, powers_at(p_best))
-        x_best, v_best = _refine_axis(f, x_best, step, x_lo, x_hi, (x_best, v_best))
-    if len(hs) > 1:
-        step = float(hs[1] - hs[0])
-        f = lambda h: _gamma(scn, x_best, h, powers_at(p_best))
-        h_best, v_best = _refine_axis(f, h_best, step, h_lo, h_hi, (h_best, v_best))
-    if len(ps) > 1:
-        step = float(ps[1] - ps[0])
-        f = lambda p: _gamma(scn, x_best, h_best, powers_at(p))
-        p_best, v_best = _refine_axis(f, p_best, step, p_lo, p_hi, (p_best, v_best))
+    f = lambda x: _gamma(scn, x, h_best, powers_at(p_best))
+    x_best, v_best = _refine_axis(f, x_best, float(xs[1] - xs[0]), scn.d1, scn.d2,
+                                  (x_best, v_best))
+    f = lambda h: _gamma(scn, x_best, h, powers_at(p_best))
+    h_best, v_best = _refine_axis(f, h_best, float(hs[1] - hs[0]), scn.h_min, scn.h_max,
+                                  (h_best, v_best))
+    f = lambda p: _gamma(scn, x_best, h_best, powers_at(p))
+    p_best, v_best = _refine_axis(f, p_best, float(ps[1] - ps[0]), 0.0, scn.p_total,
+                                  (p_best, v_best))
 
     powers = powers_at(p_best)
     gamma = _gamma(scn, x_best, h_best, powers)
@@ -318,26 +293,9 @@ def fixed_power_baseline(
     blk = _resolve_blk(scn, blk)
     powers = PowerSplit.even(scn.p_total)
     if isinstance(scn, Atg3dScenario):
-        x = 0.5 * (scn.d1 + scn.d2)
-        height = 0.5 * (scn.h_min + scn.h_max)
-        gamma = _gamma(scn, x, height, powers)
-        trace: list[float] = []
-        for _ in range(BCD_MAX_ITERS):
-            new_height = optimize_height(scn, x, powers)
-            if _gamma(scn, x, new_height, powers) >= _gamma(scn, x, height, powers):
-                height = new_height
-            new_x = optimize_x(scn, height, powers)
-            if _gamma(scn, new_x, height, powers) >= _gamma(scn, x, height, powers):
-                x = new_x
-            new_gamma = _gamma(scn, x, height, powers)
-            trace.append(new_gamma)
-            if new_gamma - gamma <= BCD_REL_TOL * max(gamma, 1e-300):
-                gamma = new_gamma
-                break
-            gamma = new_gamma
-        eps = decoding_error_probability(gamma, blk)
-        return SolveResult("fixed-power", x, height, powers, gamma, eps,
-                           len(trace), tuple(trace))
+        _, height, offset = _ascent_blocks(scn)
+        state = (0.5 * (scn.d1 + scn.d2), 0.5 * (scn.h_min + scn.h_max), powers)
+        return _ascend(scn, blk, "fixed-power", state, (height, offset))
     x = optimal_location_given_power(scn, powers)
     gamma = snr_at(scn, x, powers)
     eps = decoding_error_probability(gamma, blk)
@@ -355,21 +313,6 @@ def fixed_height_baseline(
     blk = _resolve_blk(scn, blk)
     if not (scn.h_min <= height <= scn.h_max):
         raise ValueError(f"pinned height {height} outside [{scn.h_min}, {scn.h_max}]")
-    x = 0.5 * (scn.d1 + scn.d2)
-    powers = PowerSplit.even(scn.p_total)
-    gamma = _gamma(scn, x, height, powers)
-    trace: list[float] = []
-    for _ in range(BCD_MAX_ITERS):
-        powers = optimal_power_for_gains(*hop_gains_3d(scn, x, height), scn.p_total)
-        new_x = optimize_x(scn, height, powers)
-        if _gamma(scn, new_x, height, powers) >= _gamma(scn, x, height, powers):
-            x = new_x
-        new_gamma = _gamma(scn, x, height, powers)
-        trace.append(new_gamma)
-        if new_gamma - gamma <= BCD_REL_TOL * max(gamma, 1e-300):
-            gamma = new_gamma
-            break
-        gamma = new_gamma
-    eps = decoding_error_probability(gamma, blk)
-    return SolveResult("fixed-height", x, height, powers, gamma, eps,
-                       len(trace), tuple(trace))
+    power, _, offset = _ascent_blocks(scn)
+    state = (0.5 * (scn.d1 + scn.d2), height, PowerSplit.even(scn.p_total))
+    return _ascend(scn, blk, "fixed-height", state, (power, offset))

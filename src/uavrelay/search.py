@@ -101,38 +101,3 @@ def line_search_max(
         return xs[i], vals[i]
     return x_best, v_best
 
-
-def derivative_bisection_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    fd_step: float | None = None,
-) -> tuple[float, float]:
-    """Cross-check maximiser: bisect on the sign of a finite-difference slope.
-
-    Assumes f is smooth and unimodal.  When the slope does not change
-    sign across [lo, hi] the profile is monotone and the better endpoint
-    is returned.
-    """
-    if hi <= lo:
-        return lo, f(lo)
-    span = hi - lo
-    if fd_step is None:
-        fd_step = 1e-6 * span
-
-    def slope(x: float) -> float:
-        a = max(lo, x - fd_step)
-        b = min(hi, x + fd_step)
-        return (f(b) - f(a)) / (b - a)
-
-    a, b = lo, hi
-    if slope(a) <= 0.0 or slope(b) >= 0.0:
-        return _best_of(f, (lo, hi))
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if slope(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    return _best_of(f, (lo, 0.5 * (a + b), hi))

@@ -12,7 +12,6 @@ from uavrelay import (
     AtgEnvironment,
     Atg3dScenario,
     BlocklengthParams,
-    Placement,
     PowerSplit,
     atg_normalized_gain,
     bcd_solve_3d,
@@ -20,7 +19,6 @@ from uavrelay import (
     elevation_angles,
     exhaustive_search,
     fixed_height_baseline,
-    gamma_3d,
     hop_gains_3d,
     interior_local_maxima,
     optimize_height,
@@ -30,6 +28,7 @@ from uavrelay import (
 from uavrelay.atg3d import _gamma
 
 from conftest import make_atg3d
+from test_search import derivative_bisection_max
 
 # converged outputs of this library on the reference geometry
 # (suburban source hop, 2.5 GHz, -93 dB noise, 4 W, L=100, M=80)
@@ -89,22 +88,16 @@ def test_hop_gains_equal_scalar_reference(blk):
             hop_gains_3d(scn, x, h)
 
 
-def test_gamma_3d_bounds(atg3d_scn):
-    ps = PowerSplit.even(4.0)
-    g = gamma_3d(atg3d_scn, Placement(100.0, 50.0), ps)
-    assert g > 0.0
-    with pytest.raises(ValueError):
-        gamma_3d(atg3d_scn, Placement(10.0, 50.0), ps)  # x < d1
-    with pytest.raises(ValueError):
-        gamma_3d(atg3d_scn, Placement(100.0, 5.0), ps)  # below h_min
-
-
 def test_scenario_validation(blk):
     env = AtgEnvironment.from_preset("urban", 2.5e9, -93.0)
     with pytest.raises(ValueError):
         Atg3dScenario(200.0, 20.0, 200.0, 200.0, 10.0, env, env, 4.0, blk)  # h_min > h_max
     with pytest.raises(ValueError):
         Atg3dScenario(200.0, 220.0, 200.0, 10.0, 200.0, env, env, 4.0, blk)
+    # gains near 1e292 per hop: their product overflows
+    loud = AtgEnvironment.from_preset("urban", 2.5e9, -3000.0)
+    with pytest.raises(ValueError, match="overflow"):
+        Atg3dScenario(200.0, 20.0, 200.0, 10.0, 200.0, loud, loud, 4.0, blk)
 
 
 def test_no_excess_loss_prefers_lowest_height(blk):
@@ -141,15 +134,16 @@ def test_optimize_height_beats_metre_grid():
 
 
 def test_optimize_height_bisect_agrees(atg3d_scn):
-    ps = PowerSplit.even(4.0)
+    # the golden-section search against the finite-difference bisection
+    scn, ps = atg3d_scn, PowerSplit.even(4.0)
+    tol = 1e-4 * (scn.h_max - scn.h_min)
     for x in (50.0, 100.0, 150.0):
-        hg = optimize_height(atg3d_scn, x, ps, method="golden")
-        hb = optimize_height(atg3d_scn, x, ps, method="bisect")
-        gg = _gamma(atg3d_scn, x, hg, ps)
-        gb = _gamma(atg3d_scn, x, hb, ps)
+        hg = optimize_height(scn, x, ps)
+        hb, _ = derivative_bisection_max(lambda h: _gamma(scn, x, h, ps),
+                                         scn.h_min, scn.h_max, tol)
+        gg = _gamma(scn, x, hg, ps)
+        gb = _gamma(scn, x, hb, ps)
         assert gb == pytest.approx(gg, rel=1e-6)
-    with pytest.raises(ValueError):
-        optimize_height(atg3d_scn, 100.0, ps, method="newton")
 
 
 def test_optimize_x_beats_metre_grid(atg3d_scn):
@@ -212,8 +206,8 @@ def test_bcd3d_dominates_fixed_height():
 
 def test_bcd3d_custom_start():
     scn = make_atg3d("urban")
-    res = bcd_solve_3d(scn, placement0=Placement(180.0, 150.0), powers0=PowerSplit(1.0, 3.0))
+    res = bcd_solve_3d(scn, x0=180.0, height0=150.0, powers0=PowerSplit(1.0, 3.0))
     want = BCD3D_REFERENCE["urban"][3]
     assert res.snr == pytest.approx(want, rel=1e-4)
     with pytest.raises(ValueError):
-        bcd_solve_3d(scn, placement0=Placement(5.0, 50.0))
+        bcd_solve_3d(scn, x0=5.0, height0=50.0)

@@ -103,9 +103,11 @@ def _with(base, section, key, value):
         _with(FREESPACE_RAW, "gains_db", "beta1_db", 4000.0),
         _with(ATG3D_RAW, "atg", "noise_power_db", 4000.0),
         _with(ATG3D_RAW, "atg", "noise_power_db", -4000.0),
+        # finite gains near 1e292 per hop, whose product overflows
+        _with(ATG3D_RAW, "atg", "noise_power_db", -3000.0),
     ],
     ids=["beta-inf", "beta-minus-inf", "beta-nan", "beta-overflow", "noise-overflow",
-         "noise-underflow"],
+         "noise-underflow", "gain-overflow"],
 )
 def test_extreme_numbers_are_config_errors(runner, tmp_path, raw):
     # json.dumps writes inf and nan as the non-standard Infinity and NaN
@@ -222,14 +224,15 @@ def test_default_output_paths_without_output_section(runner, tmp_path, monkeypat
     assert (tmp_path / "profile.csv").exists()
 
 
-def test_nan_objective_rows_state_the_cause(runner, tmp_path):
-    # finite but extreme: g1*g2 overflows, and the searched SNR is NaN everywhere
-    raw = _with(ATG3D_RAW, "atg", "noise_power_db", -3000.0)
-    cfg = write_config(tmp_path, variant(raw, solvers=["bcd", "fixed-height"]))
+def test_cubic_overflow_rows_state_the_cause(runner, tmp_path):
+    # finite but extreme: the placement cubic's rho^3 exceeds the float range
+    raw = _with(FREESPACE_RAW, "gains_db", "beta1_db", 1040.0)
+    raw["gains_db"]["beta2_db"] = 1040.0
+    cfg = write_config(tmp_path, variant(raw, solvers=["bcd", "fixed-power", "high-snr"]))
     out = tmp_path / "n.csv"
     result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
     assert result.exit_code == 3
     statuses = [row[11] for row in read_csv(out)[1:]]
-    assert len(statuses) == 2
-    for status in statuses:
-        assert status.startswith("error: objective is NaN at every sampled point of [")
+    assert statuses[0].startswith("error: cubic coefficients overflow: rho=")
+    assert statuses[1] == statuses[0]
+    assert statuses[2] == "ok"

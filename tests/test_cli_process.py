@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from test_config import ATG3D_RAW, variant
+from test_config import FREESPACE_RAW, variant
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -60,9 +60,11 @@ def test_peak_memory_does_not_grow_with_the_grid(tmp_path, args):
 
 
 def test_overflowing_oracle_writes_only_the_failure_line(tmp_path):
-    # g1*g2 overflows on the whole grid; numpy must not warn about it
-    raw = variant(ATG3D_RAW)
-    raw["atg"] = {**raw["atg"], "noise_power_db": -3000.0}
+    # g1*g2 overflows on the whole grid; numpy must not warn about it.  The
+    # air-to-ground model refuses such gains at load time, the free-space
+    # model does not
+    raw = variant(FREESPACE_RAW)
+    raw["gains_db"] = {"beta1_db": 3000.0, "beta2_db": 3000.0}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     out = tmp_path / "o.csv"

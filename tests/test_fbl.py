@@ -16,7 +16,6 @@ import scipy.stats
 from uavrelay import (
     BlocklengthParams,
     PowerSplit,
-    af_amplification_gain,
     af_snr,
     channel_dispersion,
     decoding_error_probability,
@@ -192,9 +191,3 @@ def test_af_snr_formula():
     # h1 p1 = 4, h2 p2 = 6, product 24, denominator 4 + 6 + 1
     assert af_snr(2.0, 3.0, ps) == pytest.approx(24.0 / 11.0, rel=1e-15)
     assert af_snr(0.0, 3.0, ps) == 0.0
-
-
-def test_af_amplification_gain():
-    ps = PowerSplit(2.0, 3.0)
-    want = math.sqrt(3.0 / (2.0 * 2.0 + 1.0))
-    assert af_amplification_gain(2.0, ps) == pytest.approx(want, rel=1e-15)

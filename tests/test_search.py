@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from uavrelay.search import (
-    derivative_bisection_max,
     golden_section_max,
     interior_local_maxima,
     line_search_max,
@@ -89,6 +88,43 @@ def test_line_search_fallback_grid_stays_in_the_box():
     assert len(interior_local_maxima(vals)) >= 2
     x, v = line_search_max(wavy, lo, hi, 1e-6)
     assert (x, v) == (hi, wavy(hi))
+
+
+def _best(f, candidates):
+    # ascending candidates: the smallest x wins ties
+    values = [f(x) for x in candidates]
+    i = max(range(len(candidates)), key=lambda k: (values[k], -k))
+    return candidates[i], values[i]
+
+
+def derivative_bisection_max(f, lo, hi, tol, fd_step=None):
+    """Cross-check maximiser: bisect on the sign of a finite-difference slope.
+
+    The reference the golden-section searches are checked against.  It
+    assumes f is smooth and unimodal; when the slope does not change sign
+    across [lo, hi] the profile is monotone and the better endpoint is
+    returned.
+    """
+    if hi <= lo:
+        return lo, f(lo)
+    if fd_step is None:
+        fd_step = 1e-6 * (hi - lo)
+
+    def slope(x):
+        a = max(lo, x - fd_step)
+        b = min(hi, x + fd_step)
+        return (f(b) - f(a)) / (b - a)
+
+    a, b = lo, hi
+    if slope(a) <= 0.0 or slope(b) >= 0.0:
+        return _best(f, (lo, hi))
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if slope(mid) > 0.0:
+            a = mid
+        else:
+            b = mid
+    return _best(f, (lo, 0.5 * (a + b), hi))
 
 
 def test_derivative_bisection_interior_peak():
