@@ -25,7 +25,6 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     ProfileSpec,
-    SCHEMA,
     load_config,
     parse_config,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "ProfileSpec",
     "ResultRow",
     "RunOutcome",
-    "SCHEMA",
     "SolveResult",
     "af_snr",
     "atg_normalized_gain",

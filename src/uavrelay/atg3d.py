@@ -62,7 +62,7 @@ class Atg3dScenario:
             g1, g2 = (env.gain_scale / self.h_min ** 2 * 10.0 ** env.gain_exponent
                       for env in (self.env1, self.env2))
             bound = g1 * g2 * self.p_total ** 2
-        except OverflowError:
+        except ArithmeticError:  # overflow, or h_min^2 underflows to zero
             bound = math.inf
         if not math.isfinite(bound):
             raise ValueError(

@@ -69,6 +69,18 @@ class FreeSpaceScenario:
             raise ValueError("reference gains beta1, beta2 must be positive")
         if not (self.p_total > 0.0 and math.isfinite(self.p_total)):
             raise ValueError(f"p_total must be positive and finite, got {self.p_total}")
+        # each hop gain is at most beta / H^2, so a finite bound keeps the SNR
+        # numerator h1 h2 p1 p2 finite
+        try:
+            g1, g2 = (beta / self.H ** 2 for beta in (self.beta1, self.beta2))
+            bound = g1 * g2 * self.p_total ** 2
+        except ArithmeticError:  # overflow, or H^2 underflows to zero
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ValueError(
+                f"hop gains overflow: the gain product bound g1 g2 p_total^2 is {bound} "
+                f"(g = beta / H^2)"
+            )
 
     @classmethod
     def from_db(

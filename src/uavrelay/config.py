@@ -1,18 +1,19 @@
-"""Experiment configuration: JSON schema, validation and object construction.
+"""Experiment configuration: one-pass validation and object construction.
 
-A run is described by a single JSON document (see ``SCHEMA``).  Unknown
-keys are rejected so typos fail loudly, gains may be given in dB, and
-every numeric bound is checked before any computation starts.  Schema
-violations and semantic errors both surface as ``ConfigError``.
+A run is described by a single JSON document whose keys and value types
+are listed in ``_CONFIG``.  Unknown keys are rejected so typos fail
+loudly, gains may be given in dB, and every number must be finite.  The
+domain constructors check their own bounds; this module adds only the
+rules they cannot see.  Every violation surfaces as ``ConfigError``
+before any computation starts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
-
-import jsonschema
 
 from .atg3d import Atg3dScenario
 from .channels import ATG_PRESETS, AtgEnvironment, FreeSpaceScenario
@@ -21,129 +22,56 @@ from .oracle import DEFAULT_FIXED_HEIGHT, GridSpec
 
 SCHEMA_VERSION = 1
 
-SWEEP_PARAMETERS = ("total_blocklength", "packet_bits", "power_budget_w", "hop2_environment")
-
-_ENV_OBJECT = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["a", "b", "excess_loss_los_db", "excess_loss_nlos_db"],
-    "properties": {
-        "a": {"type": "number", "exclusiveMinimum": 0},
-        "b": {"type": "number", "exclusiveMinimum": 0},
-        "excess_loss_los_db": {"type": "number"},
-        "excess_loss_nlos_db": {"type": "number"},
-    },
+# the sweep parameters and what their values must be
+_SWEEP_VALUES = {
+    "total_blocklength": ("a positive even blocklength", lambda v: _is_number(v)
+                          and isinstance(v, int) and v >= 2 and v % 2 == 0),
+    "packet_bits": ("a positive packet size",
+                    lambda v: _is_number(v) and isinstance(v, int) and v >= 1),
+    "power_budget_w": ("a positive power budget", lambda v: _is_number(v) and v > 0),
+    "hop2_environment": (f"an environment preset (expected one of {sorted(ATG_PRESETS)})",
+                         lambda v: isinstance(v, str) and v in ATG_PRESETS),
 }
 
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema_version", "scenario_id", "model", "geometry",
-                 "power_budget_w", "blocklength", "solvers"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "scenario_id": {"type": "string", "minLength": 1},
-        "model": {"enum": ["freespace", "atg3d"]},
-        "geometry": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["distance_m", "x_min_m", "x_max_m"],
-            "properties": {
-                "distance_m": {"type": "number", "exclusiveMinimum": 0},
-                "x_min_m": {"type": "number", "minimum": 0},
-                "x_max_m": {"type": "number", "exclusiveMinimum": 0},
-                "height_m": {"type": "number", "exclusiveMinimum": 0},
-                "height_min_m": {"type": "number", "exclusiveMinimum": 0},
-                "height_max_m": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "gains_db": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["beta1_db", "beta2_db"],
-            "properties": {
-                "beta1_db": {"type": "number"},
-                "beta2_db": {"type": "number"},
-            },
-        },
-        "atg": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["carrier_hz", "noise_power_db", "hop1", "hop2"],
-            "properties": {
-                "carrier_hz": {"type": "number", "exclusiveMinimum": 0},
-                "noise_power_db": {"type": "number"},
-                "hop1": {"oneOf": [{"type": "string"}, _ENV_OBJECT]},
-                "hop2": {"oneOf": [{"type": "string"}, _ENV_OBJECT]},
-            },
-        },
-        "power_budget_w": {"type": "number", "exclusiveMinimum": 0},
-        "blocklength": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["packet_bits"],
-            "properties": {
-                "packet_bits": {"type": "integer", "minimum": 1},
-                "total_blocklength": {"type": "integer", "minimum": 2},
-                "bandwidth_hz": {"type": "number", "exclusiveMinimum": 0},
-                "latency_s": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "solvers": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "string"},
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["parameter", "values"],
-            "properties": {
-                "parameter": {"enum": list(SWEEP_PARAMETERS)},
-                "values": {"type": "array"},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "x_points": {"type": "integer", "minimum": 2},
-                "p1_points": {"type": "integer", "minimum": 2},
-                "h_points": {"type": "integer", "minimum": 2},
-            },
-        },
-        "fixed_height_m": {"type": "number", "exclusiveMinimum": 0},
-        "profile": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "axis": {"enum": ["height", "x"]},
-                "fixed_x_m": {"type": "number", "minimum": 0},
-                "fixed_height_m": {"type": "number", "exclusiveMinimum": 0},
-                "step_m": {"type": "number", "exclusiveMinimum": 0},
-                "range": {
-                    "type": "array", "items": {"type": "number"},
-                    "minItems": 2, "maxItems": 2,
-                },
-                "hop2_presets": {
-                    "type": "array", "minItems": 1,
-                    "items": {"type": "string"},
-                },
-                "p1_w": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "csv": {"type": "string", "minLength": 1},
-                "json": {"type": "string", "minLength": 1},
-                "trace": {"type": "string", "minLength": 1},
-            },
-        },
+# Each config object as (required keys, optional keys), each key with the
+# JSON type of its value: "number" excludes bool and must be finite,
+# "integer" also admits integral floats, "positive" is a number > 0,
+# "string" is non-empty, a set lists the allowed strings, a one-item list
+# is a non-empty list of that type, "array" is any list and "environment"
+# a preset name or _ENVIRONMENT.  Bounds that a domain constructor checks
+# are left to it.
+_ENVIRONMENT = ({"a": "number", "b": "number", "excess_loss_los_db": "number",
+                 "excess_loss_nlos_db": "number"}, {})
+_CONFIG = (
+    {
+        "schema_version": "integer",
+        "scenario_id": "string",
+        "model": {"freespace", "atg3d"},
+        # the height keys of the other model are accepted but unused, so
+        # they keep a bound of their own
+        "geometry": ({"distance_m": "number", "x_min_m": "number", "x_max_m": "number"},
+                     {"height_m": "positive", "height_min_m": "positive",
+                      "height_max_m": "positive"}),
+        "power_budget_w": "number",
+        "blocklength": ({"packet_bits": "integer"},
+                        {"total_blocklength": "integer", "bandwidth_hz": "positive",
+                         "latency_s": "positive"}),
+        "solvers": ["string"],
     },
-}
+    {
+        "gains_db": ({"beta1_db": "number", "beta2_db": "number"}, {}),
+        "atg": ({"carrier_hz": "number", "noise_power_db": "number",
+                 "hop1": "environment", "hop2": "environment"}, {}),
+        "sweep": ({"parameter": set(_SWEEP_VALUES), "values": "array"}, {}),
+        "grid": ({}, {"x_points": "integer", "p1_points": "integer", "h_points": "integer"}),
+        "fixed_height_m": "positive",
+        "profile": ({}, {"axis": {"height", "x"}, "fixed_x_m": "non-negative",
+                         "fixed_height_m": "positive", "step_m": "positive",
+                         "range": ["number"], "hop2_presets": ["string"],
+                         "p1_w": "positive"}),
+        "output": ({}, {"csv": "string", "json": "string", "trace": "string"}),
+    },
+)
 
 
 class ConfigError(Exception):
@@ -182,12 +110,69 @@ class ExperimentConfig:
     output_trace: str | None
 
 
+def _where(path: tuple) -> str:
+    return "/".join(map(str, path)) or "<root>"
+
+
+def _fail(path: tuple, message: str):
+    raise ConfigError(f"config schema violation at {_where(path)}: {message}")
+
+
+def _is_number(node) -> bool:
+    return isinstance(node, numbers.Real) and not isinstance(node, bool)
+
+
+def _check_number(node, kind: str, path: tuple) -> None:
+    if not _is_number(node):
+        _fail(path, f"{node!r} is not a number")
+    try:
+        finite = math.isfinite(node)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"non-finite number {node} at {_where(path)} is not allowed in a config")
+    if kind == "integer" and not float(node).is_integer():
+        _fail(path, f"{node!r} is not an integer")
+    if (kind == "positive" and not node > 0) or (kind == "non-negative" and node < 0):
+        _fail(path, f"{node!r} is not {kind}")
+
+
+def _check(node, spec, path: tuple = ()) -> None:
+    """Raise ConfigError at the first place where node does not match spec."""
+    if spec == "environment":
+        spec = "string" if isinstance(node, str) else _ENVIRONMENT
+    if isinstance(spec, tuple):
+        required, optional = spec
+        if not isinstance(node, dict):
+            _fail(path, f"{node!r} is not an object")
+        for key in required:
+            if key not in node:
+                _fail(path, f"missing key {key!r}")
+        fields = {**required, **optional}
+        for key, value in node.items():
+            if key not in fields:
+                _fail(path, f"unknown key {key!r}")
+            _check(value, fields[key], path + (key,))
+    elif spec == "array":
+        if not isinstance(node, list):
+            _fail(path, f"{node!r} is not a list")
+    elif isinstance(spec, list):
+        if not (isinstance(node, list) and node):
+            _fail(path, f"{node!r} is not a non-empty list")
+        for i, item in enumerate(node):
+            _check(item, spec[0], path + (i,))
+    elif spec == "string":
+        if not (isinstance(node, str) and node):
+            _fail(path, f"{node!r} is not a non-empty string")
+    elif isinstance(spec, set):
+        if not (isinstance(node, str) and node in spec):
+            _fail(path, f"{node!r} is not one of {sorted(spec)}")
+    else:
+        _check_number(node, spec, path)
+
+
 def _build_environment(spec, carrier_hz: float, noise_power_db: float) -> AtgEnvironment:
     if isinstance(spec, str):
-        if spec not in ATG_PRESETS:
-            raise ConfigError(
-                f"unknown environment preset {spec!r}; expected one of {sorted(ATG_PRESETS)}"
-            )
         return AtgEnvironment.from_preset(spec, carrier_hz, noise_power_db)
     return AtgEnvironment(
         spec["a"], spec["b"], spec["excess_loss_los_db"], spec["excess_loss_nlos_db"],
@@ -202,64 +187,38 @@ def _build_blocklength(raw: dict) -> BlocklengthParams:
         raise ConfigError("blocklength needs both bandwidth_hz and latency_s")
     if not has_m and not has_bw:
         raise ConfigError("blocklength needs total_blocklength or a bandwidth/latency pair")
-    if has_m:
-        return BlocklengthParams(
-            raw["packet_bits"], raw["total_blocklength"],
-            raw.get("bandwidth_hz"), raw.get("latency_s"),
+    try:
+        if has_m:
+            return BlocklengthParams(
+                raw["packet_bits"], raw["total_blocklength"],
+                raw.get("bandwidth_hz"), raw.get("latency_s"),
+            )
+        return BlocklengthParams.from_bandwidth_latency(
+            raw["packet_bits"], raw["bandwidth_hz"], raw["latency_s"]
         )
-    return BlocklengthParams.from_bandwidth_latency(
-        raw["packet_bits"], raw["bandwidth_hz"], raw["latency_s"]
-    )
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid blocklength: {exc}") from None
 
 
 def _check_sweep(parameter: str | None, values, model: str) -> tuple:
     if parameter is None:
         return ()
-    checked = []
-    for v in values:
-        if parameter == "total_blocklength":
-            if not isinstance(v, int) or isinstance(v, bool) or v < 2 or v % 2:
-                raise ConfigError(f"sweep value {v!r} is not a positive even blocklength")
-        elif parameter == "packet_bits":
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ConfigError(f"sweep value {v!r} is not a positive packet size")
-        elif parameter == "power_budget_w":
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-                raise ConfigError(f"sweep value {v!r} is not a positive power budget")
-        elif parameter == "hop2_environment":
-            if model != "atg3d":
-                raise ConfigError("hop2_environment sweeps apply to the atg3d model only")
-            if v not in ATG_PRESETS:
-                raise ConfigError(
-                    f"sweep value {v!r} is not an environment preset "
-                    f"(expected one of {sorted(ATG_PRESETS)})"
-                )
-        checked.append(v)
-    return tuple(checked)
-
-
-def _check_finite(node, path: tuple = ()) -> None:
-    # JSON-Schema "number" admits NaN and +-inf; no config value may be one
-    if isinstance(node, float) and not math.isfinite(node):
-        where = "/".join(str(p) for p in path) or "<root>"
-        raise ConfigError(f"non-finite number {node} at {where} is not allowed in a config")
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _check_finite(value, path + (key,))
-    elif isinstance(node, (list, tuple)):
-        for i, value in enumerate(node):
-            _check_finite(value, path + (i,))
+    what, valid = _SWEEP_VALUES[parameter]
+    for i, v in enumerate(values):
+        if parameter == "hop2_environment" and model != "atg3d":
+            raise ConfigError("hop2_environment sweeps apply to the atg3d model only")
+        if _is_number(v):
+            _check_number(v, "number", ("sweep", "values", i))
+        if not valid(v):
+            _fail(("sweep", "values", i), f"sweep value {v!r} is not {what}")
+    return tuple(values)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON document and build the experiment objects."""
-    _check_finite(raw)
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {path}: {exc.message}") from None
-
+    _check(raw, _CONFIG)
+    if raw["schema_version"] != SCHEMA_VERSION:
+        _fail(("schema_version",), f"{raw['schema_version']!r} is not {SCHEMA_VERSION}")
     model = raw["model"]
     geo = raw["geometry"]
     blk = _build_blocklength(raw["blocklength"])
@@ -335,9 +294,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             if preset not in ATG_PRESETS:
                 raise ConfigError(f"unknown environment preset {preset!r} in profile")
         rng = p.get("range")
-        if rng is not None and rng[0] > rng[1]:
-            raise ConfigError(f"profile range is empty: {rng}")
-        # the schema's "range" is ProfileSpec.sample_range; lists become tuples
+        if rng is not None and (len(rng) != 2 or rng[0] > rng[1]):
+            raise ConfigError(f"profile range must be [low, high] with low <= high: {rng}")
+        # the config's "range" is ProfileSpec.sample_range; lists become tuples
         profile = ProfileSpec(**{
             "sample_range" if key == "range" else key:
                 tuple(value) if isinstance(value, list) else value

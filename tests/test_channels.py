@@ -66,6 +66,11 @@ def test_freespace_scenario_validation():
         FreeSpaceScenario.from_db(200.0, 0.0, 30.0, 170.0, 50.0, 59.0, 4.0)
     with pytest.raises(ValueError):
         FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 50.0, 59.0, 0.0)
+    # 1e300 per hop: beta1 beta2 overflows
+    with pytest.raises(ValueError, match="overflow"):
+        FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 3000.0, 3000.0, 4.0)
+    # a finite bound (~8e200) is accepted
+    FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 1040.0, 1040.0, 4.0)
 
 
 def test_freespace_gains(freespace_scn):

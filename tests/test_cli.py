@@ -105,9 +105,11 @@ def _with(base, section, key, value):
         _with(ATG3D_RAW, "atg", "noise_power_db", -4000.0),
         # finite gains near 1e292 per hop, whose product overflows
         _with(ATG3D_RAW, "atg", "noise_power_db", -3000.0),
+        # finite gains of 1e300 per hop, whose product overflows
+        variant(FREESPACE_RAW, gains_db={"beta1_db": 3000.0, "beta2_db": 3000.0}),
     ],
     ids=["beta-inf", "beta-minus-inf", "beta-nan", "beta-overflow", "noise-overflow",
-         "noise-underflow", "gain-overflow"],
+         "noise-underflow", "gain-overflow", "freespace-gain-overflow"],
 )
 def test_extreme_numbers_are_config_errors(runner, tmp_path, raw):
     # json.dumps writes inf and nan as the non-standard Infinity and NaN
@@ -120,6 +122,32 @@ def test_extreme_numbers_are_config_errors(runner, tmp_path, raw):
     assert json.loads(lines[0])["error"] == "config"
     assert "Traceback" not in result.output
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "raw, where",
+    [
+        (variant(ATG3D_RAW, sweep={"parameter": "hop2_environment", "values": [["urban"]]}),
+         "sweep/values/0"),
+        (variant(FREESPACE_RAW, blocklength={"packet_bits": 100, "total_blocklength": 80,
+                                             "bandwidth_hz": 80e3, "latency_s": 1.5}),
+         "blocklength"),
+        # h_min^2 underflows to zero inside the gain bound
+        (variant(ATG3D_RAW, geometry={**ATG3D_RAW["geometry"], "height_min_m": 1e-200}),
+         "hop gains overflow"),
+    ],
+    ids=["unhashable-sweep-value", "blocklength-contradiction", "height-underflow"],
+)
+def test_bad_values_are_config_errors_not_tracebacks(runner, tmp_path, raw, where):
+    cfg = write_config(tmp_path, raw)
+    result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "r.csv")])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "config"
+    assert where in diag["detail"]
 
 
 def test_missing_config_file(runner, tmp_path):

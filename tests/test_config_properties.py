@@ -1,0 +1,64 @@
+"""``parse_config`` on randomly mutated configs: a config or ``ConfigError``.
+
+One or two keys or list items of a valid base document are deleted or
+replaced by arbitrary JSON values (bools, nested lists and objects, huge,
+tiny, negative and integral numbers, preset and solver names).  Any
+other exception is a traceback that the CLI would print.
+"""
+
+import copy
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uavrelay import ConfigError, parse_config
+
+from test_config_mutations import BASES, DELETE, at, paths
+
+NAMES = ("suburban", "urban", "high-rise", "bcd", "exhaustive", "height", "x",
+         "total_blocklength", "power_budget_w", "hop2_environment")
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10 ** 400), 10 ** 400)
+    | st.integers(-(10 ** 6), 10 ** 6).map(float)
+    | st.floats()
+    | st.sampled_from([1e308, -1e308, 5e-324, 1e-200, 0.0, -0.0, 2.0, 80.0, 3000.0, -3000.0])
+    | st.text(max_size=6)
+    | st.sampled_from(NAMES)
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=3)),
+    max_leaves=8,
+)
+# deletions, scalars, lists and objects about equally often
+MUTATIONS = (st.just(DELETE) | SCALARS | st.lists(JSON_VALUES, max_size=3)
+             | st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=3))
+# every (base, path) pair equally often, whatever the size of its base
+TARGETS = [(name, path) for name, base in BASES.items() for path in paths(base)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_mutated_configs_load_or_raise_config_error(data):
+    name, path = data.draw(st.sampled_from(TARGETS))
+    raw = copy.deepcopy(BASES[name])
+    more = data.draw(st.lists(st.sampled_from(list(paths(BASES[name]))), max_size=1))
+    for path in [path, *more]:
+        value = data.draw(MUTATIONS)
+        try:
+            parent = at(raw, path[:-1])
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # the first mutation removed or replaced this path
+    try:
+        parse_config(raw)
+    except ConfigError:
+        pass

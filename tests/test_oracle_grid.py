@@ -170,8 +170,10 @@ def test_nan_grid_picks_first_nan_quietly():
 
 
 def test_first_nan_in_a_later_block_beats_earlier_maxima():
-    # beta2 so large that g2 overflows only in the last x rows
-    scn = FreeSpaceScenario(200.0, 0.5, 0.0, 200.0, 1.0, 1e308, 4.0)
+    # beta2 so large that g2 overflows only in the last x rows; FreeSpaceScenario
+    # refuses such gains, so the kernel gets a stand-in with the same fields
+    scn = SimpleNamespace(D=200.0, H=0.5, d1=0.0, d2=200.0, beta1=1.0, beta2=1e308,
+                          p_total=4.0)
     xs, ps = np.linspace(0.0, 200.0, 2001), np.linspace(0.5, 3.5, 300)
     with np.errstate(all="ignore"):
         gam = full_grid_2d(scn, xs, ps)
