@@ -2,7 +2,9 @@
 
 Each command runs in a fresh directory with the config's default output
 paths, and every file it writes is compared with the copy under
-``tests/golden/<command>/``.  Only ``wall_time_s`` is dropped: the last
+``tests/golden/<name>/``.  Besides the shipped configs and their default
+grids, a few cases pin non-default oracle grids (``--grid``, or a copy of
+a shipped config with a ``grid`` section).  Only ``wall_time_s`` is dropped: the last
 CSV column and the matching key of the JSON rows.  Regenerate the copies
 (after a deliberate change of the numbers) with
 
@@ -14,6 +16,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -25,7 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# (name, subcommand, config, extra arguments, files the command writes)
+# (name, subcommand, config, extra arguments, files the command writes); a
+# config (shipped file, keys) runs on a copy of the file with the keys added
 COMMANDS = (
     ("solve", "solve", "freespace.json", (), ("results.csv", "results.json")),
     ("sweep_freespace", "sweep", "freespace_blocklength_sweep.json", (),
@@ -34,6 +38,12 @@ COMMANDS = (
      ("results.csv", "results.json", "traces.json")),
     ("profile", "profile", "atg3d_height_profile.json", (), ("profile.csv",)),
     ("oracle", "oracle", "atg3d_environments.json", (), ("results.csv", "results.json")),
+    ("oracle_grid_freespace", "oracle", "freespace.json", ("--grid", "x=300,p1=300"),
+     ("results.csv", "results.json")),
+    ("oracle_grid_atg3d", "oracle", "atg3d_environments.json", ("--grid", "x=40,h=30,p1=50"),
+     ("results.csv", "results.json")),
+    ("solve_grid", "solve", ("freespace.json", {"grid": {"x_points": 500, "p1_points": 700}}),
+     (), ("results.csv", "results.json")),
 )
 
 
@@ -56,12 +66,19 @@ def normalized(path: Path) -> str:
 
 def run_command(command, config, extra, workdir: Path) -> int:
     cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        args = [command, "--config", str(CONFIGS / config), *extra]
-        return CliRunner().invoke(main, args).exit_code
-    finally:
-        os.chdir(cwd)
+    with tempfile.TemporaryDirectory() as scratch:
+        if isinstance(config, str):
+            path = CONFIGS / config
+        else:
+            base, keys = config
+            path = Path(scratch) / base
+            path.write_text(json.dumps({**json.loads((CONFIGS / base).read_text()), **keys}))
+        os.chdir(workdir)
+        try:
+            args = [command, "--config", str(path), *extra]
+            return CliRunner().invoke(main, args).exit_code
+        finally:
+            os.chdir(cwd)
 
 
 @pytest.mark.parametrize("name,command,config,extra,files", COMMANDS,
