@@ -60,7 +60,6 @@ from .harness import (
 )
 from .highsnr import (
     HighSnrCaseReport,
-    condition1_hessian,
     gamma_tilde,
     high_snr_solve,
     solve_condition1,
@@ -99,7 +98,6 @@ __all__ = [
     "bcd_solve",
     "bcd_solve_3d",
     "channel_dispersion",
-    "condition1_hessian",
     "cubic_location_candidates",
     "cubic_real_roots",
     "db_to_linear",

@@ -74,10 +74,10 @@ def _parse_grid(config, grid_option: str | None):
             counts[axis] = int(num)
         except ValueError:
             _fail_config(f"bad --grid point count {num!r}")
+    if "h" in counts and config.model != "atg3d":
+        _fail_config("height axis only applies to the atg3d model")
     try:
-        grid = GridSpec.with_points(
-            config.scenario, counts.get("x"), counts.get("p1"), counts.get("h")
-        )
+        grid = GridSpec(**counts)
     except ValueError as exc:
         _fail_config(str(exc))
     return replace(config, grid=grid)

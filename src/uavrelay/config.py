@@ -42,16 +42,14 @@ _SWEEP_VALUES = {
 # are left to it.
 _ENVIRONMENT = ({"a": "number", "b": "number", "excess_loss_los_db": "number",
                  "excess_loss_nlos_db": "number"}, {})
-_CONFIG = (
+_GEOMETRY = {"distance_m": "number", "x_min_m": "number", "x_max_m": "number"}
+# one config per model; each geometry lists only its own model's heights
+_CONFIG = {model: (
     {
         "schema_version": "integer",
         "scenario_id": "string",
         "model": {"freespace", "atg3d"},
-        # the height keys of the other model are accepted but unused, so
-        # they keep a bound of their own
-        "geometry": ({"distance_m": "number", "x_min_m": "number", "x_max_m": "number"},
-                     {"height_m": "positive", "height_min_m": "positive",
-                      "height_max_m": "positive"}),
+        "geometry": ({**_GEOMETRY, **heights}, {}),
         "power_budget_w": "number",
         "blocklength": ({"packet_bits": "integer"},
                         {"total_blocklength": "integer", "bandwidth_hz": "positive",
@@ -71,7 +69,8 @@ _CONFIG = (
                          "p1_w": "positive"}),
         "output": ({}, {"csv": "string", "json": "string", "trace": "string"}),
     },
-)
+) for model, heights in (("freespace", {"height_m": "number"}),
+                         ("atg3d", {"height_min_m": "number", "height_max_m": "number"}))}
 
 
 class ConfigError(Exception):
@@ -216,7 +215,9 @@ def _check_sweep(parameter: str | None, values, model: str) -> tuple:
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON document and build the experiment objects."""
-    _check(raw, _CONFIG)
+    # a missing or unknown model fails the model check of either config
+    atg3d = isinstance(raw, dict) and raw.get("model") == "atg3d"
+    _check(raw, _CONFIG["atg3d" if atg3d else "freespace"])
     if raw["schema_version"] != SCHEMA_VERSION:
         _fail(("schema_version",), f"{raw['schema_version']!r} is not {SCHEMA_VERSION}")
     model = raw["model"]
@@ -229,8 +230,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 raise ConfigError("freespace model requires a gains_db section")
             if "atg" in raw:
                 raise ConfigError("atg section is not valid for the freespace model")
-            if "height_m" not in geo:
-                raise ConfigError("freespace geometry requires height_m")
             scenario = FreeSpaceScenario.from_db(
                 geo["distance_m"], geo["height_m"], geo["x_min_m"], geo["x_max_m"],
                 raw["gains_db"]["beta1_db"], raw["gains_db"]["beta2_db"],
@@ -241,8 +240,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 raise ConfigError("atg3d model requires an atg section")
             if "gains_db" in raw:
                 raise ConfigError("gains_db section is not valid for the atg3d model")
-            if "height_min_m" not in geo or "height_max_m" not in geo:
-                raise ConfigError("atg3d geometry requires height_min_m and height_max_m")
             atg = raw["atg"]
             scenario = Atg3dScenario(
                 geo["distance_m"], geo["x_min_m"], geo["x_max_m"],
@@ -271,10 +268,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     grid = None
     if "grid" in raw:
         g = raw["grid"]
+        if "h_points" in g and model != "atg3d":
+            raise ConfigError("invalid grid: height axis only applies to the atg3d model")
         try:
-            grid = GridSpec.with_points(
-                scenario, g.get("x_points"), g.get("p1_points"), g.get("h_points")
-            )
+            grid = GridSpec(*(None if key not in g else int(g[key])
+                              for key in ("x_points", "p1_points", "h_points")))
         except ValueError as exc:
             raise ConfigError(f"invalid grid: {exc}") from None
 

@@ -132,14 +132,15 @@ def rate_gap(gamma: float, blk: BlocklengthParams) -> float:
         error probability is Q of this value.
 
     Raises:
-        ValueError: for non-positive SNR.  gamma = 0 is degenerate (the
-            dispersion vanishes); callers should map it to eps = 1.
+        ValueError: for non-positive SNR, and for an SNR so small (below
+            ~1e-16) that 1 + gamma rounds to 1.  Both are degenerate (the
+            dispersion vanishes); callers should map them to eps = 1.
     """
-    _check_snr(gamma)
-    if gamma == 0.0:
-        raise ValueError("rate margin undefined at zero SNR; error probability is 1 there")
-    m = blk.per_hop_blocklength
     v = channel_dispersion(gamma)
+    if v == 0.0:
+        raise ValueError("rate margin undefined where 1 + SNR rounds to 1 (zero SNR "
+                         "included); error probability is 1 there")
+    m = blk.per_hop_blocklength
     capacity = math.log1p(gamma) / LN2
     return LN2 * math.sqrt(m / v) * (capacity - blk.packet_bits / m)
 
@@ -167,12 +168,13 @@ def rate_gap_derivative(gamma: float, blk: BlocklengthParams) -> float:
 def decoding_error_probability(gamma: float, blk: BlocklengthParams) -> float:
     """Per-hop decoding error probability under the normal approximation.
 
-    Defined as Q(rate_gap) for gamma > 0 and as 1 at gamma = 0 (no
-    signal).  The margin is clamped to +/-40 before evaluating Q so that
-    extreme SNRs return a hard 0/1 instead of overflowing.
+    Defined as Q(rate_gap) for gamma > 0 and as 1, the limit, where
+    1 + gamma rounds to 1 (gamma = 0 included).  The margin is clamped
+    to +/-40 before evaluating Q so that extreme SNRs return a hard 0/1
+    instead of overflowing.
     """
     _check_snr(gamma)
-    if gamma == 0.0:
+    if 1.0 + gamma == 1.0:
         return 1.0
     f = rate_gap(gamma, blk)
     f = max(-_MARGIN_CLAMP, min(_MARGIN_CLAMP, f))

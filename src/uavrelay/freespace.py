@@ -69,20 +69,6 @@ def snr_at(scn: FreeSpaceScenario, x: float, powers: PowerSplit) -> float:
     return af_snr(h1, h2, powers)
 
 
-def _finish(
-    scn: FreeSpaceScenario,
-    blk: BlocklengthParams,
-    solver: str,
-    x: float,
-    powers: PowerSplit,
-    iterations: int,
-    trace: tuple[float, ...],
-) -> SolveResult:
-    gamma = snr_at(scn, x, powers)
-    eps = decoding_error_probability(gamma, blk)
-    return SolveResult(solver, x, scn.H, powers, gamma, eps, iterations, trace)
-
-
 def optimal_power_for_gains(h1: float, h2: float, p_total: float) -> PowerSplit:
     """SNR-optimal power split for fixed hop gains, spending the full budget.
 
@@ -190,6 +176,7 @@ def bcd_solve(
         _, powers = state
         return optimal_location_given_power(scn, powers), powers
 
-    (x, powers), _, trace = coordinate_ascent(
+    (x, powers), gamma, trace = coordinate_ascent(
         lambda state: snr_at(scn, *state), (x0, powers0), (power_block, location_block))
-    return _finish(scn, blk, "bcd", x, powers, len(trace), trace)
+    eps = decoding_error_probability(gamma, blk)
+    return SolveResult("bcd", x, scn.H, powers, gamma, eps, len(trace), trace)

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channels import FreeSpaceScenario
 from .fbl import BlocklengthParams, PowerSplit, decoding_error_probability
 from .freespace import SolveResult, snr_at
@@ -36,8 +34,8 @@ class HighSnrCaseReport:
 
     condition is "I" (interior optimum), "II" (pinned at d1) or "III"
     (pinned at d2); case names the analytic branch taken.  gamma_tilde
-    is the surrogate value at (x, powers) and gamma_exact the true SNR
-    there.  Infeasible cases carry zero powers and feasible=False.
+    is the surrogate value at (x, powers).  Infeasible cases carry zero
+    powers and feasible=False.
     """
 
     condition: str
@@ -45,7 +43,6 @@ class HighSnrCaseReport:
     x: float
     powers: PowerSplit
     gamma_tilde: float
-    gamma_exact: float
     feasible: bool = True
 
 
@@ -76,31 +73,9 @@ def unconstrained_location(
     return x0, min(max(x0, scn.d1), scn.d2)
 
 
-def condition1_hessian(scn: FreeSpaceScenario, p1: float, p2: float) -> np.ndarray:
-    """Hessian of the interior-case objective in (p1, p2).
-
-    The objective is H^2 (b1 p1 + b2 p2)/(p1 p2) + b1 b2 D^2/(b1 p1 + b2 p2);
-    its Hessian is positive definite on p1, p2 > 0, making the interior
-    power problem convex.
-    """
-    if p1 <= 0.0 or p2 <= 0.0:
-        raise ValueError("Hessian defined for strictly positive powers only")
-    b1, b2 = scn.beta1, scn.beta2
-    h_sq = scn.H * scn.H
-    d_sq = scn.D * scn.D
-    s = b1 * p1 + b2 * p2
-    cross = 2.0 * b1 * b1 * b2 * b2 * d_sq / s ** 3
-    h11 = 2.0 * h_sq * b2 / p1 ** 3 + 2.0 * b1 ** 3 * b2 * d_sq / s ** 3
-    h22 = 2.0 * h_sq * b1 / p2 ** 3 + 2.0 * b1 * b2 ** 3 * d_sq / s ** 3
-    return np.array([[h11, cross], [cross, h22]])
-
-
-def _condition1_interval(scn: FreeSpaceScenario) -> tuple[float, float]:
-    # p1 range on which the unconstrained offset x0(p1) stays inside [d1, d2]
-    pt = scn.p_total
-    lo = scn.d1 * scn.beta2 * pt / ((scn.D - scn.d1) * scn.beta1 + scn.d1 * scn.beta2)
-    hi = scn.d2 * scn.beta2 * pt / ((scn.D - scn.d2) * scn.beta1 + scn.d2 * scn.beta2)
-    return lo, hi
+def _edge_power(scn: FreeSpaceScenario, d: float) -> float:
+    # the p1 at which the unconstrained offset x0(p1) crosses the band edge d
+    return d * scn.beta2 * scn.p_total / ((scn.D - d) * scn.beta1 + d * scn.beta2)
 
 
 def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
@@ -111,12 +86,12 @@ def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
     problem solved by golden-section search.
     """
     pt = scn.p_total
-    lo, hi = _condition1_interval(scn)
-    lo = max(lo, 0.0)
-    hi = min(hi, pt)
+    # the p1 range on which x0(p1) stays inside [d1, d2]
+    lo = max(_edge_power(scn, scn.d1), 0.0)
+    hi = min(_edge_power(scn, scn.d2), pt)
     if lo > hi:
         return HighSnrCaseReport(
-            "I", "infeasible", 0.5 * (scn.d1 + scn.d2), PowerSplit(0.0, 0.0), 0.0, 0.0,
+            "I", "infeasible", 0.5 * (scn.d1 + scn.d2), PowerSplit(0.0, 0.0), 0.0,
             feasible=False,
         )
 
@@ -143,9 +118,7 @@ def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
 
     powers = PowerSplit(p1, pt - p1)
     _, x = unconstrained_location(scn, powers)
-    return HighSnrCaseReport(
-        "I", case, x, powers, gamma_tilde(scn, x, powers), snr_at(scn, x, powers)
-    )
+    return HighSnrCaseReport("I", case, x, powers, gamma_tilde(scn, x, powers))
 
 
 def _edge_power_optimum(
@@ -155,52 +128,36 @@ def _edge_power_optimum(
 
     At fixed x the surrogate is b1 b2 p1 (pt - p1) / (K p1 + b2 D1 pt)
     with K = b1 D2 - b2 D1, which is concave in p1.  Matched cross gains
-    (K = 0) reduce it to p1 (pt - p1); otherwise the interior stationary
-    point of the concave form is clamped to [p_lo, p_hi].
+    (K = 0) reduce it to p1 (pt - p1); otherwise the stationary point
+    p1 = pt sqrt(b2 D1) / (sqrt(b1 D2) + sqrt(b2 D1)) is clamped to
+    [p_lo, p_hi].  This form of the root has no cancellation, whatever
+    the ratio of the cross gains b1 D2 and b2 D1.
     """
     pt = scn.p_total
     h_sq = scn.H * scn.H
-    dist1 = h_sq + x_edge * x_edge
-    dist2 = h_sq + (scn.D - x_edge) * (scn.D - x_edge)
-    k = scn.beta1 * dist2 - scn.beta2 * dist1
-    if abs(k) <= 1e-12 * max(scn.beta1 * dist2, scn.beta2 * dist1):
+    cross1 = scn.beta1 * (h_sq + (scn.D - x_edge) * (scn.D - x_edge))
+    cross2 = scn.beta2 * (h_sq + x_edge * x_edge)
+    if abs(cross1 - cross2) <= 1e-12 * max(cross1, cross2):
         return min(max(0.5 * pt, p_lo), p_hi), "matched-cross-gains"
-    e = scn.beta2 * dist1 * pt / k
-    radicand = e * (e + pt)
-    if radicand < 0.0:
-        # cannot occur for these coefficients (e and e + pt share a sign);
-        # kept as a guard: the objective is then monotone on the interval
-        def value(p1: float) -> float:
-            return scn.beta1 * scn.beta2 * p1 * (pt - p1) / (k * p1 + scn.beta2 * dist1 * pt)
-
-        p_star = p_lo if value(p_lo) >= value(p_hi) else p_hi
-        return p_star, "unmatched-cross-gains"
-    p_star = -e + math.copysign(math.sqrt(radicand), e)
+    root2 = math.sqrt(cross2)
+    p_star = pt * root2 / (math.sqrt(cross1) + root2)
     return min(max(p_star, p_lo), p_hi), "unmatched-cross-gains"
 
 
 def solve_condition2(scn: FreeSpaceScenario) -> HighSnrCaseReport:
     """Left-edge case: x pinned at d1, feasible whenever x0(p1) <= d1."""
     pt = scn.p_total
-    p_up = scn.d1 * scn.beta2 * pt / ((scn.D - scn.d1) * scn.beta1 + scn.d1 * scn.beta2)
-    p1, case = _edge_power_optimum(scn, scn.d1, 0.0, p_up)
+    p1, case = _edge_power_optimum(scn, scn.d1, 0.0, _edge_power(scn, scn.d1))
     powers = PowerSplit(p1, pt - p1)
-    return HighSnrCaseReport(
-        "II", case, scn.d1, powers,
-        gamma_tilde(scn, scn.d1, powers), snr_at(scn, scn.d1, powers),
-    )
+    return HighSnrCaseReport("II", case, scn.d1, powers, gamma_tilde(scn, scn.d1, powers))
 
 
 def solve_condition3(scn: FreeSpaceScenario) -> HighSnrCaseReport:
     """Right-edge case: x pinned at d2, feasible whenever x0(p1) >= d2."""
     pt = scn.p_total
-    p_low = scn.d2 * scn.beta2 * pt / ((scn.D - scn.d2) * scn.beta1 + scn.d2 * scn.beta2)
-    p1, case = _edge_power_optimum(scn, scn.d2, p_low, pt)
+    p1, case = _edge_power_optimum(scn, scn.d2, _edge_power(scn, scn.d2), pt)
     powers = PowerSplit(p1, pt - p1)
-    return HighSnrCaseReport(
-        "III", case, scn.d2, powers,
-        gamma_tilde(scn, scn.d2, powers), snr_at(scn, scn.d2, powers),
-    )
+    return HighSnrCaseReport("III", case, scn.d2, powers, gamma_tilde(scn, scn.d2, powers))
 
 
 def high_snr_solve(scn: FreeSpaceScenario, blk: BlocklengthParams) -> SolveResult:

@@ -43,55 +43,21 @@ DEFAULT_FIXED_HEIGHT = 100.0
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Step sizes for the exhaustive search.
+    """Points per axis of the exhaustive search.
 
     Each axis spans the scenario bounds (the full power budget for p1);
-    unset steps spread the default point count over the axis.
+    an unset count takes the model's default.  The height axis h exists
+    in the air-to-ground model only.
     """
 
-    x_step: float | None = None
-    p1_step: float | None = None
-    h_step: float | None = None
+    x: int | None = None
+    p1: int | None = None
+    h: int | None = None
 
     def __post_init__(self):
-        for name, step in (("x_step", self.x_step), ("p1_step", self.p1_step),
-                           ("h_step", self.h_step)):
-            if step is not None and not (step > 0.0 and math.isfinite(step)):
-                raise ValueError(f"{name} must be positive and finite, got {step}")
-
-    @classmethod
-    def with_points(
-        cls,
-        scn: "FreeSpaceScenario | Atg3dScenario",
-        x: int | None = None,
-        p1: int | None = None,
-        h: int | None = None,
-    ) -> "GridSpec":
-        """Spec from per-axis point counts over the full scenario ranges."""
-
-        def step_for(n, bounds):
-            if n is None:
-                return None
-            if n < 2:
+        for n in (self.x, self.p1, self.h):
+            if n is not None and n < 2:
                 raise ValueError(f"need at least 2 points per axis, got {n}")
-            return (bounds[1] - bounds[0]) / (n - 1)
-
-        if h is not None and not isinstance(scn, Atg3dScenario):
-            raise ValueError("height axis only applies to the air-to-ground model")
-        return cls(
-            x_step=step_for(x, (scn.d1, scn.d2)),
-            p1_step=step_for(p1, (0.0, scn.p_total)),
-            h_step=None if h is None else step_for(h, (scn.h_min, scn.h_max)),
-        )
-
-
-def _axis(step, bounds, default_points) -> np.ndarray:
-    lo, hi = bounds
-    if step is None:
-        n = default_points
-    else:
-        n = max(2, int(round((hi - lo) / step)) + 1)
-    return np.linspace(lo, hi, n)
 
 
 def _resolve_blk(scn, blk: BlocklengthParams | None) -> BlocklengthParams:
@@ -206,66 +172,40 @@ def exhaustive_search(
 ) -> SolveResult:
     """Dense grid search over the decision variables, locally refined.
 
-    Grid ties are broken towards the lexicographically smallest index
-    (x-major order), which makes the result deterministic.
+    The axes are x and p1, with the height between them in the
+    air-to-ground model.  The best grid cell is polished along each axis
+    in turn.  Grid ties are broken towards the lexicographically smallest
+    index (x-major order), which makes the result deterministic.
     """
     blk = _resolve_blk(scn, blk)
-    if grid is None:
-        grid = GridSpec()
+    grid = grid or GridSpec()
+    pt = scn.p_total
     if isinstance(scn, Atg3dScenario):
-        return _exhaustive_3d(scn, blk, grid)
-    return _exhaustive_2d(scn, blk, grid)
+        n = DEFAULT_POINTS_3D
+        bounds = ((scn.d1, scn.d2, grid.x), (scn.h_min, scn.h_max, grid.h), (0.0, pt, grid.p1))
+        snr = lambda x, h, p: _gamma(scn, x, h, PowerSplit(p, pt - p))
+        grid_argmax = _grid_argmax_3d
+    else:
+        if grid.h is not None:
+            raise ValueError("height axis only applies to the air-to-ground model")
+        n = DEFAULT_POINTS_2D
+        bounds = ((scn.d1, scn.d2, grid.x), (0.0, pt, grid.p1))
+        snr = lambda x, p: snr_at(scn, x, PowerSplit(p, pt - p))
+        grid_argmax = _grid_argmax_2d
+    axes = [np.linspace(lo, hi, n if points is None else points) for lo, hi, points in bounds]
 
+    index, v_best = grid_argmax(scn, *axes)
+    point = [float(axis[i]) for axis, i in zip(axes, index)]
+    for k, (axis, (lo, hi, _)) in enumerate(zip(axes, bounds)):
+        f = lambda t: snr(*point[:k], t, *point[k + 1:])
+        point[k], v_best = _refine_axis(f, point[k], float(axis[1] - axis[0]), lo, hi,
+                                        (point[k], v_best))
 
-def _exhaustive_2d(
-    scn: FreeSpaceScenario, blk: BlocklengthParams, grid: GridSpec
-) -> SolveResult:
-    xs = _axis(grid.x_step, (scn.d1, scn.d2), DEFAULT_POINTS_2D)
-    ps = _axis(grid.p1_step, (0.0, scn.p_total), DEFAULT_POINTS_2D)
-
-    (ix, ip), v_best = _grid_argmax_2d(scn, xs, ps)
-    x_best, p_best = float(xs[ix]), float(ps[ip])
-
-    f = lambda x: snr_at(scn, x, PowerSplit(p_best, scn.p_total - p_best))
-    x_best, v_best = _refine_axis(f, x_best, float(xs[1] - xs[0]), scn.d1, scn.d2,
-                                  (x_best, v_best))
-    f = lambda p: snr_at(scn, x_best, PowerSplit(p, scn.p_total - p))
-    p_best, v_best = _refine_axis(f, p_best, float(ps[1] - ps[0]), 0.0, scn.p_total,
-                                  (p_best, v_best))
-
-    powers = PowerSplit(p_best, scn.p_total - p_best)
-    gamma = snr_at(scn, x_best, powers)
+    gamma = snr(*point)
     eps = decoding_error_probability(gamma, blk)
-    return SolveResult("exhaustive", x_best, scn.H, powers, gamma, eps, 1, (gamma,))
-
-
-def _exhaustive_3d(
-    scn: Atg3dScenario, blk: BlocklengthParams, grid: GridSpec
-) -> SolveResult:
-    xs = _axis(grid.x_step, (scn.d1, scn.d2), DEFAULT_POINTS_3D)
-    hs = _axis(grid.h_step, (scn.h_min, scn.h_max), DEFAULT_POINTS_3D)
-    ps = _axis(grid.p1_step, (0.0, scn.p_total), DEFAULT_POINTS_3D)
-
-    (ix, ih, ip), v_best = _grid_argmax_3d(scn, xs, hs, ps)
-    x_best, h_best, p_best = float(xs[ix]), float(hs[ih]), float(ps[ip])
-
-    def powers_at(p):
-        return PowerSplit(p, scn.p_total - p)
-
-    f = lambda x: _gamma(scn, x, h_best, powers_at(p_best))
-    x_best, v_best = _refine_axis(f, x_best, float(xs[1] - xs[0]), scn.d1, scn.d2,
-                                  (x_best, v_best))
-    f = lambda h: _gamma(scn, x_best, h, powers_at(p_best))
-    h_best, v_best = _refine_axis(f, h_best, float(hs[1] - hs[0]), scn.h_min, scn.h_max,
-                                  (h_best, v_best))
-    f = lambda p: _gamma(scn, x_best, h_best, powers_at(p))
-    p_best, v_best = _refine_axis(f, p_best, float(ps[1] - ps[0]), 0.0, scn.p_total,
-                                  (p_best, v_best))
-
-    powers = powers_at(p_best)
-    gamma = _gamma(scn, x_best, h_best, powers)
-    eps = decoding_error_probability(gamma, blk)
-    return SolveResult("exhaustive", x_best, h_best, powers, gamma, eps, 1, (gamma,))
+    height = point[1] if len(point) == 3 else scn.H
+    return SolveResult("exhaustive", point[0], height, PowerSplit(point[-1], pt - point[-1]),
+                       gamma, eps, 1, (gamma,))
 
 
 def fixed_location_baseline(

@@ -7,6 +7,11 @@ from typing import Callable, Sequence
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# line_search_max: points of the coarse pre-sample, and of the dense grid
+# that a profile with several interior peaks falls back to
+PRESAMPLES = 17
+FALLBACK_POINTS = 512
+
 
 def _best_of(f: Callable[[float], float], candidates: tuple) -> tuple[float, float]:
     # ascending candidate order + strict improvement = smallest x wins ties;
@@ -68,8 +73,6 @@ def line_search_max(
     lo: float,
     hi: float,
     tol: float,
-    presamples: int = 17,
-    fallback_points: int = 512,
 ) -> tuple[float, float]:
     """Maximise f on [lo, hi], guarding against non-unimodal profiles.
 
@@ -83,15 +86,15 @@ def line_search_max(
     if hi == lo:
         return lo, f(lo)
     # the last point is pinned to hi: lo + (hi - lo) * n / n can round past it
-    xs = [lo + (hi - lo) * i / (presamples - 1) for i in range(presamples - 1)] + [hi]
+    xs = [lo + (hi - lo) * i / (PRESAMPLES - 1) for i in range(PRESAMPLES - 1)] + [hi]
     vals = [f(x) for x in xs]
     if len(interior_local_maxima(vals)) <= 1:
         x_best, v_best = golden_section_max(f, lo, hi, tol)
     else:
-        step = (hi - lo) / (fallback_points - 1)
-        grid = [lo + step * i for i in range(fallback_points - 1)] + [hi]
+        step = (hi - lo) / (FALLBACK_POINTS - 1)
+        grid = [lo + step * i for i in range(FALLBACK_POINTS - 1)] + [hi]
         grid_vals = [f(x) for x in grid]
-        i = max(range(fallback_points), key=lambda k: (grid_vals[k], -k))
+        i = max(range(FALLBACK_POINTS), key=lambda k: (grid_vals[k], -k))
         a = max(lo, grid[i] - step)
         b = min(hi, grid[i] + step)
         x_best, v_best = golden_section_max(f, a, b, tol)

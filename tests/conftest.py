@@ -87,3 +87,22 @@ def random_freespace(rng):
     beta2_db = rng.uniform(30.0, 70.0)
     p_total = rng.uniform(0.5, 10.0)
     return FreeSpaceScenario.from_db(D, H, d1, d2, beta1_db, beta2_db, p_total)
+
+
+def condition1_hessian(scn, p1, p2):
+    """Hessian of the interior-case objective of the high-SNR surrogate in (p1, p2).
+
+    The objective is H^2 (b1 p1 + b2 p2)/(p1 p2) + b1 b2 D^2/(b1 p1 + b2 p2);
+    its Hessian is positive definite on p1, p2 > 0, making the interior
+    power problem convex.  The tests' convexity reference.
+    """
+    if p1 <= 0.0 or p2 <= 0.0:
+        raise ValueError("Hessian defined for strictly positive powers only")
+    b1, b2 = scn.beta1, scn.beta2
+    h_sq = scn.H * scn.H
+    d_sq = scn.D * scn.D
+    s = b1 * p1 + b2 * p2
+    cross = 2.0 * b1 * b1 * b2 * b2 * d_sq / s ** 3
+    h11 = 2.0 * h_sq * b2 / p1 ** 3 + 2.0 * b1 ** 3 * b2 * d_sq / s ** 3
+    h22 = 2.0 * h_sq * b1 / p2 ** 3 + 2.0 * b1 * b2 ** 3 * d_sq / s ** 3
+    return np.array([[h11, cross], [cross, h22]])

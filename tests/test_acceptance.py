@@ -20,7 +20,6 @@ from uavrelay import (
     PowerSplit,
     bcd_solve,
     bcd_solve_3d,
-    condition1_hessian,
     cubic_location_candidates,
     decoding_error_probability,
     exhaustive_search,
@@ -45,7 +44,7 @@ from uavrelay import (
 )
 from uavrelay.atg3d import _gamma
 
-from conftest import make_atg3d, random_freespace
+from conftest import condition1_hessian, make_atg3d, random_freespace
 from test_config import ATG3D_RAW, FREESPACE_RAW, variant
 
 RESULTS: list[tuple[int, str, str]] = []

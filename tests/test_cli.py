@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -264,3 +265,25 @@ def test_cubic_overflow_rows_state_the_cause(runner, tmp_path):
     assert statuses[0].startswith("error: cubic coefficients overflow: rho=")
     assert statuses[1] == statuses[0]
     assert statuses[2] == "ok"
+
+
+def test_oracle_reports_eps_one_where_one_plus_snr_rounds_to_one(runner, tmp_path):
+    # gains of +3000 / -3000 dB leave an SNR near 1e-304
+    raw = json.loads((Path(__file__).parent.parent / "configs" / "freespace.json").read_text())
+    raw["gains_db"] = {"beta1_db": 3000.0, "beta2_db": -3000.0}
+    raw["geometry"].update(height_m=1.0, x_min_m=0.0)
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["oracle", "--config", write_config(tmp_path, raw),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    row = read_csv(out)[1]
+    assert row[11] == "ok"
+    assert 0.0 < float(row[8]) < 1e-16
+    assert float(row[9]) == 1.0
+
+
+def test_oracle_grid_height_axis_needs_atg3d(runner, tmp_path):
+    cfg = write_config(tmp_path, variant(FREESPACE_RAW, solvers=["bcd"]))
+    result = runner.invoke(main, ["oracle", "--config", cfg, "--grid", "x=50,h=50"])
+    assert result.exit_code == 2
+    assert "height axis" in json.loads(result.output.strip().splitlines()[-1])["detail"]

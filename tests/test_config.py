@@ -10,6 +10,7 @@ from uavrelay import (
     Atg3dScenario,
     ConfigError,
     FreeSpaceScenario,
+    GridSpec,
     load_config,
     parse_config,
 )
@@ -187,9 +188,27 @@ def test_empty_sweep_values_allowed():
 
 def test_grid_points():
     cfg = parse_config(variant(FREESPACE_RAW, grid={"x_points": 100, "p1_points": 50}))
-    assert cfg.grid.x_step == pytest.approx(140.0 / 99)
+    assert cfg.grid == GridSpec(x=100, p1=50)
+    cfg = parse_config(variant(ATG3D_RAW, grid={"h_points": 30.0}))
+    assert cfg.grid == GridSpec(h=30) and isinstance(cfg.grid.h, int)
     with pytest.raises(ConfigError, match="height axis"):
         parse_config(variant(FREESPACE_RAW, grid={"h_points": 100}))
+    with pytest.raises(ConfigError, match="at least 2 points"):
+        parse_config(variant(FREESPACE_RAW, grid={"x_points": 1}))
+
+
+def test_other_models_geometry_keys_are_unknown():
+    for base, key, value in ((FREESPACE_RAW, "height_min_m", 10.0),
+                             (FREESPACE_RAW, "height_max_m", 200.0),
+                             (ATG3D_RAW, "height_m", 120.0)):
+        raw = copy.deepcopy(base)
+        raw["geometry"][key] = value
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(raw)
+    raw = copy.deepcopy(ATG3D_RAW)
+    del raw["geometry"]["height_max_m"]
+    with pytest.raises(ConfigError, match="missing key 'height_max_m'"):
+        parse_config(raw)
 
 
 def test_fixed_height_bounds():

@@ -63,7 +63,7 @@ MUTATIONS = (
     ("null", None), ("zero", 0), ("minus-one", -1), ("one-and-a-half", 1.5),
     ("integral-float", INTEGRAL_FLOAT),
 )
-# geometry keys of the other model, which that model's sections ignore
+# geometry keys of the other model, which each model refuses as unknown
 CROSS_MODEL = {
     "freespace": {"height_min_m": 10.0, "height_max_m": 200.0},
     "atg3d": {"height_m": 120.0},

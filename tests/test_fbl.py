@@ -88,6 +88,16 @@ def test_error_probability_frozen_values():
 def test_error_probability_zero_snr_is_one():
     blk = BlocklengthParams(100, 80)
     assert decoding_error_probability(0.0, blk) == 1.0
+
+
+def test_error_probability_is_one_where_one_plus_snr_rounds_to_one():
+    blk = BlocklengthParams(100, 80)
+    assert decoding_error_probability(1e-17, blk) == 1.0
+    # just above, the clamped margin gives the same limit value
+    assert decoding_error_probability(1e-15, blk) == 1.0
+    for gamma in (0.0, 1e-17):
+        with pytest.raises(ValueError, match="error probability is 1 there"):
+            rate_gap(gamma, blk)
     # tiny but positive SNR: margin clamps, still reports certain failure
     assert decoding_error_probability(1e-12, blk) == pytest.approx(1.0, abs=1e-15)
 

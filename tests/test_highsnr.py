@@ -1,13 +1,14 @@
 """High-SNR closed-form solver: per-case grid oracles, convexity
 certificates and the case-selection logic."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from uavrelay import (
+    BlocklengthParams,
     FreeSpaceScenario,
     PowerSplit,
-    condition1_hessian,
     gamma_tilde,
     high_snr_solve,
     snr_at,
@@ -17,7 +18,7 @@ from uavrelay import (
     unconstrained_location,
 )
 
-from conftest import random_freespace
+from conftest import condition1_hessian, random_freespace
 
 
 def gamma_tilde_grid(scn, x_grid, p1_grid):
@@ -209,8 +210,6 @@ def test_selection_never_below_any_condition(rng):
             for r in (solve_condition1(scn), solve_condition2(scn), solve_condition3(scn))
             if r.feasible
         )
-        from uavrelay import BlocklengthParams
-
         res = high_snr_solve(scn, BlocklengthParams(100, 80))
         chosen = gamma_tilde(scn, res.x, res.powers)
         assert chosen >= best * (1 - 1e-12)
@@ -234,3 +233,19 @@ def test_reports_stay_in_bounds(rng):
             assert scn.d1 <= rep.x <= scn.d2
             assert 0.0 <= rep.powers.p1 <= scn.p_total
             assert rep.powers.total == pytest.approx(scn.p_total, rel=1e-9)
+
+
+@pytest.mark.parametrize("beta2_db,p_total", [(135.0, 5.0), (108.0, 3.0)])
+def test_edge_root_survives_huge_gain_gaps(beta2_db, p_total):
+    # hop 2 is 148 / 175 dB stronger than hop 1: the root written as
+    # -e + sqrt(e (e + pt)) cancelled to p2 = 0 (SNR 0) or divided by zero
+    scn = FreeSpaceScenario.from_db(200.0, 1.0, 30.0, 170.0, -40.0, beta2_db, p_total)
+    res = high_snr_solve(scn, BlocklengthParams(100, 80))
+    assert res.x == scn.d1
+    assert res.snr > 0.0
+    # the stationary point of the surrogate at x = d1, to 50 digits
+    mpmath.mp.dps = 50
+    cross1 = mpmath.mpf(scn.beta1) * (scn.H ** 2 + (mpmath.mpf(scn.D) - scn.d1) ** 2)
+    cross2 = mpmath.mpf(scn.beta2) * (scn.H ** 2 + mpmath.mpf(scn.d1) ** 2)
+    p2 = p_total * mpmath.sqrt(cross1) / (mpmath.sqrt(cross1) + mpmath.sqrt(cross2))
+    assert res.powers.p2 == pytest.approx(float(p2), rel=1e-6)

@@ -22,19 +22,20 @@ from conftest import make_atg3d
 
 def test_gridspec_validation():
     with pytest.raises(ValueError):
-        GridSpec(x_step=0.0)
+        GridSpec(x=1)
     with pytest.raises(ValueError):
-        GridSpec(x_step=-1.0)
+        GridSpec(p1=-1)
+    with pytest.raises(ValueError):
+        GridSpec(h=0)
 
 
-def test_gridspec_with_points(freespace_scn):
-    grid = GridSpec.with_points(freespace_scn, x=141, p1=401)
-    assert grid.x_step == pytest.approx(1.0, rel=1e-12)
-    assert grid.p1_step == pytest.approx(0.01, rel=1e-12)
-    with pytest.raises(ValueError):
-        GridSpec.with_points(freespace_scn, x=1)
-    with pytest.raises(ValueError):
-        GridSpec.with_points(freespace_scn, h=50)  # no height axis here
+def test_gridspec_counts(freespace_scn, blk):
+    # 141 x-points over [30, 170] put a point on every metre, so the grid
+    # argmax (before the refinement) is one of them
+    res = exhaustive_search(freespace_scn, blk, GridSpec(x=141, p1=401))
+    assert res.snr == pytest.approx(bcd_solve(freespace_scn, blk).snr, rel=1e-6)
+    with pytest.raises(ValueError, match="height axis"):
+        exhaustive_search(freespace_scn, blk, GridSpec(h=50))  # no height axis here
 
 
 def test_exhaustive_requires_blocklength(freespace_scn):
@@ -73,7 +74,7 @@ def test_exhaustive_symmetric_scenario_lands_midband(blk):
 
 def test_exhaustive_3d_with_small_grid():
     scn = make_atg3d("urban")
-    grid = GridSpec.with_points(scn, x=60, p1=60, h=60)
+    grid = GridSpec(x=60, p1=60, h=60)
     res = exhaustive_search(scn, grid=grid)
     # coarse grid plus refinement should still land close to the dense run
     assert res.snr == pytest.approx(11.3685, rel=5e-3)
