@@ -73,7 +73,7 @@ def unconstrained_location(
     return x0, min(max(x0, scn.d1), scn.d2)
 
 
-def _edge_power(scn: FreeSpaceScenario, d: float) -> float:
+def _crossing_power(scn: FreeSpaceScenario, d: float) -> float:
     # the p1 at which the unconstrained offset x0(p1) crosses the band edge d
     return d * scn.beta2 * scn.p_total / ((scn.D - d) * scn.beta1 + d * scn.beta2)
 
@@ -87,8 +87,8 @@ def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
     """
     pt = scn.p_total
     # the p1 range on which x0(p1) stays inside [d1, d2]
-    lo = max(_edge_power(scn, scn.d1), 0.0)
-    hi = min(_edge_power(scn, scn.d2), pt)
+    lo = max(_crossing_power(scn, scn.d1), 0.0)
+    hi = min(_crossing_power(scn, scn.d2), pt)
     if lo > hi:
         return HighSnrCaseReport(
             "I", "infeasible", 0.5 * (scn.d1 + scn.d2), PowerSplit(0.0, 0.0), 0.0,
@@ -118,7 +118,9 @@ def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
 
     powers = PowerSplit(p1, pt - p1)
     _, x = unconstrained_location(scn, powers)
-    return HighSnrCaseReport("I", case, x, powers, gamma_tilde(scn, x, powers))
+    return HighSnrCaseReport(
+        "I", case, x, powers, gamma_tilde(scn, x, powers)
+    )
 
 
 def _edge_power_optimum(
@@ -147,17 +149,21 @@ def _edge_power_optimum(
 def solve_condition2(scn: FreeSpaceScenario) -> HighSnrCaseReport:
     """Left-edge case: x pinned at d1, feasible whenever x0(p1) <= d1."""
     pt = scn.p_total
-    p1, case = _edge_power_optimum(scn, scn.d1, 0.0, _edge_power(scn, scn.d1))
+    p1, case = _edge_power_optimum(scn, scn.d1, 0.0, _crossing_power(scn, scn.d1))
     powers = PowerSplit(p1, pt - p1)
-    return HighSnrCaseReport("II", case, scn.d1, powers, gamma_tilde(scn, scn.d1, powers))
+    return HighSnrCaseReport(
+        "II", case, scn.d1, powers, gamma_tilde(scn, scn.d1, powers),
+    )
 
 
 def solve_condition3(scn: FreeSpaceScenario) -> HighSnrCaseReport:
     """Right-edge case: x pinned at d2, feasible whenever x0(p1) >= d2."""
     pt = scn.p_total
-    p1, case = _edge_power_optimum(scn, scn.d2, _edge_power(scn, scn.d2), pt)
+    p1, case = _edge_power_optimum(scn, scn.d2, _crossing_power(scn, scn.d2), pt)
     powers = PowerSplit(p1, pt - p1)
-    return HighSnrCaseReport("III", case, scn.d2, powers, gamma_tilde(scn, scn.d2, powers))
+    return HighSnrCaseReport(
+        "III", case, scn.d2, powers, gamma_tilde(scn, scn.d2, powers),
+    )
 
 
 def high_snr_solve(scn: FreeSpaceScenario, blk: BlocklengthParams) -> SolveResult:

@@ -124,6 +124,18 @@ def test_model_section_mismatches():
         raw = copy.deepcopy(FREESPACE_RAW)
         del raw["geometry"]["height_m"]
         parse_config(raw)
+    with pytest.raises(ConfigError, match="missing key 'height_max_m'"):
+        raw = copy.deepcopy(ATG3D_RAW)
+        del raw["geometry"]["height_max_m"]
+        parse_config(raw)
+    # each model refuses the other model's height keys
+    for base, key, value in ((FREESPACE_RAW, "height_min_m", 10.0),
+                             (FREESPACE_RAW, "height_max_m", 200.0),
+                             (ATG3D_RAW, "height_m", 120.0)):
+        raw = copy.deepcopy(base)
+        raw["geometry"][key] = value
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(raw)
 
 
 def test_bad_geometry_reported_as_config_error():
@@ -195,20 +207,6 @@ def test_grid_points():
         parse_config(variant(FREESPACE_RAW, grid={"h_points": 100}))
     with pytest.raises(ConfigError, match="at least 2 points"):
         parse_config(variant(FREESPACE_RAW, grid={"x_points": 1}))
-
-
-def test_other_models_geometry_keys_are_unknown():
-    for base, key, value in ((FREESPACE_RAW, "height_min_m", 10.0),
-                             (FREESPACE_RAW, "height_max_m", 200.0),
-                             (ATG3D_RAW, "height_m", 120.0)):
-        raw = copy.deepcopy(base)
-        raw["geometry"][key] = value
-        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-            parse_config(raw)
-    raw = copy.deepcopy(ATG3D_RAW)
-    del raw["geometry"]["height_max_m"]
-    with pytest.raises(ConfigError, match="missing key 'height_max_m'"):
-        parse_config(raw)
 
 
 def test_fixed_height_bounds():

@@ -4,9 +4,9 @@ Each command runs in a fresh directory with the config's default output
 paths, and every file it writes is compared with the copy under
 ``tests/golden/<name>/``.  Besides the shipped configs and their default
 grids, a few cases pin non-default oracle grids (``--grid``, or a copy of
-a shipped config with a ``grid`` section).  Only ``wall_time_s`` is dropped: the last
-CSV column and the matching key of the JSON rows.  Regenerate the copies
-(after a deliberate change of the numbers) with
+a shipped config with a ``grid`` section).  Only ``wall_time_s`` is
+dropped: the last CSV column and the matching key of the JSON rows.
+Regenerate the copies (after a deliberate change of the numbers) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
