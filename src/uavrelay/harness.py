@@ -4,7 +4,9 @@ Rows are emitted in (solver, sweep index) order regardless of execution
 details, numeric cells use the shortest round-trip float representation,
 and the wall-time measurement is isolated in the last CSV column so two
 runs of the same config can be diffed column-wise.  A failing solver
-produces an error-status row and the run carries on.
+produces an error-status row and the run carries on.  Each solver runs
+once per distinct scenario of a sweep: the blocklength changes only the
+error probability, which later points re-score from the solved SNR.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 from .atg3d import Atg3dScenario, _gamma, bcd_solve_3d
 from .channels import AtgEnvironment
 from .config import ConfigError, ExperimentConfig, ProfileSpec
-from .fbl import BlocklengthParams, PowerSplit
+from .fbl import BlocklengthParams, PowerSplit, decoding_error_probability
 from .freespace import bcd_solve
 from .highsnr import high_snr_solve
 from .oracle import (
@@ -70,7 +72,11 @@ class RunOutcome:
 
 
 def _materialize(config: ExperimentConfig, value):
-    """Scenario and blocklength with one sweep value applied (None = base)."""
+    """Scenario and blocklength with one sweep value applied (None = base).
+
+    The scenario keeps the config's blocklength, so every point of a
+    blocklength sweep gets the same scenario.
+    """
     scn, blk = config.scenario, config.blk
     param = config.sweep_parameter
     if value is None or param is None:
@@ -88,8 +94,6 @@ def _materialize(config: ExperimentConfig, value):
         scn = replace(scn, env2=env2)
     else:
         raise ConfigError(f"unknown sweep parameter {param!r}")
-    if isinstance(scn, Atg3dScenario):
-        scn = replace(scn, blk=blk)
     return scn, blk
 
 
@@ -133,13 +137,24 @@ def run_experiment(config: ExperimentConfig) -> RunOutcome:
     traces: dict[str, list[float]] = {}
     failures = 0
     for solver in config.solvers:
+        # scenario -> SolveResult, or the exception the solver raised on it
+        solved = {}
         for value in points:
             sweep_value = "" if value is None else str(value)
             key = f"{config.scenario_id}/{solver}/{sweep_value or 'base'}"
             start = time.perf_counter()
             try:
                 scn, blk = _materialize(config, value)
-                result = SOLVERS[config.model][solver](scn, blk, config)
+                if scn not in solved:
+                    point = replace(scn, blk=blk) if isinstance(scn, Atg3dScenario) else scn
+                    try:
+                        solved[scn] = SOLVERS[config.model][solver](point, blk, config)
+                    except Exception as exc:
+                        solved[scn] = exc
+                result = solved[scn]
+                if isinstance(result, Exception):
+                    raise result
+                result = replace(result, error_prob=decoding_error_probability(result.snr, blk))
             except Exception as exc:  # carry on; the row records the failure
                 failures += 1
                 rows.append(ResultRow(

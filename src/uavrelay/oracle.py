@@ -6,15 +6,14 @@ grow with the grid) and polishes the best cell with one local
 golden-section refinement per axis.  It exists to check the analytic
 solvers, so it deliberately avoids their closed forms.  The baselines
 pin one decision variable (placement or power split) and optimise the
-rest, mirroring the usual comparison schemes.
+rest, mirroring the usual comparison schemes.  numpy is imported inside
+the grid functions only: a process that runs no grid never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .atg3d import Atg3dScenario, _ascend, _ascent_blocks, _gamma, hop_gains_3d
 from .channels import FreeSpaceScenario
@@ -85,6 +84,8 @@ def _merge_argmax(best, offset: int, block: np.ndarray):
     # fold one block into the running (flat index, value) maximum the way
     # np.argmax over the whole grid picks it: the first maximum in C order
     # wins, and the first NaN wins over every number
+    import numpy as np
+
     k = int(np.argmax(block))
     v = float(block.flat[k])
     if best is None or v > best[1] or (math.isnan(v) and not math.isnan(best[1])):
@@ -94,6 +95,8 @@ def _merge_argmax(best, offset: int, block: np.ndarray):
 
 def _block_buffers(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
     # numerator and denominator buffers for blocks of whole grid rows
+    import numpy as np
+
     rows = max(1, min(n_rows, _BLOCK_CELLS // n_cols))
     return np.empty((rows, n_cols)), np.empty((rows, n_cols))
 
@@ -107,6 +110,8 @@ def _argmax_rows(g1, g2, p1, p2, pp, bufs, best, offset: int):
     (g1 g2)(p1 p2), pp = None the 3-D one ((g1 g2) p1) p2; the denominator
     is (g2 p2 + g1 p1) + 1 in both.
     """
+    import numpy as np
+
     num_buf, den_buf = bufs
     rows = len(num_buf)
     for r0 in range(0, len(g1), rows):
@@ -128,6 +133,8 @@ def _argmax_rows(g1, g2, p1, p2, pp, bufs, best, offset: int):
 
 def _grid_argmax_2d(scn: FreeSpaceScenario, xs: np.ndarray, ps: np.ndarray):
     """Grid index (ix, ip) and value of the SNR maximum over xs x ps."""
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         h_sq = scn.H * scn.H
         g1 = scn.beta1 / (h_sq + xs * xs)
@@ -146,6 +153,7 @@ def _grid_argmax_3d(scn: Atg3dScenario, xs: np.ndarray, hs: np.ndarray,
     S-curve gain of Al-Hourani et al. (IEEE WCL 2014), written out here
     independently of the scalar channel helpers the oracle checks.
     """
+    import numpy as np
 
     def env_gain(env, theta, r_sq):
         s = 1.0 / (1.0 + env.s_curve_a * np.exp(-env.s_curve_b * (theta - env.s_curve_a)))
@@ -177,6 +185,8 @@ def exhaustive_search(
     in turn.  Grid ties are broken towards the lexicographically smallest
     index (x-major order), which makes the result deterministic.
     """
+    import numpy as np
+
     blk = _resolve_blk(scn, blk)
     grid = grid or GridSpec()
     pt = scn.p_total

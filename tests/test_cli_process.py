@@ -26,6 +26,9 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 PEAK_RSS_LIMIT_MB = 60.0
+# The commands that run no grid leave numpy unloaded; with numpy they peak
+# near 30 MB, without it near 17 MB.
+NO_GRID_PEAK_RSS_LIMIT_MB = 24.0
 
 
 def src_env() -> dict:
@@ -48,20 +51,26 @@ def run_uavrelay(args, cwd):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, limit_mb",
     [
-        ["oracle", "--config", str(CONFIGS / "atg3d_environments.json")],
-        ["oracle", "--config", str(CONFIGS / "atg3d_environments.json"),
-         "--grid", "x=400,h=400,p1=400"],
-        ["solve", "--config", str(CONFIGS / "freespace.json")],
+        (["oracle", "--config", str(CONFIGS / "atg3d_environments.json")],
+         PEAK_RSS_LIMIT_MB),
+        (["oracle", "--config", str(CONFIGS / "atg3d_environments.json"),
+          "--grid", "x=400,h=400,p1=400"], PEAK_RSS_LIMIT_MB),
+        (["solve", "--config", str(CONFIGS / "freespace.json")], PEAK_RSS_LIMIT_MB),
+        (["sweep", "--config", str(CONFIGS / "atg3d_environments.json")],
+         NO_GRID_PEAK_RSS_LIMIT_MB),
+        (["profile", "--config", str(CONFIGS / "atg3d_height_profile.json")],
+         NO_GRID_PEAK_RSS_LIMIT_MB),
     ],
-    ids=["oracle-3d-default", "oracle-3d-400-cubed", "solve-freespace"],
+    ids=["oracle-3d-default", "oracle-3d-400-cubed", "solve-freespace",
+         "sweep-atg3d", "profile-atg3d"],
 )
-def test_peak_memory_does_not_grow_with_the_grid(tmp_path, args):
+def test_peak_memory_does_not_grow_with_the_grid(tmp_path, args, limit_mb):
     code, _, stderr, peak_mb = run_uavrelay(args + ["--out", str(tmp_path / "r.csv")],
                                             tmp_path)
     assert code == 0, stderr
-    assert peak_mb < PEAK_RSS_LIMIT_MB
+    assert peak_mb < limit_mb
 
 
 def test_overflowing_oracle_grid_is_quiet(tmp_path):
@@ -84,8 +93,37 @@ def test_overflowing_oracle_grid_is_quiet(tmp_path):
     assert rows[1][11] == "ok"
 
 
-def test_cli_import_leaves_out_jsonschema():
-    code = "import sys, uavrelay.cli; print('jsonschema' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout == "False\n"
+# Runs the CLI commands given as JSON argument lists in this interpreter
+# and prints, after the import and after each command, whether jsonschema
+# and numpy are loaded.
+IMPORT_PROBE = """
+import json, sys
+import uavrelay.cli
+
+def loaded():
+    return ['jsonschema' in sys.modules, 'numpy' in sys.modules]
+
+report = [loaded()]
+for args in json.loads(sys.argv[1]):
+    uavrelay.cli.main(args, standalone_mode=False)
+    report.append(loaded())
+print(json.dumps(report))
+"""
+
+
+def test_cli_import_leaves_out_jsonschema(tmp_path):
+    # numpy loads for the grid oracle only: the sweep and profile of the
+    # shipped air-to-ground configs leave it out, the oracle brings it in
+    commands = [
+        ["sweep", "--config", str(CONFIGS / "atg3d_environments.json"),
+         "--out", str(tmp_path / "sweep.csv")],
+        ["profile", "--config", str(CONFIGS / "atg3d_height_profile.json"),
+         "--out", str(tmp_path / "profile.csv")],
+        ["oracle", "--config", str(CONFIGS / "atg3d_environments.json"),
+         "--grid", "x=20,h=20,p1=20", "--out", str(tmp_path / "oracle.csv")],
+    ]
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+                          cwd=tmp_path, env=src_env(), capture_output=True, text=True,
+                          timeout=60, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == [[False, False], [False, False], [False, False], [False, True]]

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from uavrelay import (
     BlocklengthParams,
     decoding_error_probability,
     interior_local_maxima,
+    load_config,
     parse_config,
     profile_curves,
     run_experiment,
@@ -19,12 +21,14 @@ from uavrelay import (
     write_rows_json,
     write_traces_json,
 )
-from uavrelay.harness import CSV_COLUMNS
+from uavrelay.harness import CSV_COLUMNS, SOLVERS
 from uavrelay.atg3d import _gamma
 from uavrelay import AtgEnvironment, PowerSplit
 from dataclasses import replace as dc_replace
 
 from test_config import ATG3D_RAW, FREESPACE_RAW, variant
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_sweep_config():
@@ -264,3 +268,91 @@ def test_profile_csv(tmp_path):
     assert parsed[0] == ["environment", "height_m", "snr"]
     assert len(parsed) == 1 + 3
     assert parsed[1][0] == "urban"
+
+
+SOLVER_ATTRS = ("bcd_solve", "high_snr_solve", "exhaustive_search", "fixed_location_baseline",
+                "fixed_power_baseline", "bcd_solve_3d", "fixed_height_baseline")
+
+
+def count_solver_calls(monkeypatch):
+    """Wrap every solver the harness calls; return the name -> call count map."""
+    import uavrelay.harness as harness
+
+    calls = dict.fromkeys(SOLVER_ATTRS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in SOLVER_ATTRS:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    return calls
+
+
+def blocklength_sweeps():
+    shipped = load_config(str(CONFIGS / "freespace_blocklength_sweep.json"))
+    packet_bits = parse_config(variant(
+        FREESPACE_RAW,
+        solvers=["bcd", "high-snr", "exhaustive", "fixed-location", "fixed-power"],
+        sweep={"parameter": "packet_bits", "values": [40, 100, 160]},
+    ))
+    atg3d = parse_config(variant(
+        ATG3D_RAW,
+        solvers=["bcd", "exhaustive", "fixed-location", "fixed-power", "fixed-height"],
+        grid={"x_points": 30, "h_points": 30, "p1_points": 30},
+        sweep={"parameter": "total_blocklength", "values": [60, 90, 120]},
+    ))
+    return [shipped, packet_bits, atg3d]
+
+
+@pytest.mark.parametrize("cfg", blocklength_sweeps(),
+                         ids=["shipped-blocklength", "packet-bits", "atg3d-blocklength"])
+def test_blocklength_sweep_solves_each_solver_once(monkeypatch, cfg):
+    # the rows and traces each point gets from its own solver call
+    want_rows, want_traces = [], {}
+    for solver in cfg.solvers:
+        for value in cfg.sweep_values:
+            if cfg.sweep_parameter == "packet_bits":
+                blk = BlocklengthParams(value, cfg.blk.total_blocklength)
+            else:
+                blk = BlocklengthParams(cfg.blk.packet_bits, value)
+            scn = cfg.scenario
+            if cfg.model == "atg3d":
+                scn = dc_replace(scn, blk=blk)
+            r = SOLVERS[cfg.model][solver](scn, blk, cfg)
+            want_rows.append((cfg.scenario_id, solver, cfg.sweep_parameter, str(value),
+                              r.x, r.height, r.powers.p1, r.powers.p2, r.snr, r.error_prob,
+                              r.iterations, "ok"))
+            want_traces[f"{cfg.scenario_id}/{solver}/{value}"] = list(r.trace)
+
+    calls = count_solver_calls(monkeypatch)
+    outcome = run_experiment(cfg)
+    assert sum(calls.values()) == len(cfg.solvers)
+    assert all(n <= 1 for n in calls.values())
+    assert outcome.failures == 0
+    assert [tuple(row.as_dict().values())[:-1] for row in outcome.rows] == want_rows
+    assert outcome.traces == want_traces
+
+
+def test_failing_solver_fails_every_point_of_a_blocklength_sweep(monkeypatch):
+    import uavrelay.harness as harness
+
+    calls = []
+
+    def boom(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("solver exploded")
+
+    monkeypatch.setattr(harness, "high_snr_solve", boom)
+    cfg = small_sweep_config()
+    outcome = run_experiment(cfg)
+    assert len(calls) == 1
+    assert outcome.failures == len(cfg.sweep_values)
+    errors = [row for row in outcome.rows if row.solver == "high-snr"]
+    assert [row.sweep_value for row in errors] == ["60", "80", "100"]
+    assert {dc_replace(row, sweep_value="", wall_time_s=0.0) for row in errors} == {
+        harness.ResultRow("fs", "high-snr", "total_blocklength", "", None, None, None, None,
+                          None, None, None, "error: solver exploded", 0.0)}
+    assert all(row.status == "ok" for row in outcome.rows if row.solver != "high-snr")
