@@ -1,8 +1,18 @@
 """Air-to-ground 3-D solver: line searches against metre-scale grids,
-height monotonicity in the no-excess-loss case, and the alternating
-solver against the dense-grid oracle."""
+height monotonicity in the no-excess-loss case, the alternating
+solver against the dense-grid oracle, and the exact outputs of the 3-D
+solvers on scenarios beyond the shipped configs.
 
+Regenerate ``tests/golden/atg3d_solves.json`` (after a deliberate change
+of the numbers) with
+
+    PYTHONPATH=src python tests/test_atg3d.py
+"""
+
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +35,12 @@ from uavrelay import (
     optimize_x,
     slant_distances,
 )
+from uavrelay import atg3d
 from uavrelay.atg3d import _gamma
+from uavrelay.freespace import BCD_MAX_ITERS
+from uavrelay.oracle import fixed_power_baseline
 
-from conftest import make_atg3d
+from conftest import CARRIER_HZ, make_atg3d
 from test_search import derivative_bisection_max
 
 # converged outputs of this library on the reference geometry
@@ -211,3 +224,84 @@ def test_bcd3d_custom_start():
     assert res.snr == pytest.approx(want, rel=1e-4)
     with pytest.raises(ValueError):
         bcd_solve_3d(scn, x0=5.0, height0=50.0)
+
+
+GOLDEN_SOLVES = Path(__file__).resolve().parent / "golden" / "atg3d_solves.json"
+SOLVERS_3D = {
+    "bcd": bcd_solve_3d,
+    "fixed-power": fixed_power_baseline,
+    "fixed-height": fixed_height_baseline,
+}
+
+
+def golden_scenarios():
+    """Name -> scenario: every hop-preset pair on its own box, then two more.
+
+    "fallback" has a height line with several interior peaks, so its line
+    searches fall back to the dense grid; on "cap" bcd_solve_3d creeps up
+    a ridge until BCD_MAX_ITERS.
+    """
+    blk = BlocklengthParams(100, 80)
+    cases = {}
+    for i, (hop1, hop2) in enumerate(itertools.product(ATG_PRESETS, repeat=2)):
+        D = 150.0 + 45.0 * i
+        cases[f"{hop1}/{hop2}"] = (
+            hop1, hop2, D, 0.05 * (i % 4) * D, D - 0.05 * (i // 4) * D,
+            5.0 + 2.5 * i, 105.0 + 22.5 * i, -110.0 + 3.0 * i, 0.5 + 1.25 * i)
+    cases["fallback"] = ("urban", "urban", 703.0, 140.0, 667.0, 34.0, 181.0, -71.0, 13.5)
+    cases["cap"] = ("high-rise", "high-rise", 317.0, 11.0, 272.0, 18.0, 230.0, -110.0, 9.6)
+    return {
+        name: Atg3dScenario(D, d1, d2, h_min, h_max,
+                            AtgEnvironment.from_preset(hop1, CARRIER_HZ, noise_db),
+                            AtgEnvironment.from_preset(hop2, CARRIER_HZ, noise_db),
+                            p_total, blk)
+        for name, (hop1, hop2, D, d1, d2, h_min, h_max, noise_db, p_total) in cases.items()
+    }
+
+
+def solve_counting_gains(solve, scn):
+    """Run solve(scn); return the result and every (x, height) it evaluated."""
+    points = []
+    real = atg3d.hop_gains_3d
+
+    def counted(scn, x, height):
+        points.append((x, height))
+        return real(scn, x, height)
+
+    atg3d.hop_gains_3d = counted
+    try:
+        return solve(scn), points
+    finally:
+        atg3d.hop_gains_3d = real
+
+
+def solve_record(res) -> dict:
+    """A result with every float as its exact hex string."""
+    return {
+        "x": res.x.hex(), "height": res.height.hex(),
+        "p1": res.powers.p1.hex(), "p2": res.powers.p2.hex(),
+        "snr": res.snr.hex(), "error_prob": res.error_prob.hex(),
+        "iterations": res.iterations, "trace": [g.hex() for g in res.trace],
+    }
+
+
+def test_3d_solves_match_golden():
+    golden = json.loads(GOLDEN_SOLVES.read_text())
+    scenarios = golden_scenarios()
+    assert sorted(golden) == sorted(scenarios)
+    for name, scn in scenarios.items():
+        for solver, solve in SOLVERS_3D.items():
+            want = dict(golden[name][solver])
+            del want["gain_calls"]
+            assert solve_record(solve(scn)) == want, (name, solver)
+    assert golden["cap"]["bcd"]["iterations"] == BCD_MAX_ITERS
+
+
+if __name__ == "__main__":
+    table = {}
+    for name, scn in golden_scenarios().items():
+        table[name] = {}
+        for solver, solve in SOLVERS_3D.items():
+            res, points = solve_counting_gains(solve, scn)
+            table[name][solver] = {**solve_record(res), "gain_calls": len(points)}
+    GOLDEN_SOLVES.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
