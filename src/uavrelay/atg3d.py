@@ -5,7 +5,9 @@ rational in the relay position and the placement blocks lose their
 closed forms.  Height and ground offset are therefore optimised with
 guarded golden-section line searches, while the power block keeps the
 closed form.  ``coordinate_ascent`` cycles the blocks power -> height ->
-offset; the baselines cycle a subset of them.
+offset; the baselines cycle a subset of them.  The gains along the
+current height line and offset line are kept, so each is evaluated once
+per solve, and the outputs are the same floats as without the memo.
 """
 
 from __future__ import annotations
@@ -106,59 +108,132 @@ def hop_gains_3d(scn: Atg3dScenario, x: float, height: float) -> tuple[float, fl
 
 
 def _gamma(scn: Atg3dScenario, x: float, height: float, powers: PowerSplit) -> float:
-    # hot path used by the line searches; bounds are managed by the callers
+    # the SNR at one point (oracle polish, profiles, fixed-location); the
+    # callers manage the bounds
     h1, h2 = hop_gains_3d(scn, x, height)
     return (h1 * h2 * powers.p1 * powers.p2) / (h2 * powers.p2 + h1 * powers.p1 + 1.0)
 
 
+class _GainMemo:
+    """Hop gains along the current height line and offset line of one solve.
+
+    The height line holds the gains at the last fixed offset x, keyed by
+    height; the offset line holds those at the last fixed height, keyed by
+    x.  A line starts afresh when its fixed coordinate changes.  The gains
+    do not depend on the powers, so a stored pair is exactly the pair that
+    hop_gains_3d returns for that point.
+    """
+
+    def __init__(self, scn: Atg3dScenario):
+        self.scn = scn
+        self.heights = (None, {})
+        self.offsets = (None, {})
+
+    def _height_line(self, x: float) -> dict:
+        if x != self.heights[0]:
+            self.heights = (x, {})
+        return self.heights[1]
+
+    def _offset_line(self, height: float) -> dict:
+        if height != self.offsets[0]:
+            self.offsets = (height, {})
+        return self.offsets[1]
+
+    def along_height(self, x: float, powers: PowerSplit):
+        """The SNR at (x, t) as a function of the height t."""
+        return _line_snr(self.scn, self._height_line(x), lambda t: (x, t), powers)
+
+    def along_offset(self, height: float, powers: PowerSplit):
+        """The SNR at (t, height) as a function of the offset t."""
+        return _line_snr(self.scn, self._offset_line(height), lambda t: (t, height), powers)
+
+    def gains(self, x: float, height: float) -> tuple[float, float]:
+        """The gains at one point, kept on the offset line."""
+        line = self._offset_line(height)
+        pair = line.get(x)
+        if pair is None:
+            pair = line[x] = hop_gains_3d(self.scn, x, height)
+        return pair
+
+
+def _line_snr(scn: Atg3dScenario, line: dict, point, powers: PowerSplit):
+    # the SNR along one memo line, where point(t) is the (x, height) at t;
+    # _gamma's float expression, and hop_gains_3d looked up at call time so
+    # that a wrapper installed on it sees every evaluation
+    p1, p2 = powers.p1, powers.p2
+
+    def snr(t):
+        gains = line.get(t)
+        if gains is None:
+            gains = line[t] = hop_gains_3d(scn, *point(t))
+        h1, h2 = gains
+        return (h1 * h2 * p1 * p2) / (h2 * p2 + h1 * p1 + 1.0)
+
+    return snr
+
+
+def _height_search(scn: Atg3dScenario, memo: _GainMemo, x: float, powers: PowerSplit):
+    """Best height at offset x, and the SNR along that height line."""
+    snr = memo.along_height(x, powers)
+    tol = LINE_SEARCH_RTOL * (scn.h_max - scn.h_min)
+    return line_search_max(snr, scn.h_min, scn.h_max, tol)[0], snr
+
+
+def _offset_search(scn: Atg3dScenario, memo: _GainMemo, height: float, powers: PowerSplit):
+    """Best offset at this height, and the SNR along that offset line."""
+    snr = memo.along_offset(height, powers)
+    tol = LINE_SEARCH_RTOL * (scn.d2 - scn.d1)
+    return line_search_max(snr, scn.d1, scn.d2, tol)[0], snr
+
+
 def optimize_height(scn: Atg3dScenario, x: float, powers: PowerSplit) -> float:
     """Best flying height at fixed offset and powers (guarded golden section)."""
-    tol = LINE_SEARCH_RTOL * (scn.h_max - scn.h_min)
-    f = lambda height: _gamma(scn, x, height, powers)
-    return line_search_max(f, scn.h_min, scn.h_max, tol)[0]
+    return _height_search(scn, _GainMemo(scn), x, powers)[0]
 
 
 def optimize_x(scn: Atg3dScenario, height: float, powers: PowerSplit) -> float:
     """Best ground offset at fixed height and powers (guarded golden section)."""
-    tol = LINE_SEARCH_RTOL * (scn.d2 - scn.d1)
-    f = lambda x: _gamma(scn, x, height, powers)
-    return line_search_max(f, scn.d1, scn.d2, tol)[0]
+    return _offset_search(scn, _GainMemo(scn), height, powers)[0]
 
 
 def _ascent_blocks(scn: Atg3dScenario):
-    """The power, height and offset blocks over states (x, height, powers).
+    """The score and the power, height and offset blocks over states
+    (x, height, powers), sharing one gain memo.
 
     The power block is exact.  The two line-search blocks only replace
     the incumbent coordinate when that does not lower the SNR, so any
     cycle of these blocks gives a non-decreasing trace.
     """
+    memo = _GainMemo(scn)
+
+    def score(state):
+        x, height, powers = state
+        return memo.along_offset(height, powers)(x)
 
     def power_block(state):
         x, height, _ = state
-        return x, height, optimal_power_for_gains(*hop_gains_3d(scn, x, height), scn.p_total)
+        return x, height, optimal_power_for_gains(*memo.gains(x, height), scn.p_total)
 
     def height_block(state):
         x, height, powers = state
-        new_height = optimize_height(scn, x, powers)
-        if _gamma(scn, x, new_height, powers) >= _gamma(scn, x, height, powers):
+        new_height, snr = _height_search(scn, memo, x, powers)
+        if snr(new_height) >= snr(height):
             return x, new_height, powers
         return state
 
     def offset_block(state):
         x, height, powers = state
-        new_x = optimize_x(scn, height, powers)
-        if _gamma(scn, new_x, height, powers) >= _gamma(scn, x, height, powers):
+        new_x, snr = _offset_search(scn, memo, height, powers)
+        if snr(new_x) >= snr(x):
             return new_x, height, powers
         return state
 
-    return power_block, height_block, offset_block
+    return score, power_block, height_block, offset_block
 
 
-def _ascend(scn: Atg3dScenario, blk: BlocklengthParams, solver: str, state,
-           blocks) -> SolveResult:
+def _ascend(blk: BlocklengthParams, solver: str, score, state, blocks) -> SolveResult:
     """Run coordinate_ascent from state (x, height, powers) over the given blocks."""
-    (x, height, powers), gamma, trace = coordinate_ascent(
-        lambda s: _gamma(scn, *s), state, blocks)
+    (x, height, powers), gamma, trace = coordinate_ascent(score, state, blocks)
     eps = decoding_error_probability(gamma, blk)
     return SolveResult(solver, x, height, powers, gamma, eps, len(trace), trace)
 
@@ -185,4 +260,5 @@ def bcd_solve_3d(
         powers0 = PowerSplit.even(scn.p_total)
     elif powers0.total > scn.p_total * (1.0 + 1e-12):
         raise ValueError(f"initial powers exceed the budget: {powers0.total} > {scn.p_total}")
-    return _ascend(scn, scn.blk, "bcd", (x, height, powers0), _ascent_blocks(scn))
+    score, *blocks = _ascent_blocks(scn)
+    return _ascend(scn.blk, "bcd", score, (x, height, powers0), blocks)

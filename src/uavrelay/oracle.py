@@ -243,9 +243,9 @@ def fixed_power_baseline(
     blk = _resolve_blk(scn, blk)
     powers = PowerSplit.even(scn.p_total)
     if isinstance(scn, Atg3dScenario):
-        _, height, offset = _ascent_blocks(scn)
+        score, _, height, offset = _ascent_blocks(scn)
         state = (0.5 * (scn.d1 + scn.d2), 0.5 * (scn.h_min + scn.h_max), powers)
-        return _ascend(scn, blk, "fixed-power", state, (height, offset))
+        return _ascend(blk, "fixed-power", score, state, (height, offset))
     x = optimal_location_given_power(scn, powers)
     gamma = snr_at(scn, x, powers)
     eps = decoding_error_probability(gamma, blk)
@@ -263,6 +263,6 @@ def fixed_height_baseline(
     blk = _resolve_blk(scn, blk)
     if not (scn.h_min <= height <= scn.h_max):
         raise ValueError(f"pinned height {height} outside [{scn.h_min}, {scn.h_max}]")
-    power, _, offset = _ascent_blocks(scn)
+    score, power, _, offset = _ascent_blocks(scn)
     state = (0.5 * (scn.d1 + scn.d2), height, PowerSplit.even(scn.p_total))
-    return _ascend(scn, blk, "fixed-height", state, (power, offset))
+    return _ascend(blk, "fixed-height", score, state, (power, offset))

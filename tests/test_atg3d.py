@@ -39,6 +39,7 @@ from uavrelay import atg3d
 from uavrelay.atg3d import _gamma
 from uavrelay.freespace import BCD_MAX_ITERS
 from uavrelay.oracle import fixed_power_baseline
+from uavrelay.search import FALLBACK_POINTS
 
 from conftest import CARRIER_HZ, make_atg3d
 from test_search import derivative_bisection_max
@@ -295,6 +296,64 @@ def test_3d_solves_match_golden():
             del want["gain_calls"]
             assert solve_record(solve(scn)) == want, (name, solver)
     assert golden["cap"]["bcd"]["iterations"] == BCD_MAX_ITERS
+
+
+
+def test_memo_evaluates_each_point_once_per_line_search(monkeypatch):
+    # within one line search no point is evaluated twice, and over the
+    # golden scenarios the solves make at most 0.65x the pinned calls,
+    # which were counted before the gain memo
+    golden = json.loads(GOLDEN_SOLVES.read_text())
+    real_gains, real_search = atg3d.hop_gains_3d, atg3d.line_search_max
+    points = []
+    per_search = []
+    fell_back = []
+
+    def gains(scn, x, height):
+        points.append((x, height))
+        return real_gains(scn, x, height)
+
+    def search(f, lo, hi, tol):
+        start, evals = len(points), []
+        best = real_search(lambda t: evals.append(t) or f(t), lo, hi, tol)
+        per_search.append(points[start:])
+        fell_back.append(len(evals) >= FALLBACK_POINTS)
+        return best
+
+    monkeypatch.setattr(atg3d, "hop_gains_3d", gains)
+    monkeypatch.setattr(atg3d, "line_search_max", search)
+    pinned = 0
+    for name, scn in golden_scenarios().items():
+        for solver, solve in SOLVERS_3D.items():
+            solve(scn)
+            pinned += golden[name][solver]["gain_calls"]
+    assert any(fell_back)
+    for evaluated in per_search:
+        assert len(set(evaluated)) == len(evaluated)
+    assert len(points) <= 0.65 * pinned
+
+
+def test_memo_keys_are_exact(blk):
+    # the memo keys on floats: 0.0 == -0.0 share a key, so both must give
+    # the same gains, and NaN never equals a key, so it must raise each time
+    for hop1, hop2 in itertools.product(ATG_PRESETS, repeat=2):
+        scn = Atg3dScenario(200.0, 0.0, 200.0, 10.0, 200.0,
+                            AtgEnvironment.from_preset(hop1, CARRIER_HZ, -93.0),
+                            AtgEnvironment.from_preset(hop2, CARRIER_HZ, -93.0), 4.0, blk)
+        for h in (scn.h_min, 57.3, scn.h_max):
+            assert ([g.hex() for g in hop_gains_3d(scn, -0.0, h)]
+                    == [g.hex() for g in hop_gains_3d(scn, 0.0, h)]), (hop1, hop2, h)
+    scn, ps = make_atg3d("urban", blk), PowerSplit.even(4.0)
+    memo = atg3d._GainMemo(scn)
+    for call in (lambda: memo.gains(math.nan, 50.0), lambda: memo.gains(100.0, math.nan),
+                 lambda: optimize_height(scn, math.nan, ps),
+                 lambda: optimize_x(scn, math.nan, ps)):
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1, messages
 
 
 if __name__ == "__main__":

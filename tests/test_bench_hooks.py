@@ -11,6 +11,8 @@ from pathlib import Path
 
 from uavrelay import atg3d, cli, freespace, harness, oracle
 
+from conftest import make_atg3d
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -34,6 +36,26 @@ def test_tracer_installs_and_uninstalls_on_every_hook_point():
         tracer.uninstall()
     assert (harness.bcd_solve, atg3d.hop_gains_3d, oracle.hop_gains_3d,
             cli.run_experiment) == originals
+
+
+def test_traced_gain_spans_equal_the_real_evaluations(monkeypatch):
+    # the solvers' gain memo calls atg3d.hop_gains_3d at call time, so the
+    # tracer's wrapper records one span per real evaluation
+    scn = make_atg3d("dense-urban")
+    calls = []
+    real = atg3d.hop_gains_3d
+    monkeypatch.setattr(atg3d, "hop_gains_3d", lambda *args: calls.append(args) or real(*args))
+    atg3d.bcd_solve_3d(scn)
+    monkeypatch.undo()
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        atg3d.bcd_solve_3d(scn)
+    finally:
+        tracer.uninstall()
+    assert len(calls) > 0
+    assert tracer.aggregate()["channels.atg_gain"]["calls"] == len(calls)
 
 
 def test_constants_the_benchmark_reads():
