@@ -81,6 +81,27 @@ class FreeSpaceScenario:
                 f"hop gains overflow: the gain product bound g1 g2 p_total^2 is {bound} "
                 f"(g = beta / H^2)"
             )
+        # The placement cubic and the high-SNR surrogate scale the gains by
+        # squared distances and powers.  Over every offset in [0, D] and split
+        # of p_total: reach bounds half the cubic's c, and 1728 (D + 1) reach
+        # the numerator of its depressed kappa; the second term bounds the
+        # cross gains b_i (H^2 + (D - x)^2) times the powers, the third the
+        # surrogate's b1 b2 p1 p2 and b1 b2 D^2.  A cubed rho may still
+        # overflow, which the cubic solver reports as such.
+        try:
+            h_sq, d_sq = self.H * self.H, self.D * self.D
+            top = max(self.beta1, self.beta2)
+            reach = d_sq + 2.0 * h_sq + top * self.p_total
+            terms = (1728.0 * (self.D + 1.0) * reach,
+                     2.0 * top * (h_sq + d_sq + 1.0) * (self.p_total + 1.0),
+                     self.beta1 * self.beta2 * (d_sq + self.p_total ** 2 + 1.0))
+        except ArithmeticError:  # p_total ** 2 overflows
+            terms = (math.inf,)
+        if not all(math.isfinite(t) for t in terms):
+            raise ValueError(
+                f"cubic coefficients or high-SNR cross gains overflow: beta1 = {self.beta1}, "
+                f"beta2 = {self.beta2}, H = {self.H}, D = {self.D}, p_total = {self.p_total}"
+            )
 
     @classmethod
     def from_db(

@@ -108,9 +108,14 @@ def _with(base, section, key, value):
         _with(ATG3D_RAW, "atg", "noise_power_db", -3000.0),
         # finite gains of 1e300 per hop, whose product overflows
         variant(FREESPACE_RAW, gains_db={"beta1_db": 3000.0, "beta2_db": 3000.0}),
+        # under the gain bound, but the cubic coefficients and the high-SNR
+        # cross gains overflow
+        variant(FREESPACE_RAW, gains_db={"beta1_db": 3080.0, "beta2_db": -10.0},
+                geometry={**FREESPACE_RAW["geometry"], "height_m": 1.0, "x_min_m": 0.0}),
     ],
     ids=["beta-inf", "beta-minus-inf", "beta-nan", "beta-overflow", "noise-overflow",
-         "noise-underflow", "gain-overflow", "freespace-gain-overflow"],
+         "noise-underflow", "gain-overflow", "freespace-gain-overflow",
+         "freespace-near-bound"],
 )
 def test_extreme_numbers_are_config_errors(runner, tmp_path, raw):
     # json.dumps writes inf and nan as the non-standard Infinity and NaN
@@ -266,6 +271,25 @@ def test_cubic_overflow_rows_state_the_cause(runner, tmp_path):
     assert statuses[0].startswith("error: cubic coefficients overflow: rho=")
     assert statuses[1] == statuses[0]
     assert statuses[2] == "ok"
+
+
+def test_config_just_under_the_overflow_bound_runs_every_solver(runner, tmp_path):
+    # beta1 beta2 (D^2 + p_total^2 + 1) is ~1.7e308, just under the float
+    # range; three tenths of a dB more on beta1 are refused
+    raw = variant(FREESPACE_RAW, gains_db={"beta1_db": 1518.2, "beta2_db": 1518.1},
+                  geometry={**FREESPACE_RAW["geometry"], "height_m": 1.0, "x_min_m": 0.0},
+                  power_budget_w=1e-50,
+                  solvers=["bcd", "high-snr", "exhaustive", "fixed-location", "fixed-power"])
+    out = tmp_path / "r.csv"
+    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, raw),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert [row[11] for row in read_csv(out)[1:]] == ["ok"] * 5
+    raw["gains_db"]["beta1_db"] = 1518.5
+    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, raw),
+                                  "--out", str(out)])
+    assert result.exit_code == 2
+    assert "high-SNR cross gains overflow" in json.loads(result.stderr.strip())["detail"]
 
 
 def test_oracle_reports_eps_one_where_one_plus_snr_rounds_to_one(runner, tmp_path):

@@ -78,8 +78,8 @@ def test_overflowing_oracle_grid_is_quiet(tmp_path):
     # numpy must not warn about it.  Gains whose product bound overflows
     # are refused at load time, so no config makes the whole grid NaN
     raw = variant(FREESPACE_RAW)
-    raw["geometry"] = {"distance_m": 200.0, "x_min_m": 0.0, "x_max_m": 170.0, "height_m": 1.0}
-    raw["gains_db"] = {"beta1_db": 3080.0, "beta2_db": -10.0}
+    raw["geometry"] = {"distance_m": 200.0, "x_min_m": 0.0, "x_max_m": 170.0, "height_m": 1e-3}
+    raw["gains_db"] = {"beta1_db": 3020.0, "beta2_db": -3000.0}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     out = tmp_path / "o.csv"
