@@ -141,11 +141,14 @@ class _GainMemo:
 
     def along_height(self, x: float, powers: PowerSplit):
         """The SNR at (x, t) as a function of the height t."""
-        return _line_snr(self.scn, self._height_line(x), lambda t: (x, t), powers)
+        scn = self.scn
+        return _line_snr(self._height_line(x), lambda t: hop_gains_3d(scn, x, t), powers)
 
     def along_offset(self, height: float, powers: PowerSplit):
         """The SNR at (t, height) as a function of the offset t."""
-        return _line_snr(self.scn, self._offset_line(height), lambda t: (t, height), powers)
+        scn = self.scn
+        return _line_snr(self._offset_line(height), lambda t: hop_gains_3d(scn, t, height),
+                         powers)
 
     def gains(self, x: float, height: float) -> tuple[float, float]:
         """The gains at one point, kept on the offset line."""
@@ -156,16 +159,16 @@ class _GainMemo:
         return pair
 
 
-def _line_snr(scn: Atg3dScenario, line: dict, point, powers: PowerSplit):
-    # the SNR along one memo line, where point(t) is the (x, height) at t;
-    # _gamma's float expression, and hop_gains_3d looked up at call time so
-    # that a wrapper installed on it sees every evaluation
+def _line_snr(line: dict, gain, powers: PowerSplit):
+    # the SNR along one memo line, with _gamma's float expression; gain(t)
+    # calls hop_gains_3d by its module global at call time, so a wrapper
+    # installed on it sees every real evaluation
     p1, p2 = powers.p1, powers.p2
 
     def snr(t):
         gains = line.get(t)
         if gains is None:
-            gains = line[t] = hop_gains_3d(scn, *point(t))
+            gains = line[t] = gain(t)
         h1, h2 = gains
         return (h1 * h2 * p1 * p2) / (h2 * p2 + h1 * p1 + 1.0)
 
