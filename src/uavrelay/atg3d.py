@@ -175,28 +175,19 @@ def _line_snr(line: dict, gain, powers: PowerSplit):
     return snr
 
 
-def _height_search(scn: Atg3dScenario, memo: _GainMemo, x: float, powers: PowerSplit):
-    """Best height at offset x, and the SNR along that height line."""
-    snr = memo.along_height(x, powers)
-    tol = LINE_SEARCH_RTOL * (scn.h_max - scn.h_min)
-    return line_search_max(snr, scn.h_min, scn.h_max, tol)[0], snr
-
-
-def _offset_search(scn: Atg3dScenario, memo: _GainMemo, height: float, powers: PowerSplit):
-    """Best offset at this height, and the SNR along that offset line."""
-    snr = memo.along_offset(height, powers)
-    tol = LINE_SEARCH_RTOL * (scn.d2 - scn.d1)
-    return line_search_max(snr, scn.d1, scn.d2, tol)[0], snr
+def _search(snr, lo: float, hi: float) -> float:
+    # the guarded golden section along one memo line
+    return line_search_max(snr, lo, hi, LINE_SEARCH_RTOL * (hi - lo))[0]
 
 
 def optimize_height(scn: Atg3dScenario, x: float, powers: PowerSplit) -> float:
     """Best flying height at fixed offset and powers (guarded golden section)."""
-    return _height_search(scn, _GainMemo(scn), x, powers)[0]
+    return _search(_GainMemo(scn).along_height(x, powers), scn.h_min, scn.h_max)
 
 
 def optimize_x(scn: Atg3dScenario, height: float, powers: PowerSplit) -> float:
     """Best ground offset at fixed height and powers (guarded golden section)."""
-    return _offset_search(scn, _GainMemo(scn), height, powers)[0]
+    return _search(_GainMemo(scn).along_offset(height, powers), scn.d1, scn.d2)
 
 
 def _ascent_blocks(scn: Atg3dScenario):
@@ -219,14 +210,16 @@ def _ascent_blocks(scn: Atg3dScenario):
 
     def height_block(state):
         x, height, powers = state
-        new_height, snr = _height_search(scn, memo, x, powers)
+        snr = memo.along_height(x, powers)
+        new_height = _search(snr, scn.h_min, scn.h_max)
         if snr(new_height) >= snr(height):
             return x, new_height, powers
         return state
 
     def offset_block(state):
         x, height, powers = state
-        new_x, snr = _offset_search(scn, memo, height, powers)
+        snr = memo.along_offset(height, powers)
+        new_x = _search(snr, scn.d1, scn.d2)
         if snr(new_x) >= snr(x):
             return new_x, height, powers
         return state
