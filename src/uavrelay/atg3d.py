@@ -119,8 +119,9 @@ class _GainMemo:
 
     The height line holds the gains at the last fixed offset x, keyed by
     height; the offset line holds those at the last fixed height, keyed by
-    x.  A line starts afresh when its fixed coordinate changes.  The gains
-    do not depend on the powers, so a stored pair is exactly the pair that
+    x.  A line starts afresh when its fixed coordinate changes, holding
+    only the point where it crosses the other line.  The gains do not
+    depend on the powers, so a stored pair is exactly the pair that
     hop_gains_3d returns for that point.
     """
 
@@ -131,12 +132,14 @@ class _GainMemo:
 
     def _height_line(self, x: float) -> dict:
         if x != self.heights[0]:
-            self.heights = (x, {})
+            height, across = self.offsets
+            self.heights = (x, {height: across[x]} if x in across else {})
         return self.heights[1]
 
     def _offset_line(self, height: float) -> dict:
         if height != self.offsets[0]:
-            self.offsets = (height, {})
+            x, across = self.heights
+            self.offsets = (height, {x: across[height]} if height in across else {})
         return self.offsets[1]
 
     def along_height(self, x: float, powers: PowerSplit):
