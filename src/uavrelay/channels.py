@@ -88,19 +88,17 @@ class FreeSpaceScenario:
         # cross gains b_i (H^2 + (D - x)^2) times the powers, the third the
         # surrogate's b1 b2 p1 p2 and b1 b2 D^2.  A cubed rho may still
         # overflow, which the cubic solver reports as such.
-        try:
-            h_sq, d_sq = self.H * self.H, self.D * self.D
-            top = max(self.beta1, self.beta2)
-            reach = d_sq + 2.0 * h_sq + top * self.p_total
-            terms = (1728.0 * (self.D + 1.0) * reach,
-                     2.0 * top * (h_sq + d_sq + 1.0) * (self.p_total + 1.0),
-                     self.beta1 * self.beta2 * (d_sq + self.p_total ** 2 + 1.0))
-        except ArithmeticError:  # p_total ** 2 overflows
-            terms = (math.inf,)
-        if not all(math.isfinite(t) for t in terms):
+        D, b1, b2, pt = self.D, self.beta1, self.beta2, self.p_total
+        h_sq, d_sq = self.H * self.H, D * D
+        top = b1 if b1 > b2 else b2
+        reach = d_sq + 2.0 * h_sq + top * pt
+        worst = max(1728.0 * (D + 1.0) * reach,
+                    2.0 * top * (h_sq + d_sq + 1.0) * (pt + 1.0),
+                    b1 * b2 * (d_sq + pt * pt + 1.0))
+        if not math.isfinite(worst):
             raise ValueError(
-                f"cubic coefficients or high-SNR cross gains overflow: beta1 = {self.beta1}, "
-                f"beta2 = {self.beta2}, H = {self.H}, D = {self.D}, p_total = {self.p_total}"
+                f"cubic coefficients or high-SNR cross gains overflow: beta1 = {b1}, "
+                f"beta2 = {b2}, H = {self.H}, D = {D}, p_total = {pt}"
             )
 
     @classmethod
