@@ -302,7 +302,6 @@ def test_3d_solves_match_golden():
     assert golden["cap"]["bcd"]["iterations"] == BCD_MAX_ITERS
 
 
-
 def test_memo_evaluates_each_point_once_per_line_search(monkeypatch):
     # within one line search no point is evaluated twice, and over the
     # golden scenarios the solves make at most 0.65x the pinned calls,

@@ -71,9 +71,9 @@ def test_freespace_scenario_validation():
         FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 3000.0, 3000.0, 4.0)
     # a finite bound (~8e200) is accepted
     FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 1040.0, 1040.0, 4.0)
-    # each term of the cubic / high-SNR bound, a tenth of a dB under and over
-    # the float range: the cubic's 1728 (D + 1) reach, the cross gains and
-    # the surrogate's b1 b2 products
+    # each term of the cubic / high-SNR bound just under the float range,
+    # then 0.2 dB over it: the cubic's 1728 (D + 1) reach, the cross gains
+    # and the surrogate's b1 b2 products
     for beta1_db, beta2_db, p_total in ((3021.0, -10.0, 4.0), (3033.4, -10.0, 1e-50),
                                         (1518.2, 1518.2, 1e-50)):
         FreeSpaceScenario.from_db(200.0, 1.0, 0.0, 170.0, beta1_db, beta2_db, p_total)
