@@ -12,14 +12,8 @@ from .channels import (
     ATG_PRESETS,
     AtgEnvironment,
     FreeSpaceScenario,
-    atg_normalized_gain,
     db_to_linear,
-    elevation_angles,
     freespace_gains,
-    linear_to_db,
-    los_probability,
-    mean_path_loss,
-    slant_distances,
 )
 from .config import (
     ConfigError,
@@ -94,7 +88,6 @@ __all__ = [
     "RunOutcome",
     "SolveResult",
     "af_snr",
-    "atg_normalized_gain",
     "bcd_solve",
     "bcd_solve_3d",
     "channel_dispersion",
@@ -103,7 +96,6 @@ __all__ = [
     "db_to_linear",
     "decoding_error_probability",
     "depressed_real_roots",
-    "elevation_angles",
     "exhaustive_search",
     "fixed_height_baseline",
     "fixed_location_baseline",
@@ -115,10 +107,7 @@ __all__ = [
     "hop_gains_3d",
     "interior_local_maxima",
     "line_search_max",
-    "linear_to_db",
     "load_config",
-    "los_probability",
-    "mean_path_loss",
     "optimal_location_given_power",
     "optimal_power_for_gains",
     "optimal_power_given_x",
@@ -130,14 +119,13 @@ __all__ = [
     "rate_gap",
     "rate_gap_derivative",
     "run_experiment",
-    "write_profile_csv",
-    "write_rows_csv",
-    "write_rows_json",
-    "write_traces_json",
-    "slant_distances",
     "snr_at",
     "solve_condition1",
     "solve_condition2",
     "solve_condition3",
     "unconstrained_location",
+    "write_profile_csv",
+    "write_rows_csv",
+    "write_rows_json",
+    "write_traces_json",
 ]

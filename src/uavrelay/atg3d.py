@@ -76,10 +76,11 @@ class Atg3dScenario:
 def hop_gains_3d(scn: Atg3dScenario, x: float, height: float) -> tuple[float, float]:
     """Noise-normalised hop gains for a relay at (x, height).
 
-    The hot path of every 3-D solver.  It inlines elevation_angles,
-    slant_distances and atg_normalized_gain with the same float
-    expressions in the same order, so it returns exactly what their
-    composition returns.
+    The one scalar evaluation of the air-to-ground gain and the hot path
+    of every 3-D solver: hop i sees the relay under the elevation angle
+    theta_i = atan(height / ground offset_i) in degrees at slant distance
+    r_i, and its gain is gain_scale / r_i^2 * 10^(gain_exponent * P_los),
+    with P_los the S-curve 1 / (1 + a exp(-b (theta_i - a))).
 
     Raises:
         ValueError: when height is not positive (or NaN), or x lies

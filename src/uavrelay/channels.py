@@ -5,7 +5,8 @@ model: the relay flies at height H above the segment between the ground
 nodes and each hop gain is beta / (squared slant distance).  The second
 is an elevation-angle air-to-ground model where the line-of-sight
 probability follows an S-curve in the elevation angle and the mean path
-loss blends LoS and NLoS excess losses.
+loss blends LoS and NLoS excess losses; this module holds its
+environment constants, and ``atg3d.hop_gains_3d`` evaluates its gains.
 """
 
 from __future__ import annotations
@@ -29,12 +30,6 @@ ATG_PRESETS: dict[str, tuple[float, float, float, float]] = {
 def db_to_linear(value_db: float) -> float:
     """Convert a dB quantity to linear scale."""
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    if value <= 0.0:
-        raise ValueError(f"cannot express non-positive value {value} in dB")
-    return 10.0 * math.log10(value)
 
 
 @dataclass(frozen=True)
@@ -162,12 +157,17 @@ class AtgEnvironment:
             raise ValueError(f"carrier frequency must be positive, got {self.carrier_hz}")
         if not math.isfinite(self.noise_power_db):
             raise ValueError("noise power (dB) must be finite")
-        noise = self.noise_power_linear
+        noise = db_to_linear(self.noise_power_db)
         if noise == 0.0:
             raise ValueError(f"noise power {self.noise_power_db} dB underflows to zero watts")
+        # C = 20 log10(4 pi f_c / c) + eta_nlos, the distance-free loss term,
+        # and A = eta_los - eta_nlos <= 0, the LoS advantage in dB
+        offset_db = 20.0 * math.log10(4.0 * math.pi * self.carrier_hz / SPEED_OF_LIGHT) \
+            + self.excess_loss_nlos_db
+        gap_db = self.excess_loss_los_db - self.excess_loss_nlos_db
         # set through object.__setattr__ because the dataclass is frozen
-        object.__setattr__(self, "gain_scale", db_to_linear(-self.path_loss_offset_db) / noise)
-        object.__setattr__(self, "gain_exponent", -self.excess_loss_gap_db / 10.0)
+        object.__setattr__(self, "gain_scale", db_to_linear(-offset_db) / noise)
+        object.__setattr__(self, "gain_exponent", -gap_db / 10.0)
 
     @classmethod
     def from_preset(cls, name: str, carrier_hz: float, noise_power_db: float) -> "AtgEnvironment":
@@ -179,85 +179,3 @@ class AtgEnvironment:
                 f"unknown environment preset {name!r}; expected one of {sorted(ATG_PRESETS)}"
             ) from None
         return cls(a, b, eta_los, eta_nlos, carrier_hz, noise_power_db)
-
-    @property
-    def excess_loss_gap_db(self) -> float:
-        """A = eta_los - eta_nlos, the (non-positive) LoS advantage in dB."""
-        return self.excess_loss_los_db - self.excess_loss_nlos_db
-
-    @property
-    def path_loss_offset_db(self) -> float:
-        """C = 20 log10(4 pi f_c / c) + eta_nlos, the distance-free loss term."""
-        return 20.0 * math.log10(4.0 * math.pi * self.carrier_hz / SPEED_OF_LIGHT) \
-            + self.excess_loss_nlos_db
-
-    @property
-    def noise_power_linear(self) -> float:
-        return db_to_linear(self.noise_power_db)
-
-
-def _s_curve(env: AtgEnvironment, theta_deg: float) -> float:
-    a, b = env.s_curve_a, env.s_curve_b
-    return 1.0 / (1.0 + a * math.exp(-b * (theta_deg - a)))
-
-
-def _check_elevation(theta_deg: float) -> None:
-    if not (0.0 <= theta_deg <= 90.0):
-        raise ValueError(f"elevation angle must lie in [0, 90] degrees, got {theta_deg}")
-
-
-def los_probability(env: AtgEnvironment, theta_deg: float) -> float:
-    """Line-of-sight probability at elevation angle theta in degrees."""
-    _check_elevation(theta_deg)
-    return _s_curve(env, theta_deg)
-
-
-def mean_path_loss(env: AtgEnvironment, theta_deg: float, distance_m: float) -> float:
-    """Mean path loss in dB, averaging the LoS and NLoS excess losses.
-
-    L(theta, d) = A * P_los(theta) + 20 log10(d) + C with A the LoS
-    advantage and C the constant offset (both from the environment).
-    """
-    _check_elevation(theta_deg)
-    if distance_m <= 0.0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
-    return env.excess_loss_gap_db * _s_curve(env, theta_deg) \
-        + 20.0 * math.log10(distance_m) + env.path_loss_offset_db
-
-
-def atg_normalized_gain(env: AtgEnvironment, theta_deg: float, distance_m: float) -> float:
-    """Noise-normalised channel power gain, h = 10^(-L/10) / noise.
-
-    Evaluated in the equivalent product form
-    h = C-tilde * d^-2 * 10^(A-tilde * P_los(theta)).
-    """
-    _check_elevation(theta_deg)
-    if distance_m <= 0.0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
-    s = _s_curve(env, theta_deg)
-    return env.gain_scale / (distance_m * distance_m) * 10.0 ** (env.gain_exponent * s)
-
-
-def elevation_angles(D: float, x: float, height: float) -> tuple[float, float]:
-    """Elevation angles (degrees) seen from the two ground nodes.
-
-    The relay at (x, height) is seen under atan(height / x) from the
-    source and atan(height / (D - x)) from the destination; a node
-    directly underneath (zero ground offset) sees 90 degrees.
-    """
-    if height <= 0.0:
-        raise ValueError(f"height must be positive, got {height}")
-    if not (0.0 <= x <= D):
-        raise ValueError(f"x = {x} outside the ground segment [0, {D}]")
-    theta1 = math.degrees(math.atan2(height, x))
-    theta2 = math.degrees(math.atan2(height, D - x))
-    return theta1, theta2
-
-
-def slant_distances(D: float, x: float, height: float) -> tuple[float, float]:
-    """Straight-line distances from the relay at (x, height) to both nodes."""
-    if height <= 0.0:
-        raise ValueError(f"height must be positive, got {height}")
-    if not (0.0 <= x <= D):
-        raise ValueError(f"x = {x} outside the ground segment [0, {D}]")
-    return math.hypot(x, height), math.hypot(D - x, height)

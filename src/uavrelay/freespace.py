@@ -79,7 +79,7 @@ def optimal_power_for_gains(h1: float, h2: float, p_total: float) -> PowerSplit:
     if p_total <= 0.0:
         raise ValueError(f"power budget must be positive, got {p_total}")
     a = h1 - h2
-    if abs(a) < 1e-12 * h1:
+    if abs(a) <= 1e-12 * h1:
         p1 = 0.5 * p_total
     else:
         b = p_total * h2 + 1.0

@@ -110,7 +110,11 @@ def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
             if p1 <= 0.0 or p2 <= 0.0:
                 return math.inf
             s = b1 * p1 + b2 * p2
-            return h_sq * s / (p1 * p2) + b1 * b2 * d_sq / s
+            # p1 p2 underflows to 0 on budgets near 1e-200 W while the
+            # objective stays finite; divide by one power at a time there
+            pp = p1 * p2
+            first = h_sq * s / pp if pp > 0.0 else h_sq * s / p1 / p2
+            return first + b1 * b2 * d_sq / s
 
         p1, _ = golden_section_max(
             lambda p: -objective(p), lo, hi, tol=_POWER_SEARCH_RTOL * pt

@@ -151,7 +151,7 @@ def _grid_argmax_3d(scn: Atg3dScenario, xs: np.ndarray, hs: np.ndarray,
 
     One x-slice at a time: the slice's (h,) hop gains come from the
     S-curve gain of Al-Hourani et al. (IEEE WCL 2014), written out here
-    independently of the scalar channel helpers the oracle checks.
+    independently of ``atg3d.hop_gains_3d``, which the oracle checks.
     """
     import numpy as np
 

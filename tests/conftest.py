@@ -44,11 +44,6 @@ def freespace_scn():
     )
 
 
-@pytest.fixture
-def suburban():
-    return AtgEnvironment.from_preset("suburban", CARRIER_HZ, NOISE_DB)
-
-
 def make_atg3d(hop2_preset, blk=None, p_total=4.0):
     env1 = AtgEnvironment.from_preset("suburban", CARRIER_HZ, NOISE_DB)
     env2 = AtgEnvironment.from_preset(hop2_preset, CARRIER_HZ, NOISE_DB)

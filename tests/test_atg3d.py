@@ -27,17 +27,14 @@ from uavrelay import (
     Atg3dScenario,
     BlocklengthParams,
     PowerSplit,
-    atg_normalized_gain,
     bcd_solve_3d,
     decoding_error_probability,
-    elevation_angles,
     exhaustive_search,
     fixed_height_baseline,
     hop_gains_3d,
     interior_local_maxima,
     optimize_height,
     optimize_x,
-    slant_distances,
 )
 from uavrelay import atg3d
 from uavrelay.atg3d import _gamma
@@ -46,6 +43,7 @@ from uavrelay.oracle import fixed_power_baseline
 from uavrelay.search import FALLBACK_POINTS
 
 from conftest import CARRIER_HZ, make_atg3d
+from test_channels import mp_hop_gains
 from test_search import derivative_bisection_max
 
 # converged outputs of this library on the reference geometry
@@ -58,30 +56,9 @@ BCD3D_REFERENCE = {
 }
 
 
-def test_hop_gains_match_channel_model(atg3d_scn):
-    x, h = 120.0, 80.0
-    g1, g2 = hop_gains_3d(atg3d_scn, x, h)
-    t1 = math.degrees(math.atan2(h, x))
-    d1 = math.hypot(x, h)
-    assert g1 == pytest.approx(
-        atg_normalized_gain(atg3d_scn.env1, t1, d1), rel=1e-14
-    )
-    t2 = math.degrees(math.atan2(h, atg3d_scn.D - x))
-    d2 = math.hypot(atg3d_scn.D - x, h)
-    assert g2 == pytest.approx(
-        atg_normalized_gain(atg3d_scn.env2, t2, d2), rel=1e-14
-    )
-
-
-def _reference_hop_gains(scn, x, h):
-    # the public scalar helpers, composed the way the fused kernel inlines them
-    theta1, theta2 = elevation_angles(scn.D, x, h)
-    r1, r2 = slant_distances(scn.D, x, h)
-    return (atg_normalized_gain(scn.env1, theta1, r1),
-            atg_normalized_gain(scn.env2, theta2, r2))
-
-
-def test_hop_gains_equal_scalar_reference(blk):
+def test_hop_gains_match_channel_model(blk):
+    # every preset pair against the 40-digit model, at random placements,
+    # the segment ends, the box corners and a near-zero height
     rng = np.random.default_rng(7)
     for hop1 in ATG_PRESETS:
         for hop2 in ATG_PRESETS:
@@ -98,12 +75,8 @@ def test_hop_gains_equal_scalar_reference(blk):
             points += [(x, h) for x in (0.0, scn.d1, scn.d2, D)
                        for h in (scn.h_min, scn.h_max, 1e-9)]
             for x, h in points:
-                assert hop_gains_3d(scn, x, h) == _reference_hop_gains(scn, x, h), (x, h)
-    scn = make_atg3d("urban", blk)
-    for x, h in ((100.0, math.nan), (100.0, 0.0), (100.0, -1.0),
-                 (-1e-9, 50.0), (scn.D + 1e-9, 50.0), (math.nan, 50.0)):
-        with pytest.raises(ValueError):
-            hop_gains_3d(scn, x, h)
+                want = mp_hop_gains((hop1, hop2), 2.5e9, noise_db, D, x, h)
+                assert hop_gains_3d(scn, x, h) == pytest.approx(want, rel=1e-13), (x, h)
 
 
 def test_scenario_validation(blk):

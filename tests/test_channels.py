@@ -1,27 +1,27 @@
-"""Channel-model checks: free-space gains, the air-to-ground S-curve
-model, and the geometry helpers.
+"""Channel-model checks: free-space gains and the air-to-ground S-curve
+model, whose one scalar evaluation is ``hop_gains_3d``.
 
 ATG reference values are frozen from a 40-digit mpmath implementation
-written separately from the library.
+written separately from the library; ``mp_atg_hop`` below is such an
+implementation, built from the preset table and the textbook formulas.
 """
 
 import math
 
+import mpmath
 import pytest
 
 from uavrelay import (
     ATG_PRESETS,
     AtgEnvironment,
+    Atg3dScenario,
+    BlocklengthParams,
     FreeSpaceScenario,
-    atg_normalized_gain,
     db_to_linear,
-    elevation_angles,
     freespace_gains,
-    linear_to_db,
-    los_probability,
-    mean_path_loss,
-    slant_distances,
+    hop_gains_3d,
 )
+from uavrelay.channels import SPEED_OF_LIGHT
 
 # (preset, x, height) -> (theta_deg, P_LoS, path_loss_dB, normalized_gain)
 # carrier 2.5 GHz, noise power -93 dB
@@ -35,11 +35,44 @@ ATG_REFERENCE = {
 }
 
 
+def mp_atg_hop(a, b, eta_los_db, eta_nlos_db, carrier_hz, noise_db, ground_m, height_m):
+    """(theta_deg, P_LoS, path_loss_dB, noise-normalised gain) of one hop, at 40 digits.
+
+    The air-to-ground model of Al-Hourani et al. (IEEE WCL 2014) as
+    written in the paper: the free-space loss 20 log10(4 pi f_c r / c)
+    plus the LoS and NLoS excess losses weighted by the S-curve LoS
+    probability at the elevation angle.
+    """
+    with mpmath.workdps(40):
+        x, h = mpmath.mpf(ground_m), mpmath.mpf(height_m)
+        theta = mpmath.degrees(mpmath.atan2(h, x))
+        p_los = 1 / (1 + a * mpmath.exp(-b * (theta - a)))
+        fspl = 20 * mpmath.log10(4 * mpmath.pi * carrier_hz * mpmath.sqrt(x * x + h * h)
+                                 / SPEED_OF_LIGHT)
+        loss = fspl + eta_los_db * p_los + eta_nlos_db * (1 - p_los)
+        gain = mpmath.power(10, -loss / 10) / mpmath.power(10, mpmath.mpf(noise_db) / 10)
+        return tuple(float(v) for v in (theta, p_los, loss, gain))
+
+
+def mp_hop_gains(presets, carrier_hz, noise_db, D, x, height):
+    """The two hop gains of a relay at (x, height) between nodes 0 and D."""
+    with mpmath.workdps(40):
+        grounds = (mpmath.mpf(x), mpmath.mpf(D) - x)
+        return tuple(mp_atg_hop(*ATG_PRESETS[preset], carrier_hz, noise_db, ground, height)[3]
+                     for preset, ground in zip(presets, grounds))
+
+
+def atg_hop_scenario(preset, D, noise_db=-93.0):
+    """Both hops in one preset environment; hop_gains_3d checks only 0 <= x <= D."""
+    env = AtgEnvironment.from_preset(preset, 2.5e9, noise_db)
+    return Atg3dScenario(D, 0.0, D, 1.0, 2.0, env, env, 4.0, BlocklengthParams(100, 80))
+
+
 def test_db_conversions_roundtrip():
     for v in (1e-6, 0.5, 1.0, 794328.2347242822):
-        assert db_to_linear(linear_to_db(v)) == pytest.approx(v, rel=1e-12)
+        assert db_to_linear(10.0 * math.log10(v)) == pytest.approx(v, rel=1e-12)
     assert db_to_linear(50.0) == pytest.approx(1e5, rel=1e-12)
-    assert linear_to_db(1.0) == 0.0
+    assert db_to_linear(0.0) == 1.0
 
 
 def test_preset_table():
@@ -97,79 +130,74 @@ def test_freespace_gain_decreases_with_hop_distance(freespace_scn):
     assert h1_near > h1_far
 
 
-def test_elevation_angles():
-    t1, t2 = elevation_angles(200.0, 100.0, 100.0)
-    assert t1 == pytest.approx(45.0, abs=1e-12)
-    assert t2 == pytest.approx(45.0, abs=1e-12)
-    t1, t2 = elevation_angles(200.0, 50.0, 86.602540378443865)
-    assert t1 == pytest.approx(60.0, rel=1e-12)
-    # directly overhead the source
-    t1, _ = elevation_angles(200.0, 0.0, 120.0)
-    assert t1 == pytest.approx(90.0, abs=1e-12)
-
-
-def test_slant_distances():
-    r1, r2 = slant_distances(200.0, 60.0, 80.0)
-    assert r1 == pytest.approx(100.0, rel=1e-14)
-    assert r2 == pytest.approx(math.hypot(140.0, 80.0), rel=1e-14)
-
-
 def test_atg_frozen_reference_values():
-    for (preset, x, h), (want_t, want_p, want_l, want_g) in ATG_REFERENCE.items():
-        env = AtgEnvironment.from_preset(preset, 2.5e9, -93.0)
-        theta = math.degrees(math.atan2(h, x))
-        d = math.hypot(x, h)
-        assert theta == pytest.approx(want_t, rel=1e-13)
-        assert los_probability(env, theta) == pytest.approx(want_p, rel=1e-12)
-        assert mean_path_loss(env, theta, d) == pytest.approx(want_l, rel=1e-12)
-        assert atg_normalized_gain(env, theta, d) == pytest.approx(want_g, rel=1e-12)
+    # D = 2x, so both hops see the relay at (x, h)
+    noise = db_to_linear(-93.0)
+    for (preset, x, h), want in ATG_REFERENCE.items():
+        assert mp_atg_hop(*ATG_PRESETS[preset], 2.5e9, -93.0, x, h) \
+            == pytest.approx(want, rel=1e-13)
+        scn = atg_hop_scenario(preset, 2.0 * x)
+        for g in hop_gains_3d(scn, x, h):
+            assert g == pytest.approx(want[3], rel=1e-13)
+            assert -10.0 * math.log10(g * noise) == pytest.approx(want[2], rel=1e-13)
 
 
-def test_atg_gain_pathloss_identity(suburban):
-    # normalized gain is exactly 10^(-L/10) / noise for every geometry
-    for x, h in ((100.0, 100.0), (35.0, 177.0), (180.0, 12.0), (5.0, 199.0)):
-        theta = math.degrees(math.atan2(h, x))
-        d = math.hypot(x, h)
-        lhs = atg_normalized_gain(suburban, theta, d)
-        rhs = 10.0 ** (-mean_path_loss(suburban, theta, d) / 10.0) / suburban.noise_power_linear
-        assert lhs == pytest.approx(rhs, rel=1e-13)
-
-
-def test_los_probability_monotone_in_elevation(suburban):
-    probs = [los_probability(suburban, t) for t in range(0, 91, 5)]
-    assert all(b > a for a, b in zip(probs, probs[1:]))
-    assert probs[-1] == pytest.approx(1.0, abs=1e-6)
+def test_los_probability_monotone_in_elevation():
+    # at a fixed slant distance only the LoS term moves, so the gain rises
+    # with elevation; straight overhead the suburban S-curve is ~1
+    r = 150.0
+    for preset in ATG_PRESETS:
+        scn = atg_hop_scenario(preset, 400.0)
+        gains = [hop_gains_3d(scn, r * math.cos(math.radians(t)), r * math.sin(math.radians(t)))[0]
+                 for t in range(5, 91, 5)]
+        assert all(b > a for a, b in zip(gains, gains[1:])), preset
+        if preset == "suburban":
+            env = scn.env1
+            overhead = env.gain_scale / (r * r) * 10.0 ** env.gain_exponent
+            assert gains[-1] == pytest.approx(overhead, rel=1e-6)
 
 
 def test_los_probability_ordering_across_environments():
-    # denser environments block more at the same elevation
-    theta = 30.0
-    values = [
-        los_probability(AtgEnvironment.from_preset(p, 2.5e9, -93.0), theta)
-        for p in ("suburban", "urban", "dense-urban", "high-rise")
-    ]
-    assert all(a > b for a, b in zip(values, values[1:]))
+    # denser environments block more at the same elevation; the LoS
+    # probability is read back from the gain at 30 degrees
+    x, h = 100.0 * math.sqrt(3.0), 100.0
+    probs = []
+    for preset in ("suburban", "urban", "dense-urban", "high-rise"):
+        scn = atg_hop_scenario(preset, 2.0 * x)
+        g, _ = hop_gains_3d(scn, x, h)
+        probs.append(math.log10(g * (x * x + h * h) / scn.env1.gain_scale)
+                     / scn.env1.gain_exponent)
+    assert all(a > b for a, b in zip(probs, probs[1:]))
 
 
-def test_elevation_range_enforced(suburban):
-    with pytest.raises(ValueError):
-        los_probability(suburban, -1.0)
-    with pytest.raises(ValueError):
-        los_probability(suburban, 90.5)
+def test_elevation_range_enforced():
+    # hop_gains_3d keeps both elevations inside (0, 90] degrees: it refuses
+    # a height at or below 0 (or NaN) and an offset past either node
+    scn = atg_hop_scenario("urban", 200.0)
+    for x, h in ((100.0, math.nan), (100.0, 0.0), (100.0, -1.0),
+                 (-1e-9, 50.0), (scn.D + 1e-9, 50.0), (math.nan, 50.0)):
+        with pytest.raises(ValueError):
+            hop_gains_3d(scn, x, h)
 
 
-def test_mean_path_loss_increases_with_distance(suburban):
-    theta = 45.0
-    losses = [mean_path_loss(suburban, theta, d) for d in (50.0, 100.0, 200.0, 400.0)]
-    assert all(b > a for a, b in zip(losses, losses[1:]))
-    # distance doubling adds 6.02 dB at fixed elevation
-    assert losses[1] - losses[0] == pytest.approx(20.0 * math.log10(2.0), rel=1e-12)
+def test_mean_path_loss_increases_with_distance():
+    # doubling (x, h) keeps the elevation and quarters the gain exactly,
+    # i.e. adds 20 log10(2) dB of path loss
+    scn = atg_hop_scenario("suburban", 800.0)
+    noise = db_to_linear(-93.0)
+    gains = [hop_gains_3d(scn, d, d)[0] for d in (50.0, 100.0, 200.0, 400.0)]
+    assert all(b == 0.25 * a for a, b in zip(gains, gains[1:]))
+    losses = [-10.0 * math.log10(g * noise) for g in gains]
+    for a, b in zip(losses, losses[1:]):
+        assert b - a == pytest.approx(20.0 * math.log10(2.0), rel=1e-12)
 
 
 def test_excess_loss_gap_sign():
+    # the LoS excess loss never exceeds the NLoS one, so the LoS term can
+    # only raise the gain
     for preset in ATG_PRESETS:
         env = AtgEnvironment.from_preset(preset, 2.5e9, -93.0)
-        assert env.excess_loss_gap_db <= 0.0
+        assert env.excess_loss_los_db <= env.excess_loss_nlos_db
         assert env.gain_exponent >= 0.0
 
 

@@ -292,6 +292,24 @@ def test_config_just_under_the_overflow_bound_runs_every_solver(runner, tmp_path
     assert "high-SNR cross gains overflow" in json.loads(result.stderr.strip())["detail"]
 
 
+@pytest.mark.parametrize("changes", [
+    # 1e-320 per hop: divided by H^2 both hop gains are 0.0
+    {"gains_db": {"beta1_db": -3200.0, "beta2_db": -3200.0}},
+    # p1 p2 underflows to 0.0 inside the high-SNR power search
+    {"power_budget_w": 1e-200},
+], ids=["gains-underflow", "budget-underflow"])
+def test_float_range_floor_solves_with_every_solver(runner, tmp_path, changes):
+    raw = json.loads((Path(__file__).parent.parent / "configs" / "freespace.json").read_text())
+    raw.update(changes)
+    out = tmp_path / "r.csv"
+    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, raw),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = read_csv(out)[1:]
+    assert [row[11] for row in rows] == ["ok"] * 5
+    assert all(float(row[8]) == 0.0 and float(row[9]) == 1.0 for row in rows)
+
+
 def test_oracle_reports_eps_one_where_one_plus_snr_rounds_to_one(runner, tmp_path):
     # gains of +3000 / -3000 dB leave an SNR near 1e-304
     raw = json.loads((Path(__file__).parent.parent / "configs" / "freespace.json").read_text())

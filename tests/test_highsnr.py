@@ -1,6 +1,8 @@
 """High-SNR closed-form solver: per-case grid oracles, convexity
 certificates and the case-selection logic."""
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -106,6 +108,20 @@ def test_condition1_equal_beta_closed_form():
     assert rep.powers.p1 == pytest.approx(2.0, rel=1e-14)
     _, x = unconstrained_location(scn, rep.powers)
     assert rep.x == pytest.approx(x, rel=1e-12)
+
+
+def test_condition1_split_holds_on_budgets_near_underflow(freespace_scn, blk):
+    # the surrogate is homogeneous in the powers, so the interior split
+    # p1 / p_total does not depend on the budget; at 1e-200 W the product
+    # p1 p2 underflows to 0 while the objective (~6e210) does not
+    want = solve_condition1(freespace_scn).powers.p1 / freespace_scn.p_total
+    tiny = dataclasses.replace(freespace_scn, p_total=1e-200)
+    rep = solve_condition1(tiny)
+    assert rep.powers.p1 / tiny.p_total == pytest.approx(want, rel=1e-6)
+    res = high_snr_solve(tiny, blk)
+    assert 0.0 < res.powers.p1 and 0.0 < res.powers.p2
+    assert res.powers.total <= tiny.p_total * (1.0 + 1e-12)
+    assert res.error_prob == 1.0
 
 
 def unclamped_offset(scn, p1):
