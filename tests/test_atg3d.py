@@ -42,7 +42,7 @@ from uavrelay.freespace import BCD_MAX_ITERS
 from uavrelay.oracle import fixed_power_baseline
 from uavrelay.search import FALLBACK_POINTS
 
-from conftest import CARRIER_HZ, make_atg3d
+from conftest import CARRIER_HZ, NOISE_DB, make_atg3d
 from test_channels import mp_hop_gains
 from test_search import derivative_bisection_max
 
@@ -56,9 +56,16 @@ BCD3D_REFERENCE = {
 }
 
 
-def test_hop_gains_match_channel_model(blk):
-    # every preset pair against the 40-digit model, at random placements,
-    # the segment ends, the box corners and a near-zero height
+def test_hop_gains_match_channel_model(atg3d_scn):
+    # one placement of the reference geometry (suburban, then urban hop)
+    x, h = 120.0, 80.0
+    want = mp_hop_gains(("suburban", "urban"), CARRIER_HZ, NOISE_DB, atg3d_scn.D, x, h)
+    assert hop_gains_3d(atg3d_scn, x, h) == pytest.approx(want, rel=1e-14)
+
+
+def test_hop_gains_equal_scalar_reference(blk):
+    # every preset pair against the 40-digit scalar model, at random
+    # placements, the segment ends, the box corners and a near-zero height
     rng = np.random.default_rng(7)
     for hop1 in ATG_PRESETS:
         for hop2 in ATG_PRESETS:

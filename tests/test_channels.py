@@ -142,6 +142,17 @@ def test_atg_frozen_reference_values():
             assert -10.0 * math.log10(g * noise) == pytest.approx(want[2], rel=1e-13)
 
 
+def test_atg_gain_pathloss_identity():
+    # the gain is exactly 10^(-L/10) / noise, with L the model's mean path
+    # loss, for every geometry; D = 2x, so both hops see (x, h)
+    noise = db_to_linear(-93.0)
+    for x, h in ((100.0, 100.0), (35.0, 177.0), (180.0, 12.0), (5.0, 199.0)):
+        loss = mp_atg_hop(*ATG_PRESETS["suburban"], 2.5e9, -93.0, x, h)[2]
+        scn = atg_hop_scenario("suburban", 2.0 * x)
+        for g in hop_gains_3d(scn, x, h):
+            assert g == pytest.approx(10.0 ** (-loss / 10.0) / noise, rel=1e-13)
+
+
 def test_los_probability_monotone_in_elevation():
     # at a fixed slant distance only the LoS term moves, so the gain rises
     # with elevation; straight overhead the suburban S-curve is ~1
