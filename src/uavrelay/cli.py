@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import click
 
-from .config import ConfigError, load_config
+from .config import ConfigError, build_grid, load_config
 from .harness import (
     check_solvers,
     profile_curves,
@@ -26,7 +26,6 @@ from .harness import (
     write_rows_json,
     write_traces_json,
 )
-from .oracle import GridSpec
 
 EXIT_CONFIG_ERROR = 2
 EXIT_PARTIAL_FAILURE = 3
@@ -68,19 +67,14 @@ def _parse_grid(config, grid_option: str | None):
         if "=" not in part:
             _fail_config(f"bad --grid entry {part!r}; expected axis=points")
         axis, _, num = part.partition("=")
-        if axis not in ("x", "p1", "h"):
-            _fail_config(f"unknown --grid axis {axis!r}; expected x, p1 or h")
         try:
-            counts[axis] = int(num)
+            counts[f"{axis}_points"] = int(num)
         except ValueError:
             _fail_config(f"bad --grid point count {num!r}")
-    if "h" in counts and config.model != "atg3d":
-        _fail_config("height axis only applies to the atg3d model")
     try:
-        grid = GridSpec(**counts)
-    except ValueError as exc:
+        return replace(config, grid=build_grid(config.model, counts))
+    except ConfigError as exc:
         _fail_config(str(exc))
-    return replace(config, grid=grid)
 
 
 def _emit(config, outcome, out_option: str | None, trace_option: str | None) -> None:

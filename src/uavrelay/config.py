@@ -1,11 +1,12 @@
 """Experiment configuration: one-pass validation and object construction.
 
 A run is described by a single JSON document whose keys and value types
-are listed in ``_CONFIG``.  Unknown keys are rejected so typos fail
-loudly, gains may be given in dB, and every number must be finite.  The
-domain constructors check their own bounds; this module adds only the
-rules they cannot see.  Every violation surfaces as ``ConfigError``
-before any computation starts.
+are listed, per model, in ``_CONFIG``.  Unknown keys, including those of
+the other model, are rejected so typos fail loudly, gains may be given in
+dB, and every number must be finite.  The domain constructors check their
+own bounds; this module adds only the rules they cannot see, and builds
+every sweep point through ``_SWEEPS``.  Every violation surfaces as
+``ConfigError`` before any computation starts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .atg3d import Atg3dScenario
 from .channels import ATG_PRESETS, AtgEnvironment, FreeSpaceScenario
@@ -22,55 +23,70 @@ from .oracle import DEFAULT_FIXED_HEIGHT, GridSpec
 
 SCHEMA_VERSION = 1
 
-# the sweep parameters and what their values must be
-_SWEEP_VALUES = {
-    "total_blocklength": ("a positive even blocklength", lambda v: _is_number(v)
-                          and isinstance(v, int) and v >= 2 and v % 2 == 0),
-    "packet_bits": ("a positive packet size",
-                    lambda v: _is_number(v) and isinstance(v, int) and v >= 1),
-    "power_budget_w": ("a positive power budget", lambda v: _is_number(v) and v > 0),
-    "hop2_environment": (f"an environment preset (expected one of {sorted(ATG_PRESETS)})",
-                         lambda v: isinstance(v, str) and v in ATG_PRESETS),
+
+def _with_env2(scn: Atg3dScenario, blk: BlocklengthParams, name: str):
+    env2 = AtgEnvironment.from_preset(name, scn.env2.carrier_hz, scn.env2.noise_power_db)
+    return replace(scn, env2=env2), blk
+
+
+# Each sweep parameter: the JSON type of its values and how one value is
+# applied to the base (scenario, blocklength).  The scenario and
+# blocklength constructors check the bounds of the result.
+_SWEEPS = {
+    "total_blocklength": ("int", lambda scn, blk, v: (
+        scn, BlocklengthParams(blk.packet_bits, v))),
+    "packet_bits": ("int", lambda scn, blk, v: (
+        scn, BlocklengthParams(v, blk.total_blocklength))),
+    "power_budget_w": ("number", lambda scn, blk, v: (replace(scn, p_total=float(v)), blk)),
+    "hop2_environment": (set(ATG_PRESETS), _with_env2),
 }
 
-# Each config object as (required keys, optional keys), each key with the
+# Each model's config as (required keys, optional keys), each key with the
 # JSON type of its value: "number" excludes bool and must be finite,
-# "integer" also admits integral floats, "positive" is a number > 0,
-# "string" is non-empty, a set lists the allowed strings, a one-item list
-# is a non-empty list of that type, "array" is any list and "environment"
-# a preset name or _ENVIRONMENT.  Bounds that a domain constructor checks
+# "integer" also admits integral floats while "int" does not, "positive"
+# is a number > 0, "string" is non-empty, a set lists the allowed strings,
+# a one-item list is a non-empty list of that type, "array" is any list
+# and "environment" a preset name or _ENVIRONMENT.  A model refuses every
+# key its table does not list.  Bounds that a domain constructor checks
 # are left to it.
 _ENVIRONMENT = ({"a": "number", "b": "number", "excess_loss_los_db": "number",
                  "excess_loss_nlos_db": "number"}, {})
 _GEOMETRY = {"distance_m": "number", "x_min_m": "number", "x_max_m": "number"}
-# one config per model; each geometry lists only its own model's heights
-_CONFIG = {model: (
-    {
-        "schema_version": "integer",
-        "scenario_id": "string",
-        "model": {"freespace", "atg3d"},
-        "geometry": ({**_GEOMETRY, **heights}, {}),
-        "power_budget_w": "number",
-        "blocklength": ({"packet_bits": "integer"},
-                        {"total_blocklength": "integer", "bandwidth_hz": "positive",
-                         "latency_s": "positive"}),
-        "solvers": ["string"],
-    },
-    {
-        "gains_db": ({"beta1_db": "number", "beta2_db": "number"}, {}),
-        "atg": ({"carrier_hz": "number", "noise_power_db": "number",
-                 "hop1": "environment", "hop2": "environment"}, {}),
-        "sweep": ({"parameter": set(_SWEEP_VALUES), "values": "array"}, {}),
-        "grid": ({}, {"x_points": "integer", "p1_points": "integer", "h_points": "integer"}),
-        "fixed_height_m": "positive",
-        "profile": ({}, {"axis": {"height", "x"}, "fixed_x_m": "non-negative",
-                         "fixed_height_m": "positive", "step_m": "positive",
-                         "range": ["number"], "hop2_presets": ["string"],
-                         "p1_w": "positive"}),
-        "output": ({}, {"csv": "string", "json": "string", "trace": "string"}),
-    },
-) for model, heights in (("freespace", {"height_m": "number"}),
-                         ("atg3d", {"height_min_m": "number", "height_max_m": "number"}))}
+_GRID = {"x_points": "integer", "p1_points": "integer"}
+_REQUIRED = {
+    "schema_version": "integer",
+    "scenario_id": "string",
+    "model": {"freespace", "atg3d"},
+    "power_budget_w": "number",
+    "blocklength": ({"packet_bits": "integer"},
+                    {"total_blocklength": "integer", "bandwidth_hz": "positive",
+                     "latency_s": "positive"}),
+    "solvers": ["string"],
+}
+_OUTPUT = ({}, {"csv": "string", "json": "string", "trace": "string"})
+_CONFIG = {
+    "freespace": (
+        {**_REQUIRED, "geometry": ({**_GEOMETRY, "height_m": "number"}, {}),
+         "gains_db": ({"beta1_db": "number", "beta2_db": "number"}, {})},
+        {"sweep": ({"parameter": set(_SWEEPS) - {"hop2_environment"}, "values": "array"}, {}),
+         "grid": ({}, _GRID),
+         "output": _OUTPUT},
+    ),
+    "atg3d": (
+        {**_REQUIRED,
+         "geometry": ({**_GEOMETRY, "height_min_m": "number", "height_max_m": "number"}, {}),
+         "atg": ({"carrier_hz": "number", "noise_power_db": "number",
+                  "hop1": "environment", "hop2": "environment"}, {})},
+        {"sweep": ({"parameter": set(_SWEEPS), "values": "array"}, {}),
+         "grid": ({}, {**_GRID, "h_points": "integer"}),
+         "fixed_height_m": "positive",
+         "profile": ({}, {"axis": {"height", "x"}, "fixed_x_m": "non-negative",
+                          "fixed_height_m": "positive", "step_m": "positive",
+                          "range": ["number"], "hop2_presets": [set(ATG_PRESETS)],
+                          "p1_w": "positive"}),
+         "output": _OUTPUT},
+    ),
+}
 
 
 class ConfigError(Exception):
@@ -108,6 +124,12 @@ class ExperimentConfig:
     output_json: str | None
     output_trace: str | None
 
+    def point(self, value=None) -> tuple[FreeSpaceScenario | Atg3dScenario, BlocklengthParams]:
+        """The scenario and blocklength at one sweep value (None: the base)."""
+        if value is None:
+            return self.scenario, self.blk
+        return _SWEEPS[self.sweep_parameter][1](self.scenario, self.blk, value)
+
 
 def _where(path: tuple) -> str:
     return "/".join(map(str, path)) or "<root>"
@@ -130,7 +152,8 @@ def _check_number(node, kind: str, path: tuple) -> None:
         finite = False
     if not finite:
         raise ConfigError(f"non-finite number {node} at {_where(path)} is not allowed in a config")
-    if kind == "integer" and not float(node).is_integer():
+    if (kind == "integer" and not float(node).is_integer()) or (
+            kind == "int" and not isinstance(node, int)):
         _fail(path, f"{node!r} is not an integer")
     if (kind == "positive" and not node > 0) or (kind == "non-negative" and node < 0):
         _fail(path, f"{node!r} is not {kind}")
@@ -180,14 +203,8 @@ def _build_environment(spec, carrier_hz: float, noise_power_db: float) -> AtgEnv
 
 
 def _build_blocklength(raw: dict) -> BlocklengthParams:
-    has_m = "total_blocklength" in raw
-    has_bw = "bandwidth_hz" in raw or "latency_s" in raw
-    if has_bw and not ("bandwidth_hz" in raw and "latency_s" in raw):
-        raise ConfigError("blocklength needs both bandwidth_hz and latency_s")
-    if not has_m and not has_bw:
-        raise ConfigError("blocklength needs total_blocklength or a bandwidth/latency pair")
     try:
-        if has_m:
+        if "total_blocklength" in raw:
             return BlocklengthParams(
                 raw["packet_bits"], raw["total_blocklength"],
                 raw.get("bandwidth_hz"), raw.get("latency_s"),
@@ -195,51 +212,40 @@ def _build_blocklength(raw: dict) -> BlocklengthParams:
         return BlocklengthParams.from_bandwidth_latency(
             raw["packet_bits"], raw["bandwidth_hz"], raw["latency_s"]
         )
+    except KeyError:
+        _fail(("blocklength",), "needs total_blocklength or both bandwidth_hz and latency_s")
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid blocklength: {exc}") from None
 
 
-def _check_sweep(parameter: str | None, values, model: str) -> tuple:
-    if parameter is None:
-        return ()
-    what, valid = _SWEEP_VALUES[parameter]
-    for i, v in enumerate(values):
-        if parameter == "hop2_environment" and model != "atg3d":
-            raise ConfigError("hop2_environment sweeps apply to the atg3d model only")
-        if _is_number(v):
-            _check_number(v, "number", ("sweep", "values", i))
-        if not valid(v):
-            _fail(("sweep", "values", i), f"sweep value {v!r} is not {what}")
-    return tuple(values)
+def build_grid(model: str, counts: dict) -> GridSpec:
+    """The oracle grid of a config's grid section or of ``--grid``."""
+    _check(counts, _CONFIG[model][1]["grid"], ("grid",))
+    try:
+        return GridSpec(*(None if key not in counts else int(counts[key])
+                          for key in ("x_points", "p1_points", "h_points")))
+    except ValueError as exc:
+        raise ConfigError(f"invalid grid: {exc}") from None
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON document and build the experiment objects."""
     # a missing or unknown model fails the model check of either config
-    atg3d = isinstance(raw, dict) and raw.get("model") == "atg3d"
-    _check(raw, _CONFIG["atg3d" if atg3d else "freespace"])
+    model = "atg3d" if isinstance(raw, dict) and raw.get("model") == "atg3d" else "freespace"
+    _check(raw, _CONFIG[model])
     if raw["schema_version"] != SCHEMA_VERSION:
         _fail(("schema_version",), f"{raw['schema_version']!r} is not {SCHEMA_VERSION}")
-    model = raw["model"]
     geo = raw["geometry"]
     blk = _build_blocklength(raw["blocklength"])
 
     try:
         if model == "freespace":
-            if "gains_db" not in raw:
-                raise ConfigError("freespace model requires a gains_db section")
-            if "atg" in raw:
-                raise ConfigError("atg section is not valid for the freespace model")
             scenario = FreeSpaceScenario.from_db(
                 geo["distance_m"], geo["height_m"], geo["x_min_m"], geo["x_max_m"],
                 raw["gains_db"]["beta1_db"], raw["gains_db"]["beta2_db"],
                 raw["power_budget_w"],
             )
         else:
-            if "atg" not in raw:
-                raise ConfigError("atg3d model requires an atg section")
-            if "gains_db" in raw:
-                raise ConfigError("gains_db section is not valid for the atg3d model")
             atg = raw["atg"]
             scenario = Atg3dScenario(
                 geo["distance_m"], geo["x_min_m"], geo["x_max_m"],
@@ -261,21 +267,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     solvers = tuple(raw["solvers"])
     check_solvers(model, solvers)
 
-    sweep = raw.get("sweep")
-    sweep_parameter = sweep["parameter"] if sweep else None
-    sweep_values = _check_sweep(sweep_parameter, sweep["values"] if sweep else (), model)
-
-    grid = None
-    if "grid" in raw:
-        g = raw["grid"]
-        if "h_points" in g and model != "atg3d":
-            raise ConfigError("invalid grid: height axis only applies to the atg3d model")
-        try:
-            grid = GridSpec(*(None if key not in g else int(g[key])
-                              for key in ("x_points", "p1_points", "h_points")))
-        except ValueError as exc:
-            raise ConfigError(f"invalid grid: {exc}") from None
-
+    sweep = raw.get("sweep", {"parameter": None, "values": []})
     fixed_height = raw.get("fixed_height_m", DEFAULT_FIXED_HEIGHT)
     if model == "atg3d" and not (scenario.h_min <= fixed_height <= scenario.h_max):
         raise ConfigError(
@@ -285,12 +277,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     profile = None
     if "profile" in raw:
-        if model != "atg3d":
-            raise ConfigError("profile section applies to the atg3d model only")
         p = raw["profile"]
-        for preset in p.get("hop2_presets", ()):
-            if preset not in ATG_PRESETS:
-                raise ConfigError(f"unknown environment preset {preset!r} in profile")
         rng = p.get("range")
         if rng is not None and (len(rng) != 2 or rng[0] > rng[1]):
             raise ConfigError(f"profile range must be [low, high] with low <= high: {rng}")
@@ -304,21 +291,30 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("profile p1_w must leave the relay a positive power")
 
     out = raw.get("output", {})
-    return ExperimentConfig(
+    config = ExperimentConfig(
         scenario_id=raw["scenario_id"],
         model=model,
         scenario=scenario,
         blk=blk,
         solvers=solvers,
-        sweep_parameter=sweep_parameter,
-        sweep_values=sweep_values,
-        grid=grid,
+        sweep_parameter=sweep["parameter"],
+        sweep_values=tuple(sweep["values"]),
+        grid=build_grid(model, raw["grid"]) if "grid" in raw else None,
         fixed_height_m=fixed_height,
         profile=profile,
         output_csv=out.get("csv"),
         output_json=out.get("json"),
         output_trace=out.get("trace"),
     )
+    # build every sweep point once, so an unusable value fails here
+    for i, value in enumerate(config.sweep_values):
+        path = ("sweep", "values", i)
+        _check(value, _SWEEPS[config.sweep_parameter][0], path)
+        try:
+            config.point(value)
+        except (ValueError, ArithmeticError) as exc:
+            _fail(path, f"sweep value {value!r} is not usable: {exc}")
+    return config
 
 
 def load_config(path: str) -> ExperimentConfig:

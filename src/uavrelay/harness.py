@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from .atg3d import Atg3dScenario, _gamma, bcd_solve_3d
 from .channels import AtgEnvironment
 from .config import ConfigError, ExperimentConfig, ProfileSpec
-from .fbl import BlocklengthParams, PowerSplit, decoding_error_probability
+from .fbl import PowerSplit, decoding_error_probability
 from .freespace import bcd_solve
 from .highsnr import high_snr_solve
 from .oracle import (
@@ -71,32 +71,6 @@ class RunOutcome:
     failures: int
 
 
-def _materialize(config: ExperimentConfig, value):
-    """Scenario and blocklength with one sweep value applied (None = base).
-
-    The scenario keeps the config's blocklength, so every point of a
-    blocklength sweep gets the same scenario.
-    """
-    scn, blk = config.scenario, config.blk
-    param = config.sweep_parameter
-    if value is None or param is None:
-        return scn, blk
-    if param == "total_blocklength":
-        blk = BlocklengthParams(blk.packet_bits, int(value))
-    elif param == "packet_bits":
-        blk = BlocklengthParams(int(value), blk.total_blocklength)
-    elif param == "power_budget_w":
-        scn = replace(scn, p_total=float(value))
-    elif param == "hop2_environment":
-        env2 = AtgEnvironment.from_preset(
-            value, scn.env2.carrier_hz, scn.env2.noise_power_db
-        )
-        scn = replace(scn, env2=env2)
-    else:
-        raise ConfigError(f"unknown sweep parameter {param!r}")
-    return scn, blk
-
-
 # Model -> solver name -> call(scn, blk, config): the one list of solver
 # names.  Each entry looks its solver up in this module when called, so a
 # wrapper set on that module attribute sees the call.
@@ -144,11 +118,10 @@ def run_experiment(config: ExperimentConfig) -> RunOutcome:
             key = f"{config.scenario_id}/{solver}/{sweep_value or 'base'}"
             start = time.perf_counter()
             try:
-                scn, blk = _materialize(config, value)
+                scn, blk = config.point(value)
                 if scn not in solved:
-                    point = replace(scn, blk=blk) if isinstance(scn, Atg3dScenario) else scn
                     try:
-                        solved[scn] = SOLVERS[config.model][solver](point, blk, config)
+                        solved[scn] = SOLVERS[config.model][solver](scn, blk, config)
                     except Exception as exc:
                         solved[scn] = exc
                 result = solved[scn]
@@ -205,7 +178,7 @@ def profile_curves(
     """
     scn = config.scenario
     if not isinstance(scn, Atg3dScenario):
-        raise ConfigError("profile curves apply to the atg3d model only")
+        raise ConfigError(f"profile curves need an atg3d config, not {config.model}")
     prof = config.profile or ProfileSpec()
     axis = axis or prof.axis
     step = step if step is not None else prof.step_m

@@ -110,6 +110,8 @@ def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
             if p1 <= 0.0 or p2 <= 0.0:
                 return math.inf
             s = b1 * p1 + b2 * p2
+            if s == 0.0:  # small gains times a small budget underflow to 0
+                return math.inf
             # p1 p2 underflows to 0 on budgets near 1e-200 W while the
             # objective stays finite; divide by one power at a time there
             pp = p1 * p2

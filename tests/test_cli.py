@@ -141,8 +141,17 @@ def test_extreme_numbers_are_config_errors(runner, tmp_path, raw):
         # h_min^2 underflows to zero inside the gain bound
         (variant(ATG3D_RAW, geometry={**ATG3D_RAW["geometry"], "height_min_m": 1e-200}),
          "hop gains overflow"),
+        # the fixed-height baseline is an air-to-ground solver
+        (variant(FREESPACE_RAW, fixed_height_m=5000), "<root>: unknown key 'fixed_height_m'"),
+        # sweep points are built at load time, so these fail before any solve
+        (variant(FREESPACE_RAW, sweep={"parameter": "power_budget_w", "values": [4.0, 1e300]}),
+         "sweep/values/1"),
+        (variant(ATG3D_RAW, atg={**ATG3D_RAW["atg"], "hop2": "high-rise", "noise_power_db": -1596},
+                 sweep={"parameter": "hop2_environment", "values": ["high-rise", "suburban"]}),
+         "sweep/values/1"),
     ],
-    ids=["unhashable-sweep-value", "blocklength-contradiction", "height-underflow"],
+    ids=["unhashable-sweep-value", "blocklength-contradiction", "height-underflow",
+         "freespace-fixed-height", "power-sweep-overflow", "environment-sweep-overflow"],
 )
 def test_bad_values_are_config_errors_not_tracebacks(runner, tmp_path, raw, where):
     cfg = write_config(tmp_path, raw)
@@ -212,9 +221,12 @@ def test_oracle_subcommand_with_grid(runner, tmp_path):
 def test_oracle_rejects_bad_grid(runner, tmp_path):
     cfg = write_config(tmp_path, variant(FREESPACE_RAW, solvers=["bcd"]))
     # the last two: too few points, and a height axis on the free-space model
-    for bad in ("x", "y=100", "x=ten", "x=1", "x=50,h=50"):
+    for bad, where in (("x", "'x'"), ("y=100", "grid: unknown key 'y_points'"),
+                       ("x=ten", "'ten'"), ("x=1", "at least 2 points"),
+                       ("x=50,h=50", "grid: unknown key 'h_points'")):
         result = runner.invoke(main, ["oracle", "--config", cfg, "--grid", bad])
         assert result.exit_code == 2, bad
+        assert where in json.loads(result.stderr)["detail"], bad
 
 
 def test_profile_subcommand(runner, tmp_path):

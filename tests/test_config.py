@@ -110,16 +110,21 @@ def test_wrong_schema_version():
 
 
 def test_model_section_mismatches():
-    with pytest.raises(ConfigError, match="gains_db"):
+    with pytest.raises(ConfigError, match="missing key 'gains_db'"):
         raw = copy.deepcopy(FREESPACE_RAW)
         del raw["gains_db"]
         parse_config(raw)
-    with pytest.raises(ConfigError, match="atg"):
+    with pytest.raises(ConfigError, match="missing key 'atg'"):
         raw = copy.deepcopy(ATG3D_RAW)
         del raw["atg"]
         parse_config(raw)
-    with pytest.raises(ConfigError, match="not valid for the freespace model"):
+    with pytest.raises(ConfigError, match="unknown key 'atg'"):
         parse_config(variant(FREESPACE_RAW, atg=copy.deepcopy(ATG3D_RAW["atg"])))
+    with pytest.raises(ConfigError, match="unknown key 'gains_db'"):
+        parse_config(variant(ATG3D_RAW, gains_db=copy.deepcopy(FREESPACE_RAW["gains_db"])))
+    # the fixed-height baseline exists in the air-to-ground model only
+    with pytest.raises(ConfigError, match="at <root>: unknown key 'fixed_height_m'"):
+        parse_config(variant(FREESPACE_RAW, fixed_height_m=5000.0))
     with pytest.raises(ConfigError, match="height_m"):
         raw = copy.deepcopy(FREESPACE_RAW)
         del raw["geometry"]["height_m"]
@@ -168,19 +173,20 @@ def test_sweep_validation():
     assert cfg.sweep_parameter == "total_blocklength"
     assert cfg.sweep_values == (60, 80, 100)
 
-    with pytest.raises(ConfigError, match="even"):
+    with pytest.raises(ConfigError, match="at sweep/values/0: .*even"):
         parse_config(variant(
             FREESPACE_RAW, sweep={"parameter": "total_blocklength", "values": [61]}
         ))
-    with pytest.raises(ConfigError):
-        parse_config(variant(
-            FREESPACE_RAW, sweep={"parameter": "total_blocklength", "values": [True]}
-        ))
-    with pytest.raises(ConfigError, match="power budget"):
+    for value, what in ((True, "a number"), (80.0, "an integer")):
+        with pytest.raises(ConfigError, match=f"at sweep/values/0: .* is not {what}"):
+            parse_config(variant(
+                FREESPACE_RAW, sweep={"parameter": "total_blocklength", "values": [value]}
+            ))
+    with pytest.raises(ConfigError, match="at sweep/values/0: .*p_total must be positive"):
         parse_config(variant(
             FREESPACE_RAW, sweep={"parameter": "power_budget_w", "values": [0.0]}
         ))
-    with pytest.raises(ConfigError, match="atg3d model only"):
+    with pytest.raises(ConfigError, match="at sweep/parameter: 'hop2_environment' is not one"):
         parse_config(variant(
             FREESPACE_RAW,
             sweep={"parameter": "hop2_environment", "values": ["urban"]},
@@ -203,7 +209,7 @@ def test_grid_points():
     assert cfg.grid == GridSpec(x=100, p1=50)
     cfg = parse_config(variant(ATG3D_RAW, grid={"h_points": 30.0}))
     assert cfg.grid == GridSpec(h=30) and isinstance(cfg.grid.h, int)
-    with pytest.raises(ConfigError, match="height axis"):
+    with pytest.raises(ConfigError, match="at grid: unknown key 'h_points'"):
         parse_config(variant(FREESPACE_RAW, grid={"h_points": 100}))
     with pytest.raises(ConfigError, match="at least 2 points"):
         parse_config(variant(FREESPACE_RAW, grid={"x_points": 1}))
@@ -220,10 +226,10 @@ def test_profile_validation():
     cfg = parse_config(variant(ATG3D_RAW, profile={"axis": "height", "fixed_x_m": 100.0}))
     assert cfg.profile.axis == "height"
     assert cfg.profile.hop2_presets == ("suburban", "urban", "dense-urban", "high-rise")
-    with pytest.raises(ConfigError, match="atg3d model only"):
+    with pytest.raises(ConfigError, match="unknown key 'profile'"):
         parse_config(variant(FREESPACE_RAW, profile={"axis": "height"}))
-    with pytest.raises(ConfigError, match="preset"):
-        parse_config(variant(ATG3D_RAW, profile={"hop2_presets": ["moon"]}))
+    with pytest.raises(ConfigError, match="at profile/hop2_presets/1: 'moon' is not one of"):
+        parse_config(variant(ATG3D_RAW, profile={"hop2_presets": ["urban", "moon"]}))
     with pytest.raises(ConfigError, match="range"):
         parse_config(variant(ATG3D_RAW, profile={"range": [150.0, 50.0]}))
     with pytest.raises(ConfigError, match="p1_w"):

@@ -29,7 +29,6 @@ FREESPACE_FULL = {
                     "bandwidth_hz": 80e3, "latency_s": 1e-3},
     "sweep": {"parameter": "total_blocklength", "values": [60, 80]},
     "grid": {"x_points": 20, "p1_points": 20},
-    "fixed_height_m": 100.0,
     "output": {"csv": "r.csv", "json": "r.json", "trace": "t.json"},
 }
 
@@ -63,10 +62,22 @@ MUTATIONS = (
     ("null", None), ("zero", 0), ("minus-one", -1), ("one-and-a-half", 1.5),
     ("integral-float", INTEGRAL_FLOAT),
 )
-# geometry keys of the other model, which each model refuses as unknown
+# key paths that only the other model accepts, each with a value that
+# model takes; each model refuses them as unknown
 CROSS_MODEL = {
-    "freespace": {"height_min_m": 10.0, "height_max_m": 200.0},
-    "atg3d": {"height_m": 120.0},
+    "freespace": {
+        "geometry/height_min_m": 10.0,
+        "geometry/height_max_m": 200.0,
+        "atg": ATG3D_RAW["atg"],
+        "fixed_height_m": 100.0,
+        "profile": {"axis": "height"},
+        "grid/h_points": 20,
+        "sweep": {"parameter": "hop2_environment", "values": ["urban"]},
+    },
+    "atg3d": {
+        "geometry/height_m": 120.0,
+        "gains_db": FREESPACE_RAW["gains_db"],
+    },
 }
 
 
@@ -128,11 +139,15 @@ def cases():
             raw = copy.deepcopy(base)
             at(raw, path)["unknown_key"] = 1
             yield f"{name}:{'/'.join(map(str, path)) or '<root>'}:unknown-key", raw
-        for key, value in CROSS_MODEL[base["model"]].items():
+        for where, value in CROSS_MODEL[base["model"]].items():
+            *parents, key = where.split("/")
             for label, new in (("valid", value), ("zero", 0)):
                 raw = copy.deepcopy(base)
-                raw["geometry"][key] = new
-                yield f"{name}:geometry/{key}:cross-model-{label}", raw
+                parent = raw
+                for step in parents:
+                    parent = parent.setdefault(step, {})
+                parent[key] = copy.deepcopy(new)
+                yield f"{name}:{where}:cross-model-{label}", raw
 
 
 def current_verdicts() -> dict:
@@ -154,4 +169,10 @@ def test_mutation_verdicts_match_the_table():
 
 
 if __name__ == "__main__":
-    VERDICTS.write_text(json.dumps(current_verdicts(), indent=1, sort_keys=True) + "\n")
+    old, new = json.loads(VERDICTS.read_text()), current_verdicts()
+    changed = sorted(case for case in old.keys() & new.keys() if old[case] != new[case])
+    print(f"{len(new.keys() - old.keys())} added, {len(old.keys() - new.keys())} removed, "
+          f"{len(changed)} changed verdicts")
+    for case in changed:
+        print(f"changed: {case}: {old[case]} -> {new[case]}")
+    VERDICTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")

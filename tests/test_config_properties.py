@@ -1,19 +1,26 @@
-"""``parse_config`` on randomly mutated configs: a config or ``ConfigError``.
+"""Randomly mutated configs: a config or ``ConfigError``, and exit 0, 2 or 3.
 
 One or two keys or list items of a valid base document are deleted or
 replaced by arbitrary JSON values (bools, nested lists and objects, huge,
-tiny, negative and integral numbers, preset and solver names).  Any
-other exception is a traceback that the CLI would print.
+tiny, negative and integral numbers, preset and solver names), and
+``parse_config`` must return or raise ``ConfigError``.  Any other
+exception is a traceback that the CLI would print.  The single-key
+mutations of ``test_config_mutations`` also run through ``uavrelay
+solve``.
 """
 
 import copy
+import json
+from pathlib import Path
 
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavrelay import ConfigError, parse_config
+from uavrelay.cli import main
 
-from test_config_mutations import BASES, DELETE, at, paths
+from test_config_mutations import BASES, DELETE, at, cases, paths
 
 NAMES = ("suburban", "urban", "high-rise", "bcd", "exhaustive", "height", "x",
          "total_blocklength", "power_budget_w", "hop2_environment")
@@ -62,3 +69,19 @@ def test_mutated_configs_load_or_raise_config_error(data):
         parse_config(raw)
     except ConfigError:
         pass
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(case=st.sampled_from(list(cases())))
+def test_mutated_configs_exit_0_2_or_3_through_the_cli(case):
+    name, raw = case
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("cfg.json").write_text(json.dumps(raw))
+        result = runner.invoke(main, ["solve", "--config", "cfg.json", "--out", "r.csv"])
+    assert result.exit_code in (0, 2, 3), (name, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), name
+    if result.exit_code == 2:
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1, name
+        assert json.loads(lines[0])["error"] == "config", name

@@ -124,6 +124,16 @@ def test_condition1_split_holds_on_budgets_near_underflow(freespace_scn, blk):
     assert res.error_prob == 1.0
 
 
+
+def test_condition1_objective_is_infinite_where_the_weight_underflows(blk):
+    # b1 p1 + b2 p2 underflows to 0 here, which the condition-I objective
+    # divides by; it is +inf there, and the exact SNR at the winner is 0
+    scn = FreeSpaceScenario.from_db(4.35e59, 2.72e11, 8.25e58, 2.92e59,
+                                    -185.8, -1315.1, 9.46e-201)
+    res = high_snr_solve(scn, blk)
+    assert res.snr == 0.0
+    assert res.error_prob == 1.0
+
 def unclamped_offset(scn, p1):
     return scn.D * scn.beta1 * p1 / (scn.beta1 * p1 + scn.beta2 * (scn.p_total - p1))
 
