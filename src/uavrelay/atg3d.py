@@ -13,7 +13,7 @@ per solve, and the outputs are the same floats as without the memo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .channels import AtgEnvironment
 from .fbl import BlocklengthParams, PowerSplit, decoding_error_probability
@@ -42,6 +42,9 @@ class Atg3dScenario:
     env2: AtgEnvironment
     p_total: float
     blk: BlocklengthParams
+    # (D, then a, b, gain_scale, gain_exponent of hop 1 and of hop 2): the
+    # numbers hop_gains_3d reads, gathered once, at construction
+    gain_constants: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.D > 0.0 and math.isfinite(self.D)):
@@ -71,6 +74,11 @@ class Atg3dScenario:
                 f"hop gains overflow: the gain product bound g1 g2 p_total^2 is {bound} "
                 f"(noise power {self.env1.noise_power_db} / {self.env2.noise_power_db} dB)"
             )
+        env1, env2 = self.env1, self.env2
+        # set through object.__setattr__ because the dataclass is frozen
+        object.__setattr__(self, "gain_constants", (
+            self.D, env1.s_curve_a, env1.s_curve_b, env1.gain_scale, env1.gain_exponent,
+            env2.s_curve_a, env2.s_curve_b, env2.gain_scale, env2.gain_exponent))
 
 
 def hop_gains_3d(scn: Atg3dScenario, x: float, height: float) -> tuple[float, float]:
@@ -86,25 +94,22 @@ def hop_gains_3d(scn: Atg3dScenario, x: float, height: float) -> tuple[float, fl
         ValueError: when height is not positive (or NaN), or x lies
             outside the ground segment [0, D].
     """
-    D = scn.D
+    D, a1, b1, scale1, exponent1, a2, b2, scale2, exponent2 = scn.gain_constants
     if not (height > 0.0):
         raise ValueError(f"height must be positive, got {height}")
     if not (0.0 <= x <= D):
         raise ValueError(f"x = {x} outside the ground segment [0, {D}]")
     # height > 0 and x in [0, D] keep both angles inside (0, 90] degrees
     x2 = D - x
-    env1, env2 = scn.env1, scn.env2
     theta1 = math.degrees(math.atan2(height, x))
     theta2 = math.degrees(math.atan2(height, x2))
     r1 = math.hypot(x, height)
     r2 = math.hypot(x2, height)
-    a, b = env1.s_curve_a, env1.s_curve_b
-    s1 = 1.0 / (1.0 + a * math.exp(-b * (theta1 - a)))
-    a, b = env2.s_curve_a, env2.s_curve_b
-    s2 = 1.0 / (1.0 + a * math.exp(-b * (theta2 - a)))
+    s1 = 1.0 / (1.0 + a1 * math.exp(-b1 * (theta1 - a1)))
+    s2 = 1.0 / (1.0 + a2 * math.exp(-b2 * (theta2 - a2)))
     return (
-        env1.gain_scale / (r1 * r1) * 10.0 ** (env1.gain_exponent * s1),
-        env2.gain_scale / (r2 * r2) * 10.0 ** (env2.gain_exponent * s2),
+        scale1 / (r1 * r1) * 10.0 ** (exponent1 * s1),
+        scale2 / (r2 * r2) * 10.0 ** (exponent2 * s2),
     )
 
 

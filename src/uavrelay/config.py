@@ -19,9 +19,15 @@ from dataclasses import dataclass, field, replace
 from .atg3d import Atg3dScenario
 from .channels import ATG_PRESETS, AtgEnvironment, FreeSpaceScenario
 from .fbl import BlocklengthParams
-from .oracle import DEFAULT_FIXED_HEIGHT, GridSpec
+from .oracle import DEFAULT_FIXED_HEIGHT, DEFAULT_POINTS_2D, DEFAULT_POINTS_3D, GridSpec
 
 SCHEMA_VERSION = 1
+
+# Caps on the work one command may ask for: the samples of one profile
+# curve, and the oracle grid points per axis and over the whole grid.
+MAX_PROFILE_SAMPLES = 100_000
+MAX_GRID_AXIS_POINTS = 100_000
+MAX_GRID_POINTS = 10 ** 9
 
 
 def _with_env2(scn: Atg3dScenario, blk: BlocklengthParams, name: str):
@@ -219,13 +225,46 @@ def _build_blocklength(raw: dict) -> BlocklengthParams:
 
 
 def build_grid(model: str, counts: dict) -> GridSpec:
-    """The oracle grid of a config's grid section or of ``--grid``."""
+    """The oracle grid of a config's grid section or of ``--grid``.
+
+    Refuses more than MAX_GRID_AXIS_POINTS on an axis, or more than
+    MAX_GRID_POINTS over the grid with the model's default counts for the
+    axes left unset.
+    """
     _check(counts, _CONFIG[model][1]["grid"], ("grid",))
+    default = DEFAULT_POINTS_3D if model == "atg3d" else DEFAULT_POINTS_2D
+    axes = ("x_points", "p1_points", "h_points")[:3 if model == "atg3d" else 2]
+    points = {key: counts.get(key, default) for key in axes}
+    if (max(points.values()) > MAX_GRID_AXIS_POINTS
+            or math.prod(points.values()) > MAX_GRID_POINTS):
+        raise ConfigError(f"invalid grid: {points} exceeds {MAX_GRID_AXIS_POINTS} points "
+                          f"per axis or {MAX_GRID_POINTS} in all")
     try:
         return GridSpec(*(None if key not in counts else int(counts[key])
                           for key in ("x_points", "p1_points", "h_points")))
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from None
+
+
+def profile_coordinates(lo: float, hi: float, step) -> list[float]:
+    """The samples lo, lo + step, lo + 2 step, ... of a profile up to hi.
+
+    The one check of a profile step, whether it comes from the config's
+    ``profile.step_m`` or from ``--step``: it must be positive and finite,
+    and give at most MAX_PROFILE_SAMPLES samples, counted before any is
+    made.  The samples are running sums, as the profile rows print them.
+    """
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ConfigError(f"profile step must be positive and finite, got {step}")
+    coords = [lo]
+    if (hi - lo) / step < MAX_PROFILE_SAMPLES:
+        # the length bound stops sums that stall below the spacing of the floats
+        while len(coords) <= MAX_PROFILE_SAMPLES and coords[-1] + step <= hi + 1e-9 * step:
+            coords.append(coords[-1] + step)
+        if len(coords) <= MAX_PROFILE_SAMPLES:
+            return coords
+    raise ConfigError(f"profile step {step} gives more than {MAX_PROFILE_SAMPLES} "
+                      f"samples on [{lo}, {hi}]")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .atg3d import Atg3dScenario, _gamma, bcd_solve_3d
 from .channels import AtgEnvironment
-from .config import ConfigError, ExperimentConfig, ProfileSpec
+from .config import ConfigError, ExperimentConfig, ProfileSpec, profile_coordinates
 from .fbl import PowerSplit, decoding_error_probability
 from .freespace import bcd_solve
 from .highsnr import high_snr_solve
@@ -184,8 +184,6 @@ def profile_curves(
     step = step if step is not None else prof.step_m
     if axis not in ("height", "x"):
         raise ConfigError(f"unknown profile axis {axis!r}; expected 'height' or 'x'")
-    if step <= 0.0:
-        raise ConfigError(f"profile step must be positive, got {step}")
 
     if prof.p1_w is None:
         powers = PowerSplit.even(scn.p_total)
@@ -211,9 +209,7 @@ def profile_curves(
     if not (bounds[0] <= lo <= hi <= bounds[1]):
         raise ConfigError(f"profile range ({lo}, {hi}) outside bounds {bounds}")
 
-    coords = [lo]
-    while coords[-1] + step <= hi + 1e-9 * step:
-        coords.append(coords[-1] + step)
+    coords = profile_coordinates(lo, hi, step)
 
     rows: list[tuple[str, float, float]] = []
     for preset in prof.hop2_presets:

@@ -74,8 +74,10 @@ def unconstrained_location(
 
 
 def _crossing_power(scn: FreeSpaceScenario, d: float) -> float:
-    # the p1 at which the unconstrained offset x0(p1) crosses the band edge d
-    return d * scn.beta2 * scn.p_total / ((scn.D - d) * scn.beta1 + d * scn.beta2)
+    # the p1 at which the unconstrained offset x0(p1) crosses the band edge d,
+    # at most p_total: on tiny budgets the quotient can round above it
+    pt = scn.p_total
+    return min(d * scn.beta2 * pt / ((scn.D - d) * scn.beta1 + d * scn.beta2), pt)
 
 
 def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
@@ -88,7 +90,7 @@ def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
     pt = scn.p_total
     # the p1 range on which x0(p1) stays inside [d1, d2]
     lo = max(_crossing_power(scn, scn.d1), 0.0)
-    hi = min(_crossing_power(scn, scn.d2), pt)
+    hi = _crossing_power(scn, scn.d2)
     if lo > hi:
         return HighSnrCaseReport(
             "I", "infeasible", 0.5 * (scn.d1 + scn.d2), PowerSplit(0.0, 0.0), 0.0,

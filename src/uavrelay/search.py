@@ -94,12 +94,13 @@ def line_search_max(
         step = (hi - lo) / (FALLBACK_POINTS - 1)
         grid = [lo + step * i for i in range(FALLBACK_POINTS - 1)] + [hi]
         grid_vals = [f(x) for x in grid]
-        i = max(range(FALLBACK_POINTS), key=lambda k: (grid_vals[k], -k))
+        # the first point of the largest value; a NaN wins only as the first point
+        i = grid_vals.index(max(grid_vals))
         a = max(lo, grid[i] - step)
         b = min(hi, grid[i] + step)
         x_best, v_best = golden_section_max(f, a, b, tol)
     # keep the sampled evidence: never return less than the best pre-sample
-    i = max(range(len(xs)), key=lambda k: (vals[k], -k))
+    i = vals.index(max(vals))
     if vals[i] > v_best:
         return xs[i], vals[i]
     return x_best, v_best

@@ -8,14 +8,19 @@ of the numbers) with
 
     PYTHONPATH=src python tests/test_atg3d.py
 
+which first prints each (scenario, solver) record that changed and the
+fields that moved.
+
 Its ``gain_calls`` are the hop_gains_3d calls each solve made before the
 solvers kept a gain memo; regenerating keeps them, and only a scenario
 new to the file gets the current count.
 """
 
+import dataclasses
 import itertools
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +89,70 @@ def test_hop_gains_equal_scalar_reference(blk):
             for x, h in points:
                 want = mp_hop_gains((hop1, hop2), 2.5e9, noise_db, D, x, h)
                 assert hop_gains_3d(scn, x, h) == pytest.approx(want, rel=1e-13), (x, h)
+
+
+def attribute_hop_gains(scn, x, height):
+    """hop_gains_3d's float expression, every constant read off scn and its
+    environments when it is used."""
+    x2 = scn.D - x
+    theta1 = math.degrees(math.atan2(height, x))
+    theta2 = math.degrees(math.atan2(height, x2))
+    r1 = math.hypot(x, height)
+    r2 = math.hypot(x2, height)
+    s1 = 1.0 / (1.0 + scn.env1.s_curve_a
+                * math.exp(-scn.env1.s_curve_b * (theta1 - scn.env1.s_curve_a)))
+    s2 = 1.0 / (1.0 + scn.env2.s_curve_a
+                * math.exp(-scn.env2.s_curve_b * (theta2 - scn.env2.s_curve_a)))
+    return (
+        scn.env1.gain_scale / (r1 * r1) * 10.0 ** (scn.env1.gain_exponent * s1),
+        scn.env2.gain_scale / (r2 * r2) * 10.0 ** (scn.env2.gain_exponent * s2),
+    )
+
+
+def test_hop_gains_read_the_constants_gathered_at_construction(blk):
+    # the same floats as reading every constant at each call, for every
+    # preset pair at the box corners, both signed zeros, x = D and random points
+    rng = random.Random(11)
+    for hop1, hop2 in itertools.product(ATG_PRESETS, repeat=2):
+        D, noise_db = rng.uniform(100.0, 800.0), rng.uniform(-120.0, -60.0)
+        scn = Atg3dScenario(
+            D, rng.uniform(0.0, 0.25) * D, rng.uniform(0.75, 1.0) * D,
+            rng.uniform(5.0, 40.0), rng.uniform(100.0, 400.0),
+            AtgEnvironment.from_preset(hop1, CARRIER_HZ, noise_db),
+            AtgEnvironment.from_preset(hop2, CARRIER_HZ, noise_db),
+            rng.uniform(0.1, 20.0), blk,
+        )
+        points = [(x, h) for x in (scn.d1, scn.d2, 0.0, -0.0, D)
+                  for h in (scn.h_min, scn.h_max)]
+        points += [(rng.uniform(0.0, D), rng.uniform(1e-3, 1000.0)) for _ in range(100)]
+        for x, h in points:
+            got = [g.hex() for g in hop_gains_3d(scn, x, h)]
+            assert got == [g.hex() for g in attribute_hop_gains(scn, x, h)], (hop1, hop2, x, h)
+
+
+def test_replaced_scenario_gathers_its_own_constants(blk):
+    # profile_curves swaps env2 with dataclasses.replace, and a sweep point
+    # swaps p_total; each must give the gains of a freshly built scenario
+    base = make_atg3d("suburban", blk)
+    for preset in ATG_PRESETS:
+        env2 = AtgEnvironment.from_preset(preset, CARRIER_HZ, -80.0)
+        swapped = dataclasses.replace(base, env2=env2, p_total=2.0)
+        fresh = Atg3dScenario(base.D, base.d1, base.d2, base.h_min, base.h_max,
+                              base.env1, env2, 2.0, blk)
+        assert swapped.gain_constants == fresh.gain_constants
+        for x, h in ((20.0, 10.0), (100.0, 57.3), (200.0, 200.0)):
+            assert hop_gains_3d(swapped, x, h) == attribute_hop_gains(fresh, x, h)
+
+
+def test_gain_constants_stay_out_of_repr_eq_and_hash(blk):
+    scn = make_atg3d("urban", blk)
+    other = make_atg3d("urban", blk)
+    object.__setattr__(other, "gain_constants", ())
+    assert other == scn and hash(other) == hash(scn)
+    assert "gain_constants" not in repr(scn) and repr(other) == repr(scn)
+    with pytest.raises(TypeError):
+        Atg3dScenario(scn.D, scn.d1, scn.d2, scn.h_min, scn.h_max, scn.env1, scn.env2,
+                      scn.p_total, blk, ())
 
 
 def test_scenario_validation(blk):
@@ -348,4 +417,16 @@ if __name__ == "__main__":
             res, points = solve_counting_gains(solve, scn)
             calls = pinned.get(name, {}).get(solver, {}).get("gain_calls", len(points))
             table[name][solver] = {**solve_record(res), "gain_calls": calls}
+    old = {(name, solver): record for name, records in pinned.items()
+           for solver, record in records.items()}
+    new = {(name, solver): record for name, records in table.items()
+           for solver, record in records.items()}
+    changed = sorted(key for key in old.keys() & new.keys() if old[key] != new[key])
+    print(f"{len(new.keys() - old.keys())} added, {len(old.keys() - new.keys())} removed, "
+          f"{len(changed)} changed records")
+    for name, solver in changed:
+        was, now = old[name, solver], new[name, solver]
+        moved = sorted(field for field in was.keys() | now.keys()
+                       if was.get(field) != now.get(field))
+        print(f"changed: {name} {solver}: {', '.join(moved)}")
     GOLDEN_SOLVES.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -127,3 +128,31 @@ def test_cli_import_leaves_out_jsonschema(tmp_path):
                           timeout=60, check=True)
     report = json.loads(done.stdout.splitlines()[-1])
     assert report == [[False, False], [False, False], [False, False], [False, True]]
+
+
+def at_most_1_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+PROFILE = ["profile", "--config", str(CONFIGS / "atg3d_height_profile.json")]
+
+
+@pytest.mark.parametrize("args", [
+    PROFILE + ["--step", "nan"],
+    PROFILE + ["--step", "inf"],
+    PROFILE + ["--step", "1e-300"],
+    ["oracle", "--config", str(CONFIGS / "atg3d_environments.json"),
+     "--grid", "x=100000000"],
+], ids=["step-nan", "step-inf", "step-1e-300", "grid-1e8"])
+def test_runaway_numbers_exit_2_with_one_json_line(tmp_path, args):
+    # under 1 GiB of address space and 10 s: a flag that makes the CLI
+    # loop or allocate without bound fails here instead of exiting 2
+    done = subprocess.run(
+        [sys.executable, "-m", "uavrelay.cli", *args, "--out", str(tmp_path / "o.csv")],
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=10,
+        preexec_fn=at_most_1_gib,
+    )
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert json.loads(lines[0])["error"] == "config"

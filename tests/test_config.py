@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,12 @@ from uavrelay import (
     GridSpec,
     load_config,
     parse_config,
+)
+from uavrelay.config import (
+    MAX_GRID_AXIS_POINTS,
+    MAX_GRID_POINTS,
+    MAX_PROFILE_SAMPLES,
+    profile_coordinates,
 )
 
 FREESPACE_RAW = {
@@ -213,6 +220,41 @@ def test_grid_points():
         parse_config(variant(FREESPACE_RAW, grid={"h_points": 100}))
     with pytest.raises(ConfigError, match="at least 2 points"):
         parse_config(variant(FREESPACE_RAW, grid={"x_points": 1}))
+
+
+def test_grid_points_are_capped():
+    # per axis, and over the grid with the model's defaults for unset axes
+    top = MAX_GRID_AXIS_POINTS
+    assert parse_config(variant(FREESPACE_RAW, grid={"x_points": top, "p1_points": 10})
+                        ).grid == GridSpec(x=top, p1=10)
+    # 1000 x 1000 x 1000 points make the whole-grid cap
+    assert MAX_GRID_POINTS == 10 ** 9
+    assert parse_config(variant(ATG3D_RAW, grid={"x_points": 1000, "h_points": 1000,
+                                                 "p1_points": 1000})).grid
+    for grid in ({"x_points": top + 1},
+                 {"x_points": 1000, "h_points": 1000, "p1_points": 1001},
+                 {"x_points": top, "p1_points": 10_001},
+                 {"x_points": 100_000_000}):
+        model = ATG3D_RAW if "h_points" in grid else FREESPACE_RAW
+        with pytest.raises(ConfigError, match="invalid grid"):
+            parse_config(variant(model, grid=grid))
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e-12])
+def test_profile_step_must_be_finite_and_give_few_samples(step):
+    with pytest.raises(ConfigError, match="profile step"):
+        profile_coordinates(10.0, 200.0, step)
+
+
+def test_profile_samples_are_capped():
+    # the running sums of the profile rows, up to the cap and no further
+    assert profile_coordinates(10.0, 13.0, 1.5) == [10.0, 11.5, 13.0]
+    assert len(profile_coordinates(0.0, MAX_PROFILE_SAMPLES - 1.0, 1.0)) == MAX_PROFILE_SAMPLES
+    with pytest.raises(ConfigError, match="more than"):
+        profile_coordinates(0.0, float(MAX_PROFILE_SAMPLES), 1.0)
+    # near 1e17 the floats are 16 apart, so 1e17 + 0.5 == 1e17 and the sums stall
+    with pytest.raises(ConfigError, match="more than"):
+        profile_coordinates(1e17, 1e17 + 1024.0, 0.5)
 
 
 def test_fixed_height_bounds():

@@ -134,6 +134,20 @@ def test_condition1_objective_is_infinite_where_the_weight_underflows(blk):
     assert res.snr == 0.0
     assert res.error_prob == 1.0
 
+def test_edge_cases_keep_the_split_inside_the_budget(blk):
+    # on this budget the crossing power of d1 rounds above p_total; the
+    # edge cases clamp p1 to it, which left the relay a negative power
+    scn = FreeSpaceScenario(*map(float.fromhex, (
+        "0x1.c5740fa38a742p+63", "0x1.c70b2c08d05e4p+84", "0x1.150f6817ef826p+63",
+        "0x1.948c696f5b50bp+63", "0x1.4569d5d7d33adp-294", "0x1.60427be2992afp+623",
+        "0x1.a385c3b5786f3p-878")))
+    for rep in (solve_condition1(scn), solve_condition2(scn), solve_condition3(scn)):
+        assert 0.0 <= rep.powers.p1 <= scn.p_total, rep
+    res = high_snr_solve(scn, blk)
+    assert res.snr == 0.0
+    assert res.error_prob == 1.0
+
+
 def unclamped_offset(scn, p1):
     return scn.D * scn.beta1 * p1 / (scn.beta1 * p1 + scn.beta2 * (scn.p_total - p1))
 

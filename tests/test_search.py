@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavrelay.search import (
     golden_section_max,
@@ -153,3 +155,20 @@ def test_nan_points_never_win():
     f = lambda t: math.nan if t < 2.0 else -t
     x, v = golden_section_max(f, 0.0, 4.0, 1e-9)
     assert math.isfinite(v) and x >= 2.0
+
+
+# samples as line_search_max ranks them: ties, signed zeros, infinities,
+# one shared NaN object and NaNs made one at a time
+SAMPLES = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=False),
+    st.builds(float, st.just("nan")),
+), min_size=1, max_size=40)
+
+
+@settings(derandomize=True, deadline=None, max_examples=2000)
+@given(vals=SAMPLES)
+def test_index_of_max_is_the_first_best_sample(vals):
+    # line_search_max picks vals.index(max(vals)); the (value, -index) key
+    # that it replaced picked the same sample
+    assert vals.index(max(vals)) == max(range(len(vals)), key=lambda k: (vals[k], -k))
