@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -101,3 +102,35 @@ def condition1_hessian(scn, p1, p2):
     h11 = 2.0 * h_sq * b2 / p1 ** 3 + 2.0 * b1 ** 3 * b2 * d_sq / s ** 3
     h22 = 2.0 * h_sq * b1 / p2 ** 3 + 2.0 * b1 * b2 ** 3 * d_sq / s ** 3
     return np.array([[h11, cross], [cross, h22]])
+
+
+def solve_record(res) -> dict:
+    """A result with every float as its exact hex string."""
+    return {
+        "x": res.x.hex(), "height": res.height.hex(),
+        "p1": res.powers.p1.hex(), "p2": res.powers.p2.hex(),
+        "snr": res.snr.hex(), "error_prob": res.error_prob.hex(),
+        "iterations": res.iterations, "trace": [g.hex() for g in res.trace],
+    }
+
+
+def rewrite_golden(path, table: dict) -> None:
+    """Write table (scenario -> solver -> record) to path as a golden file.
+
+    First prints how many (scenario, solver) records were added, removed
+    or changed against the file there, and the fields that moved.
+    """
+    pinned = json.loads(path.read_text()) if path.exists() else {}
+    old = {(name, solver): record for name, records in pinned.items()
+           for solver, record in records.items()}
+    new = {(name, solver): record for name, records in table.items()
+           for solver, record in records.items()}
+    changed = sorted(key for key in old.keys() & new.keys() if old[key] != new[key])
+    print(f"{len(new.keys() - old.keys())} added, {len(old.keys() - new.keys())} removed, "
+          f"{len(changed)} changed records")
+    for name, solver in changed:
+        was, now = old[name, solver], new[name, solver]
+        moved = sorted(field for field in was.keys() | now.keys()
+                       if was.get(field) != now.get(field))
+        print(f"changed: {name} {solver}: {', '.join(moved)}")
+    path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

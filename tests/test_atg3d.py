@@ -47,7 +47,7 @@ from uavrelay.freespace import BCD_MAX_ITERS
 from uavrelay.oracle import fixed_power_baseline
 from uavrelay.search import FALLBACK_POINTS
 
-from conftest import CARRIER_HZ, NOISE_DB, make_atg3d
+from conftest import CARRIER_HZ, NOISE_DB, make_atg3d, rewrite_golden, solve_record
 from test_channels import mp_hop_gains
 from test_search import derivative_bisection_max
 
@@ -329,16 +329,6 @@ def solve_counting_gains(solve, scn):
         atg3d.hop_gains_3d = real
 
 
-def solve_record(res) -> dict:
-    """A result with every float as its exact hex string."""
-    return {
-        "x": res.x.hex(), "height": res.height.hex(),
-        "p1": res.powers.p1.hex(), "p2": res.powers.p2.hex(),
-        "snr": res.snr.hex(), "error_prob": res.error_prob.hex(),
-        "iterations": res.iterations, "trace": [g.hex() for g in res.trace],
-    }
-
-
 def test_3d_solves_match_golden():
     golden = json.loads(GOLDEN_SOLVES.read_text())
     scenarios = golden_scenarios()
@@ -417,16 +407,4 @@ if __name__ == "__main__":
             res, points = solve_counting_gains(solve, scn)
             calls = pinned.get(name, {}).get(solver, {}).get("gain_calls", len(points))
             table[name][solver] = {**solve_record(res), "gain_calls": calls}
-    old = {(name, solver): record for name, records in pinned.items()
-           for solver, record in records.items()}
-    new = {(name, solver): record for name, records in table.items()
-           for solver, record in records.items()}
-    changed = sorted(key for key in old.keys() & new.keys() if old[key] != new[key])
-    print(f"{len(new.keys() - old.keys())} added, {len(old.keys() - new.keys())} removed, "
-          f"{len(changed)} changed records")
-    for name, solver in changed:
-        was, now = old[name, solver], new[name, solver]
-        moved = sorted(field for field in was.keys() | now.keys()
-                       if was.get(field) != now.get(field))
-        print(f"changed: {name} {solver}: {', '.join(moved)}")
-    GOLDEN_SOLVES.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    rewrite_golden(GOLDEN_SOLVES, table)

@@ -1,6 +1,20 @@
-"""Free-space solver blocks against brute-force grid oracles."""
+"""Free-space solver blocks against brute-force grid oracles, and the
+exact outputs of the free-space solvers on scenarios that reach each of
+their branches.
 
+Regenerate ``tests/golden/freespace_solves.json`` (after a deliberate
+change of the numbers) with
+
+    PYTHONPATH=src python tests/test_freespace.py
+
+which first prints each (scenario, solver) record that changed and the
+fields that moved.
+"""
+
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +26,21 @@ from uavrelay import (
     bcd_solve,
     cubic_location_candidates,
     decoding_error_probability,
+    fixed_location_baseline,
+    fixed_power_baseline,
     freespace_gains,
+    high_snr_solve,
     optimal_location_given_power,
     optimal_power_given_x,
     optimal_power_for_gains,
     snr_at,
+    solve_condition1,
+    solve_condition2,
+    solve_condition3,
 )
-from uavrelay.freespace import _location_objective
+from uavrelay.freespace import BCD_MAX_ITERS, _location_objective
 
-from conftest import random_freespace
+from conftest import random_freespace, rewrite_golden, solve_record
 
 
 def grid_power_argmax(h1, h2, p_total, step_frac=1e-5):
@@ -201,3 +221,80 @@ def test_bcd_rejects_bad_start(freespace_scn, blk):
     # spending less than the whole budget is a legal starting point
     res = bcd_solve(freespace_scn, blk, powers0=PowerSplit(1.0, 1.0))
     assert res.snr == pytest.approx(10.0402303484, rel=1e-8)
+
+
+GOLDEN_SOLVES = Path(__file__).resolve().parent / "golden" / "freespace_solves.json"
+SOLVERS_2D = {
+    "bcd": bcd_solve,
+    "high-snr": high_snr_solve,
+    "fixed-location": fixed_location_baseline,
+    "fixed-power": fixed_power_baseline,
+}
+
+
+def golden_scenarios():
+    """Name -> (scenario, blocklength).
+
+    "base" is the base of configs/freespace.json, where condition I of
+    the high-SNR solver wins; "winner-II"/"winner-III" move the winner to
+    the left/right band edge, and "gain-gap" reaches it with hop gains
+    175 dB apart.  "equal-beta" takes condition I's closed form and
+    "matched-cross-gains" condition II's.  On "cap", a draw of the seed-0
+    free-space benchmark pool, bcd stops at BCD_MAX_ITERS.  The last two
+    sit at the bottom of the float range: a 1e-200 W budget, whose power
+    products underflow, and -3200 dB gains, which are 0.0 at the relay.
+    """
+    blk = BlocklengthParams(100, 80)
+    base = FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 50.0, 59.0, 4.0)
+    D, H, d1 = 200.0, 50.0, 30.0
+    # b1 D2 == b2 D1 at x = d1
+    ratio = (H**2 + (D - d1) ** 2) / (H**2 + d1**2)
+    cap = FreeSpaceScenario(*map(float.fromhex, (
+        "0x1.b005aec2ae246p+9", "0x1.a509726094eb3p+6", "0x1.b4d409ba82513p+5",
+        "0x1.73967dbaa6ba9p+9", "0x1.cc43584076b09p+18", "0x1.b3fd4724057b1p+18",
+        "0x1.dba1a06f886b9p+3")))
+    cases = {
+        "base": base,
+        "winner-II": replace(base, beta1=10 ** 4.5, beta2=10 ** 6.5),
+        "winner-III": replace(base, beta1=10 ** 6.5, beta2=10 ** 4.5),
+        "gain-gap": FreeSpaceScenario.from_db(200.0, 1.0, 30.0, 170.0, -40.0, 135.0, 5.0),
+        "equal-beta": replace(base, beta1=10 ** 5.5, beta2=10 ** 5.5),
+        "matched-cross-gains": FreeSpaceScenario(D, H, d1, 170.0, 1e5, 1e5 * ratio, 4.0),
+        "budget-1e-200": replace(base, p_total=1e-200),
+        "gains-3200": FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, -3200.0, -3200.0,
+                                                4.0),
+    }
+    return {**{name: (scn, blk) for name, scn in cases.items()},
+            "cap": (cap, BlocklengthParams(238, 364))}
+
+
+def high_snr_winner(scn):
+    reports = (solve_condition1(scn), solve_condition2(scn), solve_condition3(scn))
+    return max((r for r in reports if r.feasible), key=lambda r: r.gamma_tilde)
+
+
+def test_golden_scenarios_reach_their_branches():
+    scenarios = golden_scenarios()
+    for name, condition in (("base", "I"), ("winner-II", "II"), ("winner-III", "III"),
+                            ("gain-gap", "II")):
+        assert high_snr_winner(scenarios[name][0]).condition == condition, name
+    assert solve_condition1(scenarios["equal-beta"][0]).case == "equal-beta"
+    assert solve_condition2(scenarios["matched-cross-gains"][0]).case == "matched-cross-gains"
+    scn, blk = scenarios["cap"]
+    assert bcd_solve(scn, blk).iterations == BCD_MAX_ITERS
+    assert freespace_gains(scenarios["gains-3200"][0], 100.0) == (0.0, 0.0)
+
+
+def test_2d_solves_match_golden():
+    golden = json.loads(GOLDEN_SOLVES.read_text())
+    scenarios = golden_scenarios()
+    assert sorted(golden) == sorted(scenarios)
+    for name, (scn, blk) in scenarios.items():
+        for solver, solve in SOLVERS_2D.items():
+            assert solve_record(solve(scn, blk)) == golden[name][solver], (name, solver)
+
+
+if __name__ == "__main__":
+    rewrite_golden(GOLDEN_SOLVES, {
+        name: {solver: solve_record(solve(scn, blk)) for solver, solve in SOLVERS_2D.items()}
+        for name, (scn, blk) in golden_scenarios().items()})
