@@ -243,27 +243,13 @@ def _ascend(blk: BlocklengthParams, solver: str, score, state, blocks) -> SolveR
     return SolveResult(solver, x, height, powers, gamma, eps, len(trace), trace)
 
 
-def bcd_solve_3d(
-    scn: Atg3dScenario,
-    x0: float | None = None,
-    height0: float | None = None,
-    powers0: PowerSplit | None = None,
-) -> SolveResult:
+def bcd_solve_3d(scn: Atg3dScenario) -> SolveResult:
     """Cycle power, height and offset blocks until the SNR stalls.
 
-    Defaults start from the box midpoint and an even split; the trace is
+    Starts from the box midpoint and an even split; the trace is
     non-decreasing (see ``_ascent_blocks``).
-
-    Raises:
-        ValueError: when the initial placement or powers are infeasible.
     """
-    x = 0.5 * (scn.d1 + scn.d2) if x0 is None else x0
-    height = 0.5 * (scn.h_min + scn.h_max) if height0 is None else height0
-    if not (scn.d1 <= x <= scn.d2) or not (scn.h_min <= height <= scn.h_max):
-        raise ValueError(f"initial placement ({x}, {height}) outside the allowed box")
-    if powers0 is None:
-        powers0 = PowerSplit.even(scn.p_total)
-    elif powers0.total > scn.p_total * (1.0 + 1e-12):
-        raise ValueError(f"initial powers exceed the budget: {powers0.total} > {scn.p_total}")
+    start = (0.5 * (scn.d1 + scn.d2), 0.5 * (scn.h_min + scn.h_max),
+             PowerSplit.even(scn.p_total))
     score, *blocks = _ascent_blocks(scn)
-    return _ascend(scn.blk, "bcd", score, (x, height, powers0), blocks)
+    return _ascend(scn.blk, "bcd", score, start, blocks)

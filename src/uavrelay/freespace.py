@@ -142,31 +142,13 @@ def optimal_location_given_power(scn: FreeSpaceScenario, powers: PowerSplit) -> 
     return best_x
 
 
-def bcd_solve(
-    scn: FreeSpaceScenario,
-    blk: BlocklengthParams,
-    x0: float | None = None,
-    powers0: PowerSplit | None = None,
-) -> SolveResult:
+def bcd_solve(scn: FreeSpaceScenario, blk: BlocklengthParams) -> SolveResult:
     """Alternate the closed-form power and placement blocks until the SNR stalls.
 
-    Starts from the band midpoint and an even split unless told otherwise.
-    Each block is an exact maximiser, so the SNR trace is non-decreasing;
-    iteration stops as ``coordinate_ascent`` says.
-
-    Raises:
-        ValueError: when the initial point violates the scenario bounds.
+    Starts from the band midpoint and an even split.  Each block is an
+    exact maximiser, so the SNR trace is non-decreasing; iteration stops
+    as ``coordinate_ascent`` says.
     """
-    if x0 is None:
-        x0 = 0.5 * (scn.d1 + scn.d2)
-    elif not (scn.d1 <= x0 <= scn.d2):
-        raise ValueError(f"initial offset {x0} outside [{scn.d1}, {scn.d2}]")
-    if powers0 is None:
-        powers0 = PowerSplit.even(scn.p_total)
-    elif powers0.total > scn.p_total * (1.0 + 1e-12):
-        raise ValueError(
-            f"initial powers exceed the budget: {powers0.total} > {scn.p_total}"
-        )
 
     def power_block(state):
         x, _ = state
@@ -176,7 +158,8 @@ def bcd_solve(
         _, powers = state
         return optimal_location_given_power(scn, powers), powers
 
+    start = (0.5 * (scn.d1 + scn.d2), PowerSplit.even(scn.p_total))
     (x, powers), gamma, trace = coordinate_ascent(
-        lambda state: snr_at(scn, *state), (x0, powers0), (power_block, location_block))
+        lambda state: snr_at(scn, *state), start, (power_block, location_block))
     eps = decoding_error_probability(gamma, blk)
     return SolveResult("bcd", x, scn.H, powers, gamma, eps, len(trace), trace)

@@ -5,9 +5,9 @@ Dropping the +1 noise term of the AF denominator gives the surrogate
     gamma~ = b1 b2 p1 p2 / (b2 p2 (H^2 + x^2) + b1 p1 (H^2 + (D-x)^2))
 
 which never underestimates the true value (gamma~ >= gamma).  At fixed
-powers the surrogate peaks at x0 = D b1 p1 / (b1 p1 + b2 p2); clamping
-x0 to the allowed band [d1, d2] splits the joint problem into three
-cases (x0 interior, pinned left, pinned right), each with a concave or
+powers the surrogate peaks at x_free = D b1 p1 / (b1 p1 + b2 p2); clamping
+x_free to the allowed band [d1, d2] splits the joint problem into three
+cases (x_free interior, pinned left, pinned right), each with a concave or
 convex one-dimensional power problem that is solved in closed form or
 with a short golden-section search.  The best case by surrogate value is
 re-scored with the exact SNR.
@@ -62,33 +62,33 @@ def unconstrained_location(
 ) -> tuple[float, float]:
     """Surrogate-optimal offset ignoring the band, and its clamp to [d1, d2].
 
-    x0 = D b1 p1 / (b1 p1 + b2 p2); the surrogate is unimodal in x, so
-    the clamp is optimal whenever x0 leaves the band.
+    x_free = D b1 p1 / (b1 p1 + b2 p2); the surrogate is unimodal in x, so
+    the clamp is optimal whenever x_free leaves the band.
     """
     weight = scn.beta1 * powers.p1 + scn.beta2 * powers.p2
     if weight == 0.0:
-        x0 = 0.5 * scn.D
+        x_free = 0.5 * scn.D
     else:
-        x0 = scn.D * scn.beta1 * powers.p1 / weight
-    return x0, min(max(x0, scn.d1), scn.d2)
+        x_free = scn.D * scn.beta1 * powers.p1 / weight
+    return x_free, min(max(x_free, scn.d1), scn.d2)
 
 
 def _crossing_power(scn: FreeSpaceScenario, d: float) -> float:
-    # the p1 at which the unconstrained offset x0(p1) crosses the band edge d,
+    # the p1 at which the unconstrained offset x_free(p1) crosses the band edge d,
     # at most p_total: on tiny budgets the quotient can round above it
     pt = scn.p_total
     return min(d * scn.beta2 * pt / ((scn.D - d) * scn.beta1 + d * scn.beta2), pt)
 
 
 def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
-    """Interior case: the clamp is inactive and x tracks x0(p1).
+    """Interior case: the clamp is inactive and x tracks x_free(p1).
 
     Equal reference gains admit a closed form (an even split clamped to
     the feasible power interval); unequal gains leave a scalar convex
     problem solved by golden-section search.
     """
     pt = scn.p_total
-    # the p1 range on which x0(p1) stays inside [d1, d2]
+    # the p1 range on which x_free(p1) stays inside [d1, d2]
     lo = max(_crossing_power(scn, scn.d1), 0.0)
     hi = _crossing_power(scn, scn.d2)
     if lo > hi:
@@ -131,10 +131,10 @@ def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
     )
 
 
-def _edge_power_optimum(
-    scn: FreeSpaceScenario, x_edge: float, p_lo: float, p_hi: float
-) -> tuple[float, str]:
-    """Maximise the surrogate in p1 with the offset pinned at a band edge.
+def _pinned_edge_case(
+    scn: FreeSpaceScenario, condition: str, x_edge: float, p_lo: float, p_hi: float
+) -> HighSnrCaseReport:
+    """Maximise the surrogate over p1 in [p_lo, p_hi] with x pinned at a band edge.
 
     At fixed x the surrogate is b1 b2 p1 (pt - p1) / (K p1 + b2 D1 pt)
     with K = b1 D2 - b2 D1, which is concave in p1.  Matched cross gains
@@ -148,30 +148,23 @@ def _edge_power_optimum(
     cross1 = scn.beta1 * (h_sq + (scn.D - x_edge) * (scn.D - x_edge))
     cross2 = scn.beta2 * (h_sq + x_edge * x_edge)
     if abs(cross1 - cross2) <= 1e-12 * max(cross1, cross2):
-        return min(max(0.5 * pt, p_lo), p_hi), "matched-cross-gains"
-    root2 = math.sqrt(cross2)
-    p_star = pt * root2 / (math.sqrt(cross1) + root2)
-    return min(max(p_star, p_lo), p_hi), "unmatched-cross-gains"
+        p1, case = 0.5 * pt, "matched-cross-gains"
+    else:
+        root2 = math.sqrt(cross2)
+        p1, case = pt * root2 / (math.sqrt(cross1) + root2), "unmatched-cross-gains"
+    p1 = min(max(p1, p_lo), p_hi)
+    powers = PowerSplit(p1, pt - p1)
+    return HighSnrCaseReport(condition, case, x_edge, powers, gamma_tilde(scn, x_edge, powers))
 
 
 def solve_condition2(scn: FreeSpaceScenario) -> HighSnrCaseReport:
-    """Left-edge case: x pinned at d1, feasible whenever x0(p1) <= d1."""
-    pt = scn.p_total
-    p1, case = _edge_power_optimum(scn, scn.d1, 0.0, _crossing_power(scn, scn.d1))
-    powers = PowerSplit(p1, pt - p1)
-    return HighSnrCaseReport(
-        "II", case, scn.d1, powers, gamma_tilde(scn, scn.d1, powers),
-    )
+    """Left-edge case: x pinned at d1, feasible whenever x_free(p1) <= d1."""
+    return _pinned_edge_case(scn, "II", scn.d1, 0.0, _crossing_power(scn, scn.d1))
 
 
 def solve_condition3(scn: FreeSpaceScenario) -> HighSnrCaseReport:
-    """Right-edge case: x pinned at d2, feasible whenever x0(p1) >= d2."""
-    pt = scn.p_total
-    p1, case = _edge_power_optimum(scn, scn.d2, _crossing_power(scn, scn.d2), pt)
-    powers = PowerSplit(p1, pt - p1)
-    return HighSnrCaseReport(
-        "III", case, scn.d2, powers, gamma_tilde(scn, scn.d2, powers),
-    )
+    """Right-edge case: x pinned at d2, feasible whenever x_free(p1) >= d2."""
+    return _pinned_edge_case(scn, "III", scn.d2, _crossing_power(scn, scn.d2), scn.p_total)
 
 
 def high_snr_solve(scn: FreeSpaceScenario, blk: BlocklengthParams) -> SolveResult:

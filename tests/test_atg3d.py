@@ -271,15 +271,6 @@ def test_bcd3d_dominates_fixed_height():
     assert max(margins) > 0.0
 
 
-def test_bcd3d_custom_start():
-    scn = make_atg3d("urban")
-    res = bcd_solve_3d(scn, x0=180.0, height0=150.0, powers0=PowerSplit(1.0, 3.0))
-    want = BCD3D_REFERENCE["urban"][3]
-    assert res.snr == pytest.approx(want, rel=1e-4)
-    with pytest.raises(ValueError):
-        bcd_solve_3d(scn, x0=5.0, height0=50.0)
-
-
 GOLDEN_SOLVES = Path(__file__).resolve().parent / "golden" / "atg3d_solves.json"
 SOLVERS_3D = {
     "bcd": bcd_solve_3d,

@@ -208,21 +208,6 @@ def test_bcd_monotone_on_random_scenarios(rng):
         )
 
 
-def test_bcd_custom_start(freespace_scn, blk):
-    res = bcd_solve(freespace_scn, blk, x0=160.0, powers0=PowerSplit(0.5, 3.5))
-    assert res.snr == pytest.approx(10.0402303484, rel=1e-8)
-
-
-def test_bcd_rejects_bad_start(freespace_scn, blk):
-    with pytest.raises(ValueError):
-        bcd_solve(freespace_scn, blk, x0=10.0)
-    with pytest.raises(ValueError):
-        bcd_solve(freespace_scn, blk, powers0=PowerSplit(3.0, 3.0))  # over budget
-    # spending less than the whole budget is a legal starting point
-    res = bcd_solve(freespace_scn, blk, powers0=PowerSplit(1.0, 1.0))
-    assert res.snr == pytest.approx(10.0402303484, rel=1e-8)
-
-
 GOLDEN_SOLVES = Path(__file__).resolve().parent / "golden" / "freespace_solves.json"
 SOLVERS_2D = {
     "bcd": bcd_solve,
