@@ -31,16 +31,34 @@ EXIT_CONFIG_ERROR = 2
 EXIT_PARTIAL_FAILURE = 3
 
 
-def _fail_config(detail: str) -> None:
-    click.echo(json.dumps({"error": "config", "detail": detail}), err=True)
-    sys.exit(EXIT_CONFIG_ERROR)
-
-
-def _load(config_path: str):
+def _exit_unusable(call, *args, **kwargs):
+    # unusable input exits 2 with one JSON line; a bare `uavrelay`, which
+    # click raises as a usage error too, still prints its help
     try:
-        return load_config(config_path)
-    except ConfigError as exc:
-        _fail_config(str(exc))
+        return call(*args, **kwargs)
+    except click.exceptions.NoArgsIsHelpError:
+        raise
+    except (click.UsageError, ConfigError) as exc:
+        detail = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
+        click.echo(json.dumps({"error": "config", "detail": detail}), err=True)
+        sys.exit(EXIT_CONFIG_ERROR)
+
+
+class _Group(click.Group):
+    """A click group whose usage and config errors share one exit-2 handler."""
+
+    def make_context(self, *args, **kwargs):
+        return _exit_unusable(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _exit_unusable(super().invoke, ctx)
+
+
+def _write(write, *args) -> None:
+    try:
+        write(*args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
 
 
 def _override_solvers(config, solver_option: str | None):
@@ -48,11 +66,8 @@ def _override_solvers(config, solver_option: str | None):
         return config
     names = tuple(s.strip() for s in solver_option.split(",") if s.strip())
     if not names:
-        _fail_config("--solver override is empty")
-    try:
-        check_solvers(config.model, names)
-    except ConfigError as exc:
-        _fail_config(str(exc))
+        raise ConfigError("--solver override is empty")
+    check_solvers(config.model, names)
     return replace(config, solvers=names)
 
 
@@ -65,16 +80,13 @@ def _parse_grid(config, grid_option: str | None):
         if not part:
             continue
         if "=" not in part:
-            _fail_config(f"bad --grid entry {part!r}; expected axis=points")
+            raise ConfigError(f"bad --grid entry {part!r}; expected axis=points")
         axis, _, num = part.partition("=")
         try:
             counts[f"{axis}_points"] = int(num)
         except ValueError:
-            _fail_config(f"bad --grid point count {num!r}")
-    try:
-        return replace(config, grid=build_grid(config.model, counts))
-    except ConfigError as exc:
-        _fail_config(str(exc))
+            raise ConfigError(f"bad --grid point count {num!r}") from None
+    return replace(config, grid=build_grid(config.model, counts))
 
 
 def _emit(config, outcome, out_option: str | None, trace_option: str | None) -> None:
@@ -83,11 +95,11 @@ def _emit(config, outcome, out_option: str | None, trace_option: str | None) -> 
         json_path = config.output_json
     else:
         json_path = os.path.splitext(csv_path)[0] + ".json"
-    write_rows_csv(outcome.rows, csv_path)
-    write_rows_json(outcome.rows, json_path)
+    _write(write_rows_csv, outcome.rows, csv_path)
+    _write(write_rows_json, outcome.rows, json_path)
     trace_path = trace_option or config.output_trace
     if trace_path:
-        write_traces_json(outcome.traces, trace_path)
+        _write(write_traces_json, outcome.traces, trace_path)
     click.echo(f"wrote {csv_path} and {json_path} ({len(outcome.rows)} data rows)")
     if outcome.failures:
         click.echo(f"{outcome.failures} solver run(s) failed", err=True)
@@ -112,7 +124,7 @@ _SOLVER_OPT = click.option(
 )
 
 
-@click.group()
+@click.group(cls=_Group)
 def main() -> None:
     """Relay placement and power-split optimisation experiments."""
 
@@ -124,7 +136,7 @@ def main() -> None:
 @_SOLVER_OPT
 def solve(config_path, out_path, trace_path, solver_option) -> None:
     """Run the configured solvers on the base scenario (no sweep)."""
-    config = _load(config_path)
+    config = load_config(config_path)
     config = _override_solvers(config, solver_option)
     config = replace(config, sweep_parameter=None, sweep_values=())
     _emit(config, run_experiment(config), out_path, trace_path)
@@ -137,9 +149,9 @@ def solve(config_path, out_path, trace_path, solver_option) -> None:
 @_SOLVER_OPT
 def sweep(config_path, out_path, trace_path, solver_option) -> None:
     """Run the configured solvers over the configured sweep."""
-    config = _load(config_path)
+    config = load_config(config_path)
     if config.sweep_parameter is None:
-        _fail_config("sweep subcommand requires a sweep section in the config")
+        raise ConfigError("sweep subcommand requires a sweep section in the config")
     config = _override_solvers(config, solver_option)
     _emit(config, run_experiment(config), out_path, trace_path)
 
@@ -153,13 +165,10 @@ def sweep(config_path, out_path, trace_path, solver_option) -> None:
               help="Sample spacing (default from config, else 1 m).")
 def profile(config_path, out_path, axis, step) -> None:
     """Emit SNR profile curves for the air-to-ground model."""
-    config = _load(config_path)
-    try:
-        coord_name, rows = profile_curves(config, axis, step)
-    except ConfigError as exc:
-        _fail_config(str(exc))
+    config = load_config(config_path)
+    coord_name, rows = profile_curves(config, axis, step)
     csv_path = out_path or config.output_csv or "profile.csv"
-    write_profile_csv(coord_name, rows, csv_path)
+    _write(write_profile_csv, coord_name, rows, csv_path)
     click.echo(f"wrote {csv_path} ({len(rows)} samples)")
 
 
@@ -171,7 +180,7 @@ def profile(config_path, out_path, axis, step) -> None:
               help="Grid densities, e.g. 'x=2000,p1=2000' or 'x=200,h=200,p1=200'.")
 def oracle(config_path, out_path, trace_path, grid_option) -> None:
     """Run the exhaustive reference search on the base scenario."""
-    config = _load(config_path)
+    config = load_config(config_path)
     config = _parse_grid(config, grid_option)
     config = replace(
         config, solvers=("exhaustive",), sweep_parameter=None, sweep_values=()

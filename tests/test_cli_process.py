@@ -156,3 +156,42 @@ def test_runaway_numbers_exit_2_with_one_json_line(tmp_path, args):
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
     assert json.loads(lines[0])["error"] == "config"
+
+
+FREESPACE = ["--config", str(CONFIGS / "freespace.json")]
+
+
+@pytest.mark.parametrize("args", [
+    PROFILE + ["--step", "abc"],
+    ["solve", "--bogus"],
+    ["bogus"],
+    ["solve"],
+    PROFILE + ["--axis", "z"],
+    ["solve", "--config", "{tmp}"],
+    ["solve", "--config", "{tmp}/latin-1.json"],
+    ["solve", *FREESPACE, "--out", "{tmp}/missing/r.csv"],
+    ["profile", "--config", str(CONFIGS / "atg3d_height_profile.json"),
+     "--out", "{tmp}/missing/p.csv"],
+], ids=["step-abc", "unknown-flag", "unknown-command", "no-config", "axis-z",
+        "config-is-a-directory", "config-not-utf-8", "out-dir-missing",
+        "profile-out-dir-missing"])
+def test_unusable_input_exits_2_with_one_json_line(tmp_path, args):
+    # click's usage errors, unreadable configs and unwritable outputs take
+    # the same way out as a bad config value
+    (tmp_path / "latin-1.json").write_bytes('{"scenario_id": "café"}'.encode("latin-1"))
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+    done = subprocess.run([sys.executable, "-m", "uavrelay.cli", *args], cwd=tmp_path,
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert json.loads(lines[0])["error"] == "config"
+
+
+def test_bare_command_prints_its_help(tmp_path):
+    done = subprocess.run([sys.executable, "-m", "uavrelay.cli"], cwd=tmp_path,
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    assert "Usage:" in done.stdout + done.stderr
+    for command in ("solve", "sweep", "profile", "oracle"):
+        assert command in done.stdout + done.stderr
