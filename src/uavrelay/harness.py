@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .atg3d import Atg3dScenario, _gamma, bcd_solve_3d
 from .channels import AtgEnvironment
@@ -27,12 +27,6 @@ from .oracle import (
     fixed_height_baseline,
     fixed_location_baseline,
     fixed_power_baseline,
-)
-
-CSV_COLUMNS = (
-    "scenario_id", "solver", "sweep_parameter", "sweep_value",
-    "x_m", "height_m", "p1_w", "p2_w", "snr", "error_prob",
-    "iterations", "status", "wall_time_s",
 )
 
 
@@ -54,14 +48,12 @@ class ResultRow:
     status: str
     wall_time_s: float
 
-    def csv_fields(self) -> list[str]:
-        def cell(v):
-            return "" if v is None else str(v)
-
-        return [cell(getattr(self, name)) for name in CSV_COLUMNS]
-
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
+
+
+# the CSV and JSON columns, in ResultRow's field order
+CSV_COLUMNS = tuple(field.name for field in fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -152,7 +144,7 @@ def write_rows_csv(rows, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow(row.csv_fields())
+            writer.writerow("" if v is None else str(v) for v in row.as_dict().values())
 
 
 def write_rows_json(rows, path: str) -> None:

@@ -1,19 +1,28 @@
-"""The library names the benchmark under ``bench/`` wraps or reads.
+"""The library names and call shapes the benchmark under ``bench/`` uses.
 
 ``bench/tracing.py`` replaces module attributes such as
-``uavrelay.harness.bcd_solve`` with timing wrappers, and the benchmark
-workers read a few constants.  Renaming or dropping one of them would
-crash a benchmark run; this test makes it fail here instead.
+``uavrelay.harness.bcd_solve`` with timing wrappers, the benchmark
+workers read a few constants, ``bench/batch_worker.py`` calls the solvers
+and ``bench/cli_child.py`` runs the click command.  Renaming, dropping or
+re-shaping one of them would crash a benchmark run; these tests make it
+fail here instead.
 """
 
+import importlib
 import importlib.util
+import json
 from pathlib import Path
 
+import pytest
+
+import uavrelay
 from uavrelay import atg3d, cli, freespace, harness, oracle
 
 from conftest import make_atg3d
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -64,3 +73,33 @@ def test_constants_the_benchmark_reads():
     assert isinstance(freespace.BCD_REL_TOL, float)
     assert isinstance(oracle.DEFAULT_POINTS_2D, int)
     assert isinstance(oracle.DEFAULT_POINTS_3D, int)
+
+
+@pytest.mark.parametrize("workload", ["freespace-batch", "atg3d-batch"])
+def test_batch_operations_pass_the_gate(monkeypatch, workload):
+    # the solves of bench/batch_worker.py on draws of bench/gen.py
+    monkeypatch.syspath_prepend(str(BENCH))
+    batch_worker = importlib.import_module("batch_worker")
+    check = importlib.import_module("check")
+    make, build = batch_worker.GENERATORS[workload]
+    draws = make(0, 4)
+    op = batch_worker.operation(workload, build(uavrelay, draws))
+    gate = check.Gate(workload, draws, None)
+    for i in range(len(draws)):
+        assert gate.check(i, op(i)), gate.problems
+
+
+def test_cli_runs_as_the_benchmark_calls_it(tmp_path):
+    # bench/cli_child.py calls the click command's main in this shape
+    def run(config):
+        return cli.main.main(args=["solve", "--config", str(config), "--solver", "bcd",
+                                   "--out", str(tmp_path / "r.csv")],
+                             prog_name="uavrelay", standalone_mode=False)
+
+    run(ROOT / "configs" / "freespace.json")
+    assert (tmp_path / "r.csv").exists()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema_version": 1}))
+    with pytest.raises(SystemExit) as exc:
+        run(bad)
+    assert exc.value.code == 2
