@@ -7,7 +7,8 @@ guarded golden-section line searches, while the power block keeps the
 closed form.  ``coordinate_ascent`` cycles the blocks power -> height ->
 offset; the baselines cycle a subset of them.  The gains along the
 current height line and offset line are kept, so each is evaluated once
-per solve, and the outputs are the same floats as without the memo.
+per solve, and a line search that a solve repeats returns its kept
+result; the outputs are the same floats as without either.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .search import line_search_max
 
 # Line-search interval target relative to the searched span.
 LINE_SEARCH_RTOL = 1e-4
+# radians to degrees: the double that math.degrees multiplies by
+_DEGREES = 180.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -101,8 +104,8 @@ def hop_gains_3d(scn: Atg3dScenario, x: float, height: float) -> tuple[float, fl
         raise ValueError(f"x = {x} outside the ground segment [0, {D}]")
     # height > 0 and x in [0, D] keep both angles inside (0, 90] degrees
     x2 = D - x
-    theta1 = math.degrees(math.atan2(height, x))
-    theta2 = math.degrees(math.atan2(height, x2))
+    theta1 = math.atan2(height, x) * _DEGREES
+    theta2 = math.atan2(height, x2) * _DEGREES
     r1 = math.hypot(x, height)
     r2 = math.hypot(x2, height)
     s1 = 1.0 / (1.0 + a1 * math.exp(-b1 * (theta1 - a1)))
@@ -128,7 +131,10 @@ class _GainMemo:
     x.  A line starts afresh when its fixed coordinate changes, holding
     only the point where it crosses the other line.  The gains do not
     depend on the powers, so a stored pair is exactly the pair that
-    hop_gains_3d returns for that point.
+    hop_gains_3d returns for that point.  The SNR along a line uses
+    _gamma's float expression, and a miss calls hop_gains_3d by its module
+    global at call time, so a wrapper installed on it sees every real
+    evaluation.
     """
 
     def __init__(self, scn: Atg3dScenario):
@@ -150,14 +156,29 @@ class _GainMemo:
 
     def along_height(self, x: float, powers: PowerSplit):
         """The SNR at (x, t) as a function of the height t."""
-        scn = self.scn
-        return _line_snr(self._height_line(x), lambda t: hop_gains_3d(scn, x, t), powers)
+        scn, line, p1, p2 = self.scn, self._height_line(x), powers.p1, powers.p2
+
+        def snr(t):
+            gains = line.get(t)
+            if gains is None:
+                gains = line[t] = hop_gains_3d(scn, x, t)
+            h1, h2 = gains
+            return (h1 * h2 * p1 * p2) / (h2 * p2 + h1 * p1 + 1.0)
+
+        return snr
 
     def along_offset(self, height: float, powers: PowerSplit):
         """The SNR at (t, height) as a function of the offset t."""
-        scn = self.scn
-        return _line_snr(self._offset_line(height), lambda t: hop_gains_3d(scn, t, height),
-                         powers)
+        scn, line, p1, p2 = self.scn, self._offset_line(height), powers.p1, powers.p2
+
+        def snr(t):
+            gains = line.get(t)
+            if gains is None:
+                gains = line[t] = hop_gains_3d(scn, t, height)
+            h1, h2 = gains
+            return (h1 * h2 * p1 * p2) / (h2 * p2 + h1 * p1 + 1.0)
+
+        return snr
 
     def gains(self, x: float, height: float) -> tuple[float, float]:
         """The gains at one point, kept on the offset line."""
@@ -166,22 +187,6 @@ class _GainMemo:
         if pair is None:
             pair = line[x] = hop_gains_3d(self.scn, x, height)
         return pair
-
-
-def _line_snr(line: dict, gain, powers: PowerSplit):
-    # the SNR along one memo line, with _gamma's float expression; gain(t)
-    # calls hop_gains_3d by its module global at call time, so a wrapper
-    # installed on it sees every real evaluation
-    p1, p2 = powers.p1, powers.p2
-
-    def snr(t):
-        gains = line.get(t)
-        if gains is None:
-            gains = line[t] = gain(t)
-        h1, h2 = gains
-        return (h1 * h2 * p1 * p2) / (h2 * p2 + h1 * p1 + 1.0)
-
-    return snr
 
 
 def _search(snr, lo: float, hi: float) -> float:
@@ -205,9 +210,20 @@ def _ascent_blocks(scn: Atg3dScenario):
 
     The power block is exact.  The two line-search blocks only replace
     the incumbent coordinate when that does not lower the SNR, so any
-    cycle of these blocks gives a non-decreasing trace.
+    cycle of these blocks gives a non-decreasing trace.  A search's result
+    depends only on its line and the powers (the bounds are the box's), so
+    each block keeps its results keyed by the fixed coordinate, p1 and p2,
+    and a search that repeats returns the kept float.
     """
     memo = _GainMemo(scn)
+    best_heights, best_offsets = {}, {}
+
+    def kept_search(kept, fixed, powers, snr, lo, hi):
+        key = (fixed, powers.p1, powers.p2)
+        best = kept.get(key)
+        if best is None:
+            best = kept[key] = _search(snr, lo, hi)
+        return best
 
     def score(state):
         x, height, powers = state
@@ -220,7 +236,7 @@ def _ascent_blocks(scn: Atg3dScenario):
     def height_block(state):
         x, height, powers = state
         snr = memo.along_height(x, powers)
-        new_height = _search(snr, scn.h_min, scn.h_max)
+        new_height = kept_search(best_heights, x, powers, snr, scn.h_min, scn.h_max)
         if snr(new_height) >= snr(height):
             return x, new_height, powers
         return state
@@ -228,7 +244,7 @@ def _ascent_blocks(scn: Atg3dScenario):
     def offset_block(state):
         x, height, powers = state
         snr = memo.along_offset(height, powers)
-        new_x = _search(snr, scn.d1, scn.d2)
+        new_x = kept_search(best_offsets, height, powers, snr, scn.d1, scn.d2)
         if snr(new_x) >= snr(x):
             return new_x, height, powers
         return state

@@ -89,15 +89,34 @@ def _parse_grid(config, grid_option: str | None):
     return replace(config, grid=build_grid(config.model, counts))
 
 
-def _emit(config, outcome, out_option: str | None, trace_option: str | None) -> None:
+def _check_outputs(*paths: str) -> None:
+    # refuse, before the run, what is sure to fail at the write or to
+    # overwrite another output of the same run
+    seen: dict[str, str] = {}
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"output path {path!r} is a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise ConfigError(f"output directory {parent!r} of {path!r} does not exist")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"outputs {seen[real]!r} and {path!r} are the same file")
+        seen[real] = path
+
+
+def _emit(config, out_option: str | None, trace_option: str | None) -> None:
+    """Check the output paths, run the experiment and write its outputs."""
     csv_path = out_option or config.output_csv or "results.csv"
     if out_option is None and config.output_json:
         json_path = config.output_json
     else:
         json_path = os.path.splitext(csv_path)[0] + ".json"
+    trace_path = trace_option or config.output_trace
+    _check_outputs(csv_path, json_path, *([trace_path] if trace_path else []))
+    outcome = run_experiment(config)
     _write(write_rows_csv, outcome.rows, csv_path)
     _write(write_rows_json, outcome.rows, json_path)
-    trace_path = trace_option or config.output_trace
     if trace_path:
         _write(write_traces_json, outcome.traces, trace_path)
     click.echo(f"wrote {csv_path} and {json_path} ({len(outcome.rows)} data rows)")
@@ -139,7 +158,7 @@ def solve(config_path, out_path, trace_path, solver_option) -> None:
     config = load_config(config_path)
     config = _override_solvers(config, solver_option)
     config = replace(config, sweep_parameter=None, sweep_values=())
-    _emit(config, run_experiment(config), out_path, trace_path)
+    _emit(config, out_path, trace_path)
 
 
 @main.command()
@@ -153,7 +172,7 @@ def sweep(config_path, out_path, trace_path, solver_option) -> None:
     if config.sweep_parameter is None:
         raise ConfigError("sweep subcommand requires a sweep section in the config")
     config = _override_solvers(config, solver_option)
-    _emit(config, run_experiment(config), out_path, trace_path)
+    _emit(config, out_path, trace_path)
 
 
 @main.command()
@@ -166,8 +185,9 @@ def sweep(config_path, out_path, trace_path, solver_option) -> None:
 def profile(config_path, out_path, axis, step) -> None:
     """Emit SNR profile curves for the air-to-ground model."""
     config = load_config(config_path)
-    coord_name, rows = profile_curves(config, axis, step)
     csv_path = out_path or config.output_csv or "profile.csv"
+    _check_outputs(csv_path)
+    coord_name, rows = profile_curves(config, axis, step)
     _write(write_profile_csv, coord_name, rows, csv_path)
     click.echo(f"wrote {csv_path} ({len(rows)} samples)")
 
@@ -185,7 +205,7 @@ def oracle(config_path, out_path, trace_path, grid_option) -> None:
     config = replace(
         config, solvers=("exhaustive",), sweep_parameter=None, sweep_values=()
     )
-    _emit(config, run_experiment(config), out_path, trace_path)
+    _emit(config, out_path, trace_path)
 
 
 if __name__ == "__main__":

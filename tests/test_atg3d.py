@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavrelay import (
     ATG_PRESETS,
@@ -364,6 +366,55 @@ def test_memo_evaluates_each_point_once_per_line_search(monkeypatch):
     for evaluated in per_search:
         assert len(set(evaluated)) == len(evaluated)
     assert len(points) <= 0.65 * pinned
+
+
+# line searches of the golden solves; 505 before each solve kept its
+# search results, when a stalled last cycle searched its lines again
+GOLDEN_LINE_SEARCHES = 435
+
+
+def test_no_line_search_repeats_within_a_solve(monkeypatch):
+    # each search is tagged with its line (axis and fixed coordinate), its
+    # powers and its bounds; within one solve no tag may appear twice
+    real_height, real_offset = atg3d._GainMemo.along_height, atg3d._GainMemo.along_offset
+    real_search = atg3d.line_search_max
+    lines = {}
+    searches = []
+
+    def tagged(along, axis):
+        def wrapper(memo, fixed, powers):
+            snr = along(memo, fixed, powers)
+            lines[snr] = (axis, fixed, powers.p1, powers.p2)
+            return snr
+        return wrapper
+
+    def search(f, lo, hi, tol):
+        searches.append((*lines[f], lo, hi))
+        return real_search(f, lo, hi, tol)
+
+    monkeypatch.setattr(atg3d._GainMemo, "along_height", tagged(real_height, "height"))
+    monkeypatch.setattr(atg3d._GainMemo, "along_offset", tagged(real_offset, "offset"))
+    monkeypatch.setattr(atg3d, "line_search_max", search)
+    total = 0
+    for name, scn in golden_scenarios().items():
+        for solver, solve in SOLVERS_3D.items():
+            searches.clear()
+            solve(scn)
+            assert len(set(searches)) == len(searches), (name, solver)
+            total += len(searches)
+    assert total == GOLDEN_LINE_SEARCHES
+
+
+@settings(derandomize=True, deadline=None, max_examples=2000)
+@given(t=st.floats(0.0, math.pi / 2))
+@example(t=0.0)
+@example(t=-0.0)
+@example(t=5e-324)
+@example(t=2.225073858507201e-308)
+@example(t=math.pi / 2)
+def test_degrees_constant_matches_math_degrees(t):
+    # hop_gains_3d converts its elevation angles with this product
+    assert (t * atg3d._DEGREES).hex() == math.degrees(t).hex()
 
 
 def test_memo_keys_are_exact(blk):

@@ -5,7 +5,9 @@
 workers read a few constants, ``bench/batch_worker.py`` calls the solvers
 and ``bench/cli_child.py`` runs the click command.  Renaming, dropping or
 re-shaping one of them would crash a benchmark run; these tests make it
-fail here instead.
+fail here instead.  The batch solves are also checked against the
+digests the benchmark stores for its seed-0 pools, so a change of their
+floats fails here before a benchmark run.
 """
 
 import importlib
@@ -75,17 +77,24 @@ def test_constants_the_benchmark_reads():
     assert isinstance(oracle.DEFAULT_POINTS_3D, int)
 
 
+# the first draws of each seed-0 pool that the test below solves and checks
+CHECKED_DRAWS = {"freespace-batch": 256, "atg3d-batch": 48}
+
+
 @pytest.mark.parametrize("workload", ["freespace-batch", "atg3d-batch"])
 def test_batch_operations_pass_the_gate(monkeypatch, workload):
-    # the solves of bench/batch_worker.py on draws of bench/gen.py
+    # the solves of bench/batch_worker.py on the first draws of its seed-0
+    # pool, against the invariants and the digests stored in bench/refs/;
+    # the draws' strata depend on the pool size, so the whole pool is drawn
     monkeypatch.syspath_prepend(str(BENCH))
     batch_worker = importlib.import_module("batch_worker")
     check = importlib.import_module("check")
     make, build = batch_worker.GENERATORS[workload]
-    draws = make(0, 4)
-    op = batch_worker.operation(workload, build(uavrelay, draws))
-    gate = check.Gate(workload, draws, None)
-    for i in range(len(draws)):
+    draws = make(0, batch_worker.POOL_SIZE[workload])
+    checked = CHECKED_DRAWS[workload]
+    op = batch_worker.operation(workload, build(uavrelay, draws[:checked]))
+    gate = check.Gate(workload, draws, batch_worker.stored_digests(workload, 0))
+    for i in range(checked):
         assert gate.check(i, op(i)), gate.problems
 
 

@@ -189,6 +189,34 @@ def test_unusable_input_exits_2_with_one_json_line(tmp_path, args):
     assert json.loads(lines[0])["error"] == "config"
 
 
+SWEEP_ATG = ["sweep", "--config", str(CONFIGS / "atg3d_environments.json")]
+
+
+@pytest.mark.parametrize("args, named", [
+    (SWEEP_ATG + ["--out", "{tmp}/r.json"], "r.json"),
+    (SWEEP_ATG + ["--out", "{tmp}/r.csv", "--trace", "{tmp}/r.csv"], "r.csv"),
+    (SWEEP_ATG + ["--out", "{tmp}/r.csv", "--trace", "{tmp}/missing/t.json"], "missing"),
+    (SWEEP_ATG + ["--out", "{tmp}/r.csv", "--trace", "{tmp}/adir"], "adir"),
+    (PROFILE + ["--step", "nan", "--out", "{tmp}/adir"], "adir"),
+], ids=["json-mirror-is-the-csv", "trace-is-the-csv", "trace-dir-missing",
+        "trace-is-a-directory", "profile-out-before-the-curves"])
+def test_unusable_outputs_exit_2_before_the_run(tmp_path, args, named):
+    # every output path is checked before the solve (or the profile
+    # curves): one JSON line naming the output, exit 2 and no file written
+    (tmp_path / "adir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+    done = subprocess.run([sys.executable, "-m", "uavrelay.cli", *args], cwd=tmp_path,
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    diagnostic = json.loads(lines[0])
+    assert diagnostic["error"] == "config"
+    assert named in diagnostic["detail"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_bare_command_prints_its_help(tmp_path):
     done = subprocess.run([sys.executable, "-m", "uavrelay.cli"], cwd=tmp_path,
                           env=src_env(), capture_output=True, text=True, timeout=60)
