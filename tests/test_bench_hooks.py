@@ -10,6 +10,7 @@ digests the benchmark stores for its seed-0 pools, so a change of their
 floats fails here before a benchmark run.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -20,7 +21,7 @@ import pytest
 import uavrelay
 from uavrelay import atg3d, cli, freespace, harness, oracle
 
-from conftest import make_atg3d
+from conftest import make_atg3d, solve_record
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -96,6 +97,30 @@ def test_batch_operations_pass_the_gate(monkeypatch, workload):
     gate = check.Gate(workload, draws, batch_worker.stored_digests(workload, 0))
     for i in range(checked):
         assert gate.check(i, op(i)), gate.problems
+
+
+# sha256 over the exact floats of the four free-space solves on the first
+# PINNED_DRAWS draws of the seed-0 pool; the stored digests above keep
+# only nine significant digits, this keeps every bit
+PINNED_DRAWS = 512
+PINNED_SHA256 = "c016453742ebcae38e166d17b65575d0d8fe0fcbc25e54e8201bbe7c13ab1750"
+
+
+def freespace_batch_sha256(monkeypatch) -> str:
+    monkeypatch.syspath_prepend(str(BENCH))
+    batch_worker = importlib.import_module("batch_worker")
+    make, build = batch_worker.GENERATORS["freespace-batch"]
+    draws = make(0, batch_worker.POOL_SIZE["freespace-batch"])
+    op = batch_worker.operation("freespace-batch", build(uavrelay, draws[:PINNED_DRAWS]))
+    digest = hashlib.sha256()
+    for i in range(PINNED_DRAWS):
+        records = [solve_record(res) for res in op(i)]
+        digest.update(json.dumps(records, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_freespace_batch_is_bit_identical(monkeypatch):
+    assert freespace_batch_sha256(monkeypatch) == PINNED_SHA256
 
 
 def test_cli_runs_as_the_benchmark_calls_it(tmp_path):
