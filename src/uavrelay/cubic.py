@@ -51,11 +51,13 @@ def depressed_real_roots(rho: float, kappa: float) -> list[float]:
     if not (math.isfinite(rho) and math.isfinite(kappa)):
         raise ValueError(f"cubic coefficients must be finite, got rho={rho}, kappa={kappa}")
     try:
-        disc = 4.0 * rho ** 3 + 27.0 * kappa * kappa
-        scale = max(abs(rho) ** 3, kappa * kappa)
+        rho_cubed = rho ** 3
     except OverflowError:
         raise ValueError(f"cubic coefficients overflow: rho={rho} cubed exceeds the "
                          f"float range (kappa={kappa})") from None
+    disc = 4.0 * rho_cubed + 27.0 * kappa * kappa
+    # abs(rho ** 3) is abs(rho) ** 3 bit for bit: the cube is odd
+    scale = max(abs(rho_cubed), kappa * kappa)
     if scale == 0.0:
         return [0.0]
     if abs(disc) <= BOUNDARY_RTOL * scale and rho < 0.0:
@@ -87,4 +89,5 @@ def cubic_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
     rho = (3.0 * a * c - b * b) / (3.0 * a * a)
     kappa = (2.0 * b ** 3 - 9.0 * a * b * c + 27.0 * a * a * d) / (27.0 * a ** 3)
     shift = -b / (3.0 * a)
-    return sorted(t + shift for t in depressed_real_roots(rho, kappa))
+    # rounded addition of one shift never reverses two roots, so they stay ascending
+    return [t + shift for t in depressed_real_roots(rho, kappa)]

@@ -192,9 +192,11 @@ def af_snr(h1: float, h2: float, powers: PowerSplit) -> float:
         h2: noise-normalised power gain of the relay-to-destination hop.
         powers: transmit powers of source and relay.
     """
-    for name, h in (("h1", h1), ("h2", h2)):
-        if not math.isfinite(h) or h < 0.0:
-            raise ValueError(f"{name} must be a finite non-negative gain, got {h}")
+    # chained comparisons: false for NaN, inf and negative gains alike
+    if not 0.0 <= h1 < math.inf:
+        raise ValueError(f"h1 must be a finite non-negative gain, got {h1}")
+    if not 0.0 <= h2 < math.inf:
+        raise ValueError(f"h2 must be a finite non-negative gain, got {h2}")
     p1, p2 = powers.p1, powers.p2
     return (h1 * h2 * p1 * p2) / (h2 * p2 + h1 * p1 + 1.0)
 

@@ -84,7 +84,11 @@ def optimal_power_for_gains(h1: float, h2: float, p_total: float) -> PowerSplit:
     else:
         b = p_total * h2 + 1.0
         p1 = (math.sqrt(b * (b + a * p_total)) - b) / a
-        p1 = min(max(p1, 0.0), p_total)
+        # min(max(p1, 0.0), p_total) without the calls: keeps -0.0 and NaN
+        if p1 < 0.0:
+            p1 = 0.0
+        elif p1 > p_total:
+            p1 = p_total
     return PowerSplit(p1, p_total - p1)
 
 
@@ -94,13 +98,24 @@ def optimal_power_given_x(scn: FreeSpaceScenario, x: float) -> PowerSplit:
     return optimal_power_for_gains(h1, h2, scn.p_total)
 
 
-def _location_objective(scn: FreeSpaceScenario, powers: PowerSplit, x: float) -> float:
-    # Minimising p2 b2 D1(x) + p1 b1 D2(x) + D1(x) D2(x), with
-    # D1 = H^2 + x^2 and D2 = H^2 + (D-x)^2, maximises the SNR at fixed powers.
-    h_sq = scn.H * scn.H
+def _location_objective(h_sq: float, D: float, w1: float, w2: float, x: float) -> float:
+    # Minimising w2 D1(x) + w1 D2(x) + D1(x) D2(x), with D1 = H^2 + x^2,
+    # D2 = H^2 + (D-x)^2 and the power-weighted gains w_i = beta_i p_i,
+    # maximises the SNR at fixed powers.
     dist1 = h_sq + x * x
-    dist2 = h_sq + (scn.D - x) * (scn.D - x)
-    return powers.p2 * scn.beta2 * dist1 + powers.p1 * scn.beta1 * dist2 + dist1 * dist2
+    dist2 = h_sq + (D - x) * (D - x)
+    return w2 * dist1 + w1 * dist2 + dist1 * dist2
+
+
+def _stationary_points(D: float, h_sq: float, w1: float, w2: float) -> list[float]:
+    # real roots of 4 x^3 - 6 D x^2 + c x + d, ascending and de-duplicated
+    c = 2.0 * (D * D + 2.0 * h_sq + w1 + w2)
+    d = -2.0 * D * (h_sq + w1)
+    deduped: list[float] = []
+    for r in cubic_real_roots(4.0, -6.0 * D, c, d):
+        if not deduped or r - deduped[-1] > 1e-9 * D:
+            deduped.append(r)
+    return deduped
 
 
 def cubic_location_candidates(scn: FreeSpaceScenario, powers: PowerSplit) -> list[float]:
@@ -111,17 +126,8 @@ def cubic_location_candidates(scn: FreeSpaceScenario, powers: PowerSplit) -> lis
     d = -2 D (H^2 + beta1 p1).  Roots are de-duplicated and sorted, but
     not filtered to the allowed band.
     """
-    h_sq = scn.H * scn.H
-    a = 4.0
-    b = -6.0 * scn.D
-    c = 2.0 * (scn.D * scn.D + 2.0 * h_sq + scn.beta1 * powers.p1 + scn.beta2 * powers.p2)
-    d = -2.0 * scn.D * (h_sq + scn.beta1 * powers.p1)
-    roots = sorted(cubic_real_roots(a, b, c, d))
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-9 * scn.D:
-            deduped.append(r)
-    return deduped
+    return _stationary_points(scn.D, scn.H * scn.H, scn.beta1 * powers.p1,
+                              scn.beta2 * powers.p2)
 
 
 def optimal_location_given_power(scn: FreeSpaceScenario, powers: PowerSplit) -> float:
@@ -131,12 +137,16 @@ def optimal_location_given_power(scn: FreeSpaceScenario, powers: PowerSplit) -> 
     every stationary point is out of band the better edge wins.  Ties go
     to the smallest offset.
     """
-    candidates = [x for x in cubic_location_candidates(scn, powers) if scn.d1 <= x <= scn.d2]
-    candidates = sorted([scn.d1, scn.d2] + candidates)
+    D, d1, d2 = scn.D, scn.d1, scn.d2
+    h_sq = scn.H * scn.H
+    w1, w2 = scn.beta1 * powers.p1, scn.beta2 * powers.p2
+    # the roots ascend and the in-band ones lie in [d1, d2], so this is
+    # the ascending order of the band edges and the in-band roots
+    candidates = [d1, *[x for x in _stationary_points(D, h_sq, w1, w2) if d1 <= x <= d2], d2]
     best_x = None
     best_obj = math.inf
     for x in candidates:
-        obj = _location_objective(scn, powers, x)
+        obj = _location_objective(h_sq, D, w1, w2, x)
         if obj < best_obj:
             best_x, best_obj = x, obj
     return best_x
@@ -150,16 +160,27 @@ def bcd_solve(scn: FreeSpaceScenario, blk: BlocklengthParams) -> SolveResult:
     as ``coordinate_ascent`` says.
     """
 
+    # a state is (x, h1, h2, powers): the hop gains at x ride along, so each
+    # cycle evaluates them once, after the placement block moves x
+    p_total = scn.p_total
+
     def power_block(state):
-        x, _ = state
-        return x, optimal_power_given_x(scn, x)
+        x, h1, h2, _ = state
+        return x, h1, h2, optimal_power_for_gains(h1, h2, p_total)
 
     def location_block(state):
-        _, powers = state
-        return optimal_location_given_power(scn, powers), powers
+        powers = state[3]
+        x = optimal_location_given_power(scn, powers)
+        h1, h2 = freespace_gains(scn, x)
+        return x, h1, h2, powers
 
-    start = (0.5 * (scn.d1 + scn.d2), PowerSplit.even(scn.p_total))
-    (x, powers), gamma, trace = coordinate_ascent(
-        lambda state: snr_at(scn, *state), start, (power_block, location_block))
+    def score(state):
+        _, h1, h2, powers = state
+        return af_snr(h1, h2, powers)
+
+    x = 0.5 * (scn.d1 + scn.d2)
+    start = (x, *freespace_gains(scn, x), PowerSplit.even(p_total))
+    (x, _, _, powers), gamma, trace = coordinate_ascent(
+        score, start, (power_block, location_block))
     eps = decoding_error_probability(gamma, blk)
     return SolveResult("bcd", x, scn.H, powers, gamma, eps, len(trace), trace)

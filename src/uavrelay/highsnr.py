@@ -105,24 +105,24 @@ def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
         case = "unequal-beta"
         b1, b2 = scn.beta1, scn.beta2
         h_sq = scn.H * scn.H
-        d_sq = scn.D * scn.D
+        cross = b1 * b2 * (scn.D * scn.D)
 
-        def objective(p1: float) -> float:
+        def neg_objective(p1: float) -> float:
+            # minus the convex objective H^2 s / (p1 p2) + b1 b2 D^2 / s,
+            # with s = b1 p1 + b2 p2, so the search maximises it directly
             p2 = pt - p1
             if p1 <= 0.0 or p2 <= 0.0:
-                return math.inf
+                return -math.inf
             s = b1 * p1 + b2 * p2
             if s == 0.0:  # small gains times a small budget underflow to 0
-                return math.inf
+                return -math.inf
             # p1 p2 underflows to 0 on budgets near 1e-200 W while the
             # objective stays finite; divide by one power at a time there
             pp = p1 * p2
             first = h_sq * s / pp if pp > 0.0 else h_sq * s / p1 / p2
-            return first + b1 * b2 * d_sq / s
+            return -(first + cross / s)
 
-        p1, _ = golden_section_max(
-            lambda p: -objective(p), lo, hi, tol=_POWER_SEARCH_RTOL * pt
-        )
+        p1, _ = golden_section_max(neg_objective, lo, hi, tol=_POWER_SEARCH_RTOL * pt)
 
     powers = PowerSplit(p1, pt - p1)
     _, x = unconstrained_location(scn, powers)

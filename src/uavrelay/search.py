@@ -43,18 +43,19 @@ def golden_section_max(
         raise ValueError(f"tolerance must be positive, got {tol}")
     if hi - lo <= tol:
         return _best_of(f, (lo, 0.5 * (lo + hi), hi))
+    inv_phi = _INV_PHI
     a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
         if fc < fd:
             a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
+            d = a + inv_phi * (b - a)
             fd = f(d)
         else:
             b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
+            c = b - inv_phi * (b - a)
             fc = f(c)
     return _best_of(f, (lo, 0.5 * (a + b), hi))
 

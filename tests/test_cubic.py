@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavrelay.cubic import cubic_real_roots, depressed_real_roots
 
@@ -119,3 +121,33 @@ def test_roots_returned_sorted_and_deduplicated(rng):
         assert roots == sorted(roots)
         for u, v in zip(roots, roots[1:]):
             assert v > u
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(rho=st.floats(allow_nan=False, allow_infinity=False))
+@example(rho=5e-324)
+@example(rho=-5e-324)
+@example(rho=2.2250738585072014e-308)
+@example(rho=-1.7e-103)
+@example(rho=5.643803094122362e+102)
+@example(rho=-5.643803094122363e+102)
+def test_abs_of_the_cube_is_the_cube_of_abs(rho):
+    # depressed_real_roots cubes rho once and scales by abs(rho ** 3); the
+    # cube is odd, so that is abs(rho) ** 3 bit for bit, and both overflow
+    # together
+    try:
+        want = abs(rho) ** 3
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            rho ** 3
+        return
+    assert abs(rho ** 3).hex() == want.hex()
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(coeffs=st.tuples(*[st.floats(-1e6, 1e6)] * 3), a=st.floats(0.01, 100.0))
+def test_cubic_roots_ascend(coeffs, a):
+    # the roots come back ascending without a sort: the shift is one rounded
+    # addition, which never reverses two depressed roots
+    roots = cubic_real_roots(a, *coeffs)
+    assert roots == sorted(roots)

@@ -15,9 +15,12 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavrelay import (
     BlocklengthParams,
@@ -38,6 +41,7 @@ from uavrelay import (
     solve_condition2,
     solve_condition3,
 )
+from uavrelay import freespace
 from uavrelay.freespace import BCD_MAX_ITERS, _location_objective
 
 from conftest import random_freespace, rewrite_golden, solve_record
@@ -119,6 +123,42 @@ def test_power_split_invalid_inputs():
         optimal_power_for_gains(1.0, 1.0, 0.0)
 
 
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(raw=st.floats(), p_total=st.floats(5e-324, 1e308), falling=st.booleans())
+@example(raw=0.0, p_total=1.0, falling=False)
+@example(raw=-0.0, p_total=1.0, falling=True)
+@example(raw=math.nan, p_total=1.0, falling=False)
+@example(raw=math.inf, p_total=1.0, falling=False)
+@example(raw=-math.inf, p_total=1.0, falling=True)
+@example(raw=5e-324, p_total=5e-324, falling=False)
+def test_power_clamp_equals_min_of_max(raw, p_total, falling):
+    # optimal_power_for_gains clamps p1 = (sqrt(...) - b) / a with two
+    # comparisons; stub the square root so that the unclamped p1 takes any
+    # value, signed zeros, NaN and infinities included, and compare the
+    # clamp with min(max(p1, 0.0), p_total) bit for bit
+    h1, h2 = (1.0, 2.0) if falling else (2.0, 1.0)
+    a, b = h1 - h2, p_total * h2 + 1.0
+    root = raw * a + b
+    p1 = (root - b) / a
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(freespace, "math", SimpleNamespace(sqrt=lambda v: root))
+        patch.setattr(freespace, "PowerSplit", lambda p1, p2: p1)
+        got = optimal_power_for_gains(h1, h2, p_total)
+    assert got.hex() == min(max(p1, 0.0), p_total).hex()
+
+
+def test_bcd_evaluates_the_gains_once_per_cycle(monkeypatch):
+    # the start point, then one evaluation after each placement block
+    for name, (scn, blk) in golden_scenarios().items():
+        calls = []
+        real = freespace.freespace_gains
+        monkeypatch.setattr(freespace, "freespace_gains",
+                            lambda *args: calls.append(args) or real(*args))
+        res = bcd_solve(scn, blk)
+        monkeypatch.undo()
+        assert len(calls) == res.iterations + 1, name
+
+
 def test_optimal_power_given_x(freespace_scn):
     ps = optimal_power_given_x(freespace_scn, 100.0)
     h1, h2 = freespace_gains(freespace_scn, 100.0)
@@ -138,12 +178,15 @@ def test_cubic_candidates_are_stationary(rng):
     for _ in range(50):
         scn = random_freespace(rng)
         ps = optimal_power_given_x(scn, 0.5 * (scn.d1 + scn.d2))
+        weights = (scn.beta1 * ps.p1, scn.beta2 * ps.p2)
+
+        def objective(x):
+            return _location_objective(scn.H * scn.H, scn.D, *weights, x)
+
         for c in cubic_location_candidates(scn, ps):
             h = 1e-6 * scn.D
-            lo = _location_objective(scn, ps, c - h)
-            hi = _location_objective(scn, ps, c + h)
-            slope = (hi - lo) / (2 * h)
-            mid = _location_objective(scn, ps, c)
+            slope = (objective(c + h) - objective(c - h)) / (2 * h)
+            mid = objective(c)
             assert abs(slope) * h <= 1e-9 * abs(mid)
 
 
