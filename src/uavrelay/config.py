@@ -345,10 +345,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
         output_json=out.get("json"),
         output_trace=out.get("trace"),
     )
-    # build every sweep point once, so an unusable value fails here
+    if config.sweep_parameter is not None and not config.sweep_values:
+        _fail(("sweep", "values"), "a sweep needs at least one value")
+    # build every sweep point once, so an unusable value fails here; a
+    # repeated value (compared with ==, so 2 repeats 2.0) would write its
+    # rows twice under one trace key
     for i, value in enumerate(config.sweep_values):
         path = ("sweep", "values", i)
         _check(value, _SWEEPS[config.sweep_parameter][0], path)
+        first = config.sweep_values.index(value)
+        if first < i:
+            _fail(path, f"sweep value {value!r} repeats sweep/values/{first}")
         try:
             config.point(value)
         except (ValueError, ArithmeticError) as exc:

@@ -86,14 +86,19 @@ SOLVERS = {
 
 
 def check_solvers(model: str, names) -> None:
-    """Raise ConfigError unless every name is a solver of the model."""
+    """Raise ConfigError unless the names are distinct solvers of the model.
+
+    A repeated name would write its rows twice under one trace key.
+    """
     allowed = SOLVERS[model]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in allowed:
             raise ConfigError(
                 f"solver {name!r} is not available for the {model} model "
                 f"(choose from {list(allowed)})"
             )
+        if name in names[:i]:
+            raise ConfigError(f"solvers name {name!r} more than once")
 
 
 def run_experiment(config: ExperimentConfig) -> RunOutcome:

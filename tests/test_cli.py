@@ -186,6 +186,9 @@ def test_solver_override_rejects_unknown(runner, tmp_path):
     cfg = write_config(tmp_path, variant(FREESPACE_RAW, solvers=["bcd"]))
     result = runner.invoke(main, ["solve", "--config", cfg, "--solver", "fixed-height"])
     assert result.exit_code == 2
+    result = runner.invoke(main, ["solve", "--config", cfg, "--solver", "bcd,bcd"])
+    assert result.exit_code == 2
+    assert "solvers name 'bcd' more than once" in result.stderr
 
 
 def test_partial_failure_exit_code(runner, tmp_path, monkeypatch):

@@ -217,6 +217,33 @@ def test_unusable_outputs_exit_2_before_the_run(tmp_path, args, named):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("changes, named", [
+    ({"solvers": ["bcd", "fixed-power", "bcd"]}, ["solvers", "'bcd'"]),
+    ({"sweep": {"parameter": "power_budget_w", "values": [1.0, 2.0, 1.0]}},
+     ["sweep/values/2", "sweep/values/0"]),
+    ({"sweep": {"parameter": "power_budget_w", "values": []}}, ["sweep/values"]),
+], ids=["repeated-solver", "repeated-sweep-value", "empty-sweep"])
+def test_repeats_and_empty_sweeps_exit_2_naming_them(tmp_path, changes, named):
+    # a repeated solver or sweep value would write its rows twice under one
+    # trace key, and an empty sweep a header-only table
+    raw = json.loads((CONFIGS / "freespace.json").read_text())
+    raw.update(changes)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    done = subprocess.run(
+        [sys.executable, "-m", "uavrelay.cli", "sweep", "--config", str(cfg),
+         "--out", str(tmp_path / "r.csv"), "--trace", str(tmp_path / "t.json")],
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    diagnostic = json.loads(lines[0])
+    assert diagnostic["error"] == "config"
+    for name in named:
+        assert name in diagnostic["detail"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_bare_command_prints_its_help(tmp_path):
     done = subprocess.run([sys.executable, "-m", "uavrelay.cli"], cwd=tmp_path,
                           env=src_env(), capture_output=True, text=True, timeout=60)

@@ -204,11 +204,26 @@ def test_sweep_validation():
         ))
 
 
-def test_empty_sweep_values_allowed():
-    cfg = parse_config(variant(
-        FREESPACE_RAW, sweep={"parameter": "total_blocklength", "values": []}
-    ))
-    assert cfg.sweep_values == ()
+def test_empty_sweep_values_refused():
+    with pytest.raises(ConfigError, match="at sweep/values: a sweep needs at least one value"):
+        parse_config(variant(
+            FREESPACE_RAW, sweep={"parameter": "total_blocklength", "values": []}
+        ))
+
+
+def test_repeated_sweep_values_and_solvers_refused():
+    # values compare with ==, so 2 repeats 2.0
+    with pytest.raises(ConfigError, match="at sweep/values/1: .* repeats sweep/values/0"):
+        parse_config(variant(
+            FREESPACE_RAW, sweep={"parameter": "power_budget_w", "values": [2.0, 2]}
+        ))
+    with pytest.raises(ConfigError, match="at sweep/values/2: .* repeats sweep/values/0"):
+        parse_config(variant(
+            ATG3D_RAW, sweep={"parameter": "hop2_environment",
+                              "values": ["urban", "high-rise", "urban"]}
+        ))
+    with pytest.raises(ConfigError, match="solvers name 'bcd' more than once"):
+        parse_config(variant(FREESPACE_RAW, solvers=["bcd", "exhaustive", "bcd"]))
 
 
 def test_grid_points():

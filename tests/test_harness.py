@@ -73,9 +73,10 @@ def test_base_run_without_sweep():
 
 
 def test_empty_sweep_yields_no_rows():
-    cfg = parse_config(variant(
-        FREESPACE_RAW, sweep={"parameter": "total_blocklength", "values": []}
-    ))
+    # parse_config refuses an empty sweep; a config built in code may hold one
+    cfg = dc_replace(parse_config(variant(
+        FREESPACE_RAW, sweep={"parameter": "total_blocklength", "values": [80]}
+    )), sweep_values=())
     outcome = run_experiment(cfg)
     assert outcome.rows == ()
     assert outcome.failures == 0
