@@ -18,7 +18,6 @@ import click
 
 from .config import ConfigError, build_grid, load_config
 from .harness import (
-    check_solvers,
     profile_curves,
     run_experiment,
     write_profile_csv,
@@ -67,7 +66,6 @@ def _override_solvers(config, solver_option: str | None):
     names = tuple(s.strip() for s in solver_option.split(",") if s.strip())
     if not names:
         raise ConfigError("--solver override is empty")
-    check_solvers(config.model, names)
     return replace(config, solvers=names)
 
 

@@ -1,12 +1,12 @@
-"""Experiment configuration: one-pass validation and object construction.
+"""Experiment configuration: one-pass JSON checks and object construction.
 
 A run is described by a single JSON document whose keys and value types
 are listed, per model, in ``_CONFIG``.  Unknown keys, including those of
 the other model, are rejected so typos fail loudly, gains may be given in
-dB, and every number must be finite.  The domain constructors check their
-own bounds; this module adds only the rules they cannot see, and builds
-every sweep point through ``_SWEEPS``.  Every violation surfaces as
-``ConfigError`` before any computation starts.
+dB, and every number must be finite.  The constructors check every other
+rule, so a config built with ``dataclasses.replace`` is checked like a
+parsed one, and every sweep point is built through ``_SWEEPS``.  Every
+violation surfaces as ``ConfigError`` before any computation starts.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ _SWEEPS = {
     "power_budget_w": ("number", lambda scn, blk, v: (replace(scn, p_total=float(v)), blk)),
     "hop2_environment": (set(ATG_PRESETS), _with_env2),
 }
+_MODEL_SWEEPS = {"freespace": set(_SWEEPS) - {"hop2_environment"}, "atg3d": set(_SWEEPS)}
 
 # Each model's config as (required keys, optional keys), each key with the
 # JSON type of its value: "number" excludes bool and must be finite,
@@ -53,7 +54,7 @@ _SWEEPS = {
 # is a number > 0, "string" is non-empty, a set lists the allowed strings,
 # a one-item list is a non-empty list of that type, "array" is any list
 # and "environment" a preset name or _ENVIRONMENT.  A model refuses every
-# key its table does not list.  Bounds that a domain constructor checks
+# key its table does not list.  Bounds and rules that a constructor checks
 # are left to it.
 _ENVIRONMENT = ({"a": "number", "b": "number", "excess_loss_los_db": "number",
                  "excess_loss_nlos_db": "number"}, {})
@@ -74,7 +75,7 @@ _CONFIG = {
     "freespace": (
         {**_REQUIRED, "geometry": ({**_GEOMETRY, "height_m": "number"}, {}),
          "gains_db": ({"beta1_db": "number", "beta2_db": "number"}, {})},
-        {"sweep": ({"parameter": set(_SWEEPS) - {"hop2_environment"}, "values": "array"}, {}),
+        {"sweep": ({"parameter": "string", "values": "array"}, {}),
          "grid": ({}, _GRID),
          "output": _OUTPUT},
     ),
@@ -83,10 +84,10 @@ _CONFIG = {
          "geometry": ({**_GEOMETRY, "height_min_m": "number", "height_max_m": "number"}, {}),
          "atg": ({"carrier_hz": "number", "noise_power_db": "number",
                   "hop1": "environment", "hop2": "environment"}, {})},
-        {"sweep": ({"parameter": set(_SWEEPS), "values": "array"}, {}),
+        {"sweep": ({"parameter": "string", "values": "array"}, {}),
          "grid": ({}, {**_GRID, "h_points": "integer"}),
          "fixed_height_m": "positive",
-         "profile": ({}, {"axis": {"height", "x"}, "fixed_x_m": "non-negative",
+         "profile": ({}, {"axis": "string", "fixed_x_m": "non-negative",
                           "fixed_height_m": "positive", "step_m": "positive",
                           "range": ["number"], "hop2_presets": [set(ATG_PRESETS)],
                           "p1_w": "positive"}),
@@ -111,10 +112,18 @@ class ProfileSpec:
     hop2_presets: tuple[str, ...] = field(default_factory=lambda: tuple(ATG_PRESETS))
     p1_w: float | None = None
 
+    def __post_init__(self):
+        if not (isinstance(self.axis, str) and self.axis in ("height", "x")):
+            _fail(("profile", "axis"), f"{self.axis!r} is not one of ['height', 'x']")
+        rng = self.sample_range
+        if rng is not None and (len(rng) != 2 or rng[0] > rng[1]):
+            raise ConfigError(
+                f"profile range must be [low, high] with low <= high: {list(rng)}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated experiment description."""
+    """Fully validated experiment description, checked across its fields."""
 
     scenario_id: str
     model: str
@@ -129,6 +138,54 @@ class ExperimentConfig:
     output_csv: str | None
     output_json: str | None
     output_trace: str | None
+
+    def __post_init__(self):
+        from .harness import SOLVERS  # imported here: the harness imports this module
+
+        param, values, scn = self.sweep_parameter, self.sweep_values, self.scenario
+        sweeps = _MODEL_SWEEPS[self.model]
+        if param is not None and not (isinstance(param, str) and param in sweeps):
+            _fail(("sweep", "parameter"), f"{param!r} is not one of {sorted(sweeps)}")
+        # a repeated solver would write its rows twice under one trace key
+        allowed = SOLVERS[self.model]
+        for i, name in enumerate(self.solvers):
+            if name not in allowed:
+                raise ConfigError(f"solver {name!r} is not available for the {self.model} "
+                                  f"model (choose from {list(allowed)})")
+            if name in self.solvers[:i]:
+                raise ConfigError(f"solvers name {name!r} more than once")
+        if self.model == "atg3d" and not (scn.h_min <= self.fixed_height_m <= scn.h_max):
+            raise ConfigError(f"fixed_height_m = {self.fixed_height_m} outside the height "
+                              f"band [{scn.h_min}, {scn.h_max}]")
+        if self.profile is not None and self.profile.p1_w is not None \
+                and self.profile.p1_w >= scn.p_total:
+            raise ConfigError("profile p1_w must leave the relay a positive power")
+        if self.grid is not None:
+            # an unset axis counts with the model's default
+            default = DEFAULT_POINTS_3D if self.model == "atg3d" else DEFAULT_POINTS_2D
+            axes = ("x", "p1", "h")[:3 if self.model == "atg3d" else 2]
+            points = {f"{axis}_points": getattr(self.grid, axis) or default for axis in axes}
+            if (max(points.values()) > MAX_GRID_AXIS_POINTS
+                    or math.prod(points.values()) > MAX_GRID_POINTS):
+                raise ConfigError(f"invalid grid: {points} exceeds {MAX_GRID_AXIS_POINTS} "
+                                  f"points per axis or {MAX_GRID_POINTS} in all")
+        if param is None:
+            return
+        if not values:
+            _fail(("sweep", "values"), "a sweep needs at least one value")
+        # build every sweep point once, so an unusable value fails here; a
+        # repeated value (compared with ==, so 2 repeats 2.0) would write its
+        # rows twice under one trace key
+        for i, value in enumerate(values):
+            path = ("sweep", "values", i)
+            _check(value, _SWEEPS[param][0], path)
+            first = values.index(value)
+            if first < i:
+                _fail(path, f"sweep value {value!r} repeats sweep/values/{first}")
+            try:
+                self.point(value)
+            except (ValueError, ArithmeticError) as exc:
+                _fail(path, f"sweep value {value!r} is not usable: {exc}")
 
     def point(self, value=None) -> tuple[FreeSpaceScenario | Atg3dScenario, BlocklengthParams]:
         """The scenario and blocklength at one sweep value (None: the base)."""
@@ -225,20 +282,8 @@ def _build_blocklength(raw: dict) -> BlocklengthParams:
 
 
 def build_grid(model: str, counts: dict) -> GridSpec:
-    """The oracle grid of a config's grid section or of ``--grid``.
-
-    Refuses more than MAX_GRID_AXIS_POINTS on an axis, or more than
-    MAX_GRID_POINTS over the grid with the model's default counts for the
-    axes left unset.
-    """
+    """The oracle grid of a config's grid section or of ``--grid``."""
     _check(counts, _CONFIG[model][1]["grid"], ("grid",))
-    default = DEFAULT_POINTS_3D if model == "atg3d" else DEFAULT_POINTS_2D
-    axes = ("x_points", "p1_points", "h_points")[:3 if model == "atg3d" else 2]
-    points = {key: counts.get(key, default) for key in axes}
-    if (max(points.values()) > MAX_GRID_AXIS_POINTS
-            or math.prod(points.values()) > MAX_GRID_POINTS):
-        raise ConfigError(f"invalid grid: {points} exceeds {MAX_GRID_AXIS_POINTS} points "
-                          f"per axis or {MAX_GRID_POINTS} in all")
     try:
         return GridSpec(*(None if key not in counts else int(counts[key])
                           for key in ("x_points", "p1_points", "h_points")))
@@ -268,7 +313,7 @@ def profile_coordinates(lo: float, hi: float, step) -> list[float]:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw JSON document and build the experiment objects."""
+    """Check a raw JSON document's keys and types and build the experiment objects."""
     # a missing or unknown model fails the model check of either config
     model = "atg3d" if isinstance(raw, dict) and raw.get("model") == "atg3d" else "freespace"
     _check(raw, _CONFIG[model])
@@ -300,67 +345,32 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("invalid scenario parameters: a dB value overflows the "
                           "linear scale") from None
 
-    # imported here because the harness imports this module
-    from .harness import check_solvers
-
-    solvers = tuple(raw["solvers"])
-    check_solvers(model, solvers)
-
-    sweep = raw.get("sweep", {"parameter": None, "values": []})
-    fixed_height = raw.get("fixed_height_m", DEFAULT_FIXED_HEIGHT)
-    if model == "atg3d" and not (scenario.h_min <= fixed_height <= scenario.h_max):
-        raise ConfigError(
-            f"fixed_height_m = {fixed_height} outside the height band "
-            f"[{scenario.h_min}, {scenario.h_max}]"
-        )
-
     profile = None
     if "profile" in raw:
-        p = raw["profile"]
-        rng = p.get("range")
-        if rng is not None and (len(rng) != 2 or rng[0] > rng[1]):
-            raise ConfigError(f"profile range must be [low, high] with low <= high: {rng}")
         # the config's "range" is ProfileSpec.sample_range; lists become tuples
         profile = ProfileSpec(**{
             "sample_range" if key == "range" else key:
                 tuple(value) if isinstance(value, list) else value
-            for key, value in p.items()
+            for key, value in raw["profile"].items()
         })
-        if profile.p1_w is not None and profile.p1_w >= raw["power_budget_w"]:
-            raise ConfigError("profile p1_w must leave the relay a positive power")
 
+    sweep = raw.get("sweep", {"parameter": None, "values": []})
     out = raw.get("output", {})
-    config = ExperimentConfig(
+    return ExperimentConfig(
         scenario_id=raw["scenario_id"],
         model=model,
         scenario=scenario,
         blk=blk,
-        solvers=solvers,
+        solvers=tuple(raw["solvers"]),
         sweep_parameter=sweep["parameter"],
         sweep_values=tuple(sweep["values"]),
         grid=build_grid(model, raw["grid"]) if "grid" in raw else None,
-        fixed_height_m=fixed_height,
+        fixed_height_m=raw.get("fixed_height_m", DEFAULT_FIXED_HEIGHT),
         profile=profile,
         output_csv=out.get("csv"),
         output_json=out.get("json"),
         output_trace=out.get("trace"),
     )
-    if config.sweep_parameter is not None and not config.sweep_values:
-        _fail(("sweep", "values"), "a sweep needs at least one value")
-    # build every sweep point once, so an unusable value fails here; a
-    # repeated value (compared with ==, so 2 repeats 2.0) would write its
-    # rows twice under one trace key
-    for i, value in enumerate(config.sweep_values):
-        path = ("sweep", "values", i)
-        _check(value, _SWEEPS[config.sweep_parameter][0], path)
-        first = config.sweep_values.index(value)
-        if first < i:
-            _fail(path, f"sweep value {value!r} repeats sweep/values/{first}")
-        try:
-            config.point(value)
-        except (ValueError, ArithmeticError) as exc:
-            _fail(path, f"sweep value {value!r} is not usable: {exc}")
-    return config
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -85,22 +85,6 @@ SOLVERS = {
 }
 
 
-def check_solvers(model: str, names) -> None:
-    """Raise ConfigError unless the names are distinct solvers of the model.
-
-    A repeated name would write its rows twice under one trace key.
-    """
-    allowed = SOLVERS[model]
-    for i, name in enumerate(names):
-        if name not in allowed:
-            raise ConfigError(
-                f"solver {name!r} is not available for the {model} model "
-                f"(choose from {list(allowed)})"
-            )
-        if name in names[:i]:
-            raise ConfigError(f"solvers name {name!r} more than once")
-
-
 def run_experiment(config: ExperimentConfig) -> RunOutcome:
     """Run every configured solver over the sweep (or the base point)."""
     points = list(config.sweep_values) if config.sweep_parameter else [None]
@@ -177,17 +161,17 @@ def profile_curves(
     if not isinstance(scn, Atg3dScenario):
         raise ConfigError(f"profile curves need an atg3d config, not {config.model}")
     prof = config.profile or ProfileSpec()
-    axis = axis or prof.axis
-    step = step if step is not None else prof.step_m
-    if axis not in ("height", "x"):
-        raise ConfigError(f"unknown profile axis {axis!r}; expected 'height' or 'x'")
+    if axis is not None:
+        prof = replace(prof, axis=axis)
+    if step is not None:
+        prof = replace(prof, step_m=step)
 
     if prof.p1_w is None:
         powers = PowerSplit.even(scn.p_total)
     else:
         powers = PowerSplit(prof.p1_w, scn.p_total - prof.p1_w)
 
-    if axis == "height":
+    if prof.axis == "height":
         bounds = (scn.h_min, scn.h_max)
         fixed = prof.fixed_x_m if prof.fixed_x_m is not None else 0.5 * (scn.d1 + scn.d2)
         fixed_bounds = (scn.d1, scn.d2)
@@ -206,7 +190,7 @@ def profile_curves(
     if not (bounds[0] <= lo <= hi <= bounds[1]):
         raise ConfigError(f"profile range ({lo}, {hi}) outside bounds {bounds}")
 
-    coords = profile_coordinates(lo, hi, step)
+    coords = profile_coordinates(lo, hi, prof.step_m)
 
     rows: list[tuple[str, float, float]] = []
     for preset in prof.hop2_presets:
@@ -215,7 +199,7 @@ def profile_curves(
         )
         swept = replace(scn, env2=env2)
         for coord in coords:
-            if axis == "height":
+            if prof.axis == "height":
                 gamma = _gamma(swept, fixed, coord, powers)
             else:
                 gamma = _gamma(swept, coord, fixed, powers)

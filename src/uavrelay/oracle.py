@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import freespace
 from .atg3d import Atg3dScenario, _ascend, _ascent_blocks, _gamma, hop_gains_3d
 from .channels import FreeSpaceScenario
-from .fbl import BlocklengthParams, PowerSplit, decoding_error_probability
+from .fbl import BlocklengthParams, PowerSplit, af_snr, decoding_error_probability
 from .freespace import (
     SolveResult,
     optimal_location_given_power,
     optimal_power_for_gains,
-    optimal_power_given_x,
     snr_at,
 )
 from .search import golden_section_max
@@ -226,12 +226,13 @@ def fixed_location_baseline(
     x = 0.5 * (scn.d1 + scn.d2)
     if isinstance(scn, Atg3dScenario):
         height = 0.5 * (scn.h_min + scn.h_max)
-        powers = optimal_power_for_gains(*hop_gains_3d(scn, x, height), scn.p_total)
-        gamma = _gamma(scn, x, height, powers)
+        h1, h2 = hop_gains_3d(scn, x, height)
     else:
         height = scn.H
-        powers = optimal_power_given_x(scn, x)
-        gamma = snr_at(scn, x, powers)
+        # by the module attribute, so a wrapper set on it sees the call
+        h1, h2 = freespace.freespace_gains(scn, x)
+    powers = optimal_power_for_gains(h1, h2, scn.p_total)
+    gamma = af_snr(h1, h2, powers)
     eps = decoding_error_probability(gamma, blk)
     return SolveResult("fixed-location", x, height, powers, gamma, eps, 1, (gamma,))
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import uavrelay
-from uavrelay import atg3d, cli, freespace, harness, oracle
+from uavrelay import atg3d, cli, freespace, harness, highsnr, oracle
 
 from conftest import make_atg3d, solve_record
 
@@ -68,6 +68,28 @@ def test_traced_gain_spans_equal_the_real_evaluations(monkeypatch):
         tracer.uninstall()
     assert len(calls) > 0
     assert tracer.aggregate()["channels.atg_gain"]["calls"] == len(calls)
+
+
+def test_traced_freespace_gain_spans_count_each_evaluation():
+    # bcd evaluates the gains once at its start and once per iteration,
+    # the other solves once each; a call that bypassed the module
+    # attribute freespace.freespace_gains would be missing from the count
+    from test_freespace import GOLDEN_SOLVES, golden_scenarios
+
+    golden = json.loads(GOLDEN_SOLVES.read_text())
+    tracing = load_tracing()
+    for name, (scn, blk) in golden_scenarios().items():
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        try:
+            freespace.bcd_solve(scn, blk)
+            highsnr.high_snr_solve(scn, blk)
+            oracle.fixed_location_baseline(scn, blk)
+            oracle.fixed_power_baseline(scn, blk)
+        finally:
+            tracer.uninstall()
+        calls = tracer.aggregate()["channels.fs_gain"]["calls"]
+        assert calls == golden[name]["bcd"]["iterations"] + 4, name
 
 
 def test_constants_the_benchmark_reads():

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ from uavrelay.config import (
     MAX_PROFILE_SAMPLES,
     profile_coordinates,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 FREESPACE_RAW = {
     "schema_version": 1,
@@ -364,3 +367,99 @@ def test_load_config_rejects_overflowing_literal(tmp_path):
     path.write_text(json.dumps(FREESPACE_RAW).replace("4.0", "1e999"))
     with pytest.raises(ConfigError, match="non-finite number inf at power_budget_w"):
         load_config(str(path))
+
+
+def _set_profile(raw, **changes):
+    raw["profile"].update(changes)
+
+
+# One case per rule that the config types check: a shipped config, the
+# rule broken with dataclasses.replace on the parsed config, the same
+# change made to its JSON, and a part of the message both must give.
+RULES_IN_CODE = {
+    "sweep-parameter-of-the-model": (
+        "freespace.json",
+        lambda cfg: replace(cfg, sweep_parameter="hop2_environment", sweep_values=("urban",)),
+        lambda raw: raw.update(sweep={"parameter": "hop2_environment", "values": ["urban"]}),
+        "at sweep/parameter: 'hop2_environment' is not one of"),
+    "unknown-solver": (
+        "freespace.json",
+        lambda cfg: replace(cfg, solvers=("bcd", "nope")),
+        lambda raw: raw.update(solvers=["bcd", "nope"]),
+        "solver 'nope' is not available for the freespace model"),
+    "repeated-solver": (
+        "freespace.json",
+        lambda cfg: replace(cfg, solvers=("bcd", "bcd")),
+        lambda raw: raw.update(solvers=["bcd", "bcd"]),
+        "solvers name 'bcd' more than once"),
+    "fixed-height-outside-the-band": (
+        "atg3d_environments.json",
+        lambda cfg: replace(cfg, fixed_height_m=1e6),
+        lambda raw: raw.update(fixed_height_m=1e6),
+        "outside the height band"),
+    "profile-power-at-the-budget": (
+        "atg3d_height_profile.json",
+        lambda cfg: replace(cfg, profile=replace(cfg.profile, p1_w=4.0)),
+        lambda raw: _set_profile(raw, p1_w=4.0),
+        "profile p1_w must leave the relay a positive power"),
+    "grid-axis-cap": (
+        "freespace.json",
+        lambda cfg: replace(cfg, grid=GridSpec(x=MAX_GRID_AXIS_POINTS + 1)),
+        lambda raw: raw.update(grid={"x_points": MAX_GRID_AXIS_POINTS + 1}),
+        "invalid grid"),
+    "grid-points-cap": (
+        "atg3d_environments.json",
+        lambda cfg: replace(cfg, grid=GridSpec(1000, 1000, 1001)),
+        lambda raw: raw.update(grid={"x_points": 1000, "p1_points": 1000, "h_points": 1001}),
+        "invalid grid"),
+    "empty-sweep": (
+        "freespace_blocklength_sweep.json",
+        lambda cfg: replace(cfg, sweep_values=()),
+        lambda raw: raw["sweep"].update(values=[]),
+        "at sweep/values: a sweep needs at least one value"),
+    "sweep-value-type": (
+        "freespace_blocklength_sweep.json",
+        lambda cfg: replace(cfg, sweep_values=(60, 80.0)),
+        lambda raw: raw["sweep"].update(values=[60, 80.0]),
+        "at sweep/values/1: 80.0 is not an integer"),
+    "repeated-sweep-value": (
+        "atg3d_environments.json",
+        lambda cfg: replace(cfg, sweep_values=("urban", "suburban", "urban")),
+        lambda raw: raw["sweep"].update(values=["urban", "suburban", "urban"]),
+        "at sweep/values/2: sweep value 'urban' repeats sweep/values/0"),
+    "unusable-sweep-value": (
+        "freespace_blocklength_sweep.json",
+        lambda cfg: replace(cfg, sweep_values=(60, 61)),
+        lambda raw: raw["sweep"].update(values=[60, 61]),
+        "at sweep/values/1: sweep value 61 is not usable"),
+    "profile-axis": (
+        "atg3d_height_profile.json",
+        lambda cfg: replace(cfg.profile, axis="z"),
+        lambda raw: _set_profile(raw, axis="z"),
+        "at profile/axis: 'z' is not one of ['height', 'x']"),
+    "profile-range-order": (
+        "atg3d_height_profile.json",
+        lambda cfg: replace(cfg.profile, sample_range=(150.0, 50.0)),
+        lambda raw: _set_profile(raw, range=[150.0, 50.0]),
+        "profile range must be [low, high] with low <= high: [150.0, 50.0]"),
+    "profile-range-length": (
+        "atg3d_height_profile.json",
+        lambda cfg: replace(cfg.profile, sample_range=(50.0, 100.0, 150.0)),
+        lambda raw: _set_profile(raw, range=[50.0, 100.0, 150.0]),
+        "profile range must be [low, high]"),
+}
+
+
+@pytest.mark.parametrize("name, build, edit, message", RULES_IN_CODE.values(),
+                         ids=RULES_IN_CODE)
+def test_rules_hold_for_configs_built_in_code(name, build, edit, message):
+    # replace() on a parsed config, as library code and the CLI flags
+    # build one, refuses what the reader refuses, with the same message
+    raw = json.loads((CONFIGS / name).read_text())
+    edit(raw)
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(raw)
+    assert message in str(parsed.value)
+    with pytest.raises(ConfigError) as built:
+        build(load_config(str(CONFIGS / name)))
+    assert str(built.value) == str(parsed.value)

@@ -10,6 +10,7 @@ import pytest
 
 from uavrelay import (
     BlocklengthParams,
+    ConfigError,
     decoding_error_probability,
     interior_local_maxima,
     load_config,
@@ -72,14 +73,14 @@ def test_base_run_without_sweep():
     assert row.iterations >= 1
 
 
-def test_empty_sweep_yields_no_rows():
-    # parse_config refuses an empty sweep; a config built in code may hold one
-    cfg = dc_replace(parse_config(variant(
+def test_empty_sweep_is_refused():
+    # a config built in code is checked like a parsed one, so no run can
+    # write a header-only table
+    cfg = parse_config(variant(
         FREESPACE_RAW, sweep={"parameter": "total_blocklength", "values": [80]}
-    )), sweep_values=())
-    outcome = run_experiment(cfg)
-    assert outcome.rows == ()
-    assert outcome.failures == 0
+    ))
+    with pytest.raises(ConfigError, match="at sweep/values: a sweep needs at least one value"):
+        dc_replace(cfg, sweep_values=())
 
 
 def test_power_budget_sweep_materializes():
@@ -251,8 +252,6 @@ def test_profile_degenerate_range():
 
 def test_profile_rejects_freespace():
     cfg = parse_config(copy.deepcopy(FREESPACE_RAW))
-    from uavrelay import ConfigError
-
     with pytest.raises(ConfigError):
         profile_curves(cfg)
 
