@@ -9,12 +9,11 @@ is still written).
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 from dataclasses import replace
-
-import click
 
 from .config import ConfigError, build_grid, load_config
 from .harness import (
@@ -30,27 +29,28 @@ EXIT_CONFIG_ERROR = 2
 EXIT_PARTIAL_FAILURE = 3
 
 
-def _exit_unusable(call, *args, **kwargs):
-    # unusable input exits 2 with one JSON line; a bare `uavrelay`, which
-    # click raises as a usage error too, still prints its help
-    try:
-        return call(*args, **kwargs)
-    except click.exceptions.NoArgsIsHelpError:
-        raise
-    except (click.UsageError, ConfigError) as exc:
-        detail = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
-        click.echo(json.dumps({"error": "config", "detail": detail}), err=True)
+class _Formatter(argparse.HelpFormatter):
+    """Help whose first line reads ``Usage: uavrelay ...``."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 2 with one JSON line.
+
+    Its subcommand parsers are of this class too.  Options are not
+    abbreviated: ``--conf`` is an unknown flag, not ``--config``.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, formatter_class=_Formatter,
+                         **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        print(json.dumps({"error": "config", "detail": message}), file=sys.stderr)
         sys.exit(EXIT_CONFIG_ERROR)
-
-
-class _Group(click.Group):
-    """A click group whose usage and config errors share one exit-2 handler."""
-
-    def make_context(self, *args, **kwargs):
-        return _exit_unusable(super().make_context, *args, **kwargs)
-
-    def invoke(self, ctx):
-        return _exit_unusable(super().invoke, ctx)
 
 
 def _write(write, *args) -> None:
@@ -80,10 +80,14 @@ def _parse_grid(config, grid_option: str | None):
         if "=" not in part:
             raise ConfigError(f"bad --grid entry {part!r}; expected axis=points")
         axis, _, num = part.partition("=")
+        if f"{axis}_points" in counts:
+            raise ConfigError(f"--grid names axis {axis!r} more than once")
         try:
             counts[f"{axis}_points"] = int(num)
         except ValueError:
             raise ConfigError(f"bad --grid point count {num!r}") from None
+    if not counts:
+        raise ConfigError("--grid override is empty")
     return replace(config, grid=build_grid(config.model, counts))
 
 
@@ -117,94 +121,103 @@ def _emit(config, out_option: str | None, trace_option: str | None) -> None:
     _write(write_rows_json, outcome.rows, json_path)
     if trace_path:
         _write(write_traces_json, outcome.traces, trace_path)
-    click.echo(f"wrote {csv_path} and {json_path} ({len(outcome.rows)} data rows)")
+    print(f"wrote {csv_path} and {json_path} ({len(outcome.rows)} data rows)")
     if outcome.failures:
-        click.echo(f"{outcome.failures} solver run(s) failed", err=True)
+        print(f"{outcome.failures} solver run(s) failed", file=sys.stderr)
         sys.exit(EXIT_PARTIAL_FAILURE)
 
 
-_CONFIG_OPT = click.option(
-    "--config", "config_path", required=True, metavar="PATH",
-    help="Experiment config file (JSON).",
-)
-_OUT_OPT = click.option(
-    "--out", "out_path", default=None, metavar="PATH",
-    help="CSV output path (a JSON mirror is written alongside).",
-)
-_TRACE_OPT = click.option(
-    "--trace", "trace_path", default=None, metavar="PATH",
-    help="Write per-run SNR traces to this JSON file.",
-)
-_SOLVER_OPT = click.option(
-    "--solver", "solver_option", default=None, metavar="NAME[,NAME...]",
-    help="Override the configured solver list.",
-)
-
-
-@click.group(cls=_Group)
-def main() -> None:
-    """Relay placement and power-split optimisation experiments."""
-
-
-@main.command()
-@_CONFIG_OPT
-@_OUT_OPT
-@_TRACE_OPT
-@_SOLVER_OPT
-def solve(config_path, out_path, trace_path, solver_option) -> None:
+def _solve(args) -> None:
     """Run the configured solvers on the base scenario (no sweep)."""
-    config = load_config(config_path)
-    config = _override_solvers(config, solver_option)
+    config = load_config(args.config)
+    config = _override_solvers(config, args.solver)
     config = replace(config, sweep_parameter=None, sweep_values=())
-    _emit(config, out_path, trace_path)
+    _emit(config, args.out, args.trace)
 
 
-@main.command()
-@_CONFIG_OPT
-@_OUT_OPT
-@_TRACE_OPT
-@_SOLVER_OPT
-def sweep(config_path, out_path, trace_path, solver_option) -> None:
+def _sweep(args) -> None:
     """Run the configured solvers over the configured sweep."""
-    config = load_config(config_path)
+    config = load_config(args.config)
     if config.sweep_parameter is None:
         raise ConfigError("sweep subcommand requires a sweep section in the config")
-    config = _override_solvers(config, solver_option)
-    _emit(config, out_path, trace_path)
+    config = _override_solvers(config, args.solver)
+    _emit(config, args.out, args.trace)
 
 
-@main.command()
-@_CONFIG_OPT
-@_OUT_OPT
-@click.option("--axis", type=click.Choice(["height", "x"]), default=None,
-              help="Profile coordinate (default from config, else height).")
-@click.option("--step", type=float, default=None, metavar="METRES",
-              help="Sample spacing (default from config, else 1 m).")
-def profile(config_path, out_path, axis, step) -> None:
+def _profile(args) -> None:
     """Emit SNR profile curves for the air-to-ground model."""
-    config = load_config(config_path)
-    csv_path = out_path or config.output_csv or "profile.csv"
+    config = load_config(args.config)
+    csv_path = args.out or config.output_csv or "profile.csv"
     _check_outputs(csv_path)
-    coord_name, rows = profile_curves(config, axis, step)
+    coord_name, rows = profile_curves(config, args.axis, args.step)
     _write(write_profile_csv, coord_name, rows, csv_path)
-    click.echo(f"wrote {csv_path} ({len(rows)} samples)")
+    print(f"wrote {csv_path} ({len(rows)} samples)")
 
 
-@main.command()
-@_CONFIG_OPT
-@_OUT_OPT
-@_TRACE_OPT
-@click.option("--grid", "grid_option", default=None, metavar="SPEC",
-              help="Grid densities, e.g. 'x=2000,p1=2000' or 'x=200,h=200,p1=200'.")
-def oracle(config_path, out_path, trace_path, grid_option) -> None:
+def _oracle(args) -> None:
     """Run the exhaustive reference search on the base scenario."""
-    config = load_config(config_path)
-    config = _parse_grid(config, grid_option)
+    config = load_config(args.config)
+    config = _parse_grid(config, args.grid)
     config = replace(
         config, solvers=("exhaustive",), sweep_parameter=None, sweep_values=()
     )
-    _emit(config, out_path, trace_path)
+    _emit(config, args.out, args.trace)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="uavrelay",
+                     description="Relay placement and power-split optimisation experiments.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run):
+        sub = commands.add_parser(run.__name__[1:], help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        sub.add_argument("--config", required=True, metavar="PATH",
+                         help="Experiment config file (JSON).")
+        sub.add_argument("--out", metavar="PATH",
+                         help="CSV output path (a JSON mirror is written alongside).")
+        return sub
+
+    solve, sweep, profile, oracle = map(command, (_solve, _sweep, _profile, _oracle))
+    for sub in (solve, sweep, oracle):
+        sub.add_argument("--trace", metavar="PATH",
+                         help="Write per-run SNR traces to this JSON file.")
+    for sub in (solve, sweep):
+        sub.add_argument("--solver", metavar="NAME[,NAME...]",
+                         help="Override the configured solver list.")
+    profile.add_argument("--axis", choices=("height", "x"),
+                         help="Profile coordinate (default from config, else height).")
+    profile.add_argument("--step", type=float, metavar="METRES",
+                         help="Sample spacing (default from config, else 1 m).")
+    oracle.add_argument("--grid", metavar="SPEC",
+                        help="Grid densities, e.g. 'x=2000,p1=2000' or 'x=200,h=200,p1=200'.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run ``uavrelay ARGV`` (default: the process's arguments).
+
+    Returns 0 on success; unusable input exits 2 with one JSON line on
+    stderr, a failed solver run exits 3 after writing the outputs.  A bare
+    ``uavrelay`` prints the help and exits 2.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv:
+        parser.print_help(sys.stderr)
+        sys.exit(EXIT_CONFIG_ERROR)
+    args = parser.parse_args(argv)
+    try:
+        args.run(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
+    return 0
+
+
+# bench/cli_child.py calls main.main(args=..., prog_name=..., standalone_mode=False);
+# this adapter goes once the benchmark calls cli.main(argv)
+main.main = lambda args=None, prog_name=None, standalone_mode=True: main(args)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

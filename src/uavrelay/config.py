@@ -161,6 +161,8 @@ class ExperimentConfig:
                 and self.profile.p1_w >= scn.p_total:
             raise ConfigError("profile p1_w must leave the relay a positive power")
         if self.grid is not None:
+            if self.model != "atg3d" and self.grid.h is not None:
+                _fail(("grid",), "unknown key 'h_points'")
             # an unset axis counts with the model's default
             default = DEFAULT_POINTS_3D if self.model == "atg3d" else DEFAULT_POINTS_2D
             axes = ("x", "p1", "h")[:3 if self.model == "atg3d" else 2]

@@ -1,5 +1,6 @@
 import json
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from uavrelay import (
     BlocklengthParams,
     FreeSpaceScenario,
 )
+from uavrelay.cli import main
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -21,6 +23,30 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for number, status, title in sorted(results):
         terminalreporter.write_line(f"criterion {number}: {status} - {title}")
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def uavrelay(capsys):
+    """Run ``uavrelay ARGS`` in this process and return its CliResult.
+
+    An exception other than SystemExit propagates and fails the test."""
+
+    def run(args):
+        capsys.readouterr()
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        return CliResult(code, *capsys.readouterr())
+
+    return run
+
 
 CARRIER_HZ = 2.5e9
 NOISE_DB = -93.0

@@ -5,16 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from uavrelay.cli import main
 
 from test_config import ATG3D_RAW, FREESPACE_RAW, variant
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def write_config(tmp_path, raw, name="cfg.json"):
@@ -28,11 +20,11 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def test_solve_success(runner, tmp_path):
+def test_solve_success(uavrelay, tmp_path):
     cfg = write_config(tmp_path, variant(FREESPACE_RAW, solvers=["bcd", "high-snr"]))
     out = tmp_path / "r.csv"
-    result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    result = uavrelay(["solve", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0, result.stderr
     rows = read_csv(out)
     assert len(rows) == 3  # header + two solvers
     assert rows[1][1] == "bcd"
@@ -40,7 +32,7 @@ def test_solve_success(runner, tmp_path):
     assert (tmp_path / "r.json").exists()
 
 
-def test_solve_ignores_configured_sweep(runner, tmp_path):
+def test_solve_ignores_configured_sweep(uavrelay, tmp_path):
     raw = variant(
         FREESPACE_RAW,
         solvers=["bcd"],
@@ -48,12 +40,12 @@ def test_solve_ignores_configured_sweep(runner, tmp_path):
     )
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "r.csv"
-    result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+    result = uavrelay(["solve", "--config", cfg, "--out", str(out)])
     assert result.exit_code == 0
     assert len(read_csv(out)) == 2  # header + single base row
 
 
-def test_sweep_success_and_traces(runner, tmp_path):
+def test_sweep_success_and_traces(uavrelay, tmp_path):
     raw = variant(
         FREESPACE_RAW,
         solvers=["bcd", "fixed-power"],
@@ -62,27 +54,25 @@ def test_sweep_success_and_traces(runner, tmp_path):
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "s.csv"
     traces = tmp_path / "t.json"
-    result = runner.invoke(
-        main, ["sweep", "--config", cfg, "--out", str(out), "--trace", str(traces)]
-    )
-    assert result.exit_code == 0, result.output
+    result = uavrelay(["sweep", "--config", cfg, "--out", str(out), "--trace", str(traces)])
+    assert result.exit_code == 0, result.stderr
     rows = read_csv(out)
     assert len(rows) == 1 + 6
     data = json.loads(traces.read_text())
     assert "fs/bcd/60" in data
 
 
-def test_sweep_requires_sweep_section(runner, tmp_path):
+def test_sweep_requires_sweep_section(uavrelay, tmp_path):
     cfg = write_config(tmp_path, variant(FREESPACE_RAW, solvers=["bcd"]))
-    result = runner.invoke(main, ["sweep", "--config", cfg])
+    result = uavrelay(["sweep", "--config", cfg])
     assert result.exit_code == 2
     diag = json.loads(result.stderr.strip().splitlines()[-1])
     assert diag["error"] == "config"
 
 
-def test_config_error_is_machine_readable(runner, tmp_path):
+def test_config_error_is_machine_readable(uavrelay, tmp_path):
     cfg = write_config(tmp_path, variant(FREESPACE_RAW, solvers=["warp-drive"]))
-    result = runner.invoke(main, ["solve", "--config", cfg])
+    result = uavrelay(["solve", "--config", cfg])
     assert result.exit_code == 2
     diag = json.loads(result.stderr.strip().splitlines()[-1])
     assert diag["error"] == "config"
@@ -117,16 +107,15 @@ def _with(base, section, key, value):
          "noise-underflow", "gain-overflow", "freespace-gain-overflow",
          "freespace-near-bound"],
 )
-def test_extreme_numbers_are_config_errors(runner, tmp_path, raw):
+def test_extreme_numbers_are_config_errors(uavrelay, tmp_path, raw):
     # json.dumps writes inf and nan as the non-standard Infinity and NaN
     cfg = write_config(tmp_path, raw)
-    result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "r.csv")])
-    assert result.exit_code == 2, result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    result = uavrelay(["solve", "--config", cfg, "--out", str(tmp_path / "r.csv")])
+    assert result.exit_code == 2, result.stderr
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "config"
-    assert "Traceback" not in result.output
+    assert "Traceback" not in result.stdout + result.stderr
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -153,11 +142,10 @@ def test_extreme_numbers_are_config_errors(runner, tmp_path, raw):
     ids=["unhashable-sweep-value", "blocklength-contradiction", "height-underflow",
          "freespace-fixed-height", "power-sweep-overflow", "environment-sweep-overflow"],
 )
-def test_bad_values_are_config_errors_not_tracebacks(runner, tmp_path, raw, where):
+def test_bad_values_are_config_errors_not_tracebacks(uavrelay, tmp_path, raw, where):
     cfg = write_config(tmp_path, raw)
-    result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "r.csv")])
-    assert result.exit_code == 2, result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    result = uavrelay(["solve", "--config", cfg, "--out", str(tmp_path / "r.csv")])
+    assert result.exit_code == 2, result.stderr
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1
     diag = json.loads(lines[0])
@@ -165,33 +153,31 @@ def test_bad_values_are_config_errors_not_tracebacks(runner, tmp_path, raw, wher
     assert where in diag["detail"]
 
 
-def test_missing_config_file(runner, tmp_path):
-    result = runner.invoke(main, ["solve", "--config", str(tmp_path / "nope.json")])
+def test_missing_config_file(uavrelay, tmp_path):
+    result = uavrelay(["solve", "--config", str(tmp_path / "nope.json")])
     assert result.exit_code == 2
 
 
-def test_solver_override(runner, tmp_path):
+def test_solver_override(uavrelay, tmp_path):
     cfg = write_config(tmp_path, variant(FREESPACE_RAW, solvers=["bcd"]))
     out = tmp_path / "o.csv"
-    result = runner.invoke(
-        main,
-        ["solve", "--config", cfg, "--out", str(out), "--solver", "fixed-power,bcd"],
-    )
+    result = uavrelay(
+        ["solve", "--config", cfg, "--out", str(out), "--solver", "fixed-power,bcd"])
     assert result.exit_code == 0
     rows = read_csv(out)
     assert [r[1] for r in rows[1:]] == ["fixed-power", "bcd"]
 
 
-def test_solver_override_rejects_unknown(runner, tmp_path):
+def test_solver_override_rejects_unknown(uavrelay, tmp_path):
     cfg = write_config(tmp_path, variant(FREESPACE_RAW, solvers=["bcd"]))
-    result = runner.invoke(main, ["solve", "--config", cfg, "--solver", "fixed-height"])
+    result = uavrelay(["solve", "--config", cfg, "--solver", "fixed-height"])
     assert result.exit_code == 2
-    result = runner.invoke(main, ["solve", "--config", cfg, "--solver", "bcd,bcd"])
+    result = uavrelay(["solve", "--config", cfg, "--solver", "bcd,bcd"])
     assert result.exit_code == 2
     assert "solvers name 'bcd' more than once" in result.stderr
 
 
-def test_partial_failure_exit_code(runner, tmp_path, monkeypatch):
+def test_partial_failure_exit_code(uavrelay, tmp_path, monkeypatch):
     import uavrelay.harness as harness
 
     def boom(*args, **kwargs):
@@ -200,87 +186,83 @@ def test_partial_failure_exit_code(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "high_snr_solve", boom)
     cfg = write_config(tmp_path, variant(FREESPACE_RAW, solvers=["bcd", "high-snr"]))
     out = tmp_path / "p.csv"
-    result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+    result = uavrelay(["solve", "--config", cfg, "--out", str(out)])
     assert result.exit_code == 3
     rows = read_csv(out)  # partial output still written
     assert rows[1][11] == "ok"
     assert rows[2][11].startswith("error:")
 
 
-def test_oracle_subcommand_with_grid(runner, tmp_path):
+def test_oracle_subcommand_with_grid(uavrelay, tmp_path):
     cfg = write_config(tmp_path, variant(FREESPACE_RAW, solvers=["bcd"]))
     out = tmp_path / "oracle.csv"
-    result = runner.invoke(
-        main,
-        ["oracle", "--config", cfg, "--out", str(out), "--grid", "x=300,p1=300"],
-    )
-    assert result.exit_code == 0, result.output
+    result = uavrelay(
+        ["oracle", "--config", cfg, "--out", str(out), "--grid", "x=300,p1=300"])
+    assert result.exit_code == 0, result.stderr
     rows = read_csv(out)
     assert len(rows) == 2
     assert rows[1][1] == "exhaustive"
     assert float(rows[1][8]) == pytest.approx(10.0402303484, rel=1e-4)
 
 
-def test_oracle_rejects_bad_grid(runner, tmp_path):
+def test_oracle_rejects_bad_grid(uavrelay, tmp_path):
     cfg = write_config(tmp_path, variant(FREESPACE_RAW, solvers=["bcd"]))
     # the last two: too few points, and a height axis on the free-space model
     for bad, where in (("x", "'x'"), ("y=100", "grid: unknown key 'y_points'"),
                        ("x=ten", "'ten'"), ("x=1", "at least 2 points"),
                        ("x=50,h=50", "grid: unknown key 'h_points'")):
-        result = runner.invoke(main, ["oracle", "--config", cfg, "--grid", bad])
+        result = uavrelay(["oracle", "--config", cfg, "--grid", bad])
         assert result.exit_code == 2, bad
         assert where in json.loads(result.stderr)["detail"], bad
 
 
-def test_profile_subcommand(runner, tmp_path):
+def test_profile_subcommand(uavrelay, tmp_path):
     raw = variant(
         ATG3D_RAW,
         profile={"axis": "height", "fixed_x_m": 100.0, "hop2_presets": ["urban"]},
     )
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "prof.csv"
-    result = runner.invoke(
-        main, ["profile", "--config", cfg, "--out", str(out), "--step", "10"]
-    )
-    assert result.exit_code == 0, result.output
+    result = uavrelay(["profile", "--config", cfg, "--out", str(out), "--step", "10"])
+    assert result.exit_code == 0, result.stderr
     rows = read_csv(out)
     assert rows[0] == ["environment", "height_m", "snr"]
     assert len(rows) == 1 + 20
 
 
-def test_profile_rejects_freespace_config(runner, tmp_path):
+def test_profile_rejects_freespace_config(uavrelay, tmp_path):
     cfg = write_config(tmp_path, variant(FREESPACE_RAW, solvers=["bcd"]))
-    result = runner.invoke(main, ["profile", "--config", cfg])
+    result = uavrelay(["profile", "--config", cfg])
     assert result.exit_code == 2
 
 
-def test_default_output_paths_from_config(runner, tmp_path):
+def test_default_output_paths_from_config(uavrelay, tmp_path):
     raw = variant(FREESPACE_RAW, solvers=["bcd"])
     raw["output"] = {"csv": str(tmp_path / "from_config.csv")}
     cfg = write_config(tmp_path, raw)
-    result = runner.invoke(main, ["solve", "--config", cfg])
+    result = uavrelay(["solve", "--config", cfg])
     assert result.exit_code == 0
     assert (tmp_path / "from_config.csv").exists()
     assert (tmp_path / "from_config.json").exists()
 
 
-def test_default_output_paths_without_output_section(runner, tmp_path, monkeypatch):
+def test_default_output_paths_without_output_section(uavrelay, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, variant(ATG3D_RAW, profile={"hop2_presets": ["urban"]}))
-    assert runner.invoke(main, ["solve", "--config", cfg]).exit_code == 0
+    assert uavrelay(["solve", "--config", cfg]).exit_code == 0
     assert (tmp_path / "results.csv").exists()
     assert (tmp_path / "results.json").exists()
-    assert runner.invoke(main, ["profile", "--config", cfg, "--step", "50"]).exit_code == 0
+    assert uavrelay(["profile", "--config", cfg, "--step", "50"]).exit_code == 0
     assert (tmp_path / "profile.csv").exists()
 
 
-def test_cubic_overflow_rows_state_the_cause(runner, tmp_path):
+def test_cubic_overflow_rows_state_the_cause(uavrelay, tmp_path):
     # finite but extreme: the placement cubic's rho^3 exceeds the float range
     raw = _with(FREESPACE_RAW, "gains_db", "beta1_db", 1040.0)
     raw["gains_db"]["beta2_db"] = 1040.0
     cfg = write_config(tmp_path, variant(raw, solvers=["bcd", "fixed-power", "high-snr"]))
     out = tmp_path / "n.csv"
-    result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+    result = uavrelay(["solve", "--config", cfg, "--out", str(out)])
     assert result.exit_code == 3
     statuses = [row[11] for row in read_csv(out)[1:]]
     assert statuses[0].startswith("error: cubic coefficients overflow: rho=")
@@ -288,7 +270,7 @@ def test_cubic_overflow_rows_state_the_cause(runner, tmp_path):
     assert statuses[2] == "ok"
 
 
-def test_config_just_under_the_overflow_bound_runs_every_solver(runner, tmp_path):
+def test_config_just_under_the_overflow_bound_runs_every_solver(uavrelay, tmp_path):
     # beta1 beta2 (D^2 + p_total^2 + 1) is ~1.7e308, just under the float
     # range; three tenths of a dB more on beta1 are refused
     raw = variant(FREESPACE_RAW, gains_db={"beta1_db": 1518.2, "beta2_db": 1518.1},
@@ -296,13 +278,13 @@ def test_config_just_under_the_overflow_bound_runs_every_solver(runner, tmp_path
                   power_budget_w=1e-50,
                   solvers=["bcd", "high-snr", "exhaustive", "fixed-location", "fixed-power"])
     out = tmp_path / "r.csv"
-    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, raw),
-                                  "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    result = uavrelay(["solve", "--config", write_config(tmp_path, raw),
+                       "--out", str(out)])
+    assert result.exit_code == 0, result.stderr
     assert [row[11] for row in read_csv(out)[1:]] == ["ok"] * 5
     raw["gains_db"]["beta1_db"] = 1518.5
-    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, raw),
-                                  "--out", str(out)])
+    result = uavrelay(["solve", "--config", write_config(tmp_path, raw),
+                       "--out", str(out)])
     assert result.exit_code == 2
     assert "high-SNR cross gains overflow" in json.loads(result.stderr.strip())["detail"]
 
@@ -313,28 +295,60 @@ def test_config_just_under_the_overflow_bound_runs_every_solver(runner, tmp_path
     # p1 p2 underflows to 0.0 inside the high-SNR power search
     {"power_budget_w": 1e-200},
 ], ids=["gains-underflow", "budget-underflow"])
-def test_float_range_floor_solves_with_every_solver(runner, tmp_path, changes):
+def test_float_range_floor_solves_with_every_solver(uavrelay, tmp_path, changes):
     raw = json.loads((Path(__file__).parent.parent / "configs" / "freespace.json").read_text())
     raw.update(changes)
     out = tmp_path / "r.csv"
-    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, raw),
-                                  "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    result = uavrelay(["solve", "--config", write_config(tmp_path, raw),
+                       "--out", str(out)])
+    assert result.exit_code == 0, result.stderr
     rows = read_csv(out)[1:]
     assert [row[11] for row in rows] == ["ok"] * 5
     assert all(float(row[8]) == 0.0 and float(row[9]) == 1.0 for row in rows)
 
 
-def test_oracle_reports_eps_one_where_one_plus_snr_rounds_to_one(runner, tmp_path):
+def test_oracle_reports_eps_one_where_one_plus_snr_rounds_to_one(uavrelay, tmp_path):
     # gains of +3000 / -3000 dB leave an SNR near 1e-304
     raw = json.loads((Path(__file__).parent.parent / "configs" / "freespace.json").read_text())
     raw["gains_db"] = {"beta1_db": 3000.0, "beta2_db": -3000.0}
     raw["geometry"].update(height_m=1.0, x_min_m=0.0)
     out = tmp_path / "o.csv"
-    result = runner.invoke(main, ["oracle", "--config", write_config(tmp_path, raw),
-                                  "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    result = uavrelay(["oracle", "--config", write_config(tmp_path, raw),
+                       "--out", str(out)])
+    assert result.exit_code == 0, result.stderr
     row = read_csv(out)[1]
     assert row[11] == "ok"
     assert 0.0 < float(row[8]) < 1e-16
     assert float(row[9]) == 1.0
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--conf", "{cfg}"],
+    ["solve", "--config", "{cfg}", "--conf", "{cfg}"],
+], ids=["alone", "beside-config"])
+def test_abbreviated_flag_is_unknown(uavrelay, tmp_path, args):
+    # options are never abbreviated: --conf is not --config
+    cfg = write_config(tmp_path, variant(FREESPACE_RAW, solvers=["bcd"]))
+    out = tmp_path / "r.csv"
+    result = uavrelay([arg.replace("{cfg}", cfg) for arg in args] + ["--out", str(out)])
+    assert result.exit_code == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, listed", [
+    (["--help"], ["solve", "sweep", "profile", "oracle"]),
+    (["solve", "--help"], ["--config", "--out", "--trace", "--solver"]),
+    (["sweep", "--help"], ["--config", "--out", "--trace", "--solver"]),
+    (["profile", "--help"], ["--config", "--out", "--axis", "--step"]),
+    (["oracle", "--help"], ["--config", "--out", "--trace", "--grid"]),
+], ids=["uavrelay", "solve", "sweep", "profile", "oracle"])
+def test_help_exits_0_listing_the_commands_or_flags(uavrelay, args, listed):
+    result = uavrelay(args)
+    assert result.exit_code == 0
+    assert result.stdout.startswith("Usage: uavrelay")
+    for name in listed:
+        assert name in result.stdout, name
+    assert result.stderr == ""

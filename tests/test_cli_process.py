@@ -95,18 +95,18 @@ def test_overflowing_oracle_grid_is_quiet(tmp_path):
 
 
 # Runs the CLI commands given as JSON argument lists in this interpreter
-# and prints, after the import and after each command, whether jsonschema
-# and numpy are loaded.
+# and prints, after the import and after each command, whether jsonschema,
+# numpy and click are loaded.
 IMPORT_PROBE = """
 import json, sys
 import uavrelay.cli
 
 def loaded():
-    return ['jsonschema' in sys.modules, 'numpy' in sys.modules]
+    return ['jsonschema' in sys.modules, 'numpy' in sys.modules, 'click' in sys.modules]
 
 report = [loaded()]
 for args in json.loads(sys.argv[1]):
-    uavrelay.cli.main(args, standalone_mode=False)
+    uavrelay.cli.main(args)
     report.append(loaded())
 print(json.dumps(report))
 """
@@ -114,7 +114,8 @@ print(json.dumps(report))
 
 def test_cli_import_leaves_out_jsonschema(tmp_path):
     # numpy loads for the grid oracle only: the sweep and profile of the
-    # shipped air-to-ground configs leave it out, the oracle brings it in
+    # shipped air-to-ground configs leave it out, the oracle brings it in;
+    # click is never loaded
     commands = [
         ["sweep", "--config", str(CONFIGS / "atg3d_environments.json"),
          "--out", str(tmp_path / "sweep.csv")],
@@ -127,7 +128,8 @@ def test_cli_import_leaves_out_jsonschema(tmp_path):
                           cwd=tmp_path, env=src_env(), capture_output=True, text=True,
                           timeout=60, check=True)
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report == [[False, False], [False, False], [False, False], [False, True]]
+    assert report == [[False, False, False], [False, False, False], [False, False, False],
+                      [False, True, False]]
 
 
 def at_most_1_gib():
@@ -250,3 +252,23 @@ def test_bare_command_prints_its_help(tmp_path):
     assert "Usage:" in done.stdout + done.stderr
     for command in ("solve", "sweep", "profile", "oracle"):
         assert command in done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("grid, named", [
+    ("x=20,x=30", "axis 'x' more than once"),
+    ("", "--grid override is empty"),
+], ids=["repeated-axis", "empty-spec"])
+def test_bad_grid_specs_exit_2_naming_them(tmp_path, grid, named):
+    # a repeated axis would keep its last count, an empty spec the default grid
+    done = subprocess.run(
+        [sys.executable, "-m", "uavrelay.cli", "oracle", "--config",
+         str(CONFIGS / "atg3d_environments.json"), "--grid", grid,
+         "--out", str(tmp_path / "o.csv")],
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    diagnostic = json.loads(lines[0])
+    assert diagnostic["error"] == "config"
+    assert named in diagnostic["detail"]
+    assert list(tmp_path.iterdir()) == []

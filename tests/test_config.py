@@ -412,6 +412,12 @@ RULES_IN_CODE = {
         lambda cfg: replace(cfg, grid=GridSpec(1000, 1000, 1001)),
         lambda raw: raw.update(grid={"x_points": 1000, "p1_points": 1000, "h_points": 1001}),
         "invalid grid"),
+    "freespace-height-axis": (
+        "freespace.json",
+        lambda cfg: replace(cfg, solvers=("exhaustive",), grid=GridSpec(x=20, p1=20, h=5)),
+        lambda raw: raw.update(solvers=["exhaustive"],
+                               grid={"x_points": 20, "p1_points": 20, "h_points": 5}),
+        "at grid: unknown key 'h_points'"),
     "empty-sweep": (
         "freespace_blocklength_sweep.json",
         lambda cfg: replace(cfg, sweep_values=()),

@@ -11,14 +11,14 @@ solve``.
 
 import copy
 import json
+import os
+import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uavrelay import ConfigError, parse_config
-from uavrelay.cli import main
 
 from test_config_mutations import BASES, DELETE, at, cases, paths
 
@@ -71,16 +71,22 @@ def test_mutated_configs_load_or_raise_config_error(data):
         pass
 
 
-@settings(derandomize=True, deadline=None, max_examples=600)
+# the uavrelay fixture reads and resets its capture on every call, so one
+# fixture serves all examples
+@settings(derandomize=True, deadline=None, max_examples=600,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=st.sampled_from(list(cases())))
-def test_mutated_configs_exit_0_2_or_3_through_the_cli(case):
+def test_mutated_configs_exit_0_2_or_3_through_the_cli(uavrelay, case):
     name, raw = case
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        Path("cfg.json").write_text(json.dumps(raw))
-        result = runner.invoke(main, ["solve", "--config", "cfg.json", "--out", "r.csv"])
-    assert result.exit_code in (0, 2, 3), (name, result.output)
-    assert result.exception is None or isinstance(result.exception, SystemExit), name
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)  # the configs name relative output paths
+        try:
+            Path("cfg.json").write_text(json.dumps(raw))
+            result = uavrelay(["solve", "--config", "cfg.json", "--out", "r.csv"])
+        finally:
+            os.chdir(cwd)
+    assert result.exit_code in (0, 2, 3), (name, result.stdout + result.stderr)
     if result.exit_code == 2:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1, name

@@ -20,7 +20,6 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from uavrelay.cli import main
 
@@ -76,7 +75,10 @@ def run_command(command, config, extra, workdir: Path) -> int:
         os.chdir(workdir)
         try:
             args = [command, "--config", str(path), *extra]
-            return CliRunner().invoke(main, args).exit_code
+            try:
+                return main(args)
+            except SystemExit as exc:
+                return exc.code
         finally:
             os.chdir(cwd)
 
