@@ -39,7 +39,6 @@ from .freespace import (
     cubic_location_candidates,
     optimal_location_given_power,
     optimal_power_for_gains,
-    optimal_power_given_x,
     snr_at,
 )
 from .harness import (
@@ -110,7 +109,6 @@ __all__ = [
     "load_config",
     "optimal_location_given_power",
     "optimal_power_for_gains",
-    "optimal_power_given_x",
     "optimize_height",
     "optimize_x",
     "parse_config",

@@ -117,64 +117,52 @@ def hop_gains_3d(scn: Atg3dScenario, x: float, height: float) -> tuple[float, fl
 
 
 def _gamma(scn: Atg3dScenario, x: float, height: float, powers: PowerSplit) -> float:
-    # the SNR at one point (oracle polish, profiles, fixed-location); the
-    # callers manage the bounds
+    # the SNR at one point (oracle polish); the callers manage the bounds
     h1, h2 = hop_gains_3d(scn, x, height)
     return (h1 * h2 * powers.p1 * powers.p2) / (h2 * powers.p2 + h1 * powers.p1 + 1.0)
 
 
-class _GainMemo:
-    """Hop gains along the current height line and offset line of one solve.
+def _span(scn: Atg3dScenario, axis: int) -> tuple[float, float]:
+    # the box's bounds along one axis: 0 is the ground offset, 1 the height
+    return (scn.h_min, scn.h_max) if axis else (scn.d1, scn.d2)
 
-    The height line holds the gains at the last fixed offset x, keyed by
-    height; the offset line holds those at the last fixed height, keyed by
-    x.  A line starts afresh when its fixed coordinate changes, holding
-    only the point where it crosses the other line.  The gains do not
-    depend on the powers, so a stored pair is exactly the pair that
-    hop_gains_3d returns for that point.  The SNR along a line uses
-    _gamma's float expression, and a miss calls hop_gains_3d by its module
-    global at call time, so a wrapper installed on it sees every real
-    evaluation.
+
+class _GainMemo:
+    """Hop gains along the current line of each axis of one solve.
+
+    Axis 0 is the ground offset x at a fixed height and axis 1 the height
+    at a fixed x; ``lines[axis]`` holds the fixed coordinate and the gains
+    keyed by the coordinate t along the line.  A line starts afresh when
+    its fixed coordinate changes, holding only the point where it crosses
+    the other line.  The gains do not depend on the powers, so a stored
+    pair is exactly the pair that hop_gains_3d returns for that point.
+    The SNR along a line uses _gamma's float expression, and a miss calls
+    hop_gains_3d by its module global at call time, so a wrapper installed
+    on it sees every real evaluation.
     """
 
     def __init__(self, scn: Atg3dScenario):
         self.scn = scn
-        self.heights = (None, {})
-        self.offsets = (None, {})
+        self.lines = [(None, {}), (None, {})]
 
-    def _height_line(self, x: float) -> dict:
-        if x != self.heights[0]:
-            height, across = self.offsets
-            self.heights = (x, {height: across[x]} if x in across else {})
-        return self.heights[1]
+    def _line(self, axis: int, fixed: float) -> dict:
+        held, line = self.lines[axis]
+        if fixed != held:
+            t, across = self.lines[1 - axis]
+            line = {t: across[fixed]} if fixed in across else {}
+            self.lines[axis] = (fixed, line)
+        return line
 
-    def _offset_line(self, height: float) -> dict:
-        if height != self.offsets[0]:
-            x, across = self.heights
-            self.offsets = (height, {x: across[height]} if height in across else {})
-        return self.offsets[1]
-
-    def along_height(self, x: float, powers: PowerSplit):
-        """The SNR at (x, t) as a function of the height t."""
-        scn, line, p1, p2 = self.scn, self._height_line(x), powers.p1, powers.p2
+    def along(self, axis: int, fixed: float, powers: PowerSplit):
+        """The SNR along one line as a function of t: at (t, fixed) on axis 0
+        and at (fixed, t) on axis 1."""
+        scn, line, p1, p2 = self.scn, self._line(axis, fixed), powers.p1, powers.p2
 
         def snr(t):
             gains = line.get(t)
             if gains is None:
-                gains = line[t] = hop_gains_3d(scn, x, t)
-            h1, h2 = gains
-            return (h1 * h2 * p1 * p2) / (h2 * p2 + h1 * p1 + 1.0)
-
-        return snr
-
-    def along_offset(self, height: float, powers: PowerSplit):
-        """The SNR at (t, height) as a function of the offset t."""
-        scn, line, p1, p2 = self.scn, self._offset_line(height), powers.p1, powers.p2
-
-        def snr(t):
-            gains = line.get(t)
-            if gains is None:
-                gains = line[t] = hop_gains_3d(scn, t, height)
+                gains = line[t] = (hop_gains_3d(scn, fixed, t) if axis
+                                   else hop_gains_3d(scn, t, fixed))
             h1, h2 = gains
             return (h1 * h2 * p1 * p2) / (h2 * p2 + h1 * p1 + 1.0)
 
@@ -182,7 +170,7 @@ class _GainMemo:
 
     def gains(self, x: float, height: float) -> tuple[float, float]:
         """The gains at one point, kept on the offset line."""
-        line = self._offset_line(height)
+        line = self._line(0, height)
         pair = line.get(x)
         if pair is None:
             pair = line[x] = hop_gains_3d(self.scn, x, height)
@@ -196,12 +184,12 @@ def _search(snr, lo: float, hi: float) -> float:
 
 def optimize_height(scn: Atg3dScenario, x: float, powers: PowerSplit) -> float:
     """Best flying height at fixed offset and powers (guarded golden section)."""
-    return _search(_GainMemo(scn).along_height(x, powers), scn.h_min, scn.h_max)
+    return _search(_GainMemo(scn).along(1, x, powers), scn.h_min, scn.h_max)
 
 
 def optimize_x(scn: Atg3dScenario, height: float, powers: PowerSplit) -> float:
     """Best ground offset at fixed height and powers (guarded golden section)."""
-    return _search(_GainMemo(scn).along_offset(height, powers), scn.d1, scn.d2)
+    return _search(_GainMemo(scn).along(0, height, powers), scn.d1, scn.d2)
 
 
 def _ascent_blocks(scn: Atg3dScenario):
@@ -212,44 +200,38 @@ def _ascent_blocks(scn: Atg3dScenario):
     the incumbent coordinate when that does not lower the SNR, so any
     cycle of these blocks gives a non-decreasing trace.  A search's result
     depends only on its line and the powers (the bounds are the box's), so
-    each block keeps its results keyed by the fixed coordinate, p1 and p2,
-    and a search that repeats returns the kept float.
+    the blocks keep their results keyed by the axis, the fixed coordinate,
+    p1 and p2, and a search that repeats returns the kept float.
     """
     memo = _GainMemo(scn)
-    best_heights, best_offsets = {}, {}
-
-    def kept_search(kept, fixed, powers, snr, lo, hi):
-        key = (fixed, powers.p1, powers.p2)
-        best = kept.get(key)
-        if best is None:
-            best = kept[key] = _search(snr, lo, hi)
-        return best
+    kept = {}
 
     def score(state):
         x, height, powers = state
-        return memo.along_offset(height, powers)(x)
+        return memo.along(0, height, powers)(x)
 
     def power_block(state):
         x, height, _ = state
         return x, height, optimal_power_for_gains(*memo.gains(x, height), scn.p_total)
 
-    def height_block(state):
-        x, height, powers = state
-        snr = memo.along_height(x, powers)
-        new_height = kept_search(best_heights, x, powers, snr, scn.h_min, scn.h_max)
-        if snr(new_height) >= snr(height):
-            return x, new_height, powers
-        return state
+    def line_block(axis):
+        # the block that moves state[axis] along the line through state
+        lo, hi = _span(scn, axis)
 
-    def offset_block(state):
-        x, height, powers = state
-        snr = memo.along_offset(height, powers)
-        new_x = kept_search(best_offsets, height, powers, snr, scn.d1, scn.d2)
-        if snr(new_x) >= snr(x):
-            return new_x, height, powers
-        return state
+        def block(state):
+            fixed, t, powers = state[1 - axis], state[axis], state[2]
+            snr = memo.along(axis, fixed, powers)
+            key = (axis, fixed, powers.p1, powers.p2)
+            best = kept.get(key)
+            if best is None:
+                best = kept[key] = _search(snr, lo, hi)
+            if snr(best) >= snr(t):
+                return (fixed, best, powers) if axis else (best, fixed, powers)
+            return state
 
-    return score, power_block, height_block, offset_block
+        return block
+
+    return score, power_block, line_block(1), line_block(0)
 
 
 def _ascend(blk: BlocklengthParams, solver: str, score, state, blocks) -> SolveResult:

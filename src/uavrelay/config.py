@@ -30,9 +30,10 @@ MAX_GRID_AXIS_POINTS = 100_000
 MAX_GRID_POINTS = 10 ** 9
 
 
-def _with_env2(scn: Atg3dScenario, blk: BlocklengthParams, name: str):
+def _with_env2(scn: Atg3dScenario, name: str) -> Atg3dScenario:
+    # the scenario with hop 2 in the named preset, at the same carrier and noise
     env2 = AtgEnvironment.from_preset(name, scn.env2.carrier_hz, scn.env2.noise_power_db)
-    return replace(scn, env2=env2), blk
+    return replace(scn, env2=env2)
 
 
 # Each sweep parameter: the JSON type of its values and how one value is
@@ -44,7 +45,7 @@ _SWEEPS = {
     "packet_bits": ("int", lambda scn, blk, v: (
         scn, BlocklengthParams(v, blk.total_blocklength))),
     "power_budget_w": ("number", lambda scn, blk, v: (replace(scn, p_total=float(v)), blk)),
-    "hop2_environment": (set(ATG_PRESETS), _with_env2),
+    "hop2_environment": (set(ATG_PRESETS), lambda scn, blk, v: (_with_env2(scn, v), blk)),
 }
 _MODEL_SWEEPS = {"freespace": set(_SWEEPS) - {"hop2_environment"}, "atg3d": set(_SWEEPS)}
 
@@ -126,7 +127,8 @@ class ExperimentConfig:
     """Fully validated experiment description, checked across its fields."""
 
     scenario_id: str
-    model: str
+    # the channel model, named by the scenario's type (set in __post_init__)
+    model: str = field(init=False)
     scenario: FreeSpaceScenario | Atg3dScenario
     blk: BlocklengthParams
     solvers: tuple[str, ...]
@@ -143,6 +145,9 @@ class ExperimentConfig:
         from .harness import SOLVERS  # imported here: the harness imports this module
 
         param, values, scn = self.sweep_parameter, self.sweep_values, self.scenario
+        # set through object.__setattr__ because the dataclass is frozen
+        object.__setattr__(self, "model",
+                           "atg3d" if isinstance(scn, Atg3dScenario) else "freespace")
         sweeps = _MODEL_SWEEPS[self.model]
         if param is not None and not (isinstance(param, str) and param in sweeps):
             _fail(("sweep", "parameter"), f"{param!r} is not one of {sorted(sweeps)}")
@@ -157,6 +162,8 @@ class ExperimentConfig:
         if self.model == "atg3d" and not (scn.h_min <= self.fixed_height_m <= scn.h_max):
             raise ConfigError(f"fixed_height_m = {self.fixed_height_m} outside the height "
                               f"band [{scn.h_min}, {scn.h_max}]")
+        if self.profile is not None and self.model != "atg3d":
+            _fail((), "unknown key 'profile'")
         if self.profile is not None and self.profile.p1_w is not None \
                 and self.profile.p1_w >= scn.p_total:
             raise ConfigError("profile p1_w must leave the relay a positive power")
@@ -360,7 +367,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     out = raw.get("output", {})
     return ExperimentConfig(
         scenario_id=raw["scenario_id"],
-        model=model,
         scenario=scenario,
         blk=blk,
         solvers=tuple(raw["solvers"]),

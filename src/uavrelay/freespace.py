@@ -92,12 +92,6 @@ def optimal_power_for_gains(h1: float, h2: float, p_total: float) -> PowerSplit:
     return PowerSplit(p1, p_total - p1)
 
 
-def optimal_power_given_x(scn: FreeSpaceScenario, x: float) -> PowerSplit:
-    """Optimal power split at ground offset x (closed form, concave block)."""
-    h1, h2 = freespace_gains(scn, x)
-    return optimal_power_for_gains(h1, h2, scn.p_total)
-
-
 def _location_objective(h_sq: float, D: float, w1: float, w2: float, x: float) -> float:
     # Minimising w2 D1(x) + w1 D2(x) + D1(x) D2(x), with D1 = H^2 + x^2,
     # D2 = H^2 + (D-x)^2 and the power-weighted gains w_i = beta_i p_i,
@@ -105,17 +99,6 @@ def _location_objective(h_sq: float, D: float, w1: float, w2: float, x: float) -
     dist1 = h_sq + x * x
     dist2 = h_sq + (D - x) * (D - x)
     return w2 * dist1 + w1 * dist2 + dist1 * dist2
-
-
-def _stationary_points(D: float, h_sq: float, w1: float, w2: float) -> list[float]:
-    # real roots of 4 x^3 - 6 D x^2 + c x + d, ascending and de-duplicated
-    c = 2.0 * (D * D + 2.0 * h_sq + w1 + w2)
-    d = -2.0 * D * (h_sq + w1)
-    deduped: list[float] = []
-    for r in cubic_real_roots(4.0, -6.0 * D, c, d):
-        if not deduped or r - deduped[-1] > 1e-9 * D:
-            deduped.append(r)
-    return deduped
 
 
 def cubic_location_candidates(scn: FreeSpaceScenario, powers: PowerSplit) -> list[float]:
@@ -126,8 +109,15 @@ def cubic_location_candidates(scn: FreeSpaceScenario, powers: PowerSplit) -> lis
     d = -2 D (H^2 + beta1 p1).  Roots are de-duplicated and sorted, but
     not filtered to the allowed band.
     """
-    return _stationary_points(scn.D, scn.H * scn.H, scn.beta1 * powers.p1,
-                              scn.beta2 * powers.p2)
+    D, h_sq = scn.D, scn.H * scn.H
+    w1, w2 = scn.beta1 * powers.p1, scn.beta2 * powers.p2
+    c = 2.0 * (D * D + 2.0 * h_sq + w1 + w2)
+    d = -2.0 * D * (h_sq + w1)
+    deduped: list[float] = []
+    for r in cubic_real_roots(4.0, -6.0 * D, c, d):
+        if not deduped or r - deduped[-1] > 1e-9 * D:
+            deduped.append(r)
+    return deduped
 
 
 def optimal_location_given_power(scn: FreeSpaceScenario, powers: PowerSplit) -> float:
@@ -142,7 +132,8 @@ def optimal_location_given_power(scn: FreeSpaceScenario, powers: PowerSplit) -> 
     w1, w2 = scn.beta1 * powers.p1, scn.beta2 * powers.p2
     # the roots ascend and the in-band ones lie in [d1, d2], so this is
     # the ascending order of the band edges and the in-band roots
-    candidates = [d1, *[x for x in _stationary_points(D, h_sq, w1, w2) if d1 <= x <= d2], d2]
+    in_band = [x for x in cubic_location_candidates(scn, powers) if d1 <= x <= d2]
+    candidates = [d1, *in_band, d2]
     best_x = None
     best_obj = math.inf
     for x in candidates:

@@ -16,9 +16,8 @@ import json
 import time
 from dataclasses import dataclass, fields, replace
 
-from .atg3d import Atg3dScenario, _gamma, bcd_solve_3d
-from .channels import AtgEnvironment
-from .config import ConfigError, ExperimentConfig, ProfileSpec, profile_coordinates
+from .atg3d import Atg3dScenario, _GainMemo, _span, bcd_solve_3d
+from .config import ConfigError, ExperimentConfig, ProfileSpec, _with_env2, profile_coordinates
 from .fbl import PowerSplit, decoding_error_probability
 from .freespace import bcd_solve
 from .highsnr import high_snr_solve
@@ -171,17 +170,12 @@ def profile_curves(
     else:
         powers = PowerSplit(prof.p1_w, scn.p_total - prof.p1_w)
 
-    if prof.axis == "height":
-        bounds = (scn.h_min, scn.h_max)
-        fixed = prof.fixed_x_m if prof.fixed_x_m is not None else 0.5 * (scn.d1 + scn.d2)
-        fixed_bounds = (scn.d1, scn.d2)
-        coord_name = "height_m"
-    else:
-        bounds = (scn.d1, scn.d2)
-        fixed = prof.fixed_height_m if prof.fixed_height_m is not None \
-            else 0.5 * (scn.h_min + scn.h_max)
-        fixed_bounds = (scn.h_min, scn.h_max)
-        coord_name = "x_m"
+    # axis 0 is the ground offset at a fixed height, axis 1 the height at a fixed x
+    axis = ("x", "height").index(prof.axis)
+    bounds, fixed_bounds = _span(scn, axis), _span(scn, 1 - axis)
+    fixed = (prof.fixed_height_m, prof.fixed_x_m)[axis]
+    if fixed is None:
+        fixed = 0.5 * (fixed_bounds[0] + fixed_bounds[1])
     if not (fixed_bounds[0] <= fixed <= fixed_bounds[1]):
         raise ConfigError(
             f"fixed profile coordinate {fixed} outside bounds {fixed_bounds}"
@@ -194,17 +188,9 @@ def profile_curves(
 
     rows: list[tuple[str, float, float]] = []
     for preset in prof.hop2_presets:
-        env2 = AtgEnvironment.from_preset(
-            preset, scn.env2.carrier_hz, scn.env2.noise_power_db
-        )
-        swept = replace(scn, env2=env2)
-        for coord in coords:
-            if prof.axis == "height":
-                gamma = _gamma(swept, fixed, coord, powers)
-            else:
-                gamma = _gamma(swept, coord, fixed, powers)
-            rows.append((preset, coord, gamma))
-    return coord_name, rows
+        snr = _GainMemo(_with_env2(scn, preset)).along(axis, fixed, powers)
+        rows.extend((preset, coord, snr(coord)) for coord in coords)
+    return ("x_m", "height_m")[axis], rows
 
 
 def write_profile_csv(coord_name: str, rows, path: str) -> None:

@@ -376,24 +376,20 @@ GOLDEN_LINE_SEARCHES = 435
 def test_no_line_search_repeats_within_a_solve(monkeypatch):
     # each search is tagged with its line (axis and fixed coordinate), its
     # powers and its bounds; within one solve no tag may appear twice
-    real_height, real_offset = atg3d._GainMemo.along_height, atg3d._GainMemo.along_offset
-    real_search = atg3d.line_search_max
+    real_along, real_search = atg3d._GainMemo.along, atg3d.line_search_max
     lines = {}
     searches = []
 
-    def tagged(along, axis):
-        def wrapper(memo, fixed, powers):
-            snr = along(memo, fixed, powers)
-            lines[snr] = (axis, fixed, powers.p1, powers.p2)
-            return snr
-        return wrapper
+    def along(memo, axis, fixed, powers):
+        snr = real_along(memo, axis, fixed, powers)
+        lines[snr] = (axis, fixed, powers.p1, powers.p2)
+        return snr
 
     def search(f, lo, hi, tol):
         searches.append((*lines[f], lo, hi))
         return real_search(f, lo, hi, tol)
 
-    monkeypatch.setattr(atg3d._GainMemo, "along_height", tagged(real_height, "height"))
-    monkeypatch.setattr(atg3d._GainMemo, "along_offset", tagged(real_offset, "offset"))
+    monkeypatch.setattr(atg3d._GainMemo, "along", along)
     monkeypatch.setattr(atg3d, "line_search_max", search)
     total = 0
     for name, scn in golden_scenarios().items():

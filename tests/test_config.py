@@ -15,6 +15,7 @@ from uavrelay import (
     GridSpec,
     load_config,
     parse_config,
+    run_experiment,
 )
 from uavrelay.config import (
     MAX_GRID_AXIS_POINTS,
@@ -83,6 +84,24 @@ def test_atg3d_roundtrip():
     assert cfg.scenario.env1.s_curve_a == 4.88
     assert cfg.scenario.env2.s_curve_a == 9.61
     assert cfg.scenario.blk is cfg.blk
+
+
+@pytest.mark.parametrize("changes", [{}, {"solvers": ("bcd",)}])
+@pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.json")))
+def test_a_scenario_of_the_other_model_is_refused_or_followed(name, changes):
+    # the model is the scenario's: a shipped config given the other model's
+    # scenario is refused, or runs as that model without an error row
+    cfg = load_config(str(CONFIGS / name))
+    other = {"freespace": "atg3d_environments.json", "atg3d": "freespace.json"}[cfg.model]
+    scenario = load_config(str(CONFIGS / other)).scenario
+    try:
+        swapped = replace(cfg, scenario=scenario, **changes)
+    except ConfigError:
+        return
+    assert swapped.model == ("atg3d" if isinstance(scenario, Atg3dScenario) else "freespace")
+    outcome = run_experiment(swapped)
+    assert outcome.failures == 0
+    assert all(row.status == "ok" for row in outcome.rows)
 
 
 def test_atg3d_explicit_environment():

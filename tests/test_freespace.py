@@ -34,7 +34,6 @@ from uavrelay import (
     freespace_gains,
     high_snr_solve,
     optimal_location_given_power,
-    optimal_power_given_x,
     optimal_power_for_gains,
     snr_at,
     solve_condition1,
@@ -159,10 +158,16 @@ def test_bcd_evaluates_the_gains_once_per_cycle(monkeypatch):
         assert len(calls) == res.iterations + 1, name
 
 
-def test_optimal_power_given_x(freespace_scn):
-    ps = optimal_power_given_x(freespace_scn, 100.0)
-    h1, h2 = freespace_gains(freespace_scn, 100.0)
-    assert ps == optimal_power_for_gains(h1, h2, freespace_scn.p_total)
+def power_at(scn, x):
+    # the closed-form power split at the hop gains of ground offset x
+    return optimal_power_for_gains(*freespace_gains(scn, x), scn.p_total)
+
+
+def test_optimal_power_given_x(freespace_scn, blk):
+    # fixed-location's split is the closed form at the gains of its offset
+    res = fixed_location_baseline(freespace_scn, blk)
+    h1, h2 = freespace_gains(freespace_scn, res.x)
+    assert res.powers == optimal_power_for_gains(h1, h2, freespace_scn.p_total)
 
 
 def test_cubic_candidates_symmetric_scenario():
@@ -177,7 +182,7 @@ def test_cubic_candidates_are_stationary(rng):
     # every returned candidate zeroes the derivative of the denominator
     for _ in range(50):
         scn = random_freespace(rng)
-        ps = optimal_power_given_x(scn, 0.5 * (scn.d1 + scn.d2))
+        ps = power_at(scn, 0.5 * (scn.d1 + scn.d2))
         weights = (scn.beta1 * ps.p1, scn.beta2 * ps.p2)
 
         def objective(x):
@@ -193,7 +198,7 @@ def test_cubic_candidates_are_stationary(rng):
 def test_location_matches_grid(rng):
     for _ in range(25):
         scn = random_freespace(rng)
-        ps = optimal_power_given_x(scn, 0.5 * (scn.d1 + scn.d2))
+        ps = power_at(scn, 0.5 * (scn.d1 + scn.d2))
         got = optimal_location_given_power(scn, ps)
         want = grid_location_argmax(scn, ps)
         step = 0.001
@@ -233,7 +238,7 @@ def test_bcd_fixed_point(freespace_scn, blk):
     # the stopping rule bounds the SNR improvement, so the block variables
     # are pinned down only to about sqrt(rel_tol) in relative terms
     res = bcd_solve(freespace_scn, blk)
-    ps = optimal_power_given_x(freespace_scn, res.x)
+    ps = power_at(freespace_scn, res.x)
     assert ps.p1 == pytest.approx(res.powers.p1, rel=1e-4)
     x = optimal_location_given_power(freespace_scn, res.powers)
     assert x == pytest.approx(res.x, abs=1e-4 * freespace_scn.D)

@@ -24,7 +24,7 @@ from uavrelay import (
 )
 from uavrelay.harness import CSV_COLUMNS, SOLVERS
 from uavrelay.atg3d import _gamma
-from uavrelay import AtgEnvironment, PowerSplit
+from uavrelay import AtgEnvironment, PowerSplit, af_snr, hop_gains_3d
 from dataclasses import replace as dc_replace
 
 from test_config import ATG3D_RAW, FREESPACE_RAW, variant
@@ -268,6 +268,29 @@ def test_profile_csv(tmp_path):
     assert parsed[0] == ["environment", "height_m", "snr"]
     assert len(parsed) == 1 + 3
     assert parsed[1][0] == "urban"
+
+
+@pytest.mark.parametrize("axis", ["height", "x"])
+@pytest.mark.parametrize("p1_w", [None, 1.0])
+def test_profile_rows_are_the_snr_at_their_points(axis, p1_w):
+    # every row, on either axis and with either power split, holds the exact
+    # float of af_snr at its point under its hop-2 preset
+    cfg = load_config(str(CONFIGS / "atg3d_height_profile.json"))
+    cfg = dc_replace(cfg, profile=dc_replace(cfg.profile, p1_w=p1_w))
+    scn = cfg.scenario
+    powers = (PowerSplit.even(scn.p_total) if p1_w is None
+              else PowerSplit(p1_w, scn.p_total - p1_w))
+    coord_name, rows = profile_curves(cfg, axis=axis)
+    assert coord_name == f"{axis}_m"
+    assert {preset for preset, _, _ in rows} == set(cfg.profile.hop2_presets)
+    for preset, coord, snr in rows:
+        env2 = AtgEnvironment.from_preset(preset, scn.env2.carrier_hz, scn.env2.noise_power_db)
+        swept = dc_replace(scn, env2=env2)
+        if axis == "height":
+            x, h = cfg.profile.fixed_x_m, coord
+        else:
+            x, h = coord, 0.5 * (scn.h_min + scn.h_max)
+        assert snr.hex() == af_snr(*hop_gains_3d(swept, x, h), powers).hex(), (preset, coord)
 
 
 SOLVER_ATTRS = ("bcd_solve", "high_snr_solve", "exhaustive_search", "fixed_location_baseline",
