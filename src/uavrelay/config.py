@@ -135,7 +135,9 @@ class ExperimentConfig:
     sweep_parameter: str | None
     sweep_values: tuple
     grid: GridSpec | None
-    fixed_height_m: float
+    # the fixed-height baseline's pinned height: atg3d only, DEFAULT_FIXED_HEIGHT
+    # when unset (filled in by __post_init__)
+    fixed_height_m: float | None
     profile: ProfileSpec | None
     output_csv: str | None
     output_json: str | None
@@ -159,9 +161,15 @@ class ExperimentConfig:
                                   f"model (choose from {list(allowed)})")
             if name in self.solvers[:i]:
                 raise ConfigError(f"solvers name {name!r} more than once")
-        if self.model == "atg3d" and not (scn.h_min <= self.fixed_height_m <= scn.h_max):
-            raise ConfigError(f"fixed_height_m = {self.fixed_height_m} outside the height "
-                              f"band [{scn.h_min}, {scn.h_max}]")
+        if self.model != "atg3d":
+            if self.fixed_height_m is not None:
+                _fail((), "unknown key 'fixed_height_m'")
+        else:
+            if self.fixed_height_m is None:
+                object.__setattr__(self, "fixed_height_m", DEFAULT_FIXED_HEIGHT)
+            if not (scn.h_min <= self.fixed_height_m <= scn.h_max):
+                raise ConfigError(f"fixed_height_m = {self.fixed_height_m} outside the height "
+                                  f"band [{scn.h_min}, {scn.h_max}]")
         if self.profile is not None and self.model != "atg3d":
             _fail((), "unknown key 'profile'")
         if self.profile is not None and self.profile.p1_w is not None \
@@ -373,7 +381,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         sweep_parameter=sweep["parameter"],
         sweep_values=tuple(sweep["values"]),
         grid=build_grid(model, raw["grid"]) if "grid" in raw else None,
-        fixed_height_m=raw.get("fixed_height_m", DEFAULT_FIXED_HEIGHT),
+        fixed_height_m=raw.get("fixed_height_m"),
         profile=profile,
         output_csv=out.get("csv"),
         output_json=out.get("json"),

@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, fields, replace
 
-from .atg3d import Atg3dScenario, _GainMemo, _span, bcd_solve_3d
+from .atg3d import Atg3dScenario, _gamma, _span, bcd_solve_3d
 from .config import ConfigError, ExperimentConfig, ProfileSpec, _with_env2, profile_coordinates
 from .fbl import PowerSplit, decoding_error_probability
 from .freespace import bcd_solve
@@ -188,8 +188,11 @@ def profile_curves(
 
     rows: list[tuple[str, float, float]] = []
     for preset in prof.hop2_presets:
-        snr = _GainMemo(_with_env2(scn, preset)).along(axis, fixed, powers)
-        rows.extend((preset, coord, snr(coord)) for coord in coords)
+        env_scn = _with_env2(scn, preset)
+        if axis:
+            rows.extend((preset, h, _gamma(env_scn, fixed, h, powers)) for h in coords)
+        else:
+            rows.extend((preset, x, _gamma(env_scn, x, fixed, powers)) for x in coords)
     return ("x_m", "height_m")[axis], rows
 
 

@@ -297,6 +297,10 @@ def test_profile_samples_are_capped():
 def test_fixed_height_bounds():
     cfg = parse_config(copy.deepcopy(ATG3D_RAW))
     assert cfg.fixed_height_m == 100.0
+    # unset on free space, where no solver reads it; a replace() back to
+    # unset on atg3d takes the default again
+    assert load_config(str(CONFIGS / "freespace.json")).fixed_height_m is None
+    assert replace(cfg, fixed_height_m=None).fixed_height_m == 100.0
     with pytest.raises(ConfigError, match="fixed_height_m"):
         parse_config(variant(ATG3D_RAW, fixed_height_m=300.0))
 
@@ -416,6 +420,11 @@ RULES_IN_CODE = {
         lambda cfg: replace(cfg, fixed_height_m=1e6),
         lambda raw: raw.update(fixed_height_m=1e6),
         "outside the height band"),
+    "fixed-height-on-free-space": (
+        "freespace.json",
+        lambda cfg: replace(cfg, fixed_height_m=1e6, solvers=("bcd",)),
+        lambda raw: raw.update(fixed_height_m=1e6, solvers=["bcd"]),
+        "at <root>: unknown key 'fixed_height_m'"),
     "profile-power-at-the-budget": (
         "atg3d_height_profile.json",
         lambda cfg: replace(cfg, profile=replace(cfg.profile, p1_w=4.0)),

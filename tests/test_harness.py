@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -291,6 +292,21 @@ def test_profile_rows_are_the_snr_at_their_points(axis, p1_w):
         else:
             x, h = coord, 0.5 * (scn.h_min + scn.h_max)
         assert snr.hex() == af_snr(*hop_gains_3d(swept, x, h), powers).hex(), (preset, coord)
+
+
+def test_profile_at_the_step_cap_holds_only_its_rows():
+    # a profile reads each sample once, so nothing but the rows and the
+    # sample list may grow with the samples: 95,000 samples on one preset
+    cfg = load_config(str(CONFIGS / "atg3d_height_profile.json"))
+    cfg = dc_replace(cfg, profile=dc_replace(cfg.profile, hop2_presets=("urban",)))
+    tracemalloc.start()
+    try:
+        _, rows = profile_curves(cfg, step=0.002)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 95_000
+    assert peak < 1.2 * held
 
 
 SOLVER_ATTRS = ("bcd_solve", "high_snr_solve", "exhaustive_search", "fixed_location_baseline",

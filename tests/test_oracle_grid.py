@@ -1,10 +1,10 @@
-"""The oracle's blocked grid kernels against the full-grid computation.
+"""The oracle's bounded grid kernels against the full-grid computation.
 
 The reference below builds the whole SNR grid as numpy temporaries and
-takes ``np.argmax`` over it, exactly as the oracle did before it swept
-the grid in blocks.  The blocked kernels must return the same index and
-the same value (``==``, not approximately) on every shape, including
-ties and NaN cells.
+takes ``np.argmax`` over it, exactly as the oracle did before it skipped
+the rows and cells that cannot win.  The kernels must return the same
+index and the same value (``==``, not approximately) on every shape,
+including ties and NaN cells.
 """
 
 import warnings
@@ -14,13 +14,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uavrelay import AtgEnvironment, FreeSpaceScenario
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uavrelay import AtgEnvironment, FreeSpaceScenario, oracle
 from uavrelay.oracle import (
-    _BLOCK_CELLS,
+    _BATCH_ROWS,
     DEFAULT_POINTS_2D,
     DEFAULT_POINTS_3D,
+    _bounded_argmax,
+    _first_max,
     _grid_argmax_2d,
     _grid_argmax_3d,
+    _linspace,
 )
 
 from conftest import CARRIER_HZ, make_atg3d
@@ -99,10 +105,10 @@ def test_2d_default_grid_matches_full_grid(freespace_scn):
 
 
 @pytest.mark.parametrize("shape", [
-    (2001, 7),     # one block of rows
-    (5003, 7),     # a full block of rows and a short last one
-    (2001, 2001),  # 2001 rows do not fill whole blocks
-    (3, 40_000),   # a row wider than a block
+    (2001, 7),     # many short rows
+    (5003, 7),     # more short rows
+    (2001, 2001),  # odd counts near the default grid
+    (3, 40_000),   # a few long rows
     (1, 1), (1, 2), (2, 1), (2, 2),
 ])
 def test_2d_odd_shapes_match_full_grid(freespace_scn, shape):
@@ -111,7 +117,7 @@ def test_2d_odd_shapes_match_full_grid(freespace_scn, shape):
 
 @pytest.mark.parametrize("shape", [
     (37, 91, 53),
-    (3, 700, 53),  # a slice of more rows than a block holds
+    (3, 700, 53),  # slices of many rows
     (2, 3, 40_000),
     (1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 2), (2, 2, 2),
 ])
@@ -120,15 +126,38 @@ def test_3d_odd_shapes_match_full_grid(shape):
     assert_same_3d(scn, *axes_3d(scn, *shape))
 
 
-def test_block_holds_several_rows_of_the_default_grids():
-    # the shapes above exercise multi-block sweeps only if a block is
-    # smaller than the grids and larger than one row
-    assert DEFAULT_POINTS_2D < _BLOCK_CELLS < 7 * 5003
-    assert DEFAULT_POINTS_3D < _BLOCK_CELLS < 700 * 53
+def rows_read(monkeypatch):
+    # the rows each kernel call reads, in the order it reads them
+    read = []
+    make = oracle._row_reader
+
+    def counting(*args):
+        row_max = make(*args)
+
+        def counted(r, floor):
+            read.append(r)
+            return row_max(r, floor)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_row_reader", counting)
+    return read
+
+
+def test_bound_skips_most_rows_of_the_default_grids(monkeypatch, freespace_scn):
+    # the equality tests hold for any order of reading; this one checks
+    # that the bound does skip: a few of the 2,000 and 40,000 rows are read
+    read = rows_read(monkeypatch)
+    assert_same_2d(freespace_scn, *axes_2d(freespace_scn, *(DEFAULT_POINTS_2D,) * 2))
+    assert 0 < len(read) <= 20
+    read.clear()
+    scn = make_atg3d("urban")
+    assert_same_3d(scn, *axes_3d(scn, *(DEFAULT_POINTS_3D,) * 3))
+    assert 0 < len(read) <= 400
 
 
 def test_exact_tie_goes_to_first_cell_in_c_order(freespace_scn):
-    # every x row appears twice, far enough apart to land in different blocks
+    # every x row appears twice, so equal rows tie wherever the reading starts
     xs, ps = axes_2d(freespace_scn, 300, 2000)
     xs = np.concatenate([xs, xs])
     gam = full_grid_2d(freespace_scn, xs, ps)
@@ -169,7 +198,7 @@ def test_nan_grid_picks_first_nan_quietly():
     assert index == want_index and np.isnan(value)
 
 
-def test_first_nan_in_a_later_block_beats_earlier_maxima():
+def test_first_nan_after_rows_the_bound_skips_beats_earlier_maxima():
     # beta2 so large that g2 overflows only in the last x rows; FreeSpaceScenario
     # refuses such gains, so the kernel gets a stand-in with the same fields
     scn = SimpleNamespace(D=200.0, H=0.5, d1=0.0, d2=200.0, beta1=1.0, beta2=1e308,
@@ -177,13 +206,68 @@ def test_first_nan_in_a_later_block_beats_earlier_maxima():
     xs, ps = np.linspace(0.0, 200.0, 2001), np.linspace(0.5, 3.5, 300)
     with np.errstate(all="ignore"):
         gam = full_grid_2d(scn, xs, ps)
+        # each row's closed-form peak over p1 + p2 = p_total
+        g1 = scn.beta1 / (scn.H ** 2 + xs * xs)
+        g2 = scn.beta2 / (scn.H ** 2 + (scn.D - xs) ** 2)
+        peak = scn.p_total ** 2 * g1 * g2 / (np.sqrt(1 + scn.p_total * g1)
+                                              + np.sqrt(1 + scn.p_total * g2)) ** 2
     want_index, want_value = reference_argmax(gam)
     assert np.isnan(want_value) and np.isfinite(np.nanmax(gam[:want_index[0]]))
-    assert want_index[0] * len(ps) >= _BLOCK_CELLS
+    # most rows before the NaN fall short of the finite maximum by far more
+    # than the margin: the bound skips them, and the NaN is found only
+    # because the rows that may overflow are read in full, in C order
+    assert np.count_nonzero(peak[:want_index[0]] < 0.5 * np.nanmax(gam)) > 1000
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         index, value = blocked_2d(scn, xs, ps)
     assert index == want_index and np.isnan(value)
+
+
+def test_first_nan_in_a_later_batch_of_rows_wins():
+    # the rows that may overflow come after whole batches of finite rows,
+    # which the kernels read first; the stand-ins carry gains that the
+    # scenarios refuse (g2 overflows near x = D)
+    scn = SimpleNamespace(D=200.0, H=0.5, d1=0.0, d2=200.0, beta1=1.0, beta2=1e308,
+                          p_total=4.0)
+    xs, ps = np.linspace(0.0, 200.0, 3 * _BATCH_ROWS), np.linspace(0.5, 3.5, 30)
+    env1, env2 = (AtgEnvironment.from_preset(name, CARRIER_HZ, -1620.0)
+                  for name in ("suburban", "urban"))
+    scn_3d = SimpleNamespace(**{**vars(make_atg3d("urban")), "env1": env1, "env2": env2})
+    axes = axes_3d(scn_3d, 300, 30, 40)
+    with np.errstate(all="ignore"):
+        want_2d = reference_argmax(full_grid_2d(scn, xs, ps))
+        want_3d = reference_argmax(full_grid_3d(scn_3d, *axes))
+    assert np.isnan(want_2d[1]) and want_2d[0][0] > 2 * _BATCH_ROWS
+    assert np.isnan(want_3d[1]) and want_3d[0][0] * 30 + want_3d[0][1] > _BATCH_ROWS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_2d, got_3d = blocked_2d(scn, xs, ps), blocked_3d(scn_3d, *axes)
+    assert got_2d[0] == want_2d[0] and np.isnan(got_2d[1])
+    assert got_3d[0] == want_3d[0] and np.isnan(got_3d[1])
+
+
+@pytest.mark.parametrize("bounds, wild, best", [
+    # row 2 has the highest bound, row 1 ties its maximum and comes first
+    ([(3.0, 0), (3.0, 1), (5.0, 2)], [], None),
+    # a bound equal to the best value reads an earlier row only
+    ([(3.0, 1), (3.0, 3)], [], (2, 0, 3.0)),
+    # the wild rows are read in full, and the first NaN wins over inf
+    ([(3.0, 0), (5.0, 2)], [4, 5], None),
+    # against a best value carried from rows read before
+    ([(5.0, 2)], [4], (0, 1, 2.0)),
+])
+def test_bounded_argmax_picks_as_np_argmax(bounds, wild, best):
+    grid = np.array([[1.0, 2.0, 0.5],
+                     [0.0, 3.0, 3.0],
+                     [3.0, 1.0, 0.0],
+                     [3.0, 0.0, 0.0],
+                     [0.0, np.inf, 1.0],
+                     [1.0, 0.0, np.nan]])
+    rows = sorted({r for _, r in bounds} | set(wild) | ({best[0]} if best else set()))
+    want_k = reference_argmax(grid[rows])
+    want = (rows[want_k[0][0]], want_k[0][1], want_k[1])
+    got = _bounded_argmax(bounds, wild, lambda r, floor: _first_max(grid[r].tolist()), best)
+    assert got[:2] == want[:2] and (got[2] == want[2] or np.isnan(got[2]) and np.isnan(want[2]))
 
 
 def test_random_scenarios_match_full_grid():
@@ -200,3 +284,121 @@ def test_random_scenarios_match_full_grid():
         scn = replace(make_atg3d(str(rng.choice(HOP2_PRESETS))),
                       p_total=rng.uniform(0.01, 100.0))
         assert_same_3d(scn, *axes_3d(scn, *rng.integers(1, 12, size=3)))
+
+
+def test_linspace_matches_numpy():
+    # the free-space grid's axes, made without numpy, on the shipped spans,
+    # a span too small to divide (numpy's path for a zero step) and n = 2
+    for lo, hi in [(30.0, 170.0), (0.0, 4.0), (0.0, 5e-324), (0.0, 1e-200), (10.0, 200.0),
+                   (0.0, 1e200), (-3.5, 7.25)]:
+        for n in (2, 3, 7, 200, 1999, 2000):
+            want = np.linspace(lo, hi, n).tolist()
+            got = _linspace(lo, hi, n)
+            assert [float.hex(v) for v in got] == [float.hex(v) for v in want], (lo, hi, n)
+
+
+@pytest.mark.parametrize("p_total", [1e-200, 1e-300, 1e200])
+def test_extreme_budgets_match_full_grid(freespace_scn, p_total):
+    # at 1e-200 W and 1e-300 W p1 p2 underflows, so the rows are read in
+    # full under the exact float cap g1 g2 max(p1 p2); at 1e200 W it
+    # overflows and every row is wild.  The scenarios refuse 1e200 W, so
+    # the kernels get stand-ins with the same fields
+    scn = SimpleNamespace(**{**vars(freespace_scn), "p_total": p_total})
+    with np.errstate(all="ignore"):
+        assert_same_2d(scn, *axes_2d(scn, 300, 300))
+        assert_same_2d(scn, *axes_2d(scn, 7, 2000))
+        scn = SimpleNamespace(**{**vars(make_atg3d("urban")), "p_total": p_total})
+        assert_same_3d(scn, *axes_3d(scn, 20, 30, 40))
+
+
+def read_row(row_max, r, floor, n):
+    """row_max(r, floor) and the cells it read."""
+    read = set(range(n))  # unless the row is walked, it is read in full
+    walk = oracle._walk
+
+    def recording(cell, *args):
+        read.clear()
+        return walk(lambda j: read.add(j) or cell(j), *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_walk", recording)
+        j, v = row_max(r, floor)
+    return (j, v), read
+
+
+def check_rows(gam, bounds, row_max, cut):
+    # every row's bound is at least each of its cells, and a row read
+    # against a floor reads every cell that ranks at or above the incumbent
+    # (the floor, or the best cell read if that is higher): the first
+    # maximum when it reaches the floor, or no cell at the floor at all
+    rows = gam.reshape(-1, gam.shape[-1])
+    for bound, r in bounds:
+        row = rows[r]
+        assert not np.isnan(row).any() and row.max() <= bound
+        top = float(row.max())
+        values = np.unique(row)
+        for floor in (top, np.nextafter(top, np.inf), np.nextafter(top, -np.inf),
+                      top * (1.0 - 1e-9), top * (1.0 - 3e-9),
+                      float(values[int(cut * (len(values) - 1))]), -np.inf):
+            (j, v), read = read_row(row_max, r, floor, len(row))
+            incumbent = max(floor, row[sorted(read)].max())
+            assert set(np.flatnonzero(row >= incumbent)) <= read
+            if top >= floor:
+                assert (j, v) == (int(np.argmax(row)), top)
+            else:
+                assert v < floor
+
+
+def assert_rows_keep_every_cell_at_or_above(kernel, scn, axes, gam, cut):
+    # checks the rows that the kernel hands to _bounded_argmax, at each call
+    bounded = oracle._bounded_argmax
+    calls = []
+
+    def checked(bounds, wild, row_max, best=None):
+        calls.append(len(bounds))
+        check_rows(gam, bounds, row_max, cut)
+        return bounded(bounds, wild, row_max, best)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_bounded_argmax", checked)
+        kernel(scn, *axes)
+    assert calls
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(D=st.floats(1.0, 1e4), H=st.floats(1e-2, 1e3), band=st.tuples(unit, unit).map(sorted),
+       beta1_db=st.floats(-300.0, 300.0), beta2_db=st.floats(-300.0, 300.0),
+       budget_exp=st.floats(-300.0, 100.0), nx=st.integers(1, 6), np_=st.integers(2, 400),
+       cut=unit)
+def test_2d_bound_and_walk_keep_every_cell_at_or_above_the_incumbent(
+        D, H, band, beta1_db, beta2_db, budget_exp, nx, np_, cut):
+    try:
+        scn = FreeSpaceScenario.from_db(D, H, band[0] * D, band[1] * D, beta1_db, beta2_db,
+                                        10.0 ** budget_exp)
+    except (ValueError, OverflowError):
+        return  # refused at construction
+    axes = axes_2d(scn, nx, np_)
+    with np.errstate(all="ignore"):
+        gam = full_grid_2d(scn, *axes)
+    assert_rows_keep_every_cell_at_or_above(_grid_argmax_2d, scn, axes, gam, cut)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(hop1=st.sampled_from(HOP2_PRESETS), hop2=st.sampled_from(HOP2_PRESETS),
+       noise_db=st.floats(-1500.0, 200.0), budget_exp=st.floats(-300.0, 100.0),
+       shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(2, 300)), cut=unit)
+def test_3d_bound_and_walk_keep_every_cell_at_or_above_the_incumbent(
+        hop1, hop2, noise_db, budget_exp, shape, cut):
+    try:
+        scn = replace(make_atg3d("urban"), p_total=10.0 ** budget_exp,
+                      env1=AtgEnvironment.from_preset(hop1, CARRIER_HZ, noise_db),
+                      env2=AtgEnvironment.from_preset(hop2, CARRIER_HZ, noise_db))
+    except (ValueError, OverflowError):
+        return  # refused at construction
+    axes = axes_3d(scn, *shape)
+    with np.errstate(all="ignore"):
+        gam = full_grid_3d(scn, *axes)
+    assert_rows_keep_every_cell_at_or_above(_grid_argmax_3d, scn, axes, gam, cut)
