@@ -108,8 +108,14 @@ def hop_gains_3d(scn: Atg3dScenario, x: float, height: float) -> tuple[float, fl
     theta2 = math.atan2(height, x2) * _DEGREES
     r1 = math.hypot(x, height)
     r2 = math.hypot(x2, height)
-    s1 = 1.0 / (1.0 + a1 * math.exp(-b1 * (theta1 - a1)))
-    s2 = 1.0 / (1.0 + a2 * math.exp(-b2 * (theta2 - a2)))
+    try:
+        s1 = 1.0 / (1.0 + a1 * math.exp(-b1 * (theta1 - a1)))
+        s2 = 1.0 / (1.0 + a2 * math.exp(-b2 * (theta2 - a2)))
+    except OverflowError:
+        # exp(z), z = -b (theta - a), leaves the double range past z = 709.78,
+        # where P_los < 1 / (a e^709.78): such a hop takes the limit P_los = 0
+        s1, s2 = (0.0 if z > 709.78 else 1.0 / (1.0 + a * math.exp(z))
+                  for a, z in ((a1, -b1 * (theta1 - a1)), (a2, -b2 * (theta2 - a2))))
     return (
         scale1 / (r1 * r1) * 10.0 ** (exponent1 * s1),
         scale2 / (r2 * r2) * 10.0 ** (exponent2 * s2),

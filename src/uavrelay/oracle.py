@@ -6,12 +6,12 @@ maximum in C order, or the first NaN), and polishes it with one local
 golden-section refinement per axis.  It exists to check the analytic
 solvers, so it evaluates the SNR itself and takes none of their answers;
 the closed-form maximum over the power split serves only as an upper bound
-that skips the grid rows, and the cells of a row, that cannot win.  The
-free-space grid runs on plain floats; the air-to-ground grid computes its
-gains with numpy, imported inside that grid only, so a process that runs
-no air-to-ground grid never loads it.  The baselines pin one decision
-variable (placement or power split) and optimise the rest, mirroring the
-usual comparison schemes.
+that skips the grid rows, and the cells of a row, that cannot win.  Both
+models share one kernel on plain floats: a row generator per model gives
+the hop gains of each grid row, the air-to-ground one writing the gain
+out again rather than calling the solvers' ``hop_gains_3d``.  The
+baselines pin one decision variable (placement or power split) and
+optimise the rest, mirroring the usual comparison schemes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 
 from . import freespace
@@ -107,9 +108,8 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return points
 
 
-def _peak_bound(g1, g2, pt: float, low, sqrt):
-    """(walk, G widened by the margin, p1*) for rows of gains g1, g2:
-    floats with math.sqrt, or arrays with np.sqrt.
+def _peak_bound(g1: float, g2: float, pt: float, low: float):
+    """(walk, G widened by the margin, p1*) for a row of gains g1, g2.
 
     Over p1 + p2 = pt the SNR g1 g2 p1 p2 / (g2 p2 + g1 p1 + 1) peaks at
     p1* = pt r2 / (r1 + r2) with the value G = pt^2 g1 g2 / (r1 + r2)^2,
@@ -120,12 +120,11 @@ def _peak_bound(g1, g2, pt: float, low, sqrt):
     cells cannot overflow, G and each cell are within a few ulps of their
     exact values, so the row may be walked and bounded by G.
     """
-    r1, r2 = sqrt(1.0 + g1 * pt), sqrt(1.0 + g2 * pt)
+    r1, r2 = math.sqrt(1.0 + g1 * pt), math.sqrt(1.0 + g2 * pt)
     q = pt / (r1 + r2)
     qq = q * q
     peak = qq * (g1 * g2)
-    walk = ((qq >= _TINY) & (peak < math.inf)
-            & (low / (g2 * pt + g1 * pt + 1.0) >= _TINY))
+    walk = qq >= _TINY and peak < math.inf and low / (g2 * pt + g1 * pt + 1.0) >= _TINY
     return walk, peak * (1.0 + _BOUND_MARGIN), q * r2
 
 
@@ -163,24 +162,20 @@ def _walk(cell, ps: list[float], p_star: float, halo: float, floor: float):
     return best_j, best_v
 
 
-def _row_reader(row, ps: list[float], p2: list[float], pp: list[float] | None, pt: float):
+def _row_reader(row, ps: list[float], p2: list[float], pp: list[float], pt: float):
     """row_max(r, floor) over the rows row(r) = (g1, g2, p1*) of one grid.
 
     A row whose p1* is None is read in full, any other is walked from p1*.
     Each cell keeps the operand order of the full-grid expression: the
-    products pp = p1 p2 give the 2-D numerator (g1 g2)(p1 p2), pp = None
-    the 3-D one ((g1 g2) p1) p2; the denominator is (g2 p2 + g1 p1) + 1 in
-    both.
+    numerator (g1 g2)(p1 p2), with the products pp = p1 p2, over the
+    denominator (g2 p2 + g1 p1) + 1.
     """
     halo = _BOUND_MARGIN * pt
 
     def row_max(r: int, floor: float) -> tuple[int, float]:
         g1, g2, p_star = row(r)
         c = g1 * g2
-        if pp is None:
-            cell = lambda j: c * ps[j] * p2[j] / (g2 * p2[j] + g1 * ps[j] + 1.0)
-        else:
-            cell = lambda j: c * pp[j] / (g2 * p2[j] + g1 * ps[j] + 1.0)
+        cell = lambda j: c * pp[j] / (g2 * p2[j] + g1 * ps[j] + 1.0)
         if p_star is None:
             return _first_max([cell(j) for j in range(len(ps))])
         return _walk(cell, ps, p_star, halo, floor)
@@ -220,19 +215,52 @@ def _bounded_argmax(bounds: list[tuple[float, int]], wild: list[int], row_max, b
     return best
 
 
-def _grid_argmax_2d(scn: FreeSpaceScenario, xs, ps):
-    """Grid index (ix, ip) and value of the SNR maximum over xs x ps.
+def _freespace_rows(scn: FreeSpaceScenario, xs: list[float]):
+    """The hop gains (g1, g2) of each offset x: beta_i / (H^2 + d_i^2)."""
+    D, b1, b2 = scn.D, scn.beta1, scn.beta2
+    h_sq = scn.H * scn.H
+    for x in xs:
+        yield b1 / (h_sq + x * x), b2 / (h_sq + (D - x) * (D - x))
 
-    Plain floats, no numpy; ps ascends within [0, p_total].  A row whose
+
+def _atg_rows(scn: Atg3dScenario, xs: list[float], hs: list[float]):
+    """The hop gains (g1, g2) of each (x, h) pair, x-major.
+
+    The S-curve gain of Al-Hourani et al. (IEEE WCL 2014), written out
+    here independently of ``atg3d.hop_gains_3d``, which the oracle checks:
+    gain_scale / r^2 * 10^(gain_exponent s), with s the LoS probability
+    1 / (1 + a exp(-b (theta - a))) at the elevation theta in degrees.
+    Where the exponential overflows, s is below 1 / (a e^709.78) and its
+    limit 0 is taken.
+    """
+
+    def gain(env, ground: float, h: float) -> float:
+        a, b = env.s_curve_a, env.s_curve_b
+        theta = math.degrees(math.atan2(h, ground))
+        try:
+            s = 1.0 / (1.0 + a * math.exp(-b * (theta - a)))
+        except OverflowError:
+            s = 0.0
+        return env.gain_scale / (ground * ground + h * h) * 10.0 ** (env.gain_exponent * s)
+
+    D, env1, env2 = scn.D, scn.env1, scn.env2
+    for x in xs:
+        for h in hs:
+            yield gain(env1, x, h), gain(env2, D - x, h)
+
+
+def _grid_argmax(pt: float, ps: list[float], rows) -> tuple[int, int, float]:
+    """(row, column, value) of the SNR maximum over a grid read row by row.
+
+    rows yields the hop gains (g1, g2) of each row in C order, and ps, the
+    columns, ascends within [0, pt]; the cell at p1 is
+    (g1 g2)(p1 p2) / (g2 p2 + g1 p1 + 1) with p2 = pt - p1.  A row whose
     cap g1 g2 max(p1 p2) overflows is wild.  By monotone rounding no cell
     exceeds the cap, so it bounds any other row, which is read in full
     unless _peak_bound lets it be walked and bounded by its peak G.  The
-    rows go to _bounded_argmax a batch at a time, with the best cell of the
-    batches before.
+    rows go to _bounded_argmax a batch at a time, with the best cell of
+    the batches before, so memory does not grow with the grid.
     """
-    pt, D, b1, b2 = scn.p_total, scn.D, scn.beta1, scn.beta2
-    h_sq = scn.H * scn.H
-    ps = [float(p) for p in ps]
     p2 = [pt - p for p in ps]
     pp = [a * b for a, b in zip(ps, p2)]
     pp_top = max(pp)
@@ -241,103 +269,26 @@ def _grid_argmax_2d(scn: FreeSpaceScenario, xs, ps):
     pp_low = min((q for a, b, q in zip(ps, p2, pp) if a > 0.0 and b > 0.0), default=0.0)
     if pp_low < _TINY:
         pp_low = 0.0
-    xs = [float(x) for x in xs]
-    best = None
-    for base in range(0, len(xs), _BATCH_ROWS):
-        rows, bounds, wild = [], [], []
-        for r, x in enumerate(xs[base:base + _BATCH_ROWS], base):
-            g1 = b1 / (h_sq + x * x)
-            g2 = b2 / (h_sq + (D - x) * (D - x))
+    rows = iter(rows)
+    base, best = 0, None
+    while batch := list(islice(rows, _BATCH_ROWS)):
+        kept, bounds, wild = [], [], []
+        for r, (g1, g2) in enumerate(batch, base):
             c = g1 * g2
             cap = c * pp_top
-            walk, peak, p_star = _peak_bound(g1, g2, pt, c * pp_low, math.sqrt)
-            walk = walk and cap < math.inf
+            walk, peak, p_star = _peak_bound(g1, g2, pt, c * pp_low)
             if cap < math.inf:
                 bounds.append((peak if walk else cap, r))
             else:
+                walk = False
                 wild.append(r)
-            rows.append((g1, g2, p_star if walk else None))
-        row_max = _row_reader(lambda r: rows[r - base], ps, p2, pp, pt)
+            kept.append((g1, g2, p_star if walk else None))
+        row_max = _row_reader(lambda r: kept[r - base], ps, p2, pp, pt)
         best = _bounded_argmax(bounds, wild, row_max, best)
         if best[2] != best[2]:
             break
-    r, j, v = best
-    return (r, j), v
-
-
-def _grid_argmax_3d(scn: Atg3dScenario, xs, hs, ps):
-    """Grid index (ix, ih, ip) and value of the SNR maximum over xs x hs x ps.
-
-    The rows are the (x, h) pairs, taken a few x-slices at a time: their
-    hop gains come from the S-curve gain of Al-Hourani et al. (IEEE WCL
-    2014), written out here independently of ``atg3d.hop_gains_3d``, which
-    the oracle checks.  The rows are bounded and read as in
-    _grid_argmax_2d, with the caps below in place of g1 g2 max(p1 p2).
-    """
-    import numpy as np
-
-    def env_gain(env, theta, r_sq):
-        s = 1.0 / (1.0 + env.s_curve_a * np.exp(-env.s_curve_b * (theta - env.s_curve_a)))
-        return env.gain_scale / r_sq * 10.0 ** (env.gain_exponent * s)
-
-    pt, D = scn.p_total, scn.D
-    ps = [float(p) for p in ps]
-    p2 = [pt - p for p in ps]
-    p1_top, p2_top = max(ps), max(p2)
-    pp_top = max(a * b for a, b in zip(ps, p2))
-    inner = [(a, b) for a, b in zip(ps, p2) if a > 0.0 and b > 0.0] or [(0.0, 0.0)]
-    a_low, b_low = min(a for a, _ in inner), min(b for _, b in inner)
-    a_top, b_top = max(a for a, _ in inner), max(b for _, b in inner)
-    xs, hs = np.asarray(xs, dtype=float), np.asarray(hs, dtype=float)
-    n_h = len(hs)
-    step = max(1, _BATCH_ROWS // n_h)
-    best = None
-    with np.errstate(all="ignore"):
-        for ix in range(0, len(xs), step):
-            # the rows of x-slices ix, ix + 1, ... in C order, laid out like
-            # the full grid's (x, h) mesh
-            xg = np.repeat(xs[ix:ix + step], n_h)
-            hg = np.tile(hs, len(xg) // n_h)
-            g1 = env_gain(scn.env1, np.degrees(np.arctan2(hg, xg)), xg * xg + hg * hg)
-            g2 = env_gain(scn.env2, np.degrees(np.arctan2(hg, D - xg)),
-                          (D - xg) * (D - xg) + hg * hg)
-            c = g1 * g2
-            # Two caps on the numerators ((g1 g2) p1) p2.  By monotone
-            # rounding, none exceeds it at the largest p1 and p2 of a cell
-            # with two positive powers (the others are 0).  And a rounded
-            # product exceeds the exact one by at most an ulp or, where it
-            # underflows, half the least subnormal, which the slacks of the
-            # tight cap on (g1 g2) max(p1 p2) cover
-            cap = np.minimum(c * a_top * b_top,
-                             c * pp_top * (1.0 + 1e-12) + 1e-322 * (c + p2_top + 2.0))
-            low = c * a_low
-            walk, peak, p_star = _peak_bound(g1, g2, pt, np.minimum(low, low * b_low), np.sqrt)
-            is_wild = ~((c * p1_top < np.inf) & (cap < np.inf))
-            walk &= ~is_wild
-            bound = np.where(walk, peak, cap)
-            bound[is_wild] = -np.inf
-            base = ix * n_h
-
-            def row(r):
-                i = r - base
-                return float(g1[i]), float(g2[i]), float(p_star[i]) if walk[i] else None
-
-            row_max = _row_reader(row, ps, p2, None, pt)
-            keep = np.flatnonzero(~is_wild)
-            if best is None and len(keep):
-                # the first batch's row of highest bound first, to raise the floor
-                top = int(np.argmax(bound))
-                best = _bounded_argmax([(float(bound[top]), base + top)], [], row_max)
-            if best is not None:
-                # a row tied with the best value wins only before it in C order
-                keep = keep[(bound[keep] > best[2])
-                            | ((bound[keep] == best[2]) & (keep + base < best[0]))]
-            best = _bounded_argmax(list(zip(bound[keep].tolist(), (keep + base).tolist())),
-                                   (np.flatnonzero(is_wild) + base).tolist(), row_max, best)
-            if best[2] != best[2]:
-                break
-    r, j, v = best
-    return (*divmod(r, n_h), j), v
+        base += len(batch)
+    return best
 
 
 def exhaustive_search(
@@ -359,17 +310,18 @@ def exhaustive_search(
         n = DEFAULT_POINTS_3D
         bounds = ((scn.d1, scn.d2, grid.x), (scn.h_min, scn.h_max, grid.h), (0.0, pt, grid.p1))
         snr = lambda x, h, p: _gamma(scn, x, h, PowerSplit(p, pt - p))
-        grid_argmax = _grid_argmax_3d
+        rows = _atg_rows
     else:
         if grid.h is not None:
             raise ValueError("height axis only applies to the air-to-ground model")
         n = DEFAULT_POINTS_2D
         bounds = ((scn.d1, scn.d2, grid.x), (0.0, pt, grid.p1))
         snr = lambda x, p: snr_at(scn, x, PowerSplit(p, pt - p))
-        grid_argmax = _grid_argmax_2d
+        rows = _freespace_rows
     axes = [_linspace(lo, hi, n if points is None else points) for lo, hi, points in bounds]
 
-    index, v_best = grid_argmax(scn, *axes)
+    r, j, v_best = _grid_argmax(pt, axes[-1], rows(scn, *axes[:-1]))
+    index = (*divmod(r, len(axes[1])), j) if len(axes) == 3 else (r, j)
     point = [axis[i] for axis, i in zip(axes, index)]
     for k, (axis, (lo, hi, _)) in enumerate(zip(axes, bounds)):
         f = lambda t: snr(*point[:k], t, *point[k + 1:])

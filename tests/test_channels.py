@@ -153,6 +153,18 @@ def test_atg_gain_pathloss_identity():
             assert g == pytest.approx(10.0 ** (-loss / 10.0) / noise, rel=1e-13)
 
 
+def test_hop_gains_past_the_exp_range_take_the_s_curve_limit():
+    # a = 80, b = 20: below 80 - 709.78 / 20 = 44.5 degrees exp(-b (theta - a))
+    # overflows a double, and P_los (below 1e-310) is 0 to the gain; the
+    # relay sees both hops below that angle, one of them, or neither
+    spec = (80.0, 20.0, 0.1, 21.0)
+    env = AtgEnvironment(*spec, 2.5e9, -93.0)
+    scn = Atg3dScenario(200.0, 0.0, 200.0, 1.0, 200.0, env, env, 4.0, BlocklengthParams(100, 80))
+    for x, h in ((100.0, 10.0), (20.0, 100.0), (180.0, 100.0), (100.0, 150.0)):
+        want = [mp_atg_hop(*spec, 2.5e9, -93.0, ground, h)[3] for ground in (x, 200.0 - x)]
+        assert hop_gains_3d(scn, x, h) == pytest.approx(want, rel=1e-13), (x, h)
+
+
 def test_los_probability_monotone_in_elevation():
     # at a fixed slant distance only the LoS term moves, so the gain rises
     # with elevation; straight overhead the suburban S-curve is ~1

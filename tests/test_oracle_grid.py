@@ -1,12 +1,15 @@
-"""The oracle's bounded grid kernels against the full-grid computation.
+"""The oracle's bounded grid kernel against the full-grid computation.
 
-The reference below builds the whole SNR grid as numpy temporaries and
-takes ``np.argmax`` over it, exactly as the oracle did before it skipped
-the rows and cells that cannot win.  The kernels must return the same
-index and the same value (``==``, not approximately) on every shape,
-including ties and NaN cells.
+The reference below computes the hop gains of every grid row itself
+(the air-to-ground ones with ``math``, written apart from the oracle's
+row generator), builds the whole SNR grid as numpy temporaries and takes
+``np.argmax`` over it, as the oracle did before it skipped the rows and
+cells that cannot win.  The kernel must return the same index and the
+same value (``==``, not approximately) on every shape, including ties
+and NaN cells.
 """
 
+import math
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -22,10 +25,11 @@ from uavrelay.oracle import (
     _BATCH_ROWS,
     DEFAULT_POINTS_2D,
     DEFAULT_POINTS_3D,
+    _atg_rows,
     _bounded_argmax,
     _first_max,
-    _grid_argmax_2d,
-    _grid_argmax_3d,
+    _freespace_rows,
+    _grid_argmax,
     _linspace,
 )
 
@@ -34,32 +38,36 @@ from conftest import CARRIER_HZ, make_atg3d
 HOP2_PRESETS = ("suburban", "urban", "dense-urban", "high-rise")
 
 
-def full_grid_2d(scn, xs, ps):
-    h_sq = scn.H * scn.H
-    g1 = scn.beta1 / (h_sq + xs * xs)
-    g2 = scn.beta2 / (h_sq + (scn.D - xs) * (scn.D - xs))
-    p2 = scn.p_total - ps
+def full_grid(g1, g2, p_total, ps):
+    # every cell (g1 g2)(p1 p2) / (g2 p2 + g1 p1 + 1), one row per gain pair
+    p2 = p_total - ps
     num = np.outer(g1 * g2, ps * p2)
     den = np.outer(g2, p2) + np.outer(g1, ps) + 1.0
     return num / den
 
 
+def full_grid_2d(scn, xs, ps):
+    h_sq = scn.H * scn.H
+    g1 = scn.beta1 / (h_sq + xs * xs)
+    g2 = scn.beta2 / (h_sq + (scn.D - xs) * (scn.D - xs))
+    return full_grid(g1, g2, scn.p_total, ps)
+
+
+def s_curve_gain(env, ground, h):
+    # the S-curve gain of one hop; where exp overflows, P_los takes its limit 0
+    a, b = env.s_curve_a, env.s_curve_b
+    try:
+        p_los = 1.0 / (1.0 + a * math.exp(-b * (math.degrees(math.atan2(h, ground)) - a)))
+    except OverflowError:
+        p_los = 0.0
+    return env.gain_scale / (ground * ground + h * h) * 10.0 ** (env.gain_exponent * p_los)
+
+
 def full_grid_3d(scn, xs, hs, ps):
-    xg, hg = np.meshgrid(xs, hs, indexing="ij")
-    theta1 = np.degrees(np.arctan2(hg, xg))
-    theta2 = np.degrees(np.arctan2(hg, scn.D - xg))
-    r1_sq = xg * xg + hg * hg
-    r2_sq = (scn.D - xg) * (scn.D - xg) + hg * hg
-
-    def env_gain(env, theta, r_sq):
-        s = 1.0 / (1.0 + env.s_curve_a * np.exp(-env.s_curve_b * (theta - env.s_curve_a)))
-        return env.gain_scale / r_sq * 10.0 ** (env.gain_exponent * s)
-
-    g1 = env_gain(scn.env1, theta1, r1_sq)[:, :, None]
-    g2 = env_gain(scn.env2, theta2, r2_sq)[:, :, None]
-    p1 = ps[None, None, :]
-    p2 = scn.p_total - p1
-    return (g1 * g2 * p1 * p2) / (g2 * p2 + g1 * p1 + 1.0)
+    pairs = [(x, h) for x in xs.tolist() for h in hs.tolist()]
+    g1 = np.array([s_curve_gain(scn.env1, x, h) for x, h in pairs])
+    g2 = np.array([s_curve_gain(scn.env2, scn.D - x, h) for x, h in pairs])
+    return full_grid(g1, g2, scn.p_total, ps).reshape(len(xs), len(hs), len(ps))
 
 
 def reference_argmax(gam):
@@ -68,13 +76,14 @@ def reference_argmax(gam):
 
 
 def blocked_2d(scn, xs, ps):
-    index, value = _grid_argmax_2d(scn, xs, ps)
-    return tuple(int(i) for i in index), value
+    r, j, value = _grid_argmax(scn.p_total, ps.tolist(), _freespace_rows(scn, xs.tolist()))
+    return (r, j), value
 
 
 def blocked_3d(scn, xs, hs, ps):
-    index, value = _grid_argmax_3d(scn, xs, hs, ps)
-    return tuple(int(i) for i in index), value
+    r, j, value = _grid_argmax(scn.p_total, ps.tolist(),
+                               _atg_rows(scn, xs.tolist(), hs.tolist()))
+    return (*divmod(r, len(hs)), j), value
 
 
 def axes_2d(scn, nx, np_):
@@ -225,12 +234,13 @@ def test_first_nan_after_rows_the_bound_skips_beats_earlier_maxima():
 
 def test_first_nan_in_a_later_batch_of_rows_wins():
     # the rows that may overflow come after whole batches of finite rows,
-    # which the kernels read first; the stand-ins carry gains that the
-    # scenarios refuse (g2 overflows near x = D)
+    # which the kernel reads first; the stand-ins carry gains that the
+    # scenarios refuse (g2 overflows near x = D; at -1625 dB g1 g2 first
+    # overflows, and so is NaN at p1 = 0, in the third batch of (x, h) rows)
     scn = SimpleNamespace(D=200.0, H=0.5, d1=0.0, d2=200.0, beta1=1.0, beta2=1e308,
                           p_total=4.0)
     xs, ps = np.linspace(0.0, 200.0, 3 * _BATCH_ROWS), np.linspace(0.5, 3.5, 30)
-    env1, env2 = (AtgEnvironment.from_preset(name, CARRIER_HZ, -1620.0)
+    env1, env2 = (AtgEnvironment.from_preset(name, CARRIER_HZ, -1625.0)
                   for name in ("suburban", "urban"))
     scn_3d = SimpleNamespace(**{**vars(make_atg3d("urban")), "env1": env1, "env2": env2})
     axes = axes_3d(scn_3d, 300, 30, 40)
@@ -238,7 +248,7 @@ def test_first_nan_in_a_later_batch_of_rows_wins():
         want_2d = reference_argmax(full_grid_2d(scn, xs, ps))
         want_3d = reference_argmax(full_grid_3d(scn_3d, *axes))
     assert np.isnan(want_2d[1]) and want_2d[0][0] > 2 * _BATCH_ROWS
-    assert np.isnan(want_3d[1]) and want_3d[0][0] * 30 + want_3d[0][1] > _BATCH_ROWS
+    assert np.isnan(want_3d[1]) and want_3d[0][0] * 30 + want_3d[0][1] > 2 * _BATCH_ROWS
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got_2d, got_3d = blocked_2d(scn, xs, ps), blocked_3d(scn_3d, *axes)
@@ -287,7 +297,7 @@ def test_random_scenarios_match_full_grid():
 
 
 def test_linspace_matches_numpy():
-    # the free-space grid's axes, made without numpy, on the shipped spans,
+    # the grid axes, made without numpy, on the shipped spans,
     # a span too small to divide (numpy's path for a zero step) and n = 2
     for lo, hi in [(30.0, 170.0), (0.0, 4.0), (0.0, 5e-324), (0.0, 1e-200), (10.0, 200.0),
                    (0.0, 1e200), (-3.5, 7.25)]:
@@ -302,7 +312,7 @@ def test_extreme_budgets_match_full_grid(freespace_scn, p_total):
     # at 1e-200 W and 1e-300 W p1 p2 underflows, so the rows are read in
     # full under the exact float cap g1 g2 max(p1 p2); at 1e200 W it
     # overflows and every row is wild.  The scenarios refuse 1e200 W, so
-    # the kernels get stand-ins with the same fields
+    # the kernel gets stand-ins with the same fields
     scn = SimpleNamespace(**{**vars(freespace_scn), "p_total": p_total})
     with np.errstate(all="ignore"):
         assert_same_2d(scn, *axes_2d(scn, 300, 300))
@@ -383,7 +393,7 @@ def test_2d_bound_and_walk_keep_every_cell_at_or_above_the_incumbent(
     axes = axes_2d(scn, nx, np_)
     with np.errstate(all="ignore"):
         gam = full_grid_2d(scn, *axes)
-    assert_rows_keep_every_cell_at_or_above(_grid_argmax_2d, scn, axes, gam, cut)
+    assert_rows_keep_every_cell_at_or_above(blocked_2d, scn, axes, gam, cut)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -401,4 +411,4 @@ def test_3d_bound_and_walk_keep_every_cell_at_or_above_the_incumbent(
     axes = axes_3d(scn, *shape)
     with np.errstate(all="ignore"):
         gam = full_grid_3d(scn, *axes)
-    assert_rows_keep_every_cell_at_or_above(_grid_argmax_3d, scn, axes, gam, cut)
+    assert_rows_keep_every_cell_at_or_above(blocked_3d, scn, axes, gam, cut)
