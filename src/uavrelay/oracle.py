@@ -6,21 +6,21 @@ maximum in C order, or the first NaN), and polishes it with one local
 golden-section refinement per axis.  It exists to check the analytic
 solvers, so it evaluates the SNR itself and takes none of their answers;
 the closed-form maximum over the power split serves only as an upper bound
-that skips the grid rows, and the cells of a row, that cannot win.  Both
-models share one kernel on plain floats: a row generator per model gives
-the hop gains of each grid row, the air-to-ground one writing the gain
-out again rather than calling the solvers' ``hop_gains_3d``.  The
-baselines pin one decision variable (placement or power split) and
-optimise the rest, mirroring the usual comparison schemes.
+that skips the boxes of grid rows, the rows and the cells that cannot win.
+Both models share one kernel on plain floats: a row generator per model
+gives the hop gains of each grid row and bounds them over a box of rows,
+the air-to-ground one writing the gain out again rather than calling the
+solvers' ``hop_gains_3d``.  The baselines pin one decision variable
+(placement or power split) and optimise the rest, mirroring the usual
+comparison schemes.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import islice
 from operator import itemgetter
 
 from . import freespace
@@ -43,16 +43,16 @@ DEFAULT_POINTS_3D = 200
 # Default pinned flying height of the fixed-height baseline, in metres.
 DEFAULT_FIXED_HEIGHT = 100.0
 
-# Relative margin by which a row's closed-form bound is widened before it
-# prunes, and a walk's stopping value narrowed: far above the few ulps by
-# which the bound and each cell's value may err.
+# Relative margin by which a row's closed-form bound and a box's gains are
+# widened before they prune, and a walk's stopping value narrowed: far
+# above the few ulps by which the bound and each cell's value may err, or
+# by which atan2, exp and ** may break the gains' monotonicity.
 _BOUND_MARGIN = 1e-9
 # The smallest normal double.  A product or quotient that lands at or
 # above it errs by at most half an ulp, relative.
 _TINY = sys.float_info.min
-# Grid rows bounded together and read against the best cell of the rows
-# before them, so memory does not grow with the grid.
-_BATCH_ROWS = 1 << 11
+# Grid rows of a box that is read row by row; a larger box is halved.
+_LEAF_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -215,51 +215,111 @@ def _bounded_argmax(bounds: list[tuple[float, int]], wild: list[int], row_max, b
     return best
 
 
+def _box_bound(gains, pt: float, pp_top: float, pp_low: float) -> float:
+    """A bound on every cell of a box of rows, or inf if a cell may be NaN.
+
+    gains holds the box's upper and lower hop gains (g1, g2, l1, l2),
+    widened here by the margin.  G rises in both gains, so _peak_bound's G
+    at the upper gains bounds the box when its normal-range test passes
+    with the lower gains in low; else the cap g1 g2 max(p1 p2) does.
+    """
+    g1, g2, l1, l2 = gains
+    up, down = 1.0 + _BOUND_MARGIN, 1.0 - _BOUND_MARGIN
+    g1, g2 = g1 * up, g2 * up
+    cap = g1 * g2 * pp_top
+    if not cap < math.inf:
+        return math.inf
+    walk, peak, _ = _peak_bound(g1, g2, pt, l1 * down * (l2 * down) * pp_low)
+    return peak if walk else cap
+
+
+def _split(i0: int, i1: int, k0: int, k1: int):
+    # halve the longer side of a box of rows [i0, i1) x [k0, k1)
+    if i1 - i0 >= k1 - k0:
+        m = (i0 + i1) // 2
+        return (i0, m, k0, k1), (m, i1, k0, k1)
+    m = (k0 + k1) // 2
+    return (i0, i1, k0, m), (i0, i1, m, k1)
+
+
 def _freespace_rows(scn: FreeSpaceScenario, xs: list[float]):
-    """The hop gains (g1, g2) of each offset x: beta_i / (H^2 + d_i^2)."""
+    """(shape, row, box) of the free-space grid, one row per offset x.
+
+    row(i, 0) gives the hop gains beta_i / (H^2 + d_i^2) at xs[i], and
+    box(i0, i1, 0, 1) their upper and lower values over xs[i0:i1], at its
+    ends: xs ascends within [0, D], and each gain falls with its distance.
+    """
     D, b1, b2 = scn.D, scn.beta1, scn.beta2
     h_sq = scn.H * scn.H
-    for x in xs:
-        yield b1 / (h_sq + x * x), b2 / (h_sq + (D - x) * (D - x))
+
+    def row(i: int, k: int) -> tuple[float, float]:
+        x = xs[i]
+        return b1 / (h_sq + x * x), b2 / (h_sq + (D - x) * (D - x))
+
+    def box(i0: int, i1: int, k0: int, k1: int) -> tuple[float, float, float, float]:
+        x0, x1 = xs[i0], xs[i1 - 1]
+        u0, u1 = D - x1, D - x0  # the second hop's nearest and farthest offsets
+        return (b1 / (h_sq + x0 * x0), b2 / (h_sq + u0 * u0),
+                b1 / (h_sq + x1 * x1), b2 / (h_sq + u1 * u1))
+
+    return (len(xs), 1), row, box
 
 
 def _atg_rows(scn: Atg3dScenario, xs: list[float], hs: list[float]):
-    """The hop gains (g1, g2) of each (x, h) pair, x-major.
+    """(shape, row, box) of the air-to-ground grid, one row per (x, h) pair.
 
     The S-curve gain of Al-Hourani et al. (IEEE WCL 2014), written out
     here independently of ``atg3d.hop_gains_3d``, which the oracle checks:
     gain_scale / r^2 * 10^(gain_exponent s), with s the LoS probability
     1 / (1 + a exp(-b (theta - a))) at the elevation theta in degrees.
     Where the exponential overflows, s is below 1 / (a e^709.78) and its
-    limit 0 is taken.
+    limit 0 is taken.  row(i, k) gives the hop gains at (xs[i], hs[k]), and
+    box(i0, i1, k0, k1) their upper and lower values over a box of rows.
+    With xs ascending in [0, D] and hs in (0, inf), the gain falls with r
+    and, as a, b > 0 and gain_exponent >= 0, rises with theta: the upper
+    gain takes r at the box's nearest offset and lowest height, and theta
+    at that offset and the top height.
     """
 
-    def gain(env, ground: float, h: float) -> float:
+    def gain(env, r_sq: float, ground: float, h: float) -> float:
         a, b = env.s_curve_a, env.s_curve_b
         theta = math.degrees(math.atan2(h, ground))
         try:
             s = 1.0 / (1.0 + a * math.exp(-b * (theta - a)))
         except OverflowError:
             s = 0.0
-        return env.gain_scale / (ground * ground + h * h) * 10.0 ** (env.gain_exponent * s)
+        return env.gain_scale / r_sq * 10.0 ** (env.gain_exponent * s)
 
     D, env1, env2 = scn.D, scn.env1, scn.env2
-    for x in xs:
-        for h in hs:
-            yield gain(env1, x, h), gain(env2, D - x, h)
+
+    def row(i: int, k: int) -> tuple[float, float]:
+        x, h = xs[i], hs[k]
+        return gain(env1, x * x + h * h, x, h), gain(env2, (D - x) * (D - x) + h * h, D - x, h)
+
+    def box(i0: int, i1: int, k0: int, k1: int) -> tuple[float, float, float, float]:
+        x0, x1, low, top = xs[i0], xs[i1 - 1], hs[k0], hs[k1 - 1]
+        u0, u1 = D - x1, D - x0  # the second hop's nearest and farthest offsets
+        return (gain(env1, x0 * x0 + low * low, x0, top), gain(env2, u0 * u0 + low * low, u0, top),
+                gain(env1, x1 * x1 + top * top, x1, low), gain(env2, u1 * u1 + top * top, u1, low))
+
+    return (len(xs), len(hs)), row, box
 
 
-def _grid_argmax(pt: float, ps: list[float], rows) -> tuple[int, int, float]:
-    """(row, column, value) of the SNR maximum over a grid read row by row.
+def _grid_argmax(pt: float, ps: list[float], shape: tuple[int, int], row,
+                 box) -> tuple[int, int, float]:
+    """(row, column, value) of the SNR maximum over a grid of boxes of rows.
 
-    rows yields the hop gains (g1, g2) of each row in C order, and ps, the
-    columns, ascends within [0, pt]; the cell at p1 is
-    (g1 g2)(p1 p2) / (g2 p2 + g1 p1 + 1) with p2 = pt - p1.  A row whose
-    cap g1 g2 max(p1 p2) overflows is wild.  By monotone rounding no cell
-    exceeds the cap, so it bounds any other row, which is read in full
-    unless _peak_bound lets it be walked and bounded by its peak G.  The
-    rows go to _bounded_argmax a batch at a time, with the best cell of
-    the batches before, so memory does not grow with the grid.
+    The rows are the pairs (i, k) of shape, row i * nh + k in C order;
+    row(i, k) gives their hop gains (g1, g2) and box(i0, i1, k0, k1) the
+    upper and lower gains over [i0, i1) x [k0, k1).  ps, the columns,
+    ascends within [0, pt]; the cell at p1 is
+    (g1 g2)(p1 p2) / (g2 p2 + g1 p1 + 1) with p2 = pt - p1.  Boxes whose
+    bound is inf are halved down to _LEAF_ROWS rows, and their rows are
+    read in full, in C order, before any other.  The other boxes are
+    taken by descending bound until one is below the best cell, or equals
+    it and starts after it; a larger box is halved, and a leaf goes row by
+    row to _bounded_argmax.  Memory grows with the boxes held, not with
+    the grid.
     """
     p2 = [pt - p for p in ps]
     pp = [a * b for a, b in zip(ps, p2)]
@@ -269,25 +329,49 @@ def _grid_argmax(pt: float, ps: list[float], rows) -> tuple[int, int, float]:
     pp_low = min((q for a, b, q in zip(ps, p2, pp) if a > 0.0 and b > 0.0), default=0.0)
     if pp_low < _TINY:
         pp_low = 0.0
-    rows = iter(rows)
-    base, best = 0, None
-    while batch := list(islice(rows, _BATCH_ROWS)):
-        kept, bounds, wild = [], [], []
-        for r, (g1, g2) in enumerate(batch, base):
-            c = g1 * g2
-            cap = c * pp_top
-            walk, peak, p_star = _peak_bound(g1, g2, pt, c * pp_low)
-            if cap < math.inf:
-                bounds.append((peak if walk else cap, r))
-            else:
-                walk = False
-                wild.append(r)
-            kept.append((g1, g2, p_star if walk else None))
-        row_max = _row_reader(lambda r: kept[r - base], ps, p2, pp, pt)
-        best = _bounded_argmax(bounds, wild, row_max, best)
+    nh = shape[1]
+    # held ascends by bound and, among equal bounds, by the negated first
+    # row, so that pop() gives the box to take next
+    boxes, held, wild = [(0, shape[0], 0, nh)], [], []
+    while boxes:
+        b = boxes.pop()
+        bound = _box_bound(box(*b), pt, pp_top, pp_low)
+        if bound < math.inf:
+            held.append((bound, -b[0] * nh - b[2], b))
+        elif (b[1] - b[0]) * (b[3] - b[2]) > _LEAF_ROWS:
+            boxes.extend(_split(*b))
+        else:
+            wild.extend(i * nh + k for i in range(b[0], b[1]) for k in range(b[2], b[3]))
+    best = None
+    if wild:
+        full = _row_reader(lambda r: (*row(*divmod(r, nh)), None), ps, p2, pp, pt)
+        best = _bounded_argmax([], sorted(wild), full)
         if best[2] != best[2]:
+            return best
+    held.sort()
+    while held:
+        bound, first, (i0, i1, k0, k1) = held.pop()
+        if best is not None and (bound < best[2] or (bound == best[2] and -first > best[0])):
             break
-        base += len(batch)
+        if (i1 - i0) * (k1 - k0) > _LEAF_ROWS:
+            for b in _split(i0, i1, k0, k1):
+                insort(held, (_box_bound(box(*b), pt, pp_top, pp_low), -b[0] * nh - b[2], b))
+            continue
+        kept, bounds = {}, []
+        for i in range(i0, i1):
+            for k in range(k0, k1):
+                g1, g2 = row(i, k)
+                c = g1 * g2
+                cap = c * pp_top
+                if best is not None and cap < best[2]:
+                    continue  # no cell of the row reaches the best one
+                walk, peak, p_star = _peak_bound(g1, g2, pt, c * pp_low)
+                r = i * nh + k
+                bounds.append((peak if walk else cap, r))
+                kept[r] = g1, g2, p_star if walk else None
+        if bounds:
+            best = _bounded_argmax(bounds, [], _row_reader(kept.__getitem__, ps, p2, pp, pt),
+                                   best)
     return best
 
 
@@ -320,7 +404,7 @@ def exhaustive_search(
         rows = _freespace_rows
     axes = [_linspace(lo, hi, n if points is None else points) for lo, hi, points in bounds]
 
-    r, j, v_best = _grid_argmax(pt, axes[-1], rows(scn, *axes[:-1]))
+    r, j, v_best = _grid_argmax(pt, axes[-1], *rows(scn, *axes[:-1]))
     index = (*divmod(r, len(axes[1])), j) if len(axes) == 3 else (r, j)
     point = [axis[i] for axis, i in zip(axes, index)]
     for k, (axis, (lo, hi, _)) in enumerate(zip(axes, bounds)):

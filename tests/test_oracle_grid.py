@@ -12,6 +12,7 @@ and NaN cells.
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavrelay import AtgEnvironment, FreeSpaceScenario, oracle
+from uavrelay.config import load_config
 from uavrelay.oracle import (
-    _BATCH_ROWS,
     DEFAULT_POINTS_2D,
     DEFAULT_POINTS_3D,
     _atg_rows,
@@ -76,13 +77,13 @@ def reference_argmax(gam):
 
 
 def blocked_2d(scn, xs, ps):
-    r, j, value = _grid_argmax(scn.p_total, ps.tolist(), _freespace_rows(scn, xs.tolist()))
+    r, j, value = _grid_argmax(scn.p_total, ps.tolist(), *_freespace_rows(scn, xs.tolist()))
     return (r, j), value
 
 
 def blocked_3d(scn, xs, hs, ps):
     r, j, value = _grid_argmax(scn.p_total, ps.tolist(),
-                               _atg_rows(scn, xs.tolist(), hs.tolist()))
+                               *_atg_rows(scn, xs.tolist(), hs.tolist()))
     return (*divmod(r, len(hs)), j), value
 
 
@@ -165,24 +166,48 @@ def test_bound_skips_most_rows_of_the_default_grids(monkeypatch, freespace_scn):
     assert 0 < len(read) <= 400
 
 
+def test_shipped_air_to_ground_grids_compute_few_row_gains(monkeypatch):
+    # the boxes skip most (x, h) rows before their gains are computed: at
+    # most 4,000 of the 40,000 rows of each default grid of the shipped sweep
+    computed = []
+    rows = oracle._atg_rows
+
+    def counting(*args):
+        shape, row, box = rows(*args)
+        computed.append(0)
+
+        def counted(i, k):
+            computed[-1] += 1
+            return row(i, k)
+
+        return shape, counted, box
+
+    monkeypatch.setattr(oracle, "_atg_rows", counting)
+    config = load_config(str(Path(__file__).parent.parent / "configs" / "atg3d_environments.json"))
+    for value in config.sweep_values:
+        oracle.exhaustive_search(config.point(value)[0])
+    assert len(computed) == 4 and 0 < max(computed) <= 4000
+
+
 def test_exact_tie_goes_to_first_cell_in_c_order(freespace_scn):
-    # every x row appears twice, so equal rows tie wherever the reading starts
+    # every x row appears twice in a row (the axes must ascend), so equal
+    # rows tie wherever the reading starts, in one box or across two
     xs, ps = axes_2d(freespace_scn, 300, 2000)
-    xs = np.concatenate([xs, xs])
+    xs = np.repeat(xs, 2)
     gam = full_grid_2d(freespace_scn, xs, ps)
     assert np.count_nonzero(gam == gam.max()) >= 2
     index, value = blocked_2d(freespace_scn, xs, ps)
     assert (index, value) == reference_argmax(gam)
-    assert index[0] < 300
+    assert index[0] % 2 == 0
 
     scn = make_atg3d("urban")
     xs, hs, ps = axes_3d(scn, 20, 30, 40)
-    xs = np.concatenate([xs, xs])
+    xs = np.repeat(xs, 2)
     gam = full_grid_3d(scn, xs, hs, ps)
     assert np.count_nonzero(gam == gam.max()) >= 2
     index, value = blocked_3d(scn, xs, hs, ps)
     assert (index, value) == reference_argmax(gam)
-    assert index[0] < 20
+    assert index[0] % 2 == 0
 
 
 def nan_scenario():
@@ -232,28 +257,46 @@ def test_first_nan_after_rows_the_bound_skips_beats_earlier_maxima():
     assert index == want_index and np.isnan(value)
 
 
-def test_first_nan_in_a_later_batch_of_rows_wins():
-    # the rows that may overflow come after whole batches of finite rows,
-    # which the kernel reads first; the stand-ins carry gains that the
-    # scenarios refuse (g2 overflows near x = D; at -1625 dB g1 g2 first
-    # overflows, and so is NaN at p1 = 0, in the third batch of (x, h) rows)
+def test_first_nan_far_behind_the_boxes_read_first_wins():
+    # the rows that may overflow come after more than 4,096 finite rows, in
+    # boxes of high bounds that a best-first reading would take first; the
+    # stand-ins carry gains that the scenarios refuse (g2 overflows near
+    # x = D; at -1625 dB g1 g2 first overflows, and so is NaN at p1 = 0,
+    # past row 4,096 of the 9,000 (x, h) rows)
     scn = SimpleNamespace(D=200.0, H=0.5, d1=0.0, d2=200.0, beta1=1.0, beta2=1e308,
                           p_total=4.0)
-    xs, ps = np.linspace(0.0, 200.0, 3 * _BATCH_ROWS), np.linspace(0.5, 3.5, 30)
+    xs, ps = np.linspace(0.0, 200.0, 6144), np.linspace(0.5, 3.5, 30)
     env1, env2 = (AtgEnvironment.from_preset(name, CARRIER_HZ, -1625.0)
                   for name in ("suburban", "urban"))
     scn_3d = SimpleNamespace(**{**vars(make_atg3d("urban")), "env1": env1, "env2": env2})
     axes = axes_3d(scn_3d, 300, 30, 40)
     with np.errstate(all="ignore"):
-        want_2d = reference_argmax(full_grid_2d(scn, xs, ps))
-        want_3d = reference_argmax(full_grid_3d(scn_3d, *axes))
-    assert np.isnan(want_2d[1]) and want_2d[0][0] > 2 * _BATCH_ROWS
-    assert np.isnan(want_3d[1]) and want_3d[0][0] * 30 + want_3d[0][1] > 2 * _BATCH_ROWS
+        gam_2d, gam_3d = full_grid_2d(scn, xs, ps), full_grid_3d(scn_3d, *axes)
+    want_2d, want_3d = reference_argmax(gam_2d), reference_argmax(gam_3d)
+    assert np.isnan(want_2d[1]) and want_2d[0][0] > 4096
+    assert np.isnan(want_3d[1]) and want_3d[0][0] * 30 + want_3d[0][1] > 4096
+    # the finite maximum, where the highest bounds lie, comes thousands of rows earlier
+    assert np.unravel_index(np.nanargmax(gam_2d), gam_2d.shape)[0] < want_2d[0][0] - 4000
+    assert np.unravel_index(np.nanargmax(gam_3d), gam_3d.shape)[0] < want_3d[0][0] - 100
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got_2d, got_3d = blocked_2d(scn, xs, ps), blocked_3d(scn_3d, *axes)
     assert got_2d[0] == want_2d[0] and np.isnan(got_2d[1])
     assert got_3d[0] == want_3d[0] and np.isnan(got_3d[1])
+
+
+def test_box_bounded_at_the_best_value_is_read_when_it_starts_first():
+    # p1 is 0 or the whole budget, so every cell is 0.0 and every finite
+    # bound is 0.0.  The stand-in's gain product overflows in the bound of
+    # the last 16 rows, not in any row: those rows are read first, in
+    # full, and their 0.0 at row 16 must yield to the first box's 0.0 at
+    # row 0, whose bound equals it
+    scn = SimpleNamespace(D=1e4, H=1.0, d1=0.0, d2=1e4, beta1=1e158, beta2=1e158,
+                          p_total=4.0)
+    xs = np.concatenate([np.linspace(0.0, 1e3, 16), np.linspace(5e3, 1e4, 16)])
+    ps = np.array([0.0, 4.0])
+    assert reference_argmax(full_grid_2d(scn, xs, ps)) == ((0, 0), 0.0)
+    assert blocked_2d(scn, xs, ps) == ((0, 0), 0.0)
 
 
 @pytest.mark.parametrize("bounds, wild, best", [
@@ -376,20 +419,38 @@ def assert_rows_keep_every_cell_at_or_above(kernel, scn, axes, gam, cut):
 
 
 unit = st.floats(0.0, 1.0)
+# the scenarios of the property tests: extreme gains, noise and budgets
+FREESPACE_DRAWS = dict(D=st.floats(1.0, 1e4), H=st.floats(1e-2, 1e3),
+                       band=st.tuples(unit, unit).map(sorted),
+                       beta1_db=st.floats(-300.0, 300.0), beta2_db=st.floats(-300.0, 300.0),
+                       budget_exp=st.floats(-300.0, 100.0))
+ATG_DRAWS = dict(hop1=st.sampled_from(HOP2_PRESETS), hop2=st.sampled_from(HOP2_PRESETS),
+                 noise_db=st.floats(-1500.0, 200.0), budget_exp=st.floats(-300.0, 100.0))
+
+
+def freespace_draw(D, H, band, beta1_db, beta2_db, budget_exp):
+    try:
+        return FreeSpaceScenario.from_db(D, H, band[0] * D, band[1] * D, beta1_db, beta2_db,
+                                         10.0 ** budget_exp)
+    except (ValueError, OverflowError):
+        return None  # refused at construction
+
+
+def atg_draw(hop1, hop2, noise_db, budget_exp):
+    try:
+        return replace(make_atg3d("urban"), p_total=10.0 ** budget_exp,
+                       env1=AtgEnvironment.from_preset(hop1, CARRIER_HZ, noise_db),
+                       env2=AtgEnvironment.from_preset(hop2, CARRIER_HZ, noise_db))
+    except (ValueError, OverflowError):
+        return None  # refused at construction
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(D=st.floats(1.0, 1e4), H=st.floats(1e-2, 1e3), band=st.tuples(unit, unit).map(sorted),
-       beta1_db=st.floats(-300.0, 300.0), beta2_db=st.floats(-300.0, 300.0),
-       budget_exp=st.floats(-300.0, 100.0), nx=st.integers(1, 6), np_=st.integers(2, 400),
-       cut=unit)
-def test_2d_bound_and_walk_keep_every_cell_at_or_above_the_incumbent(
-        D, H, band, beta1_db, beta2_db, budget_exp, nx, np_, cut):
-    try:
-        scn = FreeSpaceScenario.from_db(D, H, band[0] * D, band[1] * D, beta1_db, beta2_db,
-                                        10.0 ** budget_exp)
-    except (ValueError, OverflowError):
-        return  # refused at construction
+@given(**FREESPACE_DRAWS, nx=st.integers(1, 6), np_=st.integers(2, 400), cut=unit)
+def test_2d_bound_and_walk_keep_every_cell_at_or_above_the_incumbent(nx, np_, cut, **draw):
+    scn = freespace_draw(**draw)
+    if scn is None:
+        return
     axes = axes_2d(scn, nx, np_)
     with np.errstate(all="ignore"):
         gam = full_grid_2d(scn, *axes)
@@ -397,18 +458,65 @@ def test_2d_bound_and_walk_keep_every_cell_at_or_above_the_incumbent(
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(hop1=st.sampled_from(HOP2_PRESETS), hop2=st.sampled_from(HOP2_PRESETS),
-       noise_db=st.floats(-1500.0, 200.0), budget_exp=st.floats(-300.0, 100.0),
-       shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(2, 300)), cut=unit)
-def test_3d_bound_and_walk_keep_every_cell_at_or_above_the_incumbent(
-        hop1, hop2, noise_db, budget_exp, shape, cut):
-    try:
-        scn = replace(make_atg3d("urban"), p_total=10.0 ** budget_exp,
-                      env1=AtgEnvironment.from_preset(hop1, CARRIER_HZ, noise_db),
-                      env2=AtgEnvironment.from_preset(hop2, CARRIER_HZ, noise_db))
-    except (ValueError, OverflowError):
-        return  # refused at construction
+@given(**ATG_DRAWS, shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(2, 300)),
+       cut=unit)
+def test_3d_bound_and_walk_keep_every_cell_at_or_above_the_incumbent(shape, cut, **draw):
+    scn = atg_draw(**draw)
+    if scn is None:
+        return
     axes = axes_3d(scn, *shape)
     with np.errstate(all="ignore"):
         gam = full_grid_3d(scn, *axes)
     assert_rows_keep_every_cell_at_or_above(blocked_3d, scn, axes, gam, cut)
+
+
+def assert_boxes_bound_their_cells(rows, scn, axes, gam):
+    # every box the kernel bounds, at each of its calls to _box_bound (each
+    # right after it asked for the box's gains): a finite bound is at least
+    # every cell of the box, none of them NaN; inf marks a box that may hold NaN
+    shape, row, box = rows(scn, *(axis.tolist() for axis in axes[:-1]))
+    boxes, bounds = [], []
+    box_bound = oracle._box_bound
+
+    def asked(*b):
+        boxes.append(b)
+        return box(*b)
+
+    def recording(*args):
+        bounds.append(box_bound(*args))
+        return bounds[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_box_bound", recording)
+        _grid_argmax(scn.p_total, axes[-1].tolist(), shape, row, asked)
+    assert len(boxes) == len(bounds) and boxes[0] == (0, shape[0], 0, shape[1])
+    cells = gam.reshape(*shape, -1)
+    for (i0, i1, k0, k1), bound in zip(boxes, bounds):
+        part = cells[i0:i1, k0:k1]
+        assert bound < math.inf or bound == math.inf
+        if bound < math.inf:
+            assert not np.isnan(part).any() and part.max() <= bound
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(**FREESPACE_DRAWS, nx=st.integers(1, 700), np_=st.integers(2, 60))
+def test_2d_box_bound_bounds_every_cell_of_its_box(nx, np_, **draw):
+    scn = freespace_draw(**draw)
+    if scn is None:
+        return
+    axes = axes_2d(scn, nx, np_)
+    with np.errstate(all="ignore"):
+        gam = full_grid_2d(scn, *axes)
+    assert_boxes_bound_their_cells(_freespace_rows, scn, axes, gam)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(**ATG_DRAWS, shape=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(2, 30)))
+def test_3d_box_bound_bounds_every_cell_of_its_box(shape, **draw):
+    scn = atg_draw(**draw)
+    if scn is None:
+        return
+    axes = axes_3d(scn, *shape)
+    with np.errstate(all="ignore"):
+        gam = full_grid_3d(scn, *axes)
+    assert_boxes_bound_their_cells(_atg_rows, scn, axes, gam)
