@@ -1,18 +1,18 @@
 """Brute-force reference search and the simple baseline schemes.
 
 The exhaustive search finds the grid cell of the highest exact end-to-end
-SNR, the cell that ``np.argmax`` over the whole grid picks (the first
-maximum in C order, or the first NaN), and polishes it with one local
+SNR, the first maximum in C order over a grid of finite cells (the cell
+``np.argmax`` over the whole grid picks), and polishes it with one local
 golden-section refinement per axis.  It exists to check the analytic
 solvers, so it evaluates the SNR itself and takes none of their answers;
-the closed-form maximum over the power split serves only as an upper bound
-that skips the boxes of grid rows, the rows and the cells that cannot win.
-Both models share one kernel on plain floats: a row generator per model
-gives the hop gains of each grid row and bounds them over a box of rows,
-the air-to-ground one writing the gain out again rather than calling the
-solvers' ``hop_gains_3d``.  The baselines pin one decision variable
-(placement or power split) and optimise the rest, mirroring the usual
-comparison schemes.
+the closed-form maximiser of the power split serves only to bound boxes
+of grid rows and to start the reading of a row, so that the boxes, rows
+and cells that cannot win are skipped.  Both models share one kernel on
+plain floats: a row generator per model gives the upper and lower hop
+gains over a box of grid rows, the air-to-ground one writing the gain
+out again rather than calling the solvers' ``hop_gains_3d``.  The
+baselines pin one decision variable (placement or power split) and
+optimise the rest, mirroring the usual comparison schemes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 import sys
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from operator import itemgetter
 
 from . import freespace
 from .atg3d import Atg3dScenario, _ascend, _ascent_blocks, _gamma, hop_gains_3d
@@ -43,16 +42,14 @@ DEFAULT_POINTS_3D = 200
 # Default pinned flying height of the fixed-height baseline, in metres.
 DEFAULT_FIXED_HEIGHT = 100.0
 
-# Relative margin by which a row's closed-form bound and a box's gains are
-# widened before they prune, and a walk's stopping value narrowed: far
-# above the few ulps by which the bound and each cell's value may err, or
-# by which atan2, exp and ** may break the gains' monotonicity.
+# Relative margin by which a box's gains and its bound are widened before
+# they prune, and a walk's stopping value narrowed: far above the few ulps
+# by which each cell's value may err, or by which atan2, exp and ** may
+# break the gains' monotonicity.
 _BOUND_MARGIN = 1e-9
 # The smallest normal double.  A product or quotient that lands at or
 # above it errs by at most half an ulp, relative.
 _TINY = sys.float_info.min
-# Grid rows of a box that is read row by row; a larger box is halved.
-_LEAF_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -108,8 +105,8 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return points
 
 
-def _peak_bound(g1: float, g2: float, pt: float, low: float):
-    """(walk, G widened by the margin, p1*) for a row of gains g1, g2.
+def _peak_bound(g1: float, g2: float, pt: float, low: float) -> tuple[bool, float]:
+    """(walk, p1*) for a row of gains g1, g2.
 
     Over p1 + p2 = pt the SNR g1 g2 p1 p2 / (g2 p2 + g1 p1 + 1) peaks at
     p1* = pt r2 / (r1 + r2) with the value G = pt^2 g1 g2 / (r1 + r2)^2,
@@ -117,23 +114,14 @@ def _peak_bound(g1: float, g2: float, pt: float, low: float):
     in p1, so a row rises to p1* and falls after it.  low is at most every
     nonzero product inside a numerator of the row.  walk says that low over
     the largest denominator, q^2 and G are normal: then, in a row whose
-    cells cannot overflow, G and each cell are within a few ulps of their
-    exact values, so the row may be walked and bounded by G.
+    cells cannot overflow, each cell is within a few ulps of its exact
+    value, so the row may be walked from p1*.
     """
     r1, r2 = math.sqrt(1.0 + g1 * pt), math.sqrt(1.0 + g2 * pt)
     q = pt / (r1 + r2)
     qq = q * q
-    peak = qq * (g1 * g2)
-    walk = qq >= _TINY and peak < math.inf and low / (g2 * pt + g1 * pt + 1.0) >= _TINY
-    return walk, peak * (1.0 + _BOUND_MARGIN), q * r2
-
-
-def _first_max(vals: list[float]) -> tuple[int, float]:
-    # np.argmax's pick: the first NaN, else the first maximum
-    j = vals.index(max(vals))
-    if math.isnan(sum(vals)):  # max() does not see NaN
-        j = next((k for k, v in enumerate(vals) if v != v), j)
-    return j, vals[j]
+    walk = qq >= _TINY and qq * (g1 * g2) < math.inf and low / (g2 * pt + g1 * pt + 1.0) >= _TINY
+    return walk, q * r2
 
 
 def _walk(cell, ps: list[float], p_star: float, halo: float, floor: float):
@@ -143,7 +131,8 @@ def _walk(cell, ps: list[float], p_star: float, halo: float, floor: float):
     falls away from p_star up to rounding, so each side stops at its first
     cell there that is below the larger of floor and the best value read,
     narrowed by the margin: every cell beyond it is below that value.  The
-    result is the row's first maximum whenever that is at least floor.
+    result is the row's first maximum whenever that is at least floor.  An
+    infinite halo reads the whole row.
     """
     k = bisect_left(ps, p_star)
     best_j, best_v = k, -math.inf
@@ -162,75 +151,29 @@ def _walk(cell, ps: list[float], p_star: float, halo: float, floor: float):
     return best_j, best_v
 
 
-def _row_reader(row, ps: list[float], p2: list[float], pp: list[float], pt: float):
-    """row_max(r, floor) over the rows row(r) = (g1, g2, p1*) of one grid.
-
-    A row whose p1* is None is read in full, any other is walked from p1*.
-    Each cell keeps the operand order of the full-grid expression: the
-    numerator (g1 g2)(p1 p2), with the products pp = p1 p2, over the
-    denominator (g2 p2 + g1 p1) + 1.
-    """
-    halo = _BOUND_MARGIN * pt
-
-    def row_max(r: int, floor: float) -> tuple[int, float]:
-        g1, g2, p_star = row(r)
-        c = g1 * g2
-        cell = lambda j: c * pp[j] / (g2 * p2[j] + g1 * ps[j] + 1.0)
-        if p_star is None:
-            return _first_max([cell(j) for j in range(len(ps))])
-        return _walk(cell, ps, p_star, halo, floor)
-
-    return row_max
-
-
-def _bounded_argmax(bounds: list[tuple[float, int]], wild: list[int], row_max, best=None):
-    """(row, column, value) of np.argmax over a grid read row by row.
-
-    wild lists, ascending, the rows that may overflow, and so hold NaN:
-    each is read in full and the first NaN wins.  bounds holds (bound, row)
-    for each other row that may hold the maximum, the bound at least every
-    cell of the row.  Those rows are read by descending bound until a bound
-    falls below the best value found, or equals it on a later row: the
-    first maximum in C order wins.  best carries the (row, column, value)
-    that rows read before hold.
-    """
-    for r in wild:
-        j, v = row_max(r, -math.inf)
-        if v != v:
-            return r, j, v
-        if best is None or v > best[2] or (v == best[2] and r < best[0]):
-            best = r, j, v
-    if best is None:
-        r = max(bounds, key=itemgetter(0))[1]
-        best = (r, *row_max(r, -math.inf))
-    ranked = sorted((item for item in bounds if item[0] >= best[2]),
-                    key=lambda item: (-item[0], item[1]))
-    for bound, r in ranked:
-        row, _, value = best
-        if bound < value or (bound == value and r > row):
-            break
-        j, v = row_max(r, value)
-        if v > value or (v == value and r < row):
-            best = r, j, v
-    return best
-
-
-def _box_bound(gains, pt: float, pp_top: float, pp_low: float) -> float:
-    """A bound on every cell of a box of rows, or inf if a cell may be NaN.
+def _box_bound(gains, pt: float, ps: list[float], cell, pp_top: float, pp_low: float) -> float:
+    """A bound on every cell of a box of rows.
 
     gains holds the box's upper and lower hop gains (g1, g2, l1, l2),
-    widened here by the margin.  G rises in both gains, so _peak_bound's G
-    at the upper gains bounds the box when its normal-range test passes
-    with the lower gains in low; else the cap g1 g2 max(p1 p2) does.
+    widened here by the margin; cell(g1, g2, j) gives the cell of a row of
+    gains g1, g2 in column j.  At a fixed column a cell rises in both
+    gains, and at fixed gains a row rises to p1* and falls after it.  So
+    where _peak_bound's normal-range test passes, with the lower gains in
+    low, the larger of the two cells at the upper gains in the columns
+    either side of p1*, widened, bounds the box; else the cap
+    g1 g2 max(p1 p2) does.
     """
     g1, g2, l1, l2 = gains
     up, down = 1.0 + _BOUND_MARGIN, 1.0 - _BOUND_MARGIN
     g1, g2 = g1 * up, g2 * up
-    cap = g1 * g2 * pp_top
-    if not cap < math.inf:
-        return math.inf
-    walk, peak, _ = _peak_bound(g1, g2, pt, l1 * down * (l2 * down) * pp_low)
-    return peak if walk else cap
+    walk, p_star = _peak_bound(g1, g2, pt, l1 * down * (l2 * down) * pp_low)
+    if not walk:
+        # where p1 p2 is 0 in every column so is every cell, even if the
+        # widened g1 g2 overflows
+        return g1 * g2 * pp_top if pp_top else 0.0
+    # p1* may round past the last column
+    k = min(bisect_left(ps, p_star), len(ps) - 1)
+    return max(cell(g1, g2, max(k - 1, 0)), cell(g1, g2, k)) * up
 
 
 def _split(i0: int, i1: int, k0: int, k1: int):
@@ -243,18 +186,15 @@ def _split(i0: int, i1: int, k0: int, k1: int):
 
 
 def _freespace_rows(scn: FreeSpaceScenario, xs: list[float]):
-    """(shape, row, box) of the free-space grid, one row per offset x.
+    """(shape, box) of the free-space grid, one row per offset x.
 
-    row(i, 0) gives the hop gains beta_i / (H^2 + d_i^2) at xs[i], and
-    box(i0, i1, 0, 1) their upper and lower values over xs[i0:i1], at its
-    ends: xs ascends within [0, D], and each gain falls with its distance.
+    box(i0, i1, 0, 1) gives the upper and lower hop gains
+    beta / (H^2 + d^2) over xs[i0:i1], at its ends: xs ascends within
+    [0, D], and each gain falls with its distance.  Over one row both
+    pairs are that row's gains.
     """
     D, b1, b2 = scn.D, scn.beta1, scn.beta2
     h_sq = scn.H * scn.H
-
-    def row(i: int, k: int) -> tuple[float, float]:
-        x = xs[i]
-        return b1 / (h_sq + x * x), b2 / (h_sq + (D - x) * (D - x))
 
     def box(i0: int, i1: int, k0: int, k1: int) -> tuple[float, float, float, float]:
         x0, x1 = xs[i0], xs[i1 - 1]
@@ -262,23 +202,24 @@ def _freespace_rows(scn: FreeSpaceScenario, xs: list[float]):
         return (b1 / (h_sq + x0 * x0), b2 / (h_sq + u0 * u0),
                 b1 / (h_sq + x1 * x1), b2 / (h_sq + u1 * u1))
 
-    return (len(xs), 1), row, box
+    return (len(xs), 1), box
 
 
 def _atg_rows(scn: Atg3dScenario, xs: list[float], hs: list[float]):
-    """(shape, row, box) of the air-to-ground grid, one row per (x, h) pair.
+    """(shape, box) of the air-to-ground grid, one row per (x, h) pair.
 
     The S-curve gain of Al-Hourani et al. (IEEE WCL 2014), written out
     here independently of ``atg3d.hop_gains_3d``, which the oracle checks:
     gain_scale / r^2 * 10^(gain_exponent s), with s the LoS probability
     1 / (1 + a exp(-b (theta - a))) at the elevation theta in degrees.
     Where the exponential overflows, s is below 1 / (a e^709.78) and its
-    limit 0 is taken.  row(i, k) gives the hop gains at (xs[i], hs[k]), and
-    box(i0, i1, k0, k1) their upper and lower values over a box of rows.
-    With xs ascending in [0, D] and hs in (0, inf), the gain falls with r
-    and, as a, b > 0 and gain_exponent >= 0, rises with theta: the upper
-    gain takes r at the box's nearest offset and lowest height, and theta
-    at that offset and the top height.
+    limit 0 is taken.  box(i0, i1, k0, k1) gives the upper and lower hop
+    gains over a box of rows; over one row, at (xs[i], hs[k]), both pairs
+    are that row's gains.  With xs ascending in [0, D] and hs in
+    (0, inf), the gain falls with r and, as a, b > 0 and
+    gain_exponent >= 0, rises with theta: the upper gain takes r at the
+    box's nearest offset and lowest height, and theta at that offset and
+    the top height.
     """
 
     def gain(env, r_sq: float, ground: float, h: float) -> float:
@@ -292,34 +233,29 @@ def _atg_rows(scn: Atg3dScenario, xs: list[float], hs: list[float]):
 
     D, env1, env2 = scn.D, scn.env1, scn.env2
 
-    def row(i: int, k: int) -> tuple[float, float]:
-        x, h = xs[i], hs[k]
-        return gain(env1, x * x + h * h, x, h), gain(env2, (D - x) * (D - x) + h * h, D - x, h)
-
     def box(i0: int, i1: int, k0: int, k1: int) -> tuple[float, float, float, float]:
         x0, x1, low, top = xs[i0], xs[i1 - 1], hs[k0], hs[k1 - 1]
         u0, u1 = D - x1, D - x0  # the second hop's nearest and farthest offsets
         return (gain(env1, x0 * x0 + low * low, x0, top), gain(env2, u0 * u0 + low * low, u0, top),
                 gain(env1, x1 * x1 + top * top, x1, low), gain(env2, u1 * u1 + top * top, u1, low))
 
-    return (len(xs), len(hs)), row, box
+    return (len(xs), len(hs)), box
 
 
-def _grid_argmax(pt: float, ps: list[float], shape: tuple[int, int], row,
+def _grid_argmax(pt: float, ps: list[float], shape: tuple[int, int],
                  box) -> tuple[int, int, float]:
-    """(row, column, value) of the SNR maximum over a grid of boxes of rows.
+    """(row, column, value) of the first SNR maximum in C order over a grid.
 
     The rows are the pairs (i, k) of shape, row i * nh + k in C order;
-    row(i, k) gives their hop gains (g1, g2) and box(i0, i1, k0, k1) the
-    upper and lower gains over [i0, i1) x [k0, k1).  ps, the columns,
-    ascends within [0, pt]; the cell at p1 is
-    (g1 g2)(p1 p2) / (g2 p2 + g1 p1 + 1) with p2 = pt - p1.  Boxes whose
-    bound is inf are halved down to _LEAF_ROWS rows, and their rows are
-    read in full, in C order, before any other.  The other boxes are
-    taken by descending bound until one is below the best cell, or equals
-    it and starts after it; a larger box is halved, and a leaf goes row by
-    row to _bounded_argmax.  Memory grows with the boxes held, not with
-    the grid.
+    box(i0, i1, k0, k1) gives the upper and lower hop gains (g1, g2) over
+    [i0, i1) x [k0, k1).  ps, the columns, ascends within [0, pt]; the
+    cell at p1 is (g1 g2)(p1 p2) / (g2 p2 + g1 p1 + 1) with p2 = pt - p1,
+    and every cell is finite.  One queue holds boxes of rows by bound and
+    takes them best-first until a bound is below the best cell, or equals
+    it and starts after it.  A box of several rows is halved; a one-row
+    box is walked from p1*, or read in full where the row leaves the
+    normal float range.  Memory grows with the boxes held, not with the
+    grid.
     """
     p2 = [pt - p for p in ps]
     pp = [a * b for a, b in zip(ps, p2)]
@@ -329,49 +265,36 @@ def _grid_argmax(pt: float, ps: list[float], shape: tuple[int, int], row,
     pp_low = min((q for a, b, q in zip(ps, p2, pp) if a > 0.0 and b > 0.0), default=0.0)
     if pp_low < _TINY:
         pp_low = 0.0
+    halo = _BOUND_MARGIN * pt
     nh = shape[1]
+
+    def cell(g1: float, g2: float, j: int) -> float:
+        # in the operand order of the full-grid expression
+        return g1 * g2 * pp[j] / (g2 * p2[j] + g1 * ps[j] + 1.0)
+
+    def entry(b):
+        # a box's gains stay with it, so a one-row box is not asked again
+        gains = box(*b)
+        return _box_bound(gains, pt, ps, cell, pp_top, pp_low), -b[0] * nh - b[2], b, gains
+
     # held ascends by bound and, among equal bounds, by the negated first
     # row, so that pop() gives the box to take next
-    boxes, held, wild = [(0, shape[0], 0, nh)], [], []
-    while boxes:
-        b = boxes.pop()
-        bound = _box_bound(box(*b), pt, pp_top, pp_low)
-        if bound < math.inf:
-            held.append((bound, -b[0] * nh - b[2], b))
-        elif (b[1] - b[0]) * (b[3] - b[2]) > _LEAF_ROWS:
-            boxes.extend(_split(*b))
-        else:
-            wild.extend(i * nh + k for i in range(b[0], b[1]) for k in range(b[2], b[3]))
-    best = None
-    if wild:
-        full = _row_reader(lambda r: (*row(*divmod(r, nh)), None), ps, p2, pp, pt)
-        best = _bounded_argmax([], sorted(wild), full)
-        if best[2] != best[2]:
-            return best
-    held.sort()
+    held = [entry((0, shape[0], 0, nh))]
+    best = -1, 0, -math.inf
     while held:
-        bound, first, (i0, i1, k0, k1) = held.pop()
-        if best is not None and (bound < best[2] or (bound == best[2] and -first > best[0])):
+        bound, first, b, (g1, g2, _, _) = held.pop()
+        row, _, value = best
+        if bound < value or (bound == value and -first > row):
             break
-        if (i1 - i0) * (k1 - k0) > _LEAF_ROWS:
-            for b in _split(i0, i1, k0, k1):
-                insort(held, (_box_bound(box(*b), pt, pp_top, pp_low), -b[0] * nh - b[2], b))
+        if (b[1] - b[0]) * (b[3] - b[2]) > 1:
+            for half in _split(*b):
+                insort(held, entry(half))
             continue
-        kept, bounds = {}, []
-        for i in range(i0, i1):
-            for k in range(k0, k1):
-                g1, g2 = row(i, k)
-                c = g1 * g2
-                cap = c * pp_top
-                if best is not None and cap < best[2]:
-                    continue  # no cell of the row reaches the best one
-                walk, peak, p_star = _peak_bound(g1, g2, pt, c * pp_low)
-                r = i * nh + k
-                bounds.append((peak if walk else cap, r))
-                kept[r] = g1, g2, p_star if walk else None
-        if bounds:
-            best = _bounded_argmax(bounds, [], _row_reader(kept.__getitem__, ps, p2, pp, pt),
-                                   best)
+        walk, p_star = _peak_bound(g1, g2, pt, g1 * g2 * pp_low)
+        j, v = _walk(lambda col: cell(g1, g2, col), ps,
+                     *((p_star, halo) if walk else (0.0, math.inf)), value)
+        if v > value or (v == value and -first < row):
+            best = -first, j, v
     return best
 
 

@@ -47,3 +47,39 @@ def test_sources_import_only_the_standard_library_and_the_package():
     allowed = sys.stdlib_module_names | {"uavrelay"}
     for path in sorted((ROOT / "src").rglob("*.py")):
         assert set(imported_modules(path)) <= allowed, path
+
+
+def private_definitions(tree):
+    """(name, node) of each module-level private function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_name_is_used_in_the_sources():
+    # a helper left behind by a refactor (referenced only by its own
+    # definition, or by tests) fails here
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src").rglob("*.py"))}
+    uses = []  # (name, path, line) of every name loaded, attribute read or name imported
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, path, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                uses.extend((alias.name, path, node.lineno) for alias in node.names)
+    unused = [f"{path.name}:{name}"
+              for path, tree in trees.items() for name, node in private_definitions(tree)
+              if not any(used == name and not (where == path and
+                                               node.lineno <= line <= node.end_lineno)
+                         for used, where, line in uses)]
+    assert unused == []
