@@ -7,6 +7,7 @@ line-search solvers for the relay placement problem, an exhaustive-search
 oracle with baseline schemes, and a config-driven experiment harness.
 """
 
+from ._record import replace
 from .atg3d import Atg3dScenario, bcd_solve_3d, hop_gains_3d, optimize_height, optimize_x
 from .channels import (
     ATG_PRESETS,
@@ -116,6 +117,7 @@ __all__ = [
     "q_function",
     "rate_gap",
     "rate_gap_derivative",
+    "replace",
     "run_experiment",
     "snr_at",
     "solve_condition1",

@@ -12,7 +12,8 @@ environment constants, and ``atg3d.hop_gains_3d`` evaluates its gains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+
+from ._record import Record, set_field
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 
@@ -32,8 +33,7 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-@dataclass(frozen=True)
-class FreeSpaceScenario:
+class FreeSpaceScenario(Record):
     """Geometry and link budget for the inverse-square model.
 
     The source sits at ground coordinate 0 and the destination at D; the
@@ -42,33 +42,28 @@ class FreeSpaceScenario:
     dB inputs).  p_total is the shared transmit power budget in watts.
     """
 
-    D: float
-    H: float
-    d1: float
-    d2: float
-    beta1: float
-    beta2: float
-    p_total: float
+    __slots__ = ("D", "H", "d1", "d2", "beta1", "beta2", "p_total")
 
-    def __post_init__(self):
-        if not (self.D > 0.0 and math.isfinite(self.D)):
-            raise ValueError(f"D must be positive and finite, got {self.D}")
-        if not (self.H > 0.0 and math.isfinite(self.H)):
-            raise ValueError(f"H must be positive and finite, got {self.H}")
-        if not (0.0 <= self.d1 < self.d2 <= self.D):
+    def __init__(self, D: float, H: float, d1: float, d2: float, beta1: float,
+                 beta2: float, p_total: float):
+        if not (D > 0.0 and math.isfinite(D)):
+            raise ValueError(f"D must be positive and finite, got {D}")
+        if not (H > 0.0 and math.isfinite(H)):
+            raise ValueError(f"H must be positive and finite, got {H}")
+        if not (0.0 <= d1 < d2 <= D):
             raise ValueError(
-                f"placement bounds must satisfy 0 <= d1 < d2 <= D, got d1={self.d1}, "
-                f"d2={self.d2}, D={self.D}"
+                f"placement bounds must satisfy 0 <= d1 < d2 <= D, got d1={d1}, "
+                f"d2={d2}, D={D}"
             )
-        if not (self.beta1 > 0.0 and self.beta2 > 0.0):
+        if not (beta1 > 0.0 and beta2 > 0.0):
             raise ValueError("reference gains beta1, beta2 must be positive")
-        if not (self.p_total > 0.0 and math.isfinite(self.p_total)):
-            raise ValueError(f"p_total must be positive and finite, got {self.p_total}")
+        if not (p_total > 0.0 and math.isfinite(p_total)):
+            raise ValueError(f"p_total must be positive and finite, got {p_total}")
         # each hop gain is at most beta / H^2, so a finite bound keeps the SNR
         # numerator h1 h2 p1 p2 finite
         try:
-            g1, g2 = (beta / self.H ** 2 for beta in (self.beta1, self.beta2))
-            bound = g1 * g2 * self.p_total ** 2
+            g1, g2 = (beta / H ** 2 for beta in (beta1, beta2))
+            bound = g1 * g2 * p_total ** 2
         except ArithmeticError:  # overflow, or H^2 underflows to zero
             bound = math.inf
         if not math.isfinite(bound):
@@ -83,18 +78,24 @@ class FreeSpaceScenario:
         # cross gains b_i (H^2 + (D - x)^2) times the powers, the third the
         # surrogate's b1 b2 p1 p2 and b1 b2 D^2.  A cubed rho may still
         # overflow, which the cubic solver reports as such.
-        D, b1, b2, pt = self.D, self.beta1, self.beta2, self.p_total
-        h_sq, d_sq = self.H * self.H, D * D
-        top = b1 if b1 > b2 else b2
-        reach = d_sq + 2.0 * h_sq + top * pt
+        h_sq, d_sq = H * H, D * D
+        top = beta1 if beta1 > beta2 else beta2
+        reach = d_sq + 2.0 * h_sq + top * p_total
         worst = max(1728.0 * (D + 1.0) * reach,
-                    2.0 * top * (h_sq + d_sq + 1.0) * (pt + 1.0),
-                    b1 * b2 * (d_sq + pt * pt + 1.0))
+                    2.0 * top * (h_sq + d_sq + 1.0) * (p_total + 1.0),
+                    beta1 * beta2 * (d_sq + p_total * p_total + 1.0))
         if not math.isfinite(worst):
             raise ValueError(
-                f"cubic coefficients or high-SNR cross gains overflow: beta1 = {b1}, "
-                f"beta2 = {b2}, H = {self.H}, D = {D}, p_total = {pt}"
+                f"cubic coefficients or high-SNR cross gains overflow: beta1 = {beta1}, "
+                f"beta2 = {beta2}, H = {H}, D = {D}, p_total = {p_total}"
             )
+        set_field(self, "D", D)
+        set_field(self, "H", H)
+        set_field(self, "d1", d1)
+        set_field(self, "d2", d2)
+        set_field(self, "beta1", beta1)
+        set_field(self, "beta2", beta2)
+        set_field(self, "p_total", p_total)
 
     @classmethod
     def from_db(
@@ -125,8 +126,7 @@ def freespace_gains(scn: FreeSpaceScenario, x: float) -> tuple[float, float]:
     return h1, h2
 
 
-@dataclass(frozen=True)
-class AtgEnvironment:
+class AtgEnvironment(Record):
     """Air-to-ground propagation environment.
 
     The LoS probability at elevation angle theta (degrees) is the
@@ -137,37 +137,39 @@ class AtgEnvironment:
     and are computed once, at construction.
     """
 
-    s_curve_a: float
-    s_curve_b: float
-    excess_loss_los_db: float
-    excess_loss_nlos_db: float
-    carrier_hz: float
-    noise_power_db: float
-    # C-tilde = 10^(-C/10) / noise, the noise-normalised gain at 1 m NLoS
-    gain_scale: float = field(init=False, repr=False, compare=False)
-    # A-tilde = -A/10 >= 0; scales the LoS probability inside the gain
-    gain_exponent: float = field(init=False, repr=False, compare=False)
+    # gain_scale is C-tilde = 10^(-C/10) / noise, the noise-normalised gain
+    # at 1 m NLoS; gain_exponent is A-tilde = -A/10 >= 0, which scales the
+    # LoS probability inside the gain
+    __slots__ = ("s_curve_a", "s_curve_b", "excess_loss_los_db", "excess_loss_nlos_db",
+                 "carrier_hz", "noise_power_db", "gain_scale", "gain_exponent")
+    _derived = _hidden = ("gain_scale", "gain_exponent")
 
-    def __post_init__(self):
-        if self.s_curve_a <= 0.0 or self.s_curve_b <= 0.0:
+    def __init__(self, s_curve_a: float, s_curve_b: float, excess_loss_los_db: float,
+                 excess_loss_nlos_db: float, carrier_hz: float, noise_power_db: float):
+        if s_curve_a <= 0.0 or s_curve_b <= 0.0:
             raise ValueError("S-curve constants a, b must be positive")
-        if self.excess_loss_los_db > self.excess_loss_nlos_db:
+        if excess_loss_los_db > excess_loss_nlos_db:
             raise ValueError("LoS excess loss cannot exceed the NLoS excess loss")
-        if self.carrier_hz <= 0.0:
-            raise ValueError(f"carrier frequency must be positive, got {self.carrier_hz}")
-        if not math.isfinite(self.noise_power_db):
+        if carrier_hz <= 0.0:
+            raise ValueError(f"carrier frequency must be positive, got {carrier_hz}")
+        if not math.isfinite(noise_power_db):
             raise ValueError("noise power (dB) must be finite")
-        noise = db_to_linear(self.noise_power_db)
+        noise = db_to_linear(noise_power_db)
         if noise == 0.0:
-            raise ValueError(f"noise power {self.noise_power_db} dB underflows to zero watts")
+            raise ValueError(f"noise power {noise_power_db} dB underflows to zero watts")
         # C = 20 log10(4 pi f_c / c) + eta_nlos, the distance-free loss term,
         # and A = eta_los - eta_nlos <= 0, the LoS advantage in dB
-        offset_db = 20.0 * math.log10(4.0 * math.pi * self.carrier_hz / SPEED_OF_LIGHT) \
-            + self.excess_loss_nlos_db
-        gap_db = self.excess_loss_los_db - self.excess_loss_nlos_db
-        # set through object.__setattr__ because the dataclass is frozen
-        object.__setattr__(self, "gain_scale", db_to_linear(-offset_db) / noise)
-        object.__setattr__(self, "gain_exponent", -gap_db / 10.0)
+        offset_db = 20.0 * math.log10(4.0 * math.pi * carrier_hz / SPEED_OF_LIGHT) \
+            + excess_loss_nlos_db
+        gap_db = excess_loss_los_db - excess_loss_nlos_db
+        set_field(self, "s_curve_a", s_curve_a)
+        set_field(self, "s_curve_b", s_curve_b)
+        set_field(self, "excess_loss_los_db", excess_loss_los_db)
+        set_field(self, "excess_loss_nlos_db", excess_loss_nlos_db)
+        set_field(self, "carrier_hz", carrier_hz)
+        set_field(self, "noise_power_db", noise_power_db)
+        set_field(self, "gain_scale", db_to_linear(-offset_db) / noise)
+        set_field(self, "gain_exponent", -gap_db / 10.0)
 
     @classmethod
     def from_preset(cls, name: str, carrier_hz: float, noise_power_db: float) -> "AtgEnvironment":

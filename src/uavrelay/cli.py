@@ -13,8 +13,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
+from ._record import replace
 from .config import ConfigError, build_grid, load_config
 from .harness import (
     profile_curves,

@@ -4,7 +4,7 @@ A run is described by a single JSON document whose keys and value types
 are listed, per model, in ``_CONFIG``.  Unknown keys, including those of
 the other model, are rejected so typos fail loudly, gains may be given in
 dB, and every number must be finite.  The constructors check every other
-rule, so a config built with ``dataclasses.replace`` is checked like a
+rule, so a config built with ``replace`` is checked like a
 parsed one, and every sweep point is built through ``_SWEEPS``.  Every
 violation surfaces as ``ConfigError`` before any computation starts.
 """
@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
 
+from ._record import Record, replace, set_field
 from .atg3d import Atg3dScenario
 from .channels import ATG_PRESETS, AtgEnvironment, FreeSpaceScenario
 from .fbl import BlocklengthParams
@@ -101,55 +101,63 @@ class ConfigError(Exception):
     """Raised for structurally or semantically invalid experiment configs."""
 
 
-@dataclass(frozen=True)
-class ProfileSpec:
+class ProfileSpec(Record):
     """Settings for SNR profile curves (air-to-ground model only)."""
 
-    axis: str = "height"
-    fixed_x_m: float | None = None
-    fixed_height_m: float | None = None
-    step_m: float = 1.0
-    sample_range: tuple[float, float] | None = None
-    hop2_presets: tuple[str, ...] = field(default_factory=lambda: tuple(ATG_PRESETS))
-    p1_w: float | None = None
+    __slots__ = ("axis", "fixed_x_m", "fixed_height_m", "step_m", "sample_range",
+                 "hop2_presets", "p1_w")
 
-    def __post_init__(self):
-        if not (isinstance(self.axis, str) and self.axis in ("height", "x")):
-            _fail(("profile", "axis"), f"{self.axis!r} is not one of ['height', 'x']")
-        rng = self.sample_range
-        if rng is not None and (len(rng) != 2 or rng[0] > rng[1]):
+    def __init__(self, axis: str = "height", fixed_x_m: float | None = None,
+                 fixed_height_m: float | None = None, step_m: float = 1.0,
+                 sample_range: tuple[float, float] | None = None,
+                 hop2_presets: tuple[str, ...] = tuple(ATG_PRESETS), p1_w: float | None = None):
+        if not (isinstance(axis, str) and axis in ("height", "x")):
+            _fail(("profile", "axis"), f"{axis!r} is not one of ['height', 'x']")
+        if sample_range is not None and (len(sample_range) != 2
+                                         or sample_range[0] > sample_range[1]):
             raise ConfigError(
-                f"profile range must be [low, high] with low <= high: {list(rng)}")
+                f"profile range must be [low, high] with low <= high: {list(sample_range)}")
+        set_field(self, "axis", axis)
+        set_field(self, "fixed_x_m", fixed_x_m)
+        set_field(self, "fixed_height_m", fixed_height_m)
+        set_field(self, "step_m", step_m)
+        set_field(self, "sample_range", sample_range)
+        set_field(self, "hop2_presets", hop2_presets)
+        set_field(self, "p1_w", p1_w)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Fully validated experiment description, checked across its fields."""
 
-    scenario_id: str
-    # the channel model, named by the scenario's type (set in __post_init__)
-    model: str = field(init=False)
-    scenario: FreeSpaceScenario | Atg3dScenario
-    blk: BlocklengthParams
-    solvers: tuple[str, ...]
-    sweep_parameter: str | None
-    sweep_values: tuple
-    grid: GridSpec | None
-    # the fixed-height baseline's pinned height: atg3d only, DEFAULT_FIXED_HEIGHT
-    # when unset (filled in by __post_init__)
-    fixed_height_m: float | None
-    profile: ProfileSpec | None
-    output_csv: str | None
-    output_json: str | None
-    output_trace: str | None
+    # model, the channel model, is named by the scenario's type; fixed_height_m,
+    # the fixed-height baseline's pinned height, is atg3d only and
+    # DEFAULT_FIXED_HEIGHT when unset
+    __slots__ = ("scenario_id", "model", "scenario", "blk", "solvers", "sweep_parameter",
+                 "sweep_values", "grid", "fixed_height_m", "profile", "output_csv",
+                 "output_json", "output_trace")
+    _derived = ("model",)
 
-    def __post_init__(self):
+    def __init__(self, scenario_id: str, scenario: FreeSpaceScenario | Atg3dScenario,
+                 blk: BlocklengthParams, solvers: tuple[str, ...], sweep_parameter: str | None,
+                 sweep_values: tuple, grid: GridSpec | None, fixed_height_m: float | None,
+                 profile: ProfileSpec | None, output_csv: str | None, output_json: str | None,
+                 output_trace: str | None):
         from .harness import SOLVERS  # imported here: the harness imports this module
 
-        param, values, scn = self.sweep_parameter, self.sweep_values, self.scenario
-        # set through object.__setattr__ because the dataclass is frozen
-        object.__setattr__(self, "model",
-                           "atg3d" if isinstance(scn, Atg3dScenario) else "freespace")
+        set_field(self, "scenario_id", scenario_id)
+        set_field(self, "model", "atg3d" if isinstance(scenario, Atg3dScenario) else "freespace")
+        set_field(self, "scenario", scenario)
+        set_field(self, "blk", blk)
+        set_field(self, "solvers", solvers)
+        set_field(self, "sweep_parameter", sweep_parameter)
+        set_field(self, "sweep_values", sweep_values)
+        set_field(self, "grid", grid)
+        set_field(self, "fixed_height_m", fixed_height_m)
+        set_field(self, "profile", profile)
+        set_field(self, "output_csv", output_csv)
+        set_field(self, "output_json", output_json)
+        set_field(self, "output_trace", output_trace)
+        param, values, scn = sweep_parameter, sweep_values, scenario
         sweeps = _MODEL_SWEEPS[self.model]
         if param is not None and not (isinstance(param, str) and param in sweeps):
             _fail(("sweep", "parameter"), f"{param!r} is not one of {sorted(sweeps)}")
@@ -166,7 +174,7 @@ class ExperimentConfig:
                 _fail((), "unknown key 'fixed_height_m'")
         else:
             if self.fixed_height_m is None:
-                object.__setattr__(self, "fixed_height_m", DEFAULT_FIXED_HEIGHT)
+                set_field(self, "fixed_height_m", DEFAULT_FIXED_HEIGHT)
             if not (scn.h_min <= self.fixed_height_m <= scn.h_max):
                 raise ConfigError(f"fixed_height_m = {self.fixed_height_m} outside the height "
                                   f"band [{scn.h_min}, {scn.h_max}]")

@@ -14,7 +14,8 @@ normalised by the noise power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record, set_field
 
 LN2 = math.log(2.0)
 
@@ -32,18 +33,18 @@ def _check_snr(gamma: float) -> None:
         raise ValueError(f"SNR must be non-negative, got {gamma}")
 
 
-@dataclass(frozen=True)
-class PowerSplit:
+class PowerSplit(Record):
     """Transmit powers in watts: p1 at the source node, p2 at the relay."""
 
-    p1: float
-    p2: float
+    __slots__ = ("p1", "p2")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.p1) and math.isfinite(self.p2)):
-            raise ValueError(f"powers must be finite, got ({self.p1}, {self.p2})")
-        if self.p1 < 0.0 or self.p2 < 0.0:
-            raise ValueError(f"powers must be non-negative, got ({self.p1}, {self.p2})")
+    def __init__(self, p1: float, p2: float):
+        if not (math.isfinite(p1) and math.isfinite(p2)):
+            raise ValueError(f"powers must be finite, got ({p1}, {p2})")
+        if p1 < 0.0 or p2 < 0.0:
+            raise ValueError(f"powers must be non-negative, got ({p1}, {p2})")
+        set_field(self, "p1", p1)
+        set_field(self, "p2", p2)
 
     @property
     def total(self) -> float:
@@ -55,8 +56,7 @@ class PowerSplit:
         return cls(p_total / 2.0, p_total / 2.0)
 
 
-@dataclass(frozen=True)
-class BlocklengthParams:
+class BlocklengthParams(Record):
     """Payload size and channel-use bookkeeping for the two-phase link.
 
     The total budget of ``total_blocklength`` channel uses is shared
@@ -65,28 +65,30 @@ class BlocklengthParams:
     the budget came from (M = round(bandwidth * latency)).
     """
 
-    packet_bits: int
-    total_blocklength: int
-    bandwidth_hz: float | None = None
-    latency_s: float | None = None
+    __slots__ = ("packet_bits", "total_blocklength", "bandwidth_hz", "latency_s")
 
-    def __post_init__(self):
-        if self.packet_bits < 1:
-            raise ValueError(f"packet_bits must be a positive integer, got {self.packet_bits}")
-        if self.total_blocklength < 2 or self.total_blocklength % 2:
+    def __init__(self, packet_bits: int, total_blocklength: int,
+                 bandwidth_hz: float | None = None, latency_s: float | None = None):
+        if packet_bits < 1:
+            raise ValueError(f"packet_bits must be a positive integer, got {packet_bits}")
+        if total_blocklength < 2 or total_blocklength % 2:
             raise ValueError(
                 "total_blocklength must be a positive even integer so both hops "
-                f"get an equal share, got {self.total_blocklength}"
+                f"get an equal share, got {total_blocklength}"
             )
-        if (self.bandwidth_hz is None) != (self.latency_s is None):
+        if (bandwidth_hz is None) != (latency_s is None):
             raise ValueError("bandwidth_hz and latency_s must be provided together")
-        if self.bandwidth_hz is not None:
-            implied = round(self.bandwidth_hz * self.latency_s)
-            if implied != self.total_blocklength:
+        if bandwidth_hz is not None:
+            implied = round(bandwidth_hz * latency_s)
+            if implied != total_blocklength:
                 raise ValueError(
                     f"bandwidth * latency implies M = {implied}, "
-                    f"which contradicts total_blocklength = {self.total_blocklength}"
+                    f"which contradicts total_blocklength = {total_blocklength}"
                 )
+        set_field(self, "packet_bits", packet_bits)
+        set_field(self, "total_blocklength", total_blocklength)
+        set_field(self, "bandwidth_hz", bandwidth_hz)
+        set_field(self, "latency_s", latency_s)
 
     @property
     def per_hop_blocklength(self) -> int:

@@ -10,8 +10,8 @@ band).  Alternating the two blocks yields a monotone SNR sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .channels import FreeSpaceScenario, freespace_gains
 from .cubic import cubic_real_roots
 from .fbl import BlocklengthParams, PowerSplit, af_snr, decoding_error_probability
@@ -21,8 +21,7 @@ BCD_REL_TOL = 1e-9
 BCD_MAX_ITERS = 50
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     """Outcome of a placement/power optimisation run.
 
     ``snr``/``error_prob`` are always recomputed from the returned
@@ -30,14 +29,18 @@ class SolveResult:
     iterative solvers (single-entry for one-shot solvers).
     """
 
-    solver: str
-    x: float
-    height: float
-    powers: PowerSplit
-    snr: float
-    error_prob: float
-    iterations: int
-    trace: tuple[float, ...]
+    __slots__ = ("solver", "x", "height", "powers", "snr", "error_prob", "iterations", "trace")
+
+    def __init__(self, solver: str, x: float, height: float, powers: PowerSplit, snr: float,
+                 error_prob: float, iterations: int, trace: tuple[float, ...]):
+        set_field(self, "solver", solver)
+        set_field(self, "x", x)
+        set_field(self, "height", height)
+        set_field(self, "powers", powers)
+        set_field(self, "snr", snr)
+        set_field(self, "error_prob", error_prob)
+        set_field(self, "iterations", iterations)
+        set_field(self, "trace", trace)
 
 
 def coordinate_ascent(snr, state, blocks):

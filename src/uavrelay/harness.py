@@ -14,8 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, fields, replace
 
+from ._record import Record, replace, set_field
 from .atg3d import Atg3dScenario, _gamma, _span, bcd_solve_3d
 from .config import ConfigError, ExperimentConfig, ProfileSpec, _with_env2, profile_coordinates
 from .fbl import PowerSplit, decoding_error_probability
@@ -29,37 +29,46 @@ from .oracle import (
 )
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(Record):
     """One solver outcome; numeric fields are None on solver failure."""
 
-    scenario_id: str
-    solver: str
-    sweep_parameter: str
-    sweep_value: str
-    x_m: float | None
-    height_m: float | None
-    p1_w: float | None
-    p2_w: float | None
-    snr: float | None
-    error_prob: float | None
-    iterations: int | None
-    status: str
-    wall_time_s: float
+    __slots__ = ("scenario_id", "solver", "sweep_parameter", "sweep_value", "x_m", "height_m",
+                 "p1_w", "p2_w", "snr", "error_prob", "iterations", "status", "wall_time_s")
+
+    def __init__(self, scenario_id: str, solver: str, sweep_parameter: str, sweep_value: str,
+                 x_m: float | None, height_m: float | None, p1_w: float | None,
+                 p2_w: float | None, snr: float | None, error_prob: float | None,
+                 iterations: int | None, status: str, wall_time_s: float):
+        set_field(self, "scenario_id", scenario_id)
+        set_field(self, "solver", solver)
+        set_field(self, "sweep_parameter", sweep_parameter)
+        set_field(self, "sweep_value", sweep_value)
+        set_field(self, "x_m", x_m)
+        set_field(self, "height_m", height_m)
+        set_field(self, "p1_w", p1_w)
+        set_field(self, "p2_w", p2_w)
+        set_field(self, "snr", snr)
+        set_field(self, "error_prob", error_prob)
+        set_field(self, "iterations", iterations)
+        set_field(self, "status", status)
+        set_field(self, "wall_time_s", wall_time_s)
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
 
 
 # the CSV and JSON columns, in ResultRow's field order
-CSV_COLUMNS = tuple(field.name for field in fields(ResultRow))
+CSV_COLUMNS = ResultRow.__slots__
 
 
-@dataclass(frozen=True)
-class RunOutcome:
-    rows: tuple[ResultRow, ...]
-    traces: dict[str, list[float]]
-    failures: int
+class RunOutcome(Record):
+    __slots__ = ("rows", "traces", "failures")
+
+    def __init__(self, rows: tuple[ResultRow, ...], traces: dict[str, list[float]],
+                 failures: int):
+        set_field(self, "rows", rows)
+        set_field(self, "traces", traces)
+        set_field(self, "failures", failures)
 
 
 # Model -> solver name -> call(scn, blk, config): the one list of solver

@@ -16,8 +16,8 @@ re-scored with the exact SNR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .channels import FreeSpaceScenario
 from .fbl import BlocklengthParams, PowerSplit, decoding_error_probability
 from .freespace import SolveResult, snr_at
@@ -28,8 +28,7 @@ from .search import golden_section_max
 _POWER_SEARCH_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class HighSnrCaseReport:
+class HighSnrCaseReport(Record):
     """One clamp case of the surrogate problem.
 
     condition is "I" (interior optimum), "II" (pinned at d1) or "III"
@@ -38,12 +37,16 @@ class HighSnrCaseReport:
     powers and feasible=False.
     """
 
-    condition: str
-    case: str
-    x: float
-    powers: PowerSplit
-    gamma_tilde: float
-    feasible: bool = True
+    __slots__ = ("condition", "case", "x", "powers", "gamma_tilde", "feasible")
+
+    def __init__(self, condition: str, case: str, x: float, powers: PowerSplit,
+                 gamma_tilde: float, feasible: bool = True):
+        set_field(self, "condition", condition)
+        set_field(self, "case", case)
+        set_field(self, "x", x)
+        set_field(self, "powers", powers)
+        set_field(self, "gamma_tilde", gamma_tilde)
+        set_field(self, "feasible", feasible)
 
 
 def gamma_tilde(scn: FreeSpaceScenario, x: float, powers: PowerSplit) -> float:

@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 
 from . import freespace
+from ._record import Record, set_field
 from .atg3d import Atg3dScenario, _ascend, _ascent_blocks, _gamma, hop_gains_3d
 from .channels import FreeSpaceScenario
 from .fbl import BlocklengthParams, PowerSplit, af_snr, decoding_error_probability
@@ -52,8 +52,7 @@ _BOUND_MARGIN = 1e-9
 _TINY = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Points per axis of the exhaustive search.
 
     Each axis spans the scenario bounds (the full power budget for p1);
@@ -61,14 +60,15 @@ class GridSpec:
     in the air-to-ground model only.
     """
 
-    x: int | None = None
-    p1: int | None = None
-    h: int | None = None
+    __slots__ = ("x", "p1", "h")
 
-    def __post_init__(self):
-        for n in (self.x, self.p1, self.h):
+    def __init__(self, x: int | None = None, p1: int | None = None, h: int | None = None):
+        for n in (x, p1, h):
             if n is not None and n < 2:
                 raise ValueError(f"need at least 2 points per axis, got {n}")
+        set_field(self, "x", x)
+        set_field(self, "p1", p1)
+        set_field(self, "h", h)
 
 
 def _resolve_blk(scn, blk: BlocklengthParams | None) -> BlocklengthParams:

@@ -16,7 +16,6 @@ solvers kept a gain memo; regenerating keeps them, and only a scenario
 new to the file gets the current count.
 """
 
-import dataclasses
 import itertools
 import json
 import math
@@ -42,6 +41,7 @@ from uavrelay import (
     interior_local_maxima,
     optimize_height,
     optimize_x,
+    replace,
 )
 from uavrelay import atg3d
 from uavrelay.atg3d import _gamma
@@ -133,12 +133,12 @@ def test_hop_gains_read_the_constants_gathered_at_construction(blk):
 
 
 def test_replaced_scenario_gathers_its_own_constants(blk):
-    # profile_curves swaps env2 with dataclasses.replace, and a sweep point
+    # profile_curves swaps env2 with replace, and a sweep point
     # swaps p_total; each must give the gains of a freshly built scenario
     base = make_atg3d("suburban", blk)
     for preset in ATG_PRESETS:
         env2 = AtgEnvironment.from_preset(preset, CARRIER_HZ, -80.0)
-        swapped = dataclasses.replace(base, env2=env2, p_total=2.0)
+        swapped = replace(base, env2=env2, p_total=2.0)
         fresh = Atg3dScenario(base.D, base.d1, base.d2, base.h_min, base.h_max,
                               base.env1, env2, 2.0, blk)
         assert swapped.gain_constants == fresh.gain_constants

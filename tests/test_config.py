@@ -3,7 +3,6 @@
 import copy
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +14,7 @@ from uavrelay import (
     GridSpec,
     load_config,
     parse_config,
+    replace,
     run_experiment,
 )
 from uavrelay.config import (
@@ -397,7 +397,7 @@ def _set_profile(raw, **changes):
 
 
 # One case per rule that the config types check: a shipped config, the
-# rule broken with dataclasses.replace on the parsed config, the same
+# rule broken with replace on the parsed config, the same
 # change made to its JSON, and a part of the message both must give.
 RULES_IN_CODE = {
     "sweep-parameter-of-the-model": (

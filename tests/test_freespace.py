@@ -13,7 +13,6 @@ fields that moved.
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,6 +34,7 @@ from uavrelay import (
     high_snr_solve,
     optimal_location_given_power,
     optimal_power_for_gains,
+    replace,
     snr_at,
     solve_condition1,
     solve_condition2,

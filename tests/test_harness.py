@@ -25,8 +25,7 @@ from uavrelay import (
 )
 from uavrelay.harness import CSV_COLUMNS, SOLVERS
 from uavrelay.atg3d import _gamma
-from uavrelay import AtgEnvironment, PowerSplit, af_snr, hop_gains_3d
-from dataclasses import replace as dc_replace
+from uavrelay import AtgEnvironment, PowerSplit, af_snr, hop_gains_3d, replace
 
 from test_config import ATG3D_RAW, FREESPACE_RAW, variant
 
@@ -81,7 +80,7 @@ def test_empty_sweep_is_refused():
         FREESPACE_RAW, sweep={"parameter": "total_blocklength", "values": [80]}
     ))
     with pytest.raises(ConfigError, match="at sweep/values: a sweep needs at least one value"):
-        dc_replace(cfg, sweep_values=())
+        replace(cfg, sweep_values=())
 
 
 def test_power_budget_sweep_materializes():
@@ -111,7 +110,7 @@ def test_environment_sweep_rows_reevaluate():
     assert len(outcome.rows) == 4
     for row in outcome.rows:
         env2 = AtgEnvironment.from_preset(row.sweep_value, 2.5e9, -93.0)
-        scn = dc_replace(cfg.scenario, env2=env2)
+        scn = replace(cfg.scenario, env2=env2)
         ps = PowerSplit(row.p1_w, row.p2_w)
         assert row.snr == pytest.approx(
             _gamma(scn, row.x_m, row.height_m, ps), rel=1e-12
@@ -277,7 +276,7 @@ def test_profile_rows_are_the_snr_at_their_points(axis, p1_w):
     # every row, on either axis and with either power split, holds the exact
     # float of af_snr at its point under its hop-2 preset
     cfg = load_config(str(CONFIGS / "atg3d_height_profile.json"))
-    cfg = dc_replace(cfg, profile=dc_replace(cfg.profile, p1_w=p1_w))
+    cfg = replace(cfg, profile=replace(cfg.profile, p1_w=p1_w))
     scn = cfg.scenario
     powers = (PowerSplit.even(scn.p_total) if p1_w is None
               else PowerSplit(p1_w, scn.p_total - p1_w))
@@ -286,7 +285,7 @@ def test_profile_rows_are_the_snr_at_their_points(axis, p1_w):
     assert {preset for preset, _, _ in rows} == set(cfg.profile.hop2_presets)
     for preset, coord, snr in rows:
         env2 = AtgEnvironment.from_preset(preset, scn.env2.carrier_hz, scn.env2.noise_power_db)
-        swept = dc_replace(scn, env2=env2)
+        swept = replace(scn, env2=env2)
         if axis == "height":
             x, h = cfg.profile.fixed_x_m, coord
         else:
@@ -298,7 +297,7 @@ def test_profile_at_the_step_cap_holds_only_its_rows():
     # a profile reads each sample once, so nothing but the rows and the
     # sample list may grow with the samples: 95,000 samples on one preset
     cfg = load_config(str(CONFIGS / "atg3d_height_profile.json"))
-    cfg = dc_replace(cfg, profile=dc_replace(cfg.profile, hop2_presets=("urban",)))
+    cfg = replace(cfg, profile=replace(cfg.profile, hop2_presets=("urban",)))
     tracemalloc.start()
     try:
         _, rows = profile_curves(cfg, step=0.002)
@@ -359,7 +358,7 @@ def test_blocklength_sweep_solves_each_solver_once(monkeypatch, cfg):
                 blk = BlocklengthParams(cfg.blk.packet_bits, value)
             scn = cfg.scenario
             if cfg.model == "atg3d":
-                scn = dc_replace(scn, blk=blk)
+                scn = replace(scn, blk=blk)
             r = SOLVERS[cfg.model][solver](scn, blk, cfg)
             want_rows.append((cfg.scenario_id, solver, cfg.sweep_parameter, str(value),
                               r.x, r.height, r.powers.p1, r.powers.p2, r.snr, r.error_prob,
@@ -391,7 +390,7 @@ def test_failing_solver_fails_every_point_of_a_blocklength_sweep(monkeypatch):
     assert outcome.failures == len(cfg.sweep_values)
     errors = [row for row in outcome.rows if row.solver == "high-snr"]
     assert [row.sweep_value for row in errors] == ["60", "80", "100"]
-    assert {dc_replace(row, sweep_value="", wall_time_s=0.0) for row in errors} == {
+    assert {replace(row, sweep_value="", wall_time_s=0.0) for row in errors} == {
         harness.ResultRow("fs", "high-snr", "total_blocklength", "", None, None, None, None,
                           None, None, None, "error: solver exploded", 0.0)}
     assert all(row.status == "ok" for row in outcome.rows if row.solver != "high-snr")

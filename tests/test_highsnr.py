@@ -1,7 +1,6 @@
 """High-SNR closed-form solver: per-case grid oracles, convexity
 certificates and the case-selection logic."""
 
-import dataclasses
 
 import mpmath
 import numpy as np
@@ -13,6 +12,7 @@ from uavrelay import (
     PowerSplit,
     gamma_tilde,
     high_snr_solve,
+    replace,
     snr_at,
     solve_condition1,
     solve_condition2,
@@ -115,7 +115,7 @@ def test_condition1_split_holds_on_budgets_near_underflow(freespace_scn, blk):
     # p1 / p_total does not depend on the budget; at 1e-200 W the product
     # p1 p2 underflows to 0 while the objective (~6e210) does not
     want = solve_condition1(freespace_scn).powers.p1 / freespace_scn.p_total
-    tiny = dataclasses.replace(freespace_scn, p_total=1e-200)
+    tiny = replace(freespace_scn, p_total=1e-200)
     rep = solve_condition1(tiny)
     assert rep.powers.p1 / tiny.p_total == pytest.approx(want, rel=1e-6)
     res = high_snr_solve(tiny, blk)

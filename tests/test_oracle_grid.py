@@ -11,7 +11,6 @@ on the grids of the scenarios the types accept, whose cells are finite.
 
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavrelay import AtgEnvironment, FreeSpaceScenario, oracle
+from uavrelay import AtgEnvironment, FreeSpaceScenario, oracle, replace
 from uavrelay.config import load_config
 from uavrelay.oracle import (
     DEFAULT_POINTS_2D,
@@ -302,6 +301,16 @@ def test_extreme_budgets_match_full_grid(freespace_scn, p_total):
     assert_same_2d(scn, *axes_2d(scn, 7, 2000))
     scn = replace(make_atg3d("urban"), p_total=p_total)
     assert_same_3d(scn, *axes_3d(scn, 20, 30, 40))
+
+
+def test_subnormal_rows_are_read_in_full():
+    # p1 p2 is subnormal (~2.4e-321), so it moves in steps of a few ulps
+    # while g1 p1 in the denominator grows smoothly: the last row's cells
+    # near p1* = 4.14e-161 read 1.71695e-181 (column 81), 1.71434e-181
+    # (82), 1.71523e-181 and 1.71612e-181 (83, 84), 1.71354e-181 (85).  A
+    # walk from p1* stops at 82 and 85 and takes 84; the full read takes 81
+    scn = FreeSpaceScenario.from_db(100.0, 1.0, 0.0, 100.0, 1640.0, -200.0, 1e-160)
+    assert_same_2d(scn, *axes_2d(scn, 2, 200))
 
 
 def assert_rows_keep_every_cell_at_or_above(kernel, scn, axes, gam, cut):

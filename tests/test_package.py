@@ -1,7 +1,9 @@
 """The public names and the dependencies of the package."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -47,6 +49,22 @@ def test_sources_import_only_the_standard_library_and_the_package():
     allowed = sys.stdlib_module_names | {"uavrelay"}
     for path in sorted((ROOT / "src").rglob("*.py")):
         assert set(imported_modules(path)) <= allowed, path
+
+
+def test_no_source_file_imports_dataclasses():
+    # the records are hand-written (_record.Record): dataclasses would load
+    # inspect, ast, dis and tokenize into every process
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        assert "dataclasses" not in set(imported_modules(path)), path
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    probe = ("import sys; before = set(sys.modules); import uavrelay.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 def private_definitions(tree):
