@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, set_field
-from .channels import AtgEnvironment
+from .channels import Atg3dScenario
 from .fbl import BlocklengthParams, PowerSplit, decoding_error_probability
 from .freespace import SolveResult, coordinate_ascent, optimal_power_for_gains
 from .search import line_search_max
@@ -25,64 +24,6 @@ from .search import line_search_max
 LINE_SEARCH_RTOL = 1e-4
 # radians to degrees: the double that math.degrees multiplies by
 _DEGREES = 180.0 / math.pi
-
-
-class Atg3dScenario(Record):
-    """Geometry, environments and budgets for the air-to-ground model.
-
-    The relay may fly anywhere in [d1, d2] x [h_min, h_max]; env1/env2
-    describe the source->relay and relay->destination hops.  Scenarios
-    whose hop-gain product could overflow in the box are refused.
-    """
-
-    # gain_constants holds the numbers hop_gains_3d reads, gathered once, at
-    # construction: D, then a, b, gain_scale, gain_exponent of hop 1 and of hop 2
-    __slots__ = ("D", "d1", "d2", "h_min", "h_max", "env1", "env2", "p_total", "blk",
-                 "gain_constants")
-    _derived = _hidden = ("gain_constants",)
-
-    def __init__(self, D: float, d1: float, d2: float, h_min: float, h_max: float,
-                 env1: AtgEnvironment, env2: AtgEnvironment, p_total: float,
-                 blk: BlocklengthParams):
-        if not (D > 0.0 and math.isfinite(D)):
-            raise ValueError(f"D must be positive and finite, got {D}")
-        if not (0.0 <= d1 < d2 <= D):
-            raise ValueError(
-                f"offset bounds must satisfy 0 <= d1 < d2 <= D, got d1={d1}, "
-                f"d2={d2}, D={D}"
-            )
-        if not (0.0 < h_min < h_max):
-            raise ValueError(
-                f"height bounds must satisfy 0 < h_min < h_max, got "
-                f"h_min={h_min}, h_max={h_max}"
-            )
-        if not (p_total > 0.0 and math.isfinite(p_total)):
-            raise ValueError(f"p_total must be positive and finite, got {p_total}")
-        # each hop gain is at most gain_scale / h_min^2 * 10^gain_exponent, so
-        # a finite bound keeps the SNR numerator h1 h2 p1 p2 finite
-        try:
-            g1, g2 = (env.gain_scale / h_min ** 2 * 10.0 ** env.gain_exponent
-                      for env in (env1, env2))
-            bound = g1 * g2 * p_total ** 2
-        except ArithmeticError:  # overflow, or h_min^2 underflows to zero
-            bound = math.inf
-        if not math.isfinite(bound):
-            raise ValueError(
-                f"hop gains overflow: the gain product bound g1 g2 p_total^2 is {bound} "
-                f"(noise power {env1.noise_power_db} / {env2.noise_power_db} dB)"
-            )
-        set_field(self, "D", D)
-        set_field(self, "d1", d1)
-        set_field(self, "d2", d2)
-        set_field(self, "h_min", h_min)
-        set_field(self, "h_max", h_max)
-        set_field(self, "env1", env1)
-        set_field(self, "env2", env2)
-        set_field(self, "p_total", p_total)
-        set_field(self, "blk", blk)
-        set_field(self, "gain_constants", (
-            D, env1.s_curve_a, env1.s_curve_b, env1.gain_scale, env1.gain_exponent,
-            env2.s_curve_a, env2.s_curve_b, env2.gain_scale, env2.gain_exponent))
 
 
 def hop_gains_3d(scn: Atg3dScenario, x: float, height: float) -> tuple[float, float]:

@@ -16,10 +16,8 @@ import math
 import numbers
 
 from ._record import Record, replace, set_field
-from .atg3d import Atg3dScenario
-from .channels import ATG_PRESETS, AtgEnvironment, FreeSpaceScenario
+from .channels import ATG_PRESETS, Atg3dScenario, AtgEnvironment, FreeSpaceScenario
 from .fbl import BlocklengthParams
-from .oracle import DEFAULT_FIXED_HEIGHT, DEFAULT_POINTS_2D, DEFAULT_POINTS_3D, GridSpec
 
 SCHEMA_VERSION = 1
 
@@ -28,6 +26,33 @@ SCHEMA_VERSION = 1
 MAX_PROFILE_SAMPLES = 100_000
 MAX_GRID_AXIS_POINTS = 100_000
 MAX_GRID_POINTS = 10 ** 9
+
+# Default grid density per axis: dense for the two-variable model, coarser
+# for the three-variable one.
+DEFAULT_POINTS_2D = 2000
+DEFAULT_POINTS_3D = 200
+
+# Default pinned flying height of the fixed-height baseline, in metres.
+DEFAULT_FIXED_HEIGHT = 100.0
+
+
+class GridSpec(Record):
+    """Points per axis of the exhaustive search.
+
+    Each axis spans the scenario bounds (the full power budget for p1);
+    an unset count takes the model's default.  The height axis h exists
+    in the air-to-ground model only.
+    """
+
+    __slots__ = ("x", "p1", "h")
+
+    def __init__(self, x: int | None = None, p1: int | None = None, h: int | None = None):
+        for n in (x, p1, h):
+            if n is not None and n < 2:
+                raise ValueError(f"need at least 2 points per axis, got {n}")
+        set_field(self, "x", x)
+        set_field(self, "p1", p1)
+        set_field(self, "h", h)
 
 
 def _with_env2(scn: Atg3dScenario, name: str) -> Atg3dScenario:

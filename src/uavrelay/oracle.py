@@ -22,9 +22,9 @@ import sys
 from bisect import bisect_left, insort
 
 from . import freespace
-from ._record import Record, set_field
-from .atg3d import Atg3dScenario, _ascend, _ascent_blocks, _gamma, hop_gains_3d
-from .channels import FreeSpaceScenario
+from .atg3d import _ascend, _ascent_blocks, _gamma, hop_gains_3d
+from .channels import Atg3dScenario, FreeSpaceScenario
+from .config import DEFAULT_FIXED_HEIGHT, DEFAULT_POINTS_2D, DEFAULT_POINTS_3D, GridSpec
 from .fbl import BlocklengthParams, PowerSplit, af_snr, decoding_error_probability
 from .freespace import (
     SolveResult,
@@ -34,14 +34,6 @@ from .freespace import (
 )
 from .search import golden_section_max
 
-# Default grid density per axis: dense for the two-variable model, coarser
-# for the three-variable one.
-DEFAULT_POINTS_2D = 2000
-DEFAULT_POINTS_3D = 200
-
-# Default pinned flying height of the fixed-height baseline, in metres.
-DEFAULT_FIXED_HEIGHT = 100.0
-
 # Relative margin by which a box's gains and its bound are widened before
 # they prune, and a walk's stopping value narrowed: far above the few ulps
 # by which each cell's value may err, or by which atan2, exp and ** may
@@ -50,25 +42,6 @@ _BOUND_MARGIN = 1e-9
 # The smallest normal double.  A product or quotient that lands at or
 # above it errs by at most half an ulp, relative.
 _TINY = sys.float_info.min
-
-
-class GridSpec(Record):
-    """Points per axis of the exhaustive search.
-
-    Each axis spans the scenario bounds (the full power budget for p1);
-    an unset count takes the model's default.  The height axis h exists
-    in the air-to-ground model only.
-    """
-
-    __slots__ = ("x", "p1", "h")
-
-    def __init__(self, x: int | None = None, p1: int | None = None, h: int | None = None):
-        for n in (x, p1, h):
-            if n is not None and n < 2:
-                raise ValueError(f"need at least 2 points per axis, got {n}")
-        set_field(self, "x", x)
-        set_field(self, "p1", p1)
-        set_field(self, "h", h)
 
 
 def _resolve_blk(scn, blk: BlocklengthParams | None) -> BlocklengthParams:

@@ -3,11 +3,11 @@
 ``bench/tracing.py`` replaces module attributes such as
 ``uavrelay.harness.bcd_solve`` with timing wrappers, the benchmark
 workers read a few constants, ``bench/batch_worker.py`` calls the solvers
-and ``bench/cli_child.py`` runs the click command.  Renaming, dropping or
-re-shaping one of them would crash a benchmark run; these tests make it
-fail here instead.  The batch solves are also checked against the
-digests the benchmark stores for its seed-0 pools, so a change of their
-floats fails here before a benchmark run.
+and ``bench/cli_child.py`` runs a command through the ``cli.main.main``
+adapter.  Renaming, dropping or re-shaping one of them would crash a
+benchmark run; these tests make it fail here instead.  The batch solves
+are also checked against the digests the benchmark stores for its seed-0
+pools, so a change of their floats fails here before a benchmark run.
 """
 
 import hashlib
@@ -146,7 +146,7 @@ def test_freespace_batch_is_bit_identical(monkeypatch):
 
 
 def test_cli_runs_as_the_benchmark_calls_it(tmp_path):
-    # bench/cli_child.py calls the click command's main in this shape
+    # bench/cli_child.py calls the cli.main.main adapter in this shape
     def run(config):
         return cli.main.main(args=["solve", "--config", str(config), "--solver", "bcd",
                                    "--out", str(tmp_path / "r.csv")],

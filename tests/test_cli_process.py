@@ -158,6 +158,36 @@ def test_cli_import_leaves_out_jsonschema(tmp_path):
     assert report == [[False, False, False]] * 5
 
 
+# Runs one CLI command, given as a JSON argument list, in a new interpreter
+# and prints the package modules loaded after it.
+MODULES_PROBE = """
+import json, sys
+import uavrelay.cli
+
+uavrelay.cli.main(json.loads(sys.argv[1]))
+print(json.dumps(sorted(name for name in sys.modules if name.startswith('uavrelay.'))))
+"""
+
+
+@pytest.mark.parametrize("args, left_out", [
+    (["sweep", "--config", str(CONFIGS / "atg3d_environments.json")], {"highsnr"}),
+    (["profile", "--config", str(CONFIGS / "atg3d_height_profile.json")],
+     {"highsnr", "oracle"}),
+    (["oracle", "--config", str(CONFIGS / "atg3d_environments.json"),
+      "--grid", "x=20,h=20,p1=20"], {"highsnr"}),
+], ids=["sweep-atg3d", "profile-atg3d", "oracle-atg3d"])
+def test_commands_load_only_the_solvers_they_run(tmp_path, args, left_out):
+    # the air-to-ground commands run no free-space high-SNR solve, and the
+    # profile curves no oracle
+    done = subprocess.run([sys.executable, "-c", MODULES_PROBE,
+                           json.dumps(args + ["--out", str(tmp_path / "out.csv")])],
+                          cwd=tmp_path, env=src_env(), capture_output=True, text=True,
+                          timeout=60, check=True)
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert "uavrelay.atg3d" in loaded
+    assert loaded.isdisjoint(f"uavrelay.{name}" for name in left_out)
+
+
 def at_most_1_gib():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

@@ -1,12 +1,15 @@
 """The public names and the dependencies of the package."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 import tomllib
 from pathlib import Path
+
+import pytest
 
 import uavrelay
 
@@ -58,17 +61,29 @@ def test_no_source_file_imports_dataclasses():
         assert "dataclasses" not in set(imported_modules(path)), path
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    probe = ("import sys; before = set(sys.modules); import uavrelay.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+# the modules of the solvers and the grid oracle, which each command loads
+# only when it runs one of them
+SOLVER_MODULES = ("atg3d", "oracle", "freespace", "highsnr", "cubic", "search")
+
+
+def fresh_stdout(code: str) -> str:
+    """The stdout of code run in a new interpreter that imports the package source."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout == "[]\n"
+    return done.stdout
 
 
-def private_definitions(tree):
-    """(name, node) of each module-level private function, class and constant."""
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # nor any solver module: the harness loads a solver's module at its first call
+    unwanted = {"dataclasses", "inspect"} | {f"uavrelay.{name}" for name in SOLVER_MODULES}
+    probe = ("import sys; before = set(sys.modules); import uavrelay.cli; "
+             f"print(sorted({unwanted!r} & (set(sys.modules) - before)))")
+    assert fresh_stdout(probe) == "[]\n"
+
+
+def definitions(tree):
+    """(name, node) of each module-level function, class and constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -77,8 +92,50 @@ def private_definitions(tree):
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        yield from ((name, node) for name in names
-                    if name.startswith("_") and not name.startswith("__"))
+        yield from ((name, node) for name in names)
+
+
+def private_definitions(tree):
+    """(name, node) of each module-level private function, class and constant."""
+    return ((name, node) for name, node in definitions(tree)
+            if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    defined = {}  # name -> the modules defining it
+    for path in sorted((ROOT / "src" / "uavrelay").glob("*.py")):
+        for name, _ in definitions(ast.parse(path.read_text(), str(path))):
+            defined.setdefault(name, []).append(path.stem)
+    for name in uavrelay.__all__:
+        assert len(defined.get(name, ())) == 1, name
+        module = importlib.import_module(f"uavrelay.{defined[name][0]}")
+        assert getattr(uavrelay, name) is getattr(module, name), name
+    assert set(uavrelay.__all__) <= set(dir(uavrelay))
+
+
+def test_moved_names_are_the_same_objects_where_they_were():
+    # the benchmark reads oracle.DEFAULT_POINTS_* and the records keep their repr
+    from uavrelay import atg3d, channels, config, oracle
+
+    assert atg3d.Atg3dScenario is channels.Atg3dScenario
+    assert channels.Atg3dScenario.__qualname__ == "Atg3dScenario"
+    for name in ("GridSpec", "DEFAULT_POINTS_2D", "DEFAULT_POINTS_3D", "DEFAULT_FIXED_HEIGHT"):
+        assert getattr(oracle, name) is getattr(config, name), name
+
+
+def test_submodules_load_on_first_access():
+    probe = ("import sys, uavrelay; loaded = 'uavrelay.oracle' in sys.modules; "
+             "print(loaded, uavrelay.oracle.GridSpec.__name__, 'oracle' in dir(uavrelay))")
+    assert fresh_stdout(probe) == "False GridSpec True\n"
+
+
+def test_unknown_names_raise_attribute_error():
+    for module, name in ((uavrelay, "no_such_name"), (uavrelay, "GridSpecs"),
+                         (uavrelay, "numpy"), (uavrelay.harness, "no_such_solver")):
+        with pytest.raises(AttributeError, match=name):
+            getattr(module, name)
+    with pytest.raises(ImportError):
+        exec("from uavrelay import no_such_name", {})
 
 
 def test_every_private_name_is_used_in_the_sources():
