@@ -51,7 +51,10 @@ def __getattr__(name: str):
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
-    globals()[name] = value
+    if isinstance(value, type) or not callable(value):
+        # a class or constant is kept; a function is read from its module at
+        # each access, so a wrapper set on it there is never left behind here
+        globals()[name] = value
     return value
 
 

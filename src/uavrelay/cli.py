@@ -16,17 +16,31 @@ import sys
 
 from ._record import replace
 from .config import ConfigError, build_grid, load_config
-from .harness import (
-    profile_curves,
-    run_experiment,
-    write_profile_csv,
-    write_rows_csv,
-    write_rows_json,
-    write_traces_json,
-)
 
 EXIT_CONFIG_ERROR = 2
 EXIT_PARTIAL_FAILURE = 3
+
+# The harness functions the commands call.  The harness, and with it every
+# solver module, is imported by the first command that runs one
+# (``_load_harness``) or by the config reader, whose solver-name check reads
+# the harness's table.  So ``import uavrelay.cli``, ``--help`` and a config
+# file that is missing, unparsable or off the schema compile no solver code.
+_HARNESS_NAMES = ("profile_curves", "run_experiment", "write_profile_csv", "write_rows_csv",
+                  "write_rows_json", "write_traces_json")
+
+
+def _load_harness() -> None:
+    from . import harness
+
+    for name in _HARNESS_NAMES:
+        globals().setdefault(name, getattr(harness, name))  # keeps a wrapper set on the name
+
+
+def __getattr__(name: str):
+    if name not in _HARNESS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_harness()
+    return globals()[name]
 
 
 class _Formatter(argparse.HelpFormatter):
@@ -116,6 +130,7 @@ def _emit(config, out_option: str | None, trace_option: str | None) -> None:
         json_path = os.path.splitext(csv_path)[0] + ".json"
     trace_path = trace_option or config.output_trace
     _check_outputs(csv_path, json_path, *([trace_path] if trace_path else []))
+    _load_harness()
     outcome = run_experiment(config)
     _write(write_rows_csv, outcome.rows, csv_path)
     _write(write_rows_json, outcome.rows, json_path)
@@ -149,6 +164,7 @@ def _profile(args) -> None:
     config = load_config(args.config)
     csv_path = args.out or config.output_csv or "profile.csv"
     _check_outputs(csv_path)
+    _load_harness()
     coord_name, rows = profile_curves(config, args.axis, args.step)
     _write(write_profile_csv, coord_name, rows, csv_path)
     print(f"wrote {csv_path} ({len(rows)} samples)")

@@ -12,39 +12,21 @@ error probability, which later points re-score from the solved SNR.
 from __future__ import annotations
 
 import csv
-import importlib
 import json
-import sys
 import time
 
 from ._record import Record, replace, set_field
-from .channels import Atg3dScenario
+from .atg3d import Atg3dScenario, _gamma, _span, bcd_solve_3d
 from .config import ConfigError, ExperimentConfig, ProfileSpec, _with_env2, profile_coordinates
 from .fbl import PowerSplit, decoding_error_probability
-
-# Each solver entry point -> the module that defines it.  An entry point is
-# loaded on first access to it as an attribute of this module (``__getattr__``),
-# so importing the harness, and with it the CLI, compiles no solver code.
-_ENTRY_POINTS = {
-    "bcd_solve": "freespace",
-    "high_snr_solve": "highsnr",
-    "bcd_solve_3d": "atg3d",
-    "exhaustive_search": "oracle",
-    "fixed_location_baseline": "oracle",
-    "fixed_power_baseline": "oracle",
-    "fixed_height_baseline": "oracle",
-}
-
-
-def __getattr__(name: str):
-    if name not in _ENTRY_POINTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_ENTRY_POINTS[name]}", __package__), name)
-    globals()[name] = value  # later reads, and a wrapper set on the name, skip this hook
-    return value
-
-
-_harness = sys.modules[__name__]
+from .freespace import bcd_solve
+from .highsnr import high_snr_solve
+from .oracle import (
+    exhaustive_search,
+    fixed_height_baseline,
+    fixed_location_baseline,
+    fixed_power_baseline,
+)
 
 
 class ResultRow(Record):
@@ -89,41 +71,24 @@ class RunOutcome(Record):
         set_field(self, "failures", failures)
 
 
-def _solver(entry: str, arguments):
-    """A SOLVERS call: the entry point, looked up on this module at call time
-    so that a wrapper set on that attribute sees the call, applied to
-    arguments(scn, blk, config)."""
-    def call(scn, blk, config):
-        return getattr(_harness, entry)(*arguments(scn, blk, config))
-
-    call.entry = entry
-    return call
-
-
-def _scn_blk(scn, blk, config):
-    return scn, blk
-
-
-def _scn_blk_grid(scn, blk, config):
-    return scn, blk, config.grid
-
-
-# Model -> solver name -> call(scn, blk, config): the one list of solver names.
+# Model -> solver name -> call(scn, blk, config): the one list of solver
+# names.  Each entry looks its solver up in this module when called, so a
+# wrapper set on that module attribute sees the call.
 SOLVERS = {
     "freespace": {
-        "bcd": _solver("bcd_solve", _scn_blk),
-        "high-snr": _solver("high_snr_solve", _scn_blk),
-        "exhaustive": _solver("exhaustive_search", _scn_blk_grid),
-        "fixed-location": _solver("fixed_location_baseline", _scn_blk),
-        "fixed-power": _solver("fixed_power_baseline", _scn_blk),
+        "bcd": lambda scn, blk, config: bcd_solve(scn, blk),
+        "high-snr": lambda scn, blk, config: high_snr_solve(scn, blk),
+        "exhaustive": lambda scn, blk, config: exhaustive_search(scn, blk, config.grid),
+        "fixed-location": lambda scn, blk, config: fixed_location_baseline(scn, blk),
+        "fixed-power": lambda scn, blk, config: fixed_power_baseline(scn, blk),
     },
     "atg3d": {
-        "bcd": _solver("bcd_solve_3d", lambda scn, blk, config: (scn,)),
-        "exhaustive": _solver("exhaustive_search", _scn_blk_grid),
-        "fixed-location": _solver("fixed_location_baseline", _scn_blk),
-        "fixed-power": _solver("fixed_power_baseline", _scn_blk),
-        "fixed-height": _solver("fixed_height_baseline",
-                                lambda scn, blk, config: (scn, blk, config.fixed_height_m)),
+        "bcd": lambda scn, blk, config: bcd_solve_3d(scn),
+        "exhaustive": lambda scn, blk, config: exhaustive_search(scn, blk, config.grid),
+        "fixed-location": lambda scn, blk, config: fixed_location_baseline(scn, blk),
+        "fixed-power": lambda scn, blk, config: fixed_power_baseline(scn, blk),
+        "fixed-height": lambda scn, blk, config: fixed_height_baseline(
+            scn, blk, config.fixed_height_m),
     },
 }
 
@@ -135,8 +100,6 @@ def run_experiment(config: ExperimentConfig) -> RunOutcome:
     traces: dict[str, list[float]] = {}
     failures = 0
     for solver in config.solvers:
-        solve = SOLVERS[config.model][solver]
-        getattr(_harness, solve.entry)  # load its module before a row's clock starts
         # scenario -> SolveResult, or the exception the solver raised on it
         solved = {}
         for value in points:
@@ -147,7 +110,7 @@ def run_experiment(config: ExperimentConfig) -> RunOutcome:
                 scn, blk = config.point(value)
                 if scn not in solved:
                     try:
-                        solved[scn] = solve(scn, blk, config)
+                        solved[scn] = SOLVERS[config.model][solver](scn, blk, config)
                     except Exception as exc:
                         solved[scn] = exc
                 result = solved[scn]
@@ -202,8 +165,6 @@ def profile_curves(
     rows.  The companion coordinate stays fixed (explicitly configured or
     the band midpoint) and powers default to an even split.
     """
-    from .atg3d import _gamma, _span  # imported here: importing the harness loads no solver
-
     scn = config.scenario
     if not isinstance(scn, Atg3dScenario):
         raise ConfigError(f"profile curves need an atg3d config, not {config.model}")

@@ -164,28 +164,86 @@ MODULES_PROBE = """
 import json, sys
 import uavrelay.cli
 
-uavrelay.cli.main(json.loads(sys.argv[1]))
+try:
+    uavrelay.cli.main(json.loads(sys.argv[1]))
+except SystemExit:
+    pass
 print(json.dumps(sorted(name for name in sys.modules if name.startswith('uavrelay.'))))
 """
 
 
-@pytest.mark.parametrize("args, left_out", [
-    (["sweep", "--config", str(CONFIGS / "atg3d_environments.json")], {"highsnr"}),
-    (["profile", "--config", str(CONFIGS / "atg3d_height_profile.json")],
-     {"highsnr", "oracle"}),
-    (["oracle", "--config", str(CONFIGS / "atg3d_environments.json"),
-      "--grid", "x=20,h=20,p1=20"], {"highsnr"}),
-], ids=["sweep-atg3d", "profile-atg3d", "oracle-atg3d"])
-def test_commands_load_only_the_solvers_they_run(tmp_path, args, left_out):
-    # the air-to-ground commands run no free-space high-SNR solve, and the
-    # profile curves no oracle
-    done = subprocess.run([sys.executable, "-c", MODULES_PROBE,
-                           json.dumps(args + ["--out", str(tmp_path / "out.csv")])],
+@pytest.mark.parametrize("args", [
+    ["--help"],
+    ["sweep", "--help"],
+    ["solve", "--config", "missing.json"],
+    ["solve", "--config", "empty.json"],
+    ["solve", "--config", "unparsable.json"],
+], ids=["help", "command-help", "missing-config", "schema-violation", "bad-json"])
+def test_help_and_config_errors_load_no_solver(tmp_path, args):
+    # a config that passes the schema loads the harness: the solver names
+    # it is checked against are the harness's SOLVERS table
+    (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "unparsable.json").write_text("{")
+    done = subprocess.run([sys.executable, "-c", MODULES_PROBE, json.dumps(args)],
                           cwd=tmp_path, env=src_env(), capture_output=True, text=True,
                           timeout=60, check=True)
     loaded = set(json.loads(done.stdout.splitlines()[-1]))
-    assert "uavrelay.atg3d" in loaded
-    assert loaded.isdisjoint(f"uavrelay.{name}" for name in left_out)
+    assert "uavrelay.config" in loaded
+    assert loaded.isdisjoint({"uavrelay.harness", "uavrelay.freespace", "uavrelay.highsnr",
+                              "uavrelay.atg3d", "uavrelay.oracle", "uavrelay.cubic",
+                              "uavrelay.search"})
+
+
+# Imports the CLI, installs the benchmark's span tracer as bench/cli_child.py
+# does, runs one command (a JSON argument list) and prints the span counts,
+# the BCD runs the tracer recorded, and the solver entry points that, after
+# the tracer is gone, are not their defining module's own function
+# everywhere the package names them.
+TRACED_PROBE = """
+import json, sys
+import uavrelay, uavrelay.cli as cli
+import tracing
+
+tracer = tracing.Tracer()
+tracing.install(tracer, cli=True)
+try:
+    cli.main(json.loads(sys.argv[1]))
+finally:
+    tracer.uninstall()
+from uavrelay import atg3d, freespace, harness, highsnr, oracle
+
+homes = {"bcd_solve": freespace, "high_snr_solve": highsnr, "bcd_solve_3d": atg3d,
+         "exhaustive_search": oracle, "fixed_location_baseline": oracle,
+         "fixed_power_baseline": oracle, "fixed_height_baseline": oracle}
+print(json.dumps({
+    "calls": {name: agg["calls"] for name, agg in tracer.aggregate().items()},
+    "bcd_runs": {key: len(runs) for key, runs in tracer.bcd_runs.items()},
+    "not_restored": [name for name, home in homes.items()
+                     if getattr(home, name).__module__ != home.__name__
+                     or not getattr(harness, name) is getattr(home, name)
+                     is getattr(uavrelay, name)],
+}))
+"""
+
+
+@pytest.mark.parametrize("config, spans", [
+    ("freespace.json", ("freespace.bcd", "highsnr.solve", "oracle.2d",
+                        "oracle.fixed_location", "oracle.fixed_power")),
+    ("atg3d_environments.json", ("atg3d.bcd", "oracle.fixed_height")),
+], ids=["freespace", "atg3d"])
+def test_traced_cli_records_one_span_per_solve(tmp_path, config, spans):
+    # solve runs each configured solver once, on the base scenario; a solver
+    # entry point wrapped twice would record two nested spans and two BCD runs
+    env = src_env()
+    env["PYTHONPATH"] = os.pathsep.join((str(ROOT / "bench"), env["PYTHONPATH"]))
+    args = ["solve", "--config", str(CONFIGS / config), "--out", str(tmp_path / "r.csv")]
+    done = subprocess.run([sys.executable, "-c", TRACED_PROBE, json.dumps(args)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert {name: report["calls"].get(name) for name in spans} == dict.fromkeys(spans, 1)
+    assert sum(report["bcd_runs"].values()) == 1
+    assert report["not_restored"] == []
 
 
 def at_most_1_gib():

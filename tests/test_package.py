@@ -61,8 +61,7 @@ def test_no_source_file_imports_dataclasses():
         assert "dataclasses" not in set(imported_modules(path)), path
 
 
-# the modules of the solvers and the grid oracle, which each command loads
-# only when it runs one of them
+# the modules of the solvers and the grid oracle, which the harness loads
 SOLVER_MODULES = ("atg3d", "oracle", "freespace", "highsnr", "cubic", "search")
 
 
@@ -75,8 +74,9 @@ def fresh_stdout(code: str) -> str:
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # nor any solver module: the harness loads a solver's module at its first call
-    unwanted = {"dataclasses", "inspect"} | {f"uavrelay.{name}" for name in SOLVER_MODULES}
+    # nor the harness or any solver module: a command loads them when it runs
+    unwanted = {"dataclasses", "inspect", "uavrelay.harness"} | {
+        f"uavrelay.{name}" for name in SOLVER_MODULES}
     probe = ("import sys; before = set(sys.modules); import uavrelay.cli; "
              f"print(sorted({unwanted!r} & (set(sys.modules) - before)))")
     assert fresh_stdout(probe) == "[]\n"
@@ -113,6 +113,22 @@ def test_every_public_name_is_its_defining_modules_object():
     assert set(uavrelay.__all__) <= set(dir(uavrelay))
 
 
+def test_package_functions_follow_a_wrapper_set_and_taken_off(monkeypatch):
+    # a tracer wraps solver functions on their modules; the package name
+    # must not keep the wrapper once it is taken off
+    from uavrelay import freespace
+
+    original = freespace.bcd_solve
+
+    def wrapper(*args):
+        return original(*args)
+
+    monkeypatch.setattr(freespace, "bcd_solve", wrapper)
+    assert uavrelay.bcd_solve is wrapper
+    monkeypatch.undo()
+    assert uavrelay.bcd_solve is original
+
+
 def test_moved_names_are_the_same_objects_where_they_were():
     # the benchmark reads oracle.DEFAULT_POINTS_* and the records keep their repr
     from uavrelay import atg3d, channels, config, oracle
@@ -131,7 +147,7 @@ def test_submodules_load_on_first_access():
 
 def test_unknown_names_raise_attribute_error():
     for module, name in ((uavrelay, "no_such_name"), (uavrelay, "GridSpecs"),
-                         (uavrelay, "numpy"), (uavrelay.harness, "no_such_solver")):
+                         (uavrelay, "numpy"), (uavrelay.cli, "no_such_name")):
         with pytest.raises(AttributeError, match=name):
             getattr(module, name)
     with pytest.raises(ImportError):
