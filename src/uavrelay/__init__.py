@@ -20,7 +20,7 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("_record", "replace"),
-        ("atg3d", "bcd_solve_3d hop_gains_3d optimize_height optimize_x"),
+        ("atg3d", "bcd_solve_3d hop_gains_3d"),
         ("channels", "ATG_PRESETS Atg3dScenario AtgEnvironment FreeSpaceScenario db_to_linear "
                      "freespace_gains"),
         ("config", "ConfigError ExperimentConfig GridSpec ProfileSpec load_config parse_config"),

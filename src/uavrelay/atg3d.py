@@ -125,21 +125,6 @@ class _GainMemo:
         return pair
 
 
-def _search(snr, lo: float, hi: float) -> float:
-    # the guarded golden section along one memo line
-    return line_search_max(snr, lo, hi, LINE_SEARCH_RTOL * (hi - lo))[0]
-
-
-def optimize_height(scn: Atg3dScenario, x: float, powers: PowerSplit) -> float:
-    """Best flying height at fixed offset and powers (guarded golden section)."""
-    return _search(_GainMemo(scn).along(1, x, powers), scn.h_min, scn.h_max)
-
-
-def optimize_x(scn: Atg3dScenario, height: float, powers: PowerSplit) -> float:
-    """Best ground offset at fixed height and powers (guarded golden section)."""
-    return _search(_GainMemo(scn).along(0, height, powers), scn.d1, scn.d2)
-
-
 def _ascent_blocks(scn: Atg3dScenario):
     """The score and the power, height and offset blocks over states
     (x, height, powers), sharing one gain memo.
@@ -165,6 +150,7 @@ def _ascent_blocks(scn: Atg3dScenario):
     def line_block(axis):
         # the block that moves state[axis] along the line through state
         lo, hi = _span(scn, axis)
+        tol = LINE_SEARCH_RTOL * (hi - lo)
 
         def block(state):
             fixed, t, powers = state[1 - axis], state[axis], state[2]
@@ -172,7 +158,8 @@ def _ascent_blocks(scn: Atg3dScenario):
             key = (axis, fixed, powers.p1, powers.p2)
             best = kept.get(key)
             if best is None:
-                best = kept[key] = _search(snr, lo, hi)
+                # read at call time: a wrapper on this module's global sees every search
+                best = kept[key] = line_search_max(snr, lo, hi, tol)[0]
             if snr(best) >= snr(t):
                 return (fixed, best, powers) if axis else (best, fixed, powers)
             return state

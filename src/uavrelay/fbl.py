@@ -46,10 +46,6 @@ class PowerSplit(Record):
         set_field(self, "p1", p1)
         set_field(self, "p2", p2)
 
-    @property
-    def total(self) -> float:
-        return self.p1 + self.p2
-
     @classmethod
     def even(cls, p_total: float) -> "PowerSplit":
         """Split a power budget evenly across the two transmitters."""

@@ -116,7 +116,7 @@ def run_experiment(config: ExperimentConfig) -> RunOutcome:
                 result = solved[scn]
                 if isinstance(result, Exception):
                     raise result
-                result = replace(result, error_prob=decoding_error_probability(result.snr, blk))
+                error_prob = decoding_error_probability(result.snr, blk)
             except Exception as exc:  # carry on; the row records the failure
                 failures += 1
                 rows.append(ResultRow(
@@ -129,7 +129,7 @@ def run_experiment(config: ExperimentConfig) -> RunOutcome:
             rows.append(ResultRow(
                 config.scenario_id, solver, config.sweep_parameter or "",
                 sweep_value, result.x, result.height, result.powers.p1,
-                result.powers.p2, result.snr, result.error_prob,
+                result.powers.p2, result.snr, error_prob,
                 result.iterations, "ok", wall,
             ))
             traces[key] = list(result.trace)

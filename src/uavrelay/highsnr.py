@@ -125,7 +125,9 @@ def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
             first = h_sq * s / pp if pp > 0.0 else h_sq * s / p1 / p2
             return -(first + cross / s)
 
-        p1, _ = golden_section_max(neg_objective, lo, hi, tol=_POWER_SEARCH_RTOL * pt)
+        # below ~2.47e-314 W the relative tolerance underflows to 0
+        p1, _ = golden_section_max(neg_objective, lo, hi,
+                                   tol=_POWER_SEARCH_RTOL * pt or math.ulp(0.0))
 
     powers = PowerSplit(p1, pt - p1)
     _, x = unconstrained_location(scn, powers)

@@ -11,6 +11,7 @@ from uavrelay import (
     BlocklengthParams,
     FreeSpaceScenario,
 )
+from uavrelay import atg3d
 from uavrelay.cli import main
 
 
@@ -87,6 +88,20 @@ def make_atg3d(hop2_preset, blk=None, p_total=4.0):
         p_total=p_total,
         blk=blk,
     )
+
+
+def line_block_move(scn, axis, fixed, powers):
+    """Run the solvers' height block (axis 1, fixed = x) or offset block
+    (axis 0, fixed = height) once and return the coordinate it moves to.
+
+    The relay starts at the top of the searched span, so the result is
+    the block's line search unless that search loses to the start.
+    """
+    _, _, height_block, offset_block = atg3d._ascent_blocks(scn)
+    top = atg3d._span(scn, axis)[1]
+    if axis:
+        return height_block((fixed, top, powers))[1]
+    return offset_block((top, fixed, powers))[0]
 
 
 @pytest.fixture

@@ -31,8 +31,6 @@ from uavrelay import (
     high_snr_solve,
     interior_local_maxima,
     optimal_power_for_gains,
-    optimize_height,
-    optimize_x,
     parse_config,
     rate_gap,
     rate_gap_derivative,
@@ -44,7 +42,7 @@ from uavrelay import (
 )
 from uavrelay.atg3d import _gamma
 
-from conftest import condition1_hessian, make_atg3d, random_freespace
+from conftest import condition1_hessian, line_block_move, make_atg3d, random_freespace
 from test_config import ATG3D_RAW, FREESPACE_RAW, variant
 
 RESULTS: list[tuple[int, str, str]] = []
@@ -269,18 +267,18 @@ def test_criterion_8_air_to_ground_suite():
             curve = [_gamma(scn, 100.0, float(h), powers) for h in heights]
             assert len(interior_local_maxima(curve)) == 1, preset
 
-        # (b) the line searches never lose to a metre-spaced grid
+        # (b) the solvers' height and offset blocks never lose to a metre-spaced grid
         for preset in presets:
             scn = make_atg3d(preset)
             for x in (50.0, 100.0, 150.0):
-                h_star = optimize_height(scn, x, powers)
+                h_star = line_block_move(scn, 1, x, powers)
                 grid = max(
                     _gamma(scn, x, float(h), powers)
                     for h in np.arange(scn.h_min, scn.h_max + 1e-9, 1.0)
                 )
                 assert _gamma(scn, x, h_star, powers) >= grid * (1.0 - 1e-6), preset
             for h in (30.0, 100.0, 170.0):
-                x_star = optimize_x(scn, h, powers)
+                x_star = line_block_move(scn, 0, h, powers)
                 grid = max(
                     _gamma(scn, float(x), h, powers)
                     for x in np.arange(scn.d1, scn.d2 + 1e-9, 1.0)

@@ -39,8 +39,6 @@ from uavrelay import (
     fixed_height_baseline,
     hop_gains_3d,
     interior_local_maxima,
-    optimize_height,
-    optimize_x,
     replace,
 )
 from uavrelay import atg3d
@@ -49,7 +47,9 @@ from uavrelay.freespace import BCD_MAX_ITERS
 from uavrelay.oracle import fixed_power_baseline
 from uavrelay.search import FALLBACK_POINTS
 
-from conftest import CARRIER_HZ, NOISE_DB, make_atg3d, rewrite_golden, solve_record
+from conftest import (
+    CARRIER_HZ, NOISE_DB, line_block_move, make_atg3d, rewrite_golden, solve_record,
+)
 from test_channels import mp_hop_gains
 from test_search import derivative_bisection_max
 
@@ -175,7 +175,7 @@ def test_no_excess_loss_prefers_lowest_height(blk):
     env = AtgEnvironment(9.61, 0.16, 1.0, 1.0, 2.5e9, -93.0)
     assert env.gain_exponent == 0.0
     scn = Atg3dScenario(200.0, 20.0, 200.0, 10.0, 200.0, env, env, 4.0, blk)
-    h = optimize_height(scn, 100.0, PowerSplit.even(4.0))
+    h = line_block_move(scn, 1, 100.0, PowerSplit.even(4.0))
     assert h == pytest.approx(10.0, abs=1e-6)
 
 
@@ -189,12 +189,12 @@ def test_interior_height_peak_counts():
         assert len(interior_local_maxima(vals)) == 1, preset
 
 
-def test_optimize_height_beats_metre_grid():
+def test_height_block_beats_metre_grid():
     for preset in ("suburban", "urban", "dense-urban", "high-rise"):
         scn = make_atg3d(preset)
         ps = PowerSplit.even(4.0)
         for x in (20.0, 100.0, 180.0):
-            h_star = optimize_height(scn, x, ps)
+            h_star = line_block_move(scn, 1, x, ps)
             grid_best = max(
                 _gamma(scn, x, h, ps)
                 for h in np.arange(scn.h_min, scn.h_max + 1e-9, 1.0)
@@ -202,12 +202,12 @@ def test_optimize_height_beats_metre_grid():
             assert _gamma(scn, x, h_star, ps) >= grid_best * (1 - 1e-6)
 
 
-def test_optimize_height_bisect_agrees(atg3d_scn):
+def test_height_block_bisect_agrees(atg3d_scn):
     # the golden-section search against the finite-difference bisection
     scn, ps = atg3d_scn, PowerSplit.even(4.0)
     tol = 1e-4 * (scn.h_max - scn.h_min)
     for x in (50.0, 100.0, 150.0):
-        hg = optimize_height(scn, x, ps)
+        hg = line_block_move(scn, 1, x, ps)
         hb, _ = derivative_bisection_max(lambda h: _gamma(scn, x, h, ps),
                                          scn.h_min, scn.h_max, tol)
         gg = _gamma(scn, x, hg, ps)
@@ -215,10 +215,10 @@ def test_optimize_height_bisect_agrees(atg3d_scn):
         assert gb == pytest.approx(gg, rel=1e-6)
 
 
-def test_optimize_x_beats_metre_grid(atg3d_scn):
+def test_offset_block_beats_metre_grid(atg3d_scn):
     ps = PowerSplit.even(4.0)
     for h in (20.0, 60.0, 150.0):
-        x_star = optimize_x(atg3d_scn, h, ps)
+        x_star = line_block_move(atg3d_scn, 0, h, ps)
         grid_best = max(
             _gamma(atg3d_scn, x, h, ps)
             for x in np.arange(atg3d_scn.d1, atg3d_scn.d2 + 1e-9, 1.0)
@@ -251,7 +251,7 @@ def test_bcd3d_respects_bounds():
         res = bcd_solve_3d(scn)
         assert scn.d1 <= res.x <= scn.d2
         assert scn.h_min <= res.height <= scn.h_max
-        assert res.powers.total == pytest.approx(scn.p_total, rel=1e-12)
+        assert res.powers.p1 + res.powers.p2 == pytest.approx(scn.p_total, rel=1e-12)
 
 
 def test_bcd3d_agrees_with_dense_oracle():
@@ -425,9 +425,10 @@ def test_memo_keys_are_exact(blk):
                     == [g.hex() for g in hop_gains_3d(scn, 0.0, h)]), (hop1, hop2, h)
     scn, ps = make_atg3d("urban", blk), PowerSplit.even(4.0)
     memo = atg3d._GainMemo(scn)
+    _, _, height_block, offset_block = atg3d._ascent_blocks(scn)
     for call in (lambda: memo.gains(math.nan, 50.0), lambda: memo.gains(100.0, math.nan),
-                 lambda: optimize_height(scn, math.nan, ps),
-                 lambda: optimize_x(scn, math.nan, ps)):
+                 lambda: height_block((math.nan, 100.0, ps)),
+                 lambda: offset_block((100.0, math.nan, ps))):
         messages = []
         for _ in range(3):
             with pytest.raises(ValueError) as exc:

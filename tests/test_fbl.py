@@ -178,7 +178,7 @@ def test_blocklength_bandwidth_latency_consistency():
 
 def test_power_split():
     ps = PowerSplit(1.5, 2.5)
-    assert ps.total == 4.0
+    assert ps.p1 + ps.p2 == 4.0
     assert PowerSplit.even(4.0) == PowerSplit(2.0, 2.0)
     with pytest.raises(ValueError):
         PowerSplit(-0.1, 1.0)

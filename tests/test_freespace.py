@@ -79,7 +79,7 @@ def test_power_split_matches_grid(rng):
         got = optimal_power_for_gains(h1, h2, scn.p_total)
         want_p1 = grid_power_argmax(h1, h2, scn.p_total)
         assert abs(got.p1 - want_p1) <= 1e-4 * scn.p_total
-        assert got.total == pytest.approx(scn.p_total, rel=1e-12)
+        assert got.p1 + got.p2 == pytest.approx(scn.p_total, rel=1e-12)
 
 
 def test_power_split_stationarity(rng):

@@ -120,8 +120,21 @@ def test_condition1_split_holds_on_budgets_near_underflow(freespace_scn, blk):
     assert rep.powers.p1 / tiny.p_total == pytest.approx(want, rel=1e-6)
     res = high_snr_solve(tiny, blk)
     assert 0.0 < res.powers.p1 and 0.0 < res.powers.p2
-    assert res.powers.total <= tiny.p_total * (1.0 + 1e-12)
+    assert res.powers.p1 + res.powers.p2 <= tiny.p_total * (1.0 + 1e-12)
     assert res.error_prob == 1.0
+
+    # below ~2.47e-314 W the search's relative tolerance underflows to 0;
+    # down to the smallest double, condition I and the chosen row still
+    # sit inside the band and the budget
+    for beta1_db, beta2_db in ((50.0, 59.0), (59.0, 50.0), (40.0, 70.0)):
+        for p_total in (2.4e-314, 1e-314, 1e-320, 5e-324):
+            scn = FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0,
+                                            beta1_db, beta2_db, p_total)
+            rep = solve_condition1(scn)
+            assert rep.feasible, (beta1_db, beta2_db, p_total)
+            for row in (rep, high_snr_solve(scn, blk)):
+                assert scn.d1 <= row.x <= scn.d2
+                assert row.powers.p1 + row.powers.p2 <= p_total
 
 
 
@@ -146,6 +159,19 @@ def test_edge_cases_keep_the_split_inside_the_budget(blk):
     res = high_snr_solve(scn, blk)
     assert res.snr == 0.0
     assert res.error_prob == 1.0
+
+
+def test_condition1_reports_a_band_it_cannot_reach_infeasible(blk):
+    # on a band of two adjacent floats the crossing power of d1 rounds
+    # above that of d2, so no p1 keeps x_free(p1) inside the band; an edge
+    # case must win inside the band and the budget
+    scn = FreeSpaceScenario(200.0, 1.0, 118.11245631326052, 118.11245631326054,
+                            0.01331983175460442, 3.1026011843648695, 0.0013612336177626307)
+    assert solve_condition1(scn).feasible is False
+    res = high_snr_solve(scn, blk)
+    assert scn.d1 <= res.x <= scn.d2
+    assert 0.0 <= res.powers.p1 and 0.0 <= res.powers.p2
+    assert res.powers.p1 + res.powers.p2 <= scn.p_total
 
 
 def unclamped_offset(scn, p1):
@@ -272,7 +298,7 @@ def test_reports_stay_in_bounds(rng):
         for rep in (solve_condition1(scn), solve_condition2(scn), solve_condition3(scn)):
             assert scn.d1 <= rep.x <= scn.d2
             assert 0.0 <= rep.powers.p1 <= scn.p_total
-            assert rep.powers.total == pytest.approx(scn.p_total, rel=1e-9)
+            assert rep.powers.p1 + rep.powers.p2 == pytest.approx(scn.p_total, rel=1e-9)
 
 
 @pytest.mark.parametrize("beta2_db,p_total", [(135.0, 5.0), (108.0, 3.0)])

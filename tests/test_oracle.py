@@ -72,6 +72,15 @@ def test_exhaustive_symmetric_scenario_lands_midband(blk):
     assert res.powers.p1 == pytest.approx(2.0, abs=0.01)
 
 
+def test_exhaustive_polish_keeps_the_cell_on_a_zero_grid_step(blk):
+    # on a 1e-321 W budget the p1 axis's grid step underflows to 0, so the
+    # polish has no interval to search and the best grid cell stands
+    scn = FreeSpaceScenario(200.0, 120.0, 30.0, 170.0, 1e5, 1e6, 1e-321)
+    res = exhaustive_search(scn, blk)
+    assert ([v.hex() for v in (res.x, res.powers.p1, res.powers.p2, res.snr)]
+            == [(30.0).hex(), (0.0).hex(), (1e-321).hex(), (0.0).hex()])
+
+
 def test_exhaustive_3d_with_small_grid():
     scn = make_atg3d("urban")
     grid = GridSpec(x=60, p1=60, h=60)

@@ -154,23 +154,75 @@ def test_unknown_names_raise_attribute_error():
         exec("from uavrelay import no_such_name", {})
 
 
-def test_every_private_name_is_used_in_the_sources():
-    # a helper left behind by a refactor (referenced only by its own
-    # definition, or by tests) fails here
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for path in sorted((ROOT / "src").rglob("*.py"))}
-    uses = []  # (name, path, line) of every name loaded, attribute read or name imported
+def source_trees(directory):
+    """The parsed AST of each Python file under directory, by path."""
+    return {path: ast.parse(path.read_text(), str(path))
+            for path in sorted(directory.rglob("*.py"))}
+
+
+def name_uses(trees, strings=False):
+    """(name, path, line, is_attribute) of every name loaded, attribute read
+    or name imported, and with strings, of every string constant, read as an
+    attribute name: the benchmark's tracer names the attributes it wraps."""
     for path, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                uses.append((node.id, path, node.lineno))
+                yield node.id, path, node.lineno, False
             elif isinstance(node, ast.Attribute):
-                uses.append((node.attr, path, node.lineno))
+                yield node.attr, path, node.lineno, True
             elif isinstance(node, ast.ImportFrom):
-                uses.extend((alias.name, path, node.lineno) for alias in node.names)
+                yield from ((alias.name, path, node.lineno, False) for alias in node.names)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value, path, node.lineno, True
+
+
+def used_elsewhere(name, path, node, uses, attributes_only=False):
+    """Whether a use of name lies outside the definition node in path."""
+    return any(used == name and (attribute or not attributes_only)
+               and not (where == path and node.lineno <= line <= node.end_lineno)
+               for used, where, line, attribute in uses)
+
+
+def test_every_private_name_is_used_in_the_sources():
+    # a helper left behind by a refactor (referenced only by its own
+    # definition, or by tests) fails here
+    trees = source_trees(ROOT / "src")
+    uses = list(name_uses(trees))
     unused = [f"{path.name}:{name}"
               for path, tree in trees.items() for name, node in private_definitions(tree)
-              if not any(used == name and not (where == path and
-                                               node.lineno <= line <= node.end_lineno)
-                         for used, where, line in uses)]
+              if not used_elsewhere(name, path, node, uses)]
+    assert unused == []
+
+
+# public names that neither the package nor the benchmark uses, and why each stays
+TESTED_ONLY = {
+    "rate_gap_derivative": "acceptance criterion 2 checks the derivative against "
+                           "mpmath and finite differences",
+}
+
+
+def public_definitions(tree):
+    """(name, node, is_method) of each name of uavrelay.__all__ defined in
+    tree, and of each public method and property of its record classes."""
+    exported = set(uavrelay.__all__)
+    for name, node in definitions(tree):
+        if name in exported:
+            yield name, node, False
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "Record" for base in node.bases):
+            yield from ((item.name, item, True) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a public function, method or property that only tests call is a
+    # second way to do what the package already does
+    trees = source_trees(ROOT / "src")
+    uses = [*name_uses(trees), *name_uses(source_trees(ROOT / "bench"), strings=True)]
+    public = [(path, *definition) for path, tree in trees.items()
+              for definition in public_definitions(tree)]
+    assert TESTED_ONLY.keys() <= {name for _, name, _, _ in public}
+    # a method or property is used only where it is read as an attribute
+    unused = [f"{path.name}:{name}" for path, name, node, method in public
+              if name not in TESTED_ONLY and not used_elsewhere(name, path, node, uses, method)]
     assert unused == []
