@@ -95,15 +95,6 @@ def optimal_power_for_gains(h1: float, h2: float, p_total: float) -> PowerSplit:
     return PowerSplit(p1, p_total - p1)
 
 
-def _location_objective(h_sq: float, D: float, w1: float, w2: float, x: float) -> float:
-    # Minimising w2 D1(x) + w1 D2(x) + D1(x) D2(x), with D1 = H^2 + x^2,
-    # D2 = H^2 + (D-x)^2 and the power-weighted gains w_i = beta_i p_i,
-    # maximises the SNR at fixed powers.
-    dist1 = h_sq + x * x
-    dist2 = h_sq + (D - x) * (D - x)
-    return w2 * dist1 + w1 * dist2 + dist1 * dist2
-
-
 def cubic_location_candidates(scn: FreeSpaceScenario, powers: PowerSplit) -> list[float]:
     """Stationary points of the placement objective at a fixed power split.
 
@@ -128,21 +119,24 @@ def optimal_location_given_power(scn: FreeSpaceScenario, powers: PowerSplit) -> 
 
     Compares the in-band stationary points against the band edges; when
     every stationary point is out of band the better edge wins.  Ties go
-    to the smallest offset.
+    to the smallest offset.  Minimising w2 D1(x) + w1 D2(x) + D1(x) D2(x),
+    with D1 = H^2 + x^2, D2 = H^2 + (D-x)^2 and the power-weighted gains
+    w_i = beta_i p_i, maximises the SNR at fixed powers.
     """
     D, d1, d2 = scn.D, scn.d1, scn.d2
     h_sq = scn.H * scn.H
     w1, w2 = scn.beta1 * powers.p1, scn.beta2 * powers.p2
-    # the roots ascend and the in-band ones lie in [d1, d2], so this is
-    # the ascending order of the band edges and the in-band roots
-    in_band = [x for x in cubic_location_candidates(scn, powers) if d1 <= x <= d2]
-    candidates = [d1, *in_band, d2]
     best_x = None
     best_obj = math.inf
-    for x in candidates:
-        obj = _location_objective(h_sq, D, w1, w2, x)
-        if obj < best_obj:
-            best_x, best_obj = x, obj
+    # the roots ascend, so the in-band ones come in ascending order
+    # between the band edges
+    for x in (d1, *cubic_location_candidates(scn, powers), d2):
+        if d1 <= x <= d2:
+            dist1 = h_sq + x * x
+            dist2 = h_sq + (D - x) * (D - x)
+            obj = w2 * dist1 + w1 * dist2 + dist1 * dist2
+            if obj < best_obj:
+                best_x, best_obj = x, obj
     return best_x
 
 

@@ -11,7 +11,7 @@ from uavrelay import (
     BlocklengthParams,
     FreeSpaceScenario,
 )
-from uavrelay import atg3d
+from uavrelay import atg3d, highsnr
 from uavrelay.cli import main
 
 
@@ -143,6 +143,27 @@ def condition1_hessian(scn, p1, p2):
     h11 = 2.0 * h_sq * b2 / p1 ** 3 + 2.0 * b1 ** 3 * b2 * d_sq / s ** 3
     h22 = 2.0 * h_sq * b1 / p2 ** 3 + 2.0 * b1 * b2 ** 3 * d_sq / s ** 3
     return np.array([[h11, cross], [cross, h22]])
+
+
+def high_snr_winner(scn):
+    """The high-SNR case with condition I always solved: the best feasible
+    case by surrogate value, the first on a tie."""
+    reports = (highsnr.solve_condition1(scn), highsnr.solve_condition2(scn),
+               highsnr.solve_condition3(scn))
+    return max((r for r in reports if r.feasible), key=lambda r: r.gamma_tilde)
+
+
+def count_golden_sections(monkeypatch) -> list:
+    """Record each golden_section_max call the high-SNR solver makes."""
+    calls = []
+    golden = highsnr.golden_section_max
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return golden(*args, **kwargs)
+
+    monkeypatch.setattr(highsnr, "golden_section_max", counted)
+    return calls
 
 
 def solve_record(res) -> dict:

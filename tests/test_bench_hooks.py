@@ -21,7 +21,7 @@ import pytest
 import uavrelay
 from uavrelay import atg3d, cli, freespace, harness, highsnr, oracle
 
-from conftest import make_atg3d, solve_record
+from conftest import count_golden_sections, high_snr_winner, make_atg3d, solve_record
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -126,6 +126,8 @@ def test_batch_operations_pass_the_gate(monkeypatch, workload):
 # only nine significant digits, this keeps every bit
 PINNED_DRAWS = 512
 PINNED_SHA256 = "c016453742ebcae38e166d17b65575d0d8fe0fcbc25e54e8201bbe7c13ab1750"
+# of those draws, the ones where a pinned high-SNR case wins
+SKIPPED_SEARCHES = 366
 
 
 def freespace_batch_sha256(monkeypatch) -> str:
@@ -143,6 +145,25 @@ def freespace_batch_sha256(monkeypatch) -> str:
 
 def test_freespace_batch_is_bit_identical(monkeypatch):
     assert freespace_batch_sha256(monkeypatch) == PINNED_SHA256
+
+
+def test_high_snr_searches_condition1_only_where_it_wins(monkeypatch):
+    # on the same draws, condition I's golden section runs exactly where
+    # condition I wins; on the rest (an edge case wins) the bound skips it
+    monkeypatch.syspath_prepend(str(BENCH))
+    batch_worker = importlib.import_module("batch_worker")
+    make, build = batch_worker.GENERATORS["freespace-batch"]
+    draws = make(0, batch_worker.POOL_SIZE["freespace-batch"])
+    calls = count_golden_sections(monkeypatch)
+    skipped = 0
+    for scn, blk in build(uavrelay, draws[:PINNED_DRAWS]):
+        winner = high_snr_winner(scn)
+        assert highsnr._condition1_bound(scn) >= highsnr.solve_condition1(scn).gamma_tilde
+        calls.clear()
+        highsnr.high_snr_solve(scn, blk)
+        assert len(calls) == (winner.condition == "I"), scn
+        skipped += not calls
+    assert skipped == SKIPPED_SEARCHES
 
 
 def test_cli_runs_as_the_benchmark_calls_it(tmp_path):

@@ -38,12 +38,12 @@ from uavrelay import (
     snr_at,
     solve_condition1,
     solve_condition2,
-    solve_condition3,
 )
 from uavrelay import freespace
-from uavrelay.freespace import BCD_MAX_ITERS, _location_objective
+from uavrelay.freespace import BCD_MAX_ITERS
 
-from conftest import random_freespace, rewrite_golden, solve_record
+from conftest import (count_golden_sections, high_snr_winner, random_freespace,
+                      rewrite_golden, solve_record)
 
 
 def grid_power_argmax(h1, h2, p_total, step_frac=1e-5):
@@ -183,10 +183,14 @@ def test_cubic_candidates_are_stationary(rng):
     for _ in range(50):
         scn = random_freespace(rng)
         ps = power_at(scn, 0.5 * (scn.d1 + scn.d2))
-        weights = (scn.beta1 * ps.p1, scn.beta2 * ps.p2)
+        w1, w2 = scn.beta1 * ps.p1, scn.beta2 * ps.p2
 
         def objective(x):
-            return _location_objective(scn.H * scn.H, scn.D, *weights, x)
+            # w2 D1 + w1 D2 + D1 D2 with D1 = H^2 + x^2 and D2 = H^2 + (D - x)^2:
+            # the SNR at fixed powers is largest where this is smallest
+            dist1 = scn.H**2 + x**2
+            dist2 = scn.H**2 + (scn.D - x) ** 2
+            return w2 * dist1 + w1 * dist2 + dist1 * dist2
 
         for c in cubic_location_candidates(scn, ps):
             h = 1e-6 * scn.D
@@ -301,11 +305,6 @@ def golden_scenarios():
             "cap": (cap, BlocklengthParams(238, 364))}
 
 
-def high_snr_winner(scn):
-    reports = (solve_condition1(scn), solve_condition2(scn), solve_condition3(scn))
-    return max((r for r in reports if r.feasible), key=lambda r: r.gamma_tilde)
-
-
 def test_golden_scenarios_reach_their_branches():
     scenarios = golden_scenarios()
     for name, condition in (("base", "I"), ("winner-II", "II"), ("winner-III", "III"),
@@ -316,6 +315,25 @@ def test_golden_scenarios_reach_their_branches():
     scn, blk = scenarios["cap"]
     assert bcd_solve(scn, blk).iterations == BCD_MAX_ITERS
     assert freespace_gains(scenarios["gains-3200"][0], 100.0) == (0.0, 0.0)
+
+
+# golden_section_max calls in one high_snr_solve: one where condition I's
+# search wins, none where a pinned case wins or condition I is the even
+# split.  "gain-gap" searches although condition II wins: its condition-I
+# range is the single power p_total (the relay gets 0 W), where F has no
+# finite value to bound.  "budget-1e-200" lies below the bound's range.
+GOLDEN_SEARCHES = {"base": 1, "winner-II": 0, "winner-III": 0, "gain-gap": 1, "equal-beta": 0,
+                   "matched-cross-gains": 0, "budget-1e-200": 1, "gains-3200": 0, "cap": 1}
+
+
+def test_high_snr_searches_condition1_only_where_it_can_win(monkeypatch):
+    calls = count_golden_sections(monkeypatch)
+    scenarios = golden_scenarios()
+    assert sorted(GOLDEN_SEARCHES) == sorted(scenarios)
+    for name, (scn, blk) in scenarios.items():
+        calls.clear()
+        high_snr_solve(scn, blk)
+        assert len(calls) == GOLDEN_SEARCHES[name], name
 
 
 def test_2d_solves_match_golden():

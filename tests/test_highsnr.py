@@ -5,11 +5,15 @@ certificates and the case-selection logic."""
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from uavrelay import (
     BlocklengthParams,
     FreeSpaceScenario,
     PowerSplit,
+    SolveResult,
+    decoding_error_probability,
     gamma_tilde,
     high_snr_solve,
     replace,
@@ -19,8 +23,9 @@ from uavrelay import (
     solve_condition3,
     unconstrained_location,
 )
+from uavrelay.highsnr import _condition1_bound
 
-from conftest import condition1_hessian, random_freespace
+from conftest import condition1_hessian, high_snr_winner, random_freespace
 
 
 def gamma_tilde_grid(scn, x_grid, p1_grid):
@@ -123,15 +128,21 @@ def test_condition1_split_holds_on_budgets_near_underflow(freespace_scn, blk):
     assert res.powers.p1 + res.powers.p2 <= tiny.p_total * (1.0 + 1e-12)
     assert res.error_prob == 1.0
 
-    # below ~2.47e-314 W the search's relative tolerance underflows to 0;
-    # down to the smallest double, condition I and the chosen row still
-    # sit inside the band and the budget
+    # below ~1e-300 W b1 b2 D^2 / s overflows for every p1, and below
+    # ~2.47e-314 W the search's relative tolerance underflows to 0; the
+    # split still holds at 2.4e-314 and 1e-314 W (p1 has ~31 bits there),
+    # and down to the smallest double condition I and the chosen row
+    # still sit inside the band and the budget
     for beta1_db, beta2_db in ((50.0, 59.0), (59.0, 50.0), (40.0, 70.0)):
+        scn = FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, beta1_db, beta2_db, 4.0)
+        want = solve_condition1(scn).powers.p1 / scn.p_total
         for p_total in (2.4e-314, 1e-314, 1e-320, 5e-324):
-            scn = FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0,
-                                            beta1_db, beta2_db, p_total)
+            scn = replace(scn, p_total=p_total)
             rep = solve_condition1(scn)
             assert rep.feasible, (beta1_db, beta2_db, p_total)
+            if p_total >= 1e-314:
+                assert rep.powers.p1 / p_total == pytest.approx(want, abs=1e-6), \
+                    (beta1_db, beta2_db, p_total)
             for row in (rep, high_snr_solve(scn, blk)):
                 assert scn.d1 <= row.x <= scn.d2
                 assert row.powers.p1 + row.powers.p2 <= p_total
@@ -315,3 +326,52 @@ def test_edge_root_survives_huge_gain_gaps(beta2_db, p_total):
     cross2 = mpmath.mpf(scn.beta2) * (scn.H ** 2 + mpmath.mpf(scn.d1) ** 2)
     p2 = p_total * mpmath.sqrt(cross1) / (mpmath.sqrt(cross1) + mpmath.sqrt(cross2))
     assert res.powers.p2 == pytest.approx(float(p2), rel=1e-6)
+
+
+def full_selection(scn, blk):
+    """high_snr_solve with condition I always solved, re-scored exactly."""
+    best = high_snr_winner(scn)
+    gamma = snr_at(scn, best.x, best.powers)
+    return SolveResult("high-snr", best.x, scn.H, best.powers, gamma,
+                       decoding_error_probability(gamma, blk), 1, (gamma,))
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def scenarios(draw):
+    """Budgets 5e-324..1e6 W (uniform and log-uniform), gains -50..250 dB,
+    equal gains and bands that touch 0 or D."""
+    D = draw(st.floats(1.0, 1e4))
+    lo, hi = sorted((draw(unit), draw(unit)))  # 0.0 and 1.0 come up often
+    beta1_db = draw(st.floats(-50.0, 250.0))
+    beta2_db = draw(st.one_of(st.just(beta1_db), st.floats(-50.0, 250.0)))
+    p_total = draw(st.one_of(st.floats(5e-324, 1e6),
+                             st.floats(-323.0, 6.0).map(lambda e: 10.0 ** e)))
+    try:
+        return FreeSpaceScenario.from_db(D, draw(st.floats(0.1, 1e3)), D * lo, D * hi,
+                                         beta1_db, beta2_db, p_total)
+    except ValueError:  # the gains overflow, or D * lo == D * hi
+        assume(False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(scn=scenarios())
+@example(scn=FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 45.0, 65.0, 4.0))
+@example(scn=FreeSpaceScenario.from_db(200.0, 120.0, 0.0, 200.0, 50.0, 59.0, 5e-324))
+@example(scn=FreeSpaceScenario.from_db(200.0, 1.0, 30.0, 170.0, -40.0, 135.0, 5.0))
+def test_high_snr_solve_matches_the_full_selection(scn):
+    # skipping condition I's search never changes the chosen case
+    blk = BlocklengthParams(100, 80)
+    assert repr(high_snr_solve(scn, blk)) == repr(full_selection(scn, blk))
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(scn=scenarios())
+@example(scn=FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 45.0, 65.0, 4.0))
+@example(scn=FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 65.0, 45.0, 4.0))
+def test_condition1_bound_is_sound(scn):
+    rep = solve_condition1(scn)
+    assume(rep.feasible)
+    assert _condition1_bound(scn) >= rep.gamma_tilde
