@@ -31,8 +31,7 @@ _EXPORTS = {
                       "optimal_location_given_power optimal_power_for_gains snr_at"),
         ("harness", "ResultRow RunOutcome profile_curves run_experiment write_profile_csv "
                     "write_rows_csv write_rows_json write_traces_json"),
-        ("highsnr", "HighSnrCaseReport gamma_tilde high_snr_solve solve_condition1 "
-                    "solve_condition2 solve_condition3 unconstrained_location"),
+        ("highsnr", "gamma_tilde high_snr_solve unconstrained_location"),
         ("oracle", "exhaustive_search fixed_height_baseline fixed_location_baseline "
                    "fixed_power_baseline"),
         ("search", "golden_section_max interior_local_maxima line_search_max"),

@@ -12,23 +12,23 @@ convex one-dimensional power problem that is solved in closed form or
 with a short golden-section search.  The best case by surrogate value is
 re-scored with the exact SNR.
 
-The two pinned cases are closed forms; the interior case (condition I)
-needs the search unless the gains are equal.  Along its path the
-surrogate is b1 b2 / F(p1) with the
-convex F = H^2 (b2/p1 + b1/p2) + b1 b2 D^2 / (b1 p1 + b2 p2), so
-high_snr_solve solves the pinned cases first and runs the search only
-when the better of them does not beat an upper bound on condition I's
-value.  The bound comes from F's tangent line at an end of condition I's
-power range; only a strict win over it skips the search, so condition I
-still wins ties and the chosen case is the one the full comparison picks.
+high_snr_solve decides in one pass.  It computes the crossing powers
+at which x_free meets d1 and d2 once; they bound the p1 range of each
+case.  It scores the two pinned cases, which are closed forms, and
+solves the interior case (condition I) only when its range is non-empty
+and the better pinned value does not strictly beat an upper bound on
+condition I's value.  Along its path the surrogate is b1 b2 / F(p1) with
+the convex F = H^2 (b2/p1 + b1/p2) + b1 b2 D^2 / (b1 p1 + b2 p2), and
+the bound comes from F's tangent line at an end of the range.  Condition
+I is solved by golden-section search unless the gains are equal.  It
+still wins ties, so the chosen case is the one the full comparison picks.
 """
 
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+import sys
 
-from ._record import Record, set_field
 from .channels import FreeSpaceScenario
 from .fbl import BlocklengthParams, PowerSplit, decoding_error_probability
 from .freespace import SolveResult, snr_at
@@ -43,29 +43,6 @@ _POWER_SEARCH_RTOL = 1e-10
 # form from them is then a normal float with a relative rounding error.
 _BOUND_MIN = 2.0 ** -100
 _BOUND_MAX = 2.0 ** 100
-
-_SURROGATE_VALUE = attrgetter("gamma_tilde")
-
-
-class HighSnrCaseReport(Record):
-    """One clamp case of the surrogate problem.
-
-    condition is "I" (interior optimum), "II" (pinned at d1) or "III"
-    (pinned at d2); case names the analytic branch taken.  gamma_tilde
-    is the surrogate value at (x, powers).  Infeasible cases carry zero
-    powers and feasible=False.
-    """
-
-    __slots__ = ("condition", "case", "x", "powers", "gamma_tilde", "feasible")
-
-    def __init__(self, condition: str, case: str, x: float, powers: PowerSplit,
-                 gamma_tilde: float, feasible: bool = True):
-        set_field(self, "condition", condition)
-        set_field(self, "case", case)
-        set_field(self, "x", x)
-        set_field(self, "powers", powers)
-        set_field(self, "gamma_tilde", gamma_tilde)
-        set_field(self, "feasible", feasible)
 
 
 def gamma_tilde(scn: FreeSpaceScenario, x: float, powers: PowerSplit) -> float:
@@ -99,35 +76,28 @@ def _crossing_power(scn: FreeSpaceScenario, d: float) -> float:
     # the p1 at which the unconstrained offset x_free(p1) crosses the band edge d,
     # at most p_total: on tiny budgets the quotient can round above it
     pt = scn.p_total
-    return min(d * scn.beta2 * pt / ((scn.D - d) * scn.beta1 + d * scn.beta2), pt)
+    d_b2 = d * scn.beta2
+    den = (scn.D - d) * scn.beta1 + d_b2
+    if d_b2 * pt < sys.float_info.min:
+        # a subnormal numerator has lost bits; divide before scaling by the budget
+        return min(pt * (d_b2 / den), pt)
+    return min(d_b2 * pt / den, pt)
 
 
-def _interior_power_range(scn: FreeSpaceScenario) -> tuple[float, float]:
-    # the p1 range on which x_free(p1) stays inside [d1, d2]; empty if lo > hi
-    return max(_crossing_power(scn, scn.d1), 0.0), _crossing_power(scn, scn.d2)
-
-
-def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
-    """Interior case: the clamp is inactive and x tracks x_free(p1).
+def _condition1(
+    scn: FreeSpaceScenario, lo: float, hi: float
+) -> tuple[float, float, PowerSplit]:
+    """Interior case on its non-empty power range [lo, hi]: x tracks x_free(p1).
 
     Equal reference gains admit a closed form (an even split clamped to
-    the feasible power interval); unequal gains leave a scalar convex
-    problem solved by golden-section search.
+    the range); unequal gains leave a scalar convex problem solved by
+    golden-section search.  Returns (gamma_tilde, x, powers).
     """
     pt = scn.p_total
-    lo, hi = _interior_power_range(scn)
-    if lo > hi:
-        return HighSnrCaseReport(
-            "I", "infeasible", 0.5 * (scn.d1 + scn.d2), PowerSplit(0.0, 0.0), 0.0,
-            feasible=False,
-        )
-
     if abs(scn.beta1 - scn.beta2) <= 1e-12 * max(scn.beta1, scn.beta2):
-        case = "equal-beta"
         # surrogate reduces to maximising p1 (pt - p1) over [lo, hi]
         p1 = min(max(0.5 * pt, lo), hi)
     else:
-        case = "unequal-beta"
         b1, b2 = scn.beta1, scn.beta2
         h_sq = scn.H * scn.H
         cross = b1 * b2 * (scn.D * scn.D)
@@ -162,14 +132,12 @@ def solve_condition1(scn: FreeSpaceScenario) -> HighSnrCaseReport:
 
     powers = PowerSplit(p1, pt - p1)
     _, x = unconstrained_location(scn, powers)
-    return HighSnrCaseReport(
-        "I", case, x, powers, gamma_tilde(scn, x, powers)
-    )
+    return gamma_tilde(scn, x, powers), x, powers
 
 
 def _pinned_edge_case(
-    scn: FreeSpaceScenario, condition: str, x_edge: float, p_lo: float, p_hi: float
-) -> HighSnrCaseReport:
+    scn: FreeSpaceScenario, x_edge: float, p_lo: float, p_hi: float
+) -> tuple[float, float, PowerSplit]:
     """Maximise the surrogate over p1 in [p_lo, p_hi] with x pinned at a band edge.
 
     At fixed x the surrogate is b1 b2 p1 (pt - p1) / (K p1 + b2 D1 pt)
@@ -177,34 +145,25 @@ def _pinned_edge_case(
     (K = 0) reduce it to p1 (pt - p1); otherwise the stationary point
     p1 = pt sqrt(b2 D1) / (sqrt(b1 D2) + sqrt(b2 D1)) is clamped to
     [p_lo, p_hi].  This form of the root has no cancellation, whatever
-    the ratio of the cross gains b1 D2 and b2 D1.
+    the ratio of the cross gains b1 D2 and b2 D1.  Returns
+    (gamma_tilde, x_edge, powers).
     """
     pt = scn.p_total
     h_sq = scn.H * scn.H
     cross1 = scn.beta1 * (h_sq + (scn.D - x_edge) * (scn.D - x_edge))
     cross2 = scn.beta2 * (h_sq + x_edge * x_edge)
     if abs(cross1 - cross2) <= 1e-12 * max(cross1, cross2):
-        p1, case = 0.5 * pt, "matched-cross-gains"
+        p1 = 0.5 * pt
     else:
         root2 = math.sqrt(cross2)
-        p1, case = pt * root2 / (math.sqrt(cross1) + root2), "unmatched-cross-gains"
+        p1 = pt * root2 / (math.sqrt(cross1) + root2)
     p1 = min(max(p1, p_lo), p_hi)
     powers = PowerSplit(p1, pt - p1)
-    return HighSnrCaseReport(condition, case, x_edge, powers, gamma_tilde(scn, x_edge, powers))
+    return gamma_tilde(scn, x_edge, powers), x_edge, powers
 
 
-def solve_condition2(scn: FreeSpaceScenario) -> HighSnrCaseReport:
-    """Left-edge case: x pinned at d1, feasible whenever x_free(p1) <= d1."""
-    return _pinned_edge_case(scn, "II", scn.d1, 0.0, _crossing_power(scn, scn.d1))
-
-
-def solve_condition3(scn: FreeSpaceScenario) -> HighSnrCaseReport:
-    """Right-edge case: x pinned at d2, feasible whenever x_free(p1) >= d2."""
-    return _pinned_edge_case(scn, "III", scn.d2, _crossing_power(scn, scn.d2), scn.p_total)
-
-
-def _condition1_bound(scn: FreeSpaceScenario) -> float:
-    """Upper bound on solve_condition1's gamma_tilde, or inf where none is certain.
+def _condition1_bound(scn: FreeSpaceScenario, lo: float, hi: float) -> float:
+    """Upper bound on condition I's gamma_tilde on [lo, hi], or inf where none is certain.
 
     F is convex on condition I's power range [lo, hi], so its tangent at
     either end lies below it there.  Where the tangent at lo rises into
@@ -216,14 +175,10 @@ def _condition1_bound(scn: FreeSpaceScenario) -> float:
     is then inf, and so it is for a slope within its rounding allowance of
     0 and for any input outside [_BOUND_MIN, _BOUND_MAX], where products
     could leave the normal float range.  The bound is widened by a
-    relative 1e-9, far above the rounding of F and of gamma_tilde.  An
-    empty range (lo > hi, condition I infeasible) gives -inf.
+    relative 1e-9, far above the rounding of F and of gamma_tilde.
     """
     pt, b1, b2 = scn.p_total, scn.beta1, scn.beta2
     h_sq, d_sq = scn.H * scn.H, scn.D * scn.D
-    lo, hi = _interior_power_range(scn)
-    if lo > hi:
-        return -math.inf
     for v in (b1, b2, h_sq, d_sq, pt, lo, pt - hi):
         if not _BOUND_MIN <= v <= _BOUND_MAX:
             return math.inf
@@ -245,16 +200,20 @@ def high_snr_solve(scn: FreeSpaceScenario, blk: BlocklengthParams) -> SolveResul
     The winning case maximises the surrogate (the first of conditions I,
     II, III on a tie); the reported SNR and error probability are
     recomputed from the exact AF expression at the winning placement and
-    powers.  Condition I is solved only when the better pinned case does
-    not beat _condition1_bound.
+    powers.  Condition I's power range runs between the crossing powers
+    of d1 and d2; it is solved only when that range is non-empty and the
+    better pinned case does not beat _condition1_bound.
     """
-    edges = [solve_condition2(scn), solve_condition3(scn)]
-    best = max(edges, key=_SURROGATE_VALUE)
-    if not best.gamma_tilde > _condition1_bound(scn):
-        reports = [solve_condition1(scn), *edges]
-        best = max((r for r in reports if r.feasible), key=_SURROGATE_VALUE)
-    gamma = snr_at(scn, best.x, best.powers)
+    lo, hi = _crossing_power(scn, scn.d1), _crossing_power(scn, scn.d2)
+    left = _pinned_edge_case(scn, scn.d1, 0.0, lo)
+    right = _pinned_edge_case(scn, scn.d2, hi, scn.p_total)
+    best = right if right[0] > left[0] else left
+    if lo <= hi and not best[0] > _condition1_bound(scn, lo, hi):
+        best = _condition1(scn, lo, hi)
+        for case in (left, right):  # only a strict win displaces condition I
+            if case[0] > best[0]:
+                best = case
+    _, x, powers = best
+    gamma = snr_at(scn, x, powers)
     eps = decoding_error_probability(gamma, blk)
-    return SolveResult(
-        "high-snr", best.x, scn.H, best.powers, gamma, eps, 1, (gamma,)
-    )
+    return SolveResult("high-snr", x, scn.H, powers, gamma, eps, 1, (gamma,))

@@ -145,12 +145,31 @@ def condition1_hessian(scn, p1, p2):
     return np.array([[h11, cross], [cross, h22]])
 
 
-def high_snr_winner(scn):
-    """The high-SNR case with condition I always solved: the best feasible
-    case by surrogate value, the first on a tie."""
-    reports = (highsnr.solve_condition1(scn), highsnr.solve_condition2(scn),
-               highsnr.solve_condition3(scn))
-    return max((r for r in reports if r.feasible), key=lambda r: r.gamma_tilde)
+class HighSnrCase(NamedTuple):
+    """One clamp case of the high-SNR surrogate: "I" (x_free inside the
+    band), "II" (pinned at d1) or "III" (pinned at d2), with its surrogate
+    value, offset and powers."""
+    condition: str
+    gamma_tilde: float
+    x: float
+    powers: object
+
+
+def high_snr_cases(scn) -> dict:
+    """Condition -> HighSnrCase, in the solver's tie order, each solved by
+    the solver's own helpers; condition I is left out where its power range
+    is empty."""
+    lo, hi = highsnr._crossing_power(scn, scn.d1), highsnr._crossing_power(scn, scn.d2)
+    cases = {"I": highsnr._condition1(scn, lo, hi)} if lo <= hi else {}
+    cases["II"] = highsnr._pinned_edge_case(scn, scn.d1, 0.0, lo)
+    cases["III"] = highsnr._pinned_edge_case(scn, scn.d2, hi, scn.p_total)
+    return {name: HighSnrCase(name, *case) for name, case in cases.items()}
+
+
+def high_snr_winner(scn) -> HighSnrCase:
+    """The high-SNR case with condition I always solved where its range is
+    non-empty: the best case by surrogate value, the first on a tie."""
+    return max(high_snr_cases(scn).values(), key=lambda case: case.gamma_tilde)
 
 
 def count_golden_sections(monkeypatch) -> list:

@@ -35,14 +35,12 @@ from uavrelay import (
     rate_gap,
     rate_gap_derivative,
     run_experiment,
-    solve_condition1,
-    solve_condition2,
-    solve_condition3,
     write_rows_csv,
 )
 from uavrelay.atg3d import _gamma
 
-from conftest import condition1_hessian, line_block_move, make_atg3d, random_freespace
+from conftest import (condition1_hessian, high_snr_cases, line_block_move, make_atg3d,
+                      random_freespace)
 from test_config import ATG3D_RAW, FREESPACE_RAW, variant
 
 RESULTS: list[tuple[int, str, str]] = []
@@ -247,8 +245,7 @@ def test_criterion_7_high_snr_internals():
         blk = BlocklengthParams(100, 80)
         for _ in range(200):
             scn = random_freespace(rng)
-            reports = [solve_condition1(scn), solve_condition2(scn), solve_condition3(scn)]
-            best = max(r.gamma_tilde for r in reports if r.feasible)
+            best = max(r.gamma_tilde for r in high_snr_cases(scn).values())
             res = high_snr_solve(scn, blk)
             assert gamma_tilde(scn, res.x, res.powers) >= best * (1.0 - 1e-12)
         info["detail"] = "1000 Hessians, 50 concavity sweeps, 200 selections"

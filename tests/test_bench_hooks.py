@@ -21,7 +21,8 @@ import pytest
 import uavrelay
 from uavrelay import atg3d, cli, freespace, harness, highsnr, oracle
 
-from conftest import count_golden_sections, high_snr_winner, make_atg3d, solve_record
+from conftest import (count_golden_sections, high_snr_cases, high_snr_winner, make_atg3d,
+                      solve_record)
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -147,23 +148,46 @@ def test_freespace_batch_is_bit_identical(monkeypatch):
     assert freespace_batch_sha256(monkeypatch) == PINNED_SHA256
 
 
-def test_high_snr_searches_condition1_only_where_it_wins(monkeypatch):
-    # on the same draws, condition I's golden section runs exactly where
-    # condition I wins; on the rest (an edge case wins) the bound skips it
+def pinned_freespace_draws(monkeypatch) -> list:
+    """(scenario, blocklength) of the first PINNED_DRAWS seed-0 free-space draws."""
     monkeypatch.syspath_prepend(str(BENCH))
     batch_worker = importlib.import_module("batch_worker")
     make, build = batch_worker.GENERATORS["freespace-batch"]
     draws = make(0, batch_worker.POOL_SIZE["freespace-batch"])
+    return build(uavrelay, draws[:PINNED_DRAWS])
+
+
+def test_high_snr_searches_condition1_only_where_it_wins(monkeypatch):
+    # on the same draws, condition I's golden section runs exactly where
+    # condition I wins; on the rest (an edge case wins) the bound skips it
     calls = count_golden_sections(monkeypatch)
     skipped = 0
-    for scn, blk in build(uavrelay, draws[:PINNED_DRAWS]):
+    for scn, blk in pinned_freespace_draws(monkeypatch):
         winner = high_snr_winner(scn)
-        assert highsnr._condition1_bound(scn) >= highsnr.solve_condition1(scn).gamma_tilde
+        lo, hi = highsnr._crossing_power(scn, scn.d1), highsnr._crossing_power(scn, scn.d2)
+        assert highsnr._condition1_bound(scn, lo, hi) >= high_snr_cases(scn)["I"].gamma_tilde
         calls.clear()
         highsnr.high_snr_solve(scn, blk)
         assert len(calls) == (winner.condition == "I"), scn
         skipped += not calls
     assert skipped == SKIPPED_SEARCHES
+
+
+def test_high_snr_computes_each_crossing_power_once(monkeypatch):
+    # the crossing powers of d1 and d2 bound all three cases' power ranges;
+    # one solve computes each of them once
+    calls = []
+    crossing = highsnr._crossing_power
+
+    def counted(scn, d):
+        calls.append(d)
+        return crossing(scn, d)
+
+    monkeypatch.setattr(highsnr, "_crossing_power", counted)
+    for scn, blk in pinned_freespace_draws(monkeypatch):
+        calls.clear()
+        highsnr.high_snr_solve(scn, blk)
+        assert calls == [scn.d1, scn.d2], scn
 
 
 def test_cli_runs_as_the_benchmark_calls_it(tmp_path):

@@ -36,14 +36,12 @@ from uavrelay import (
     optimal_power_for_gains,
     replace,
     snr_at,
-    solve_condition1,
-    solve_condition2,
 )
 from uavrelay import freespace
 from uavrelay.freespace import BCD_MAX_ITERS
 
-from conftest import (count_golden_sections, high_snr_winner, random_freespace,
-                      rewrite_golden, solve_record)
+from conftest import (count_golden_sections, high_snr_cases, high_snr_winner,
+                      random_freespace, rewrite_golden, solve_record)
 
 
 def grid_power_argmax(h1, h2, p_total, step_frac=1e-5):
@@ -310,8 +308,9 @@ def test_golden_scenarios_reach_their_branches():
     for name, condition in (("base", "I"), ("winner-II", "II"), ("winner-III", "III"),
                             ("gain-gap", "II")):
         assert high_snr_winner(scenarios[name][0]).condition == condition, name
-    assert solve_condition1(scenarios["equal-beta"][0]).case == "equal-beta"
-    assert solve_condition2(scenarios["matched-cross-gains"][0]).case == "matched-cross-gains"
+    # condition I's closed form and condition II's are the even split
+    assert high_snr_cases(scenarios["equal-beta"][0])["I"].powers == PowerSplit(2.0, 2.0)
+    assert high_snr_cases(scenarios["matched-cross-gains"][0])["II"].powers == PowerSplit(2.0, 2.0)
     scn, blk = scenarios["cap"]
     assert bcd_solve(scn, blk).iterations == BCD_MAX_ITERS
     assert freespace_gains(scenarios["gains-3200"][0], 100.0) == (0.0, 0.0)

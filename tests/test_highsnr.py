@@ -1,6 +1,9 @@
 """High-SNR closed-form solver: per-case grid oracles, convexity
-certificates and the case-selection logic."""
+certificates, the crossing powers and the case-selection logic."""
 
+import math
+import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -18,14 +21,12 @@ from uavrelay import (
     high_snr_solve,
     replace,
     snr_at,
-    solve_condition1,
-    solve_condition2,
-    solve_condition3,
     unconstrained_location,
 )
-from uavrelay.highsnr import _condition1_bound
+from uavrelay.highsnr import _condition1_bound, _crossing_power
 
-from conftest import condition1_hessian, high_snr_winner, random_freespace
+from conftest import (condition1_hessian, count_golden_sections, high_snr_cases,
+                      high_snr_winner, random_freespace)
 
 
 def gamma_tilde_grid(scn, x_grid, p1_grid):
@@ -90,10 +91,11 @@ def test_hessian_rejects_nonpositive_power(freespace_scn):
         condition1_hessian(freespace_scn, 0.0, 4.0)
 
 
-def test_condition1_interior_stationarity(freespace_scn):
-    rep = solve_condition1(freespace_scn)
-    assert rep.condition == "I"
-    assert rep.case == "unequal-beta"
+def test_condition1_interior_stationarity(freespace_scn, monkeypatch):
+    # unequal gains: condition I is found by one golden-section search
+    calls = count_golden_sections(monkeypatch)
+    rep = high_snr_cases(freespace_scn)["I"]
+    assert len(calls) == 1
     # surrogate flat in p1 along the x0(p1) path at the reported optimum
     def path_value(p1):
         ps = PowerSplit(p1, freespace_scn.p_total - p1)
@@ -107,10 +109,10 @@ def test_condition1_interior_stationarity(freespace_scn):
 
 
 def test_condition1_equal_beta_closed_form():
+    # equal gains: the even split, which lies inside condition I's range
     scn = FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 55.0, 55.0, 4.0)
-    rep = solve_condition1(scn)
-    assert rep.case == "equal-beta"
-    assert rep.powers.p1 == pytest.approx(2.0, rel=1e-14)
+    rep = high_snr_cases(scn)["I"]
+    assert rep.powers == PowerSplit(2.0, 2.0)
     _, x = unconstrained_location(scn, rep.powers)
     assert rep.x == pytest.approx(x, rel=1e-12)
 
@@ -119,9 +121,9 @@ def test_condition1_split_holds_on_budgets_near_underflow(freespace_scn, blk):
     # the surrogate is homogeneous in the powers, so the interior split
     # p1 / p_total does not depend on the budget; at 1e-200 W the product
     # p1 p2 underflows to 0 while the objective (~6e210) does not
-    want = solve_condition1(freespace_scn).powers.p1 / freespace_scn.p_total
+    want = high_snr_cases(freespace_scn)["I"].powers.p1 / freespace_scn.p_total
     tiny = replace(freespace_scn, p_total=1e-200)
-    rep = solve_condition1(tiny)
+    rep = high_snr_cases(tiny)["I"]
     assert rep.powers.p1 / tiny.p_total == pytest.approx(want, rel=1e-6)
     res = high_snr_solve(tiny, blk)
     assert 0.0 < res.powers.p1 and 0.0 < res.powers.p2
@@ -135,11 +137,12 @@ def test_condition1_split_holds_on_budgets_near_underflow(freespace_scn, blk):
     # still sit inside the band and the budget
     for beta1_db, beta2_db in ((50.0, 59.0), (59.0, 50.0), (40.0, 70.0)):
         scn = FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, beta1_db, beta2_db, 4.0)
-        want = solve_condition1(scn).powers.p1 / scn.p_total
+        want = high_snr_cases(scn)["I"].powers.p1 / scn.p_total
         for p_total in (2.4e-314, 1e-314, 1e-320, 5e-324):
             scn = replace(scn, p_total=p_total)
-            rep = solve_condition1(scn)
-            assert rep.feasible, (beta1_db, beta2_db, p_total)
+            cases = high_snr_cases(scn)
+            assert "I" in cases, (beta1_db, beta2_db, p_total)
+            rep = cases["I"]
             if p_total >= 1e-314:
                 assert rep.powers.p1 / p_total == pytest.approx(want, abs=1e-6), \
                     (beta1_db, beta2_db, p_total)
@@ -165,21 +168,24 @@ def test_edge_cases_keep_the_split_inside_the_budget(blk):
         "0x1.c5740fa38a742p+63", "0x1.c70b2c08d05e4p+84", "0x1.150f6817ef826p+63",
         "0x1.948c696f5b50bp+63", "0x1.4569d5d7d33adp-294", "0x1.60427be2992afp+623",
         "0x1.a385c3b5786f3p-878")))
-    for rep in (solve_condition1(scn), solve_condition2(scn), solve_condition3(scn)):
+    for rep in high_snr_cases(scn).values():
         assert 0.0 <= rep.powers.p1 <= scn.p_total, rep
     res = high_snr_solve(scn, blk)
     assert res.snr == 0.0
     assert res.error_prob == 1.0
 
 
-def test_condition1_reports_a_band_it_cannot_reach_infeasible(blk):
+def test_condition1_reports_a_band_it_cannot_reach_infeasible(blk, monkeypatch):
     # on a band of two adjacent floats the crossing power of d1 rounds
-    # above that of d2, so no p1 keeps x_free(p1) inside the band; an edge
-    # case must win inside the band and the budget
+    # above that of d2, so no p1 keeps x_free(p1) inside the band; condition
+    # I is not searched, and an edge case wins inside the band and the budget
     scn = FreeSpaceScenario(200.0, 1.0, 118.11245631326052, 118.11245631326054,
                             0.01331983175460442, 3.1026011843648695, 0.0013612336177626307)
-    assert solve_condition1(scn).feasible is False
+    assert _crossing_power(scn, scn.d1) > _crossing_power(scn, scn.d2)
+    calls = count_golden_sections(monkeypatch)
     res = high_snr_solve(scn, blk)
+    assert calls == []
+    assert repr(res) == repr(full_selection(scn, blk))
     assert scn.d1 <= res.x <= scn.d2
     assert 0.0 <= res.powers.p1 and 0.0 <= res.powers.p2
     assert res.powers.p1 + res.powers.p2 <= scn.p_total
@@ -194,7 +200,7 @@ def test_condition2_matches_grid(rng):
     # lands at or left of d1
     for _ in range(20):
         scn = random_freespace(rng)
-        rep = solve_condition2(scn)
+        rep = high_snr_cases(scn)["II"]
         assert rep.x == scn.d1
         p1 = np.linspace(1e-9, 1.0 - 1e-9, 1_000_001) * scn.p_total
         mask = unclamped_offset(scn, p1) <= scn.d1
@@ -207,7 +213,7 @@ def test_condition2_matches_grid(rng):
 def test_condition3_matches_grid(rng):
     for _ in range(20):
         scn = random_freespace(rng)
-        rep = solve_condition3(scn)
+        rep = high_snr_cases(scn)["III"]
         assert rep.x == scn.d2
         p1 = np.linspace(1e-9, 1.0 - 1e-9, 1_000_001) * scn.p_total
         mask = unclamped_offset(scn, p1) >= scn.d2
@@ -232,11 +238,7 @@ def test_selection_matches_profile_grid(rng):
             / (scn.beta2 * p2 * d1_sq + scn.beta1 * p1 * d2_sq)
         )
         want = float(profile.max())
-        got = max(
-            r.gamma_tilde
-            for r in (solve_condition1(scn), solve_condition2(scn), solve_condition3(scn))
-            if r.feasible
-        )
+        got = max(r.gamma_tilde for r in high_snr_cases(scn).values())
         assert got >= want * (1 - 1e-9)
 
 
@@ -252,8 +254,8 @@ def test_condition3_mirror_symmetry(rng):
     # reflecting the scenario swaps the two edge cases
     for _ in range(20):
         scn = random_freespace(rng)
-        rep3 = solve_condition3(scn)
-        rep2m = solve_condition2(mirror(scn))
+        rep3 = high_snr_cases(scn)["III"]
+        rep2m = high_snr_cases(mirror(scn))["II"]
         assert rep3.gamma_tilde == pytest.approx(rep2m.gamma_tilde, rel=1e-10)
         assert rep3.powers.p1 == pytest.approx(rep2m.powers.p2, rel=1e-8, abs=1e-12)
 
@@ -264,17 +266,15 @@ def test_matched_cross_gains_case():
     D, H, d1 = 200.0, 50.0, 30.0
     ratio = (H**2 + (D - d1) ** 2) / (H**2 + d1**2)
     scn = FreeSpaceScenario(D, H, d1, 170.0, 1e5, 1e5 * ratio, 4.0)
-    rep = solve_condition2(scn)
-    assert rep.case == "matched-cross-gains"
-    assert rep.powers.p1 == pytest.approx(2.0, rel=1e-12)
+    rep = high_snr_cases(scn)["II"]
+    assert rep.powers == PowerSplit(2.0, 2.0)
 
     # with H = 120 the even split leaves the case range and is clamped to
     # the boundary where the free offset crosses d1
     H = 120.0
     ratio = (H**2 + (D - d1) ** 2) / (H**2 + d1**2)
     scn = FreeSpaceScenario(D, H, d1, 170.0, 1e5, 1e5 * ratio, 4.0)
-    rep = solve_condition2(scn)
-    assert rep.case == "matched-cross-gains"
+    rep = high_snr_cases(scn)["II"]
     p_up = d1 * scn.beta2 * 4.0 / ((D - d1) * scn.beta1 + d1 * scn.beta2)
     assert rep.powers.p1 == pytest.approx(p_up, rel=1e-12)
 
@@ -282,11 +282,7 @@ def test_matched_cross_gains_case():
 def test_selection_never_below_any_condition(rng):
     for _ in range(50):
         scn = random_freespace(rng)
-        best = max(
-            r.gamma_tilde
-            for r in (solve_condition1(scn), solve_condition2(scn), solve_condition3(scn))
-            if r.feasible
-        )
+        best = max(r.gamma_tilde for r in high_snr_cases(scn).values())
         res = high_snr_solve(scn, BlocklengthParams(100, 80))
         chosen = gamma_tilde(scn, res.x, res.powers)
         assert chosen >= best * (1 - 1e-12)
@@ -306,7 +302,7 @@ def test_reference_scenario(freespace_scn, blk):
 def test_reports_stay_in_bounds(rng):
     for _ in range(50):
         scn = random_freespace(rng)
-        for rep in (solve_condition1(scn), solve_condition2(scn), solve_condition3(scn)):
+        for rep in high_snr_cases(scn).values():
             assert scn.d1 <= rep.x <= scn.d2
             assert 0.0 <= rep.powers.p1 <= scn.p_total
             assert rep.powers.p1 + rep.powers.p2 == pytest.approx(scn.p_total, rel=1e-9)
@@ -372,6 +368,39 @@ def test_high_snr_solve_matches_the_full_selection(scn):
 @example(scn=FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 45.0, 65.0, 4.0))
 @example(scn=FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 65.0, 45.0, 4.0))
 def test_condition1_bound_is_sound(scn):
-    rep = solve_condition1(scn)
-    assume(rep.feasible)
-    assert _condition1_bound(scn) >= rep.gamma_tilde
+    lo, hi = _crossing_power(scn, scn.d1), _crossing_power(scn, scn.d2)
+    assume(lo <= hi)
+    assert _condition1_bound(scn, lo, hi) >= high_snr_cases(scn)["I"].gamma_tilde
+
+
+def exact_crossing_power(scn, d):
+    """The crossing power of edge d, min(d b2 pt / ((D - d) b1 + d b2), pt), as a Fraction."""
+    pt, b1, b2, d = map(Fraction, (scn.p_total, scn.beta1, scn.beta2, d))
+    return min(d * b2 * pt / ((Fraction(scn.D) - d) * b1 + d * b2), pt)
+
+
+def test_crossing_power_keeps_the_whole_budget_on_a_subnormal_budget():
+    # d2 = D, so x_free crosses d2 only at p1 = p_total; d2 b2 pt is
+    # subnormal and rounding it before the division lost 1.5% of the budget
+    scn = FreeSpaceScenario(1.4702952198403105, 1.0, 0.12284454673924665, 1.4702952198403105,
+                            9.373521276459561e+23, 1.2025849700193035e-06, 8.2277997e-317)
+    assert _crossing_power(scn, scn.d2) == scn.p_total
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(scn=scenarios(), right=st.booleans(), shift=st.floats(0.0, 64.0))
+def test_crossing_power_is_within_2_ulps_on_subnormal_numerators(scn, right, shift):
+    # the budget is scaled so that d b2 pt falls below the smallest normal
+    # double, by 2^-shift; the edge and gain product d b2 itself stays normal
+    d = scn.d2 if right else scn.d1
+    assume(d * scn.beta2 >= sys.float_info.min)
+    pt = sys.float_info.min / (d * scn.beta2) * 2.0 ** -shift
+    assume(0.0 < pt <= 1e6)
+    try:
+        scn = replace(scn, p_total=pt)
+    except ValueError:  # the gains times this budget overflow
+        assume(False)
+    assume(d * scn.beta2 * pt < sys.float_info.min)
+    want = exact_crossing_power(scn, d)
+    got = Fraction(_crossing_power(scn, d))
+    assert abs(got - want) <= 2 * Fraction(math.ulp(float(want))), (scn, right)

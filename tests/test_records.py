@@ -17,7 +17,6 @@ from uavrelay import (
     ExperimentConfig,
     FreeSpaceScenario,
     GridSpec,
-    HighSnrCaseReport,
     PowerSplit,
     ProfileSpec,
     ResultRow,
@@ -58,8 +57,6 @@ def build(name):
         "BlocklengthParams": lambda: blk,
         "SolveResult": lambda: SolveResult("bcd", 100.0, 50.0, power, 12.5, 1e-05, 3,
                                            (10.0, 12.5)),
-        "HighSnrCaseReport": lambda: HighSnrCaseReport("II", "pinned", 20.0, power, 13.0,
-                                                       False),
         "GridSpec": lambda: GridSpec(20, 30),
         "FreeSpaceScenario": lambda: FreeSpaceScenario.from_db(200.0, 100.0, 20.0, 180.0,
                                                                50.0, 55.0, 4.0),
@@ -80,8 +77,6 @@ RECORDS = {
     "BlocklengthParams": (BLK, ({"total_blocklength": 81}, ValueError)),
     "SolveResult": (f"SolveResult(solver='bcd', x=100.0, height=50.0, powers={POWER}, "
                     f"snr=12.5, error_prob=1e-05, iterations=3, trace=(10.0, 12.5))", None),
-    "HighSnrCaseReport": (f"HighSnrCaseReport(condition='II', case='pinned', x=20.0, "
-                          f"powers={POWER}, gamma_tilde=13.0, feasible=False)", None),
     "GridSpec": ("GridSpec(x=20, p1=30, h=None)", ({"x": 1}, ValueError)),
     "FreeSpaceScenario": ("FreeSpaceScenario(D=200.0, H=100.0, d1=20.0, d2=180.0, "
                           "beta1=100000.0, beta2=316227.7660168379, p_total=4.0)",
