@@ -29,8 +29,8 @@ _EXPORTS = {
                 "decoding_error_probability q_function rate_gap rate_gap_derivative"),
         ("freespace", "SolveResult bcd_solve cubic_location_candidates "
                       "optimal_location_given_power optimal_power_for_gains snr_at"),
-        ("harness", "ResultRow RunOutcome profile_curves run_experiment write_profile_csv "
-                    "write_rows_csv write_rows_json write_traces_json"),
+        ("harness", "profile_curves run_experiment write_profile_csv write_rows_csv "
+                    "write_rows_json write_traces_json"),
         ("highsnr", "gamma_tilde high_snr_solve unconstrained_location"),
         ("oracle", "exhaustive_search fixed_height_baseline fixed_location_baseline "
                    "fixed_power_baseline"),

@@ -173,7 +173,7 @@ def _ascend(blk: BlocklengthParams, solver: str, score, state, blocks) -> SolveR
     """Run coordinate_ascent from state (x, height, powers) over the given blocks."""
     (x, height, powers), gamma, trace = coordinate_ascent(score, state, blocks)
     eps = decoding_error_probability(gamma, blk)
-    return SolveResult(solver, x, height, powers, gamma, eps, len(trace), trace)
+    return SolveResult(solver, x, height, powers, gamma, eps, trace)
 
 
 def bcd_solve_3d(scn: Atg3dScenario) -> SolveResult:

@@ -131,14 +131,14 @@ def _emit(config, out_option: str | None, trace_option: str | None) -> None:
     trace_path = trace_option or config.output_trace
     _check_outputs(csv_path, json_path, *([trace_path] if trace_path else []))
     _load_harness()
-    outcome = run_experiment(config)
-    _write(write_rows_csv, outcome.rows, csv_path)
-    _write(write_rows_json, outcome.rows, json_path)
+    rows, traces, failures = run_experiment(config)
+    _write(write_rows_csv, rows, csv_path)
+    _write(write_rows_json, rows, json_path)
     if trace_path:
-        _write(write_traces_json, outcome.traces, trace_path)
-    print(f"wrote {csv_path} and {json_path} ({len(outcome.rows)} data rows)")
-    if outcome.failures:
-        print(f"{outcome.failures} solver run(s) failed", file=sys.stderr)
+        _write(write_traces_json, traces, trace_path)
+    print(f"wrote {csv_path} and {json_path} ({len(rows)} data rows)")
+    if failures:
+        print(f"{failures} solver run(s) failed", file=sys.stderr)
         sys.exit(EXIT_PARTIAL_FAILURE)
 
 

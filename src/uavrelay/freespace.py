@@ -26,20 +26,22 @@ class SolveResult(Record):
 
     ``snr``/``error_prob`` are always recomputed from the returned
     placement and powers, and ``trace`` holds the per-iteration SNR of
-    iterative solvers (single-entry for one-shot solvers).
+    iterative solvers (single-entry for one-shot solvers); ``iterations``
+    is its length.
     """
 
     __slots__ = ("solver", "x", "height", "powers", "snr", "error_prob", "iterations", "trace")
+    _derived = ("iterations",)
 
     def __init__(self, solver: str, x: float, height: float, powers: PowerSplit, snr: float,
-                 error_prob: float, iterations: int, trace: tuple[float, ...]):
+                 error_prob: float, trace: tuple[float, ...]):
         set_field(self, "solver", solver)
         set_field(self, "x", x)
         set_field(self, "height", height)
         set_field(self, "powers", powers)
         set_field(self, "snr", snr)
         set_field(self, "error_prob", error_prob)
-        set_field(self, "iterations", iterations)
+        set_field(self, "iterations", len(trace))
         set_field(self, "trace", trace)
 
 
@@ -171,4 +173,4 @@ def bcd_solve(scn: FreeSpaceScenario, blk: BlocklengthParams) -> SolveResult:
     (x, _, _, powers), gamma, trace = coordinate_ascent(
         score, start, (power_block, location_block))
     eps = decoding_error_probability(gamma, blk)
-    return SolveResult("bcd", x, scn.H, powers, gamma, eps, len(trace), trace)
+    return SolveResult("bcd", x, scn.H, powers, gamma, eps, trace)

@@ -1,12 +1,15 @@
 """Experiment runner: the solver table, sweeps, result rows and file output.
 
-Rows are emitted in (solver, sweep index) order regardless of execution
-details, numeric cells use the shortest round-trip float representation,
-and the wall-time measurement is isolated in the last CSV column so two
-runs of the same config can be diffed column-wise.  A failing solver
-produces an error-status row and the run carries on.  Each solver runs
-once per distinct scenario of a sweep: the blocklength changes only the
-error probability, which later points re-score from the solved SNR.
+``run_experiment`` returns ``(rows, traces, failures)``.  Each row is a
+plain dict keyed by ``CSV_COLUMNS``, in column order, and the writers
+emit its values as they stand.  Rows are emitted in (solver, sweep index)
+order regardless of execution details, numeric cells use the shortest
+round-trip float representation, and the wall-time measurement is
+isolated in the last column so two runs of the same config can be diffed
+column-wise.  A failing solver produces an error-status row, whose
+numeric cells are None, and the run carries on.  Each solver runs once
+per distinct scenario of a sweep: the blocklength changes only the error
+probability, which later points re-score from the solved SNR.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import csv
 import json
 import time
 
-from ._record import Record, replace, set_field
+from ._record import replace
 from .atg3d import Atg3dScenario, _gamma, _span, bcd_solve_3d
 from .config import ConfigError, ExperimentConfig, ProfileSpec, _with_env2, profile_coordinates
 from .fbl import PowerSplit, decoding_error_probability
@@ -29,46 +32,9 @@ from .oracle import (
 )
 
 
-class ResultRow(Record):
-    """One solver outcome; numeric fields are None on solver failure."""
-
-    __slots__ = ("scenario_id", "solver", "sweep_parameter", "sweep_value", "x_m", "height_m",
-                 "p1_w", "p2_w", "snr", "error_prob", "iterations", "status", "wall_time_s")
-
-    def __init__(self, scenario_id: str, solver: str, sweep_parameter: str, sweep_value: str,
-                 x_m: float | None, height_m: float | None, p1_w: float | None,
-                 p2_w: float | None, snr: float | None, error_prob: float | None,
-                 iterations: int | None, status: str, wall_time_s: float):
-        set_field(self, "scenario_id", scenario_id)
-        set_field(self, "solver", solver)
-        set_field(self, "sweep_parameter", sweep_parameter)
-        set_field(self, "sweep_value", sweep_value)
-        set_field(self, "x_m", x_m)
-        set_field(self, "height_m", height_m)
-        set_field(self, "p1_w", p1_w)
-        set_field(self, "p2_w", p2_w)
-        set_field(self, "snr", snr)
-        set_field(self, "error_prob", error_prob)
-        set_field(self, "iterations", iterations)
-        set_field(self, "status", status)
-        set_field(self, "wall_time_s", wall_time_s)
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_COLUMNS}
-
-
-# the CSV and JSON columns, in ResultRow's field order
-CSV_COLUMNS = ResultRow.__slots__
-
-
-class RunOutcome(Record):
-    __slots__ = ("rows", "traces", "failures")
-
-    def __init__(self, rows: tuple[ResultRow, ...], traces: dict[str, list[float]],
-                 failures: int):
-        set_field(self, "rows", rows)
-        set_field(self, "traces", traces)
-        set_field(self, "failures", failures)
+# the CSV and JSON columns, in order: the keys of every result row
+CSV_COLUMNS = ("scenario_id", "solver", "sweep_parameter", "sweep_value", "x_m", "height_m",
+               "p1_w", "p2_w", "snr", "error_prob", "iterations", "status", "wall_time_s")
 
 
 # Model -> solver name -> call(scn, blk, config): the one list of solver
@@ -93,10 +59,14 @@ SOLVERS = {
 }
 
 
-def run_experiment(config: ExperimentConfig) -> RunOutcome:
-    """Run every configured solver over the sweep (or the base point)."""
+def run_experiment(config: ExperimentConfig) -> tuple[list[dict], dict[str, list[float]], int]:
+    """Run every configured solver over the sweep (or the base point).
+
+    Returns (rows, traces, failures): one row per solver and point, each
+    SNR trace keyed "scenario/solver/point", and the number of failed runs.
+    """
     points = list(config.sweep_values) if config.sweep_parameter else [None]
-    rows: list[ResultRow] = []
+    rows: list[dict] = []
     traces: dict[str, list[float]] = {}
     failures = 0
     for solver in config.solvers:
@@ -119,21 +89,15 @@ def run_experiment(config: ExperimentConfig) -> RunOutcome:
                 error_prob = decoding_error_probability(result.snr, blk)
             except Exception as exc:  # carry on; the row records the failure
                 failures += 1
-                rows.append(ResultRow(
-                    config.scenario_id, solver, config.sweep_parameter or "",
-                    sweep_value, None, None, None, None, None, None, None,
-                    f"error: {exc}", time.perf_counter() - start,
-                ))
-                continue
-            wall = time.perf_counter() - start
-            rows.append(ResultRow(
-                config.scenario_id, solver, config.sweep_parameter or "",
-                sweep_value, result.x, result.height, result.powers.p1,
-                result.powers.p2, result.snr, error_prob,
-                result.iterations, "ok", wall,
-            ))
-            traces[key] = list(result.trace)
-    return RunOutcome(tuple(rows), traces, failures)
+                outcome = (None,) * 7 + (f"error: {exc}",)
+            else:
+                outcome = (result.x, result.height, result.powers.p1, result.powers.p2,
+                           result.snr, error_prob, result.iterations, "ok")
+                traces[key] = list(result.trace)
+            rows.append(dict(zip(CSV_COLUMNS, (
+                config.scenario_id, solver, config.sweep_parameter or "", sweep_value,
+                *outcome, time.perf_counter() - start))))
+    return rows, traces, failures
 
 
 def write_rows_csv(rows, path: str) -> None:
@@ -141,12 +105,12 @@ def write_rows_csv(rows, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow("" if v is None else str(v) for v in row.as_dict().values())
+            writer.writerow("" if v is None else str(v) for v in row.values())
 
 
 def write_rows_json(rows, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([row.as_dict() for row in rows], fh, indent=2)
+        json.dump(rows, fh, indent=2)
         fh.write("\n")
 
 

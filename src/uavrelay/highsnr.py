@@ -78,10 +78,17 @@ def _crossing_power(scn: FreeSpaceScenario, d: float) -> float:
     pt = scn.p_total
     d_b2 = d * scn.beta2
     den = (scn.D - d) * scn.beta1 + d_b2
-    if d_b2 * pt < sys.float_info.min:
+    scale = 1.0
+    if 0.0 < d_b2 < sys.float_info.min:
+        # d b2 itself is subnormal and has lost bits: form it 2^64 times
+        # larger, in the normal range (scaling d is exact), and take the
+        # scale off the budget
+        scale = 2.0 ** 64
+        d_b2 = d * scale * scn.beta2
+    if d_b2 * (pt / scale) < sys.float_info.min:
         # a subnormal numerator has lost bits; divide before scaling by the budget
-        return min(pt * (d_b2 / den), pt)
-    return min(d_b2 * pt / den, pt)
+        return min(pt * (d_b2 / den) / scale, pt)
+    return min(d_b2 * (pt / scale) / den, pt)
 
 
 def _condition1(
@@ -216,4 +223,4 @@ def high_snr_solve(scn: FreeSpaceScenario, blk: BlocklengthParams) -> SolveResul
     _, x, powers = best
     gamma = snr_at(scn, x, powers)
     eps = decoding_error_probability(gamma, blk)
-    return SolveResult("high-snr", x, scn.H, powers, gamma, eps, 1, (gamma,))
+    return SolveResult("high-snr", x, scn.H, powers, gamma, eps, (gamma,))

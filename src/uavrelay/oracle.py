@@ -312,7 +312,7 @@ def exhaustive_search(
     eps = decoding_error_probability(gamma, blk)
     height = point[1] if len(point) == 3 else scn.H
     return SolveResult("exhaustive", point[0], height, PowerSplit(point[-1], pt - point[-1]),
-                       gamma, eps, 1, (gamma,))
+                       gamma, eps, (gamma,))
 
 
 def fixed_location_baseline(
@@ -331,7 +331,7 @@ def fixed_location_baseline(
     powers = optimal_power_for_gains(h1, h2, scn.p_total)
     gamma = af_snr(h1, h2, powers)
     eps = decoding_error_probability(gamma, blk)
-    return SolveResult("fixed-location", x, height, powers, gamma, eps, 1, (gamma,))
+    return SolveResult("fixed-location", x, height, powers, gamma, eps, (gamma,))
 
 
 def fixed_power_baseline(
@@ -347,7 +347,7 @@ def fixed_power_baseline(
     x = optimal_location_given_power(scn, powers)
     gamma = snr_at(scn, x, powers)
     eps = decoding_error_probability(gamma, blk)
-    return SolveResult("fixed-power", x, scn.H, powers, gamma, eps, 1, (gamma,))
+    return SolveResult("fixed-power", x, scn.H, powers, gamma, eps, (gamma,))
 
 
 def fixed_height_baseline(

@@ -300,18 +300,18 @@ def test_criterion_8_air_to_ground_suite():
 
 def _sweep_csv_without_wall_time(config) -> tuple[str, tuple]:
     """Run the sweep, write the CSV, and return it minus the last column."""
-    outcome = run_experiment(config)
+    results, _, _ = run_experiment(config)
     with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False) as fh:
         path = fh.name
     try:
-        write_rows_csv(outcome.rows, path)
+        write_rows_csv(results, path)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [row[:-1] for row in csv.reader(fh)]
     finally:
         os.unlink(path)
     out = io.StringIO()
     csv.writer(out).writerows(rows)
-    return out.getvalue(), outcome.rows
+    return out.getvalue(), results
 
 
 def test_criterion_9_harness_determinism():
@@ -335,12 +335,12 @@ def test_criterion_9_harness_determinism():
             second, rows_b = _sweep_csv_without_wall_time(cfg)
             assert first == second
             for row in rows_a:
-                assert row.status == "ok"
+                assert row["status"] == "ok"
                 if cfg.sweep_parameter == "total_blocklength":
-                    blk = BlocklengthParams(cfg.blk.packet_bits, int(row.sweep_value))
+                    blk = BlocklengthParams(cfg.blk.packet_bits, int(row["sweep_value"]))
                 else:
                     blk = cfg.blk
-                want = decoding_error_probability(row.snr, blk)
-                assert abs(row.error_prob - want) <= 1e-12 * max(want, 1e-300)
+                want = decoding_error_probability(row["snr"], blk)
+                assert abs(row["error_prob"] - want) <= 1e-12 * max(want, 1e-300)
                 checked += 1
         info["detail"] = f"2 sweep configs, {checked} rows re-derived"

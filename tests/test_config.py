@@ -99,9 +99,9 @@ def test_a_scenario_of_the_other_model_is_refused_or_followed(name, changes):
     except ConfigError:
         return
     assert swapped.model == ("atg3d" if isinstance(scenario, Atg3dScenario) else "freespace")
-    outcome = run_experiment(swapped)
-    assert outcome.failures == 0
-    assert all(row.status == "ok" for row in outcome.rows)
+    rows, _, failures = run_experiment(swapped)
+    assert failures == 0
+    assert all(row["status"] == "ok" for row in rows)
 
 
 def test_atg3d_explicit_environment():

@@ -41,36 +41,34 @@ def small_sweep_config():
 
 
 def test_row_order_solver_outer_sweep_inner():
-    outcome = run_experiment(small_sweep_config())
-    keys = [(r.solver, r.sweep_value) for r in outcome.rows]
+    rows, _, failures = run_experiment(small_sweep_config())
+    keys = [(r["solver"], r["sweep_value"]) for r in rows]
     want = [
         (s, v)
         for s in ("bcd", "high-snr", "fixed-location", "fixed-power")
         for v in ("60", "80", "100")
     ]
     assert keys == want
-    assert outcome.failures == 0
+    assert failures == 0
 
 
 def test_rows_error_prob_rederives():
-    outcome = run_experiment(small_sweep_config())
-    for row in outcome.rows:
-        assert row.status == "ok"
-        blk = BlocklengthParams(100, int(row.sweep_value))
-        assert row.error_prob == pytest.approx(
-            decoding_error_probability(row.snr, blk), rel=1e-12
+    rows, _, _ = run_experiment(small_sweep_config())
+    for row in rows:
+        assert row["status"] == "ok"
+        blk = BlocklengthParams(100, int(row["sweep_value"]))
+        assert row["error_prob"] == pytest.approx(
+            decoding_error_probability(row["snr"], blk), rel=1e-12
         )
 
 
 def test_base_run_without_sweep():
     cfg = parse_config(variant(FREESPACE_RAW, solvers=["bcd"]))
-    outcome = run_experiment(cfg)
-    assert len(outcome.rows) == 1
-    row = outcome.rows[0]
-    assert row.sweep_parameter == ""
-    assert row.sweep_value == ""
-    assert row.height_m == 120.0  # the scenario's fixed flying height
-    assert row.iterations >= 1
+    (row,), _, _ = run_experiment(cfg)
+    assert row["sweep_parameter"] == ""
+    assert row["sweep_value"] == ""
+    assert row["height_m"] == 120.0  # the scenario's fixed flying height
+    assert row["iterations"] >= 1
 
 
 def test_empty_sweep_is_refused():
@@ -89,12 +87,12 @@ def test_power_budget_sweep_materializes():
         solvers=["bcd"],
         sweep={"parameter": "power_budget_w", "values": [2.0, 4.0]},
     ))
-    outcome = run_experiment(cfg)
-    totals = [row.p1_w + row.p2_w for row in outcome.rows]
+    rows, _, _ = run_experiment(cfg)
+    totals = [row["p1_w"] + row["p2_w"] for row in rows]
     assert totals[0] == pytest.approx(2.0, rel=1e-9)
     assert totals[1] == pytest.approx(4.0, rel=1e-9)
     # more budget, better SNR
-    assert outcome.rows[1].snr > outcome.rows[0].snr
+    assert rows[1]["snr"] > rows[0]["snr"]
 
 
 def test_environment_sweep_rows_reevaluate():
@@ -106,14 +104,14 @@ def test_environment_sweep_rows_reevaluate():
             "values": ["suburban", "urban", "dense-urban", "high-rise"],
         },
     ))
-    outcome = run_experiment(cfg)
-    assert len(outcome.rows) == 4
-    for row in outcome.rows:
-        env2 = AtgEnvironment.from_preset(row.sweep_value, 2.5e9, -93.0)
+    rows, _, _ = run_experiment(cfg)
+    assert len(rows) == 4
+    for row in rows:
+        env2 = AtgEnvironment.from_preset(row["sweep_value"], 2.5e9, -93.0)
         scn = replace(cfg.scenario, env2=env2)
-        ps = PowerSplit(row.p1_w, row.p2_w)
-        assert row.snr == pytest.approx(
-            _gamma(scn, row.x_m, row.height_m, ps), rel=1e-12
+        ps = PowerSplit(row["p1_w"], row["p2_w"])
+        assert row["snr"] == pytest.approx(
+            _gamma(scn, row["x_m"], row["height_m"], ps), rel=1e-12
         )
 
 
@@ -125,26 +123,29 @@ def test_failures_recorded_as_error_rows(monkeypatch):
 
     monkeypatch.setattr(harness, "high_snr_solve", boom)
     cfg = parse_config(variant(FREESPACE_RAW, solvers=["bcd", "high-snr"]))
-    outcome = run_experiment(cfg)
-    assert outcome.failures == 1
-    ok, err = outcome.rows
-    assert ok.status == "ok"
-    assert err.status == "error: solver exploded"
-    assert err.snr is None and err.x_m is None
+    rows, _, failures = run_experiment(cfg)
+    assert failures == 1
+    ok, err = rows
+    # both are plain dicts keyed by the columns, in column order
+    for row in rows:
+        assert type(row) is dict and tuple(row) == CSV_COLUMNS
+    assert ok["status"] == "ok"
+    assert err["status"] == "error: solver exploded"
+    assert err["snr"] is None and err["x_m"] is None
 
 
 def test_csv_shape_and_roundtrip(tmp_path):
-    outcome = run_experiment(small_sweep_config())
+    results, _, _ = run_experiment(small_sweep_config())
     path = tmp_path / "out.csv"
-    write_rows_csv(outcome.rows, str(path))
+    write_rows_csv(results, str(path))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(CSV_COLUMNS)
     assert rows[0][-1] == "wall_time_s"  # timing isolated in the last column
-    assert len(rows) == 1 + len(outcome.rows)
-    for parsed, row in zip(rows[1:], outcome.rows):
-        assert float(parsed[8]) == row.snr
-        assert float(parsed[9]) == row.error_prob
+    assert len(rows) == 1 + len(results)
+    for parsed, row in zip(rows[1:], results):
+        assert float(parsed[8]) == row["snr"]
+        assert float(parsed[9]) == row["error_prob"]
 
 
 def test_csv_quoting_is_rfc4180(tmp_path, monkeypatch):
@@ -156,9 +157,9 @@ def test_csv_quoting_is_rfc4180(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "bcd_solve", boom)
     cfg = parse_config(variant(FREESPACE_RAW, solvers=["bcd"]))
-    outcome = run_experiment(cfg)
+    results, _, _ = run_experiment(cfg)
     path = tmp_path / "q.csv"
-    write_rows_csv(outcome.rows, str(path))
+    write_rows_csv(results, str(path))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1][11] == 'error: bad "input", with commas'
@@ -171,7 +172,7 @@ def test_csv_determinism_excluding_wall_time(tmp_path):
     paths = []
     for tag in ("a", "b"):
         p = tmp_path / f"{tag}.csv"
-        write_rows_csv(run_experiment(cfg).rows, str(p))
+        write_rows_csv(run_experiment(cfg)[0], str(p))
         paths.append(p)
 
     def strip_wall(path):
@@ -186,21 +187,21 @@ def test_csv_determinism_excluding_wall_time(tmp_path):
 
 
 def test_json_mirror(tmp_path):
-    outcome = run_experiment(small_sweep_config())
+    rows, _, _ = run_experiment(small_sweep_config())
     path = tmp_path / "out.json"
-    write_rows_json(outcome.rows, str(path))
+    write_rows_json(rows, str(path))
     data = json.loads(path.read_text())
-    assert len(data) == len(outcome.rows)
+    assert len(data) == len(rows)
     assert data[0]["solver"] == "bcd"
     assert set(data[0]) == set(CSV_COLUMNS)
-    assert data[0]["snr"] == outcome.rows[0].snr
+    assert data[0]["snr"] == rows[0]["snr"]
 
 
 def test_traces_written(tmp_path):
     cfg = parse_config(variant(FREESPACE_RAW, solvers=["bcd"]))
-    outcome = run_experiment(cfg)
+    _, traces, _ = run_experiment(cfg)
     path = tmp_path / "traces.json"
-    write_traces_json(outcome.traces, str(path))
+    write_traces_json(traces, str(path))
     data = json.loads(path.read_text())
     (key,) = data.keys()
     assert key == "fs/bcd/base"
@@ -366,12 +367,12 @@ def test_blocklength_sweep_solves_each_solver_once(monkeypatch, cfg):
             want_traces[f"{cfg.scenario_id}/{solver}/{value}"] = list(r.trace)
 
     calls = count_solver_calls(monkeypatch)
-    outcome = run_experiment(cfg)
+    rows, traces, failures = run_experiment(cfg)
     assert sum(calls.values()) == len(cfg.solvers)
     assert all(n <= 1 for n in calls.values())
-    assert outcome.failures == 0
-    assert [tuple(row.as_dict().values())[:-1] for row in outcome.rows] == want_rows
-    assert outcome.traces == want_traces
+    assert failures == 0
+    assert [tuple(row.values())[:-1] for row in rows] == want_rows
+    assert traces == want_traces
 
 
 def test_failing_solver_fails_every_point_of_a_blocklength_sweep(monkeypatch):
@@ -385,12 +386,12 @@ def test_failing_solver_fails_every_point_of_a_blocklength_sweep(monkeypatch):
 
     monkeypatch.setattr(harness, "high_snr_solve", boom)
     cfg = small_sweep_config()
-    outcome = run_experiment(cfg)
+    rows, _, failures = run_experiment(cfg)
     assert len(calls) == 1
-    assert outcome.failures == len(cfg.sweep_values)
-    errors = [row for row in outcome.rows if row.solver == "high-snr"]
-    assert [row.sweep_value for row in errors] == ["60", "80", "100"]
-    assert {replace(row, sweep_value="", wall_time_s=0.0) for row in errors} == {
-        harness.ResultRow("fs", "high-snr", "total_blocklength", "", None, None, None, None,
-                          None, None, None, "error: solver exploded", 0.0)}
-    assert all(row.status == "ok" for row in outcome.rows if row.solver != "high-snr")
+    assert failures == len(cfg.sweep_values)
+    errors = [row for row in rows if row["solver"] == "high-snr"]
+    assert [row["sweep_value"] for row in errors] == ["60", "80", "100"]
+    assert {tuple(row.values())[:-1] for row in errors} == {
+        ("fs", "high-snr", "total_blocklength", value, None, None, None, None, None, None,
+         None, "error: solver exploded") for value in ("60", "80", "100")}
+    assert all(row["status"] == "ok" for row in rows if row["solver"] != "high-snr")

@@ -329,7 +329,7 @@ def full_selection(scn, blk):
     best = high_snr_winner(scn)
     gamma = snr_at(scn, best.x, best.powers)
     return SolveResult("high-snr", best.x, scn.H, best.powers, gamma,
-                       decoding_error_probability(gamma, blk), 1, (gamma,))
+                       decoding_error_probability(gamma, blk), (gamma,))
 
 
 unit = st.floats(0.0, 1.0)
@@ -387,20 +387,37 @@ def test_crossing_power_keeps_the_whole_budget_on_a_subnormal_budget():
     assert _crossing_power(scn, scn.d2) == scn.p_total
 
 
+def test_crossing_power_keeps_its_bits_on_a_subnormal_edge():
+    # d1 b2 is itself subnormal: forming it at that size kept 3.2998644e-317 W
+    # of the exact 3.2999633e-317 W, about 200 ulps off
+    scn = FreeSpaceScenario(1.0, 1.0, 1e-320, 1.0, 1.0, 3.3, 1000.0)
+    assert _crossing_power(scn, scn.d1) == float(exact_crossing_power(scn, scn.d1))
+
+
 @settings(derandomize=True, deadline=None, max_examples=1000)
-@given(scn=scenarios(), right=st.booleans(), shift=st.floats(0.0, 64.0))
-def test_crossing_power_is_within_2_ulps_on_subnormal_numerators(scn, right, shift):
-    # the budget is scaled so that d b2 pt falls below the smallest normal
-    # double, by 2^-shift; the edge and gain product d b2 itself stays normal
+@given(scn=scenarios(), right=st.booleans(), shift=st.floats(0.0, 64.0), tiny_edge=st.booleans())
+def test_crossing_power_is_within_2_ulps_on_subnormal_numerators(scn, right, shift, tiny_edge):
     d = scn.d2 if right else scn.d1
-    assume(d * scn.beta2 >= sys.float_info.min)
-    pt = sys.float_info.min / (d * scn.beta2) * 2.0 ** -shift
-    assume(0.0 < pt <= 1e6)
-    try:
-        scn = replace(scn, p_total=pt)
-    except ValueError:  # the gains times this budget overflow
-        assume(False)
-    assume(d * scn.beta2 * pt < sys.float_info.min)
+    if tiny_edge:
+        # the edge is moved so that d b2 itself falls below the smallest
+        # normal double, by 2^-shift; the budget stays as drawn
+        d = sys.float_info.min / scn.beta2 * 2.0 ** -shift
+        assume(0.0 < d * scn.beta2 < sys.float_info.min)
+        try:
+            scn = replace(scn, d1=0.0, d2=d) if right else replace(scn, d1=d)
+        except ValueError:  # d1 is not below d2
+            assume(False)
+    else:
+        # the budget is scaled so that d b2 pt falls below the smallest normal
+        # double, by 2^-shift; the edge and gain product d b2 itself stays normal
+        assume(d * scn.beta2 >= sys.float_info.min)
+        pt = sys.float_info.min / (d * scn.beta2) * 2.0 ** -shift
+        assume(0.0 < pt <= 1e6)
+        try:
+            scn = replace(scn, p_total=pt)
+        except ValueError:  # the gains times this budget overflow
+            assume(False)
+        assume(d * scn.beta2 * pt < sys.float_info.min)
     want = exact_crossing_power(scn, d)
     got = Fraction(_crossing_power(scn, d))
-    assert abs(got - want) <= 2 * Fraction(math.ulp(float(want))), (scn, right)
+    assert abs(got - want) <= 2 * Fraction(math.ulp(float(want))), (scn, right, tiny_edge)
