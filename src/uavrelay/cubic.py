@@ -9,11 +9,14 @@ roots in trigonometric form.
 from __future__ import annotations
 
 import math
+import sys
 
 # Relative tolerance for treating the discriminant as zero.  Borderline
 # repeated-root cases are routed to the trigonometric branch, whose arccos
 # argument is clamped to [-1, 1]; callers de-duplicate near-equal roots.
 BOUNDARY_RTOL = 1e-9
+
+_NORMAL_MIN = sys.float_info.min
 
 
 def _cbrt(v: float) -> float:
@@ -43,7 +46,9 @@ def depressed_real_roots(rho: float, kappa: float) -> list[float]:
 
     Returns one root when the discriminant is positive, three otherwise.
     On the repeated-root boundary the near-equal pair collapses to a
-    single entry, so a double root shows up once.
+    single entry, so a double root shows up once.  Where rho^3 and kappa^2
+    both fall below the normal float range, the roots are found at a
+    power-of-two scale and scaled back.
 
     Raises:
         ValueError: when a coefficient is not finite, or rho^3 overflows.
@@ -55,27 +60,40 @@ def depressed_real_roots(rho: float, kappa: float) -> list[float]:
     except OverflowError:
         raise ValueError(f"cubic coefficients overflow: rho={rho} cubed exceeds the "
                          f"float range (kappa={kappa})") from None
-    disc = 4.0 * rho_cubed + 27.0 * kappa * kappa
-    # abs(rho ** 3) is abs(rho) ** 3 bit for bit: the cube is odd
-    scale = max(abs(rho_cubed), kappa * kappa)
-    if scale == 0.0:
-        return [0.0]
-    if abs(disc) <= BOUNDARY_RTOL * scale and rho < 0.0:
-        # |disc| <= tol * scale forces a root pair within ~1e-4 of the
-        # root radius, so this merge only ever collapses that pair
-        radius = 2.0 * math.sqrt(-rho / 3.0)
-        return _merge_close(_three_real(rho, kappa), 1e-4 * radius)
+    kappa_sq = kappa * kappa
+    # max(abs(rho ** 3), kappa ** 2); abs(rho ** 3) is abs(rho) ** 3 bit for bit
+    scale = -rho_cubed if rho_cubed < 0.0 else rho_cubed
+    if kappa_sq >= scale:
+        scale = kappa_sq
+    if scale < _NORMAL_MIN:
+        if rho == 0.0 and kappa == 0.0:
+            return [0.0]
+        # rho^3 and kappa^2 have lost bits or flushed to 0: solve for
+        # u = t / 2^k, whose coefficients rho / 4^k and kappa / 8^k are
+        # exact, with 2^k near the larger root size |rho|^(1/2), |kappa|^(1/3)
+        # (a zero coefficient leaves k to the other)
+        k = max(math.frexp(rho)[1] // 2 if rho else -1075,
+                math.frexp(kappa)[1] // 3 if kappa else -1075)
+        return [math.ldexp(u, k)
+                for u in depressed_real_roots(math.ldexp(rho, -2 * k), math.ldexp(kappa, -3 * k))]
+    if rho < 0.0:
+        disc = 4.0 * rho_cubed + 27.0 * kappa * kappa
+        if abs(disc) <= BOUNDARY_RTOL * scale:
+            # |disc| <= tol * scale forces a root pair within ~1e-4 of the
+            # root radius, so this merge only ever collapses that pair
+            radius = 2.0 * math.sqrt(-rho / 3.0)
+            return _merge_close(_three_real(rho, kappa), 1e-4 * radius)
+        if disc > 0.0:
+            # one root, of the sign opposite to kappa's (disc > 0 needs kappa != 0)
+            kappa_abs = kappa if kappa > 0.0 else -kappa
+            arg = -3.0 * kappa_abs / (2.0 * rho) * math.sqrt(-3.0 / rho)
+            t = 2.0 * math.sqrt(-rho / 3.0) * math.cosh(math.acosh(max(1.0, arg)) / 3.0)
+            return [-t] if kappa > 0.0 else [t]
+        return _three_real(rho, kappa)
     if rho == 0.0:
         return [_cbrt(-kappa)]
-    if disc > 0.0 and rho < 0.0:
-        arg = max(1.0, -3.0 * abs(kappa) / (2.0 * rho) * math.sqrt(-3.0 / rho))
-        t = -2.0 * math.copysign(1.0, kappa) * math.sqrt(-rho / 3.0) \
-            * math.cosh(math.acosh(arg) / 3.0)
-        return [t]
-    if rho > 0.0:
-        arg = 3.0 * kappa / (2.0 * rho) * math.sqrt(3.0 / rho)
-        return [-2.0 * math.sqrt(rho / 3.0) * math.sinh(math.asinh(arg) / 3.0)]
-    return _three_real(rho, kappa)
+    arg = 3.0 * kappa / (2.0 * rho) * math.sqrt(3.0 / rho)
+    return [-2.0 * math.sqrt(rho / 3.0) * math.sinh(math.asinh(arg) / 3.0)]
 
 
 def cubic_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
@@ -89,5 +107,8 @@ def cubic_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
     rho = (3.0 * a * c - b * b) / (3.0 * a * a)
     kappa = (2.0 * b ** 3 - 9.0 * a * b * c + 27.0 * a * a * d) / (27.0 * a ** 3)
     shift = -b / (3.0 * a)
+    roots = depressed_real_roots(rho, kappa)
+    if len(roots) == 1:
+        return [roots[0] + shift]
     # rounded addition of one shift never reverses two roots, so they stay ascending
-    return [t + shift for t in depressed_real_roots(rho, kappa)]
+    return [t + shift for t in roots]

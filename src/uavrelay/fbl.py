@@ -27,9 +27,9 @@ _MARGIN_CLAMP = 40.0
 
 
 def _check_snr(gamma: float) -> None:
-    if not math.isfinite(gamma):
-        raise ValueError(f"SNR must be finite, got {gamma}")
-    if gamma < 0.0:
+    if not 0.0 <= gamma < math.inf:  # false for NaN, inf and negative SNRs alike
+        if not math.isfinite(gamma):
+            raise ValueError(f"SNR must be finite, got {gamma}")
         raise ValueError(f"SNR must be non-negative, got {gamma}")
 
 
@@ -43,13 +43,17 @@ class PowerSplit(Record):
             raise ValueError(f"powers must be finite, got ({p1}, {p2})")
         if p1 < 0.0 or p2 < 0.0:
             raise ValueError(f"powers must be non-negative, got ({p1}, {p2})")
-        set_field(self, "p1", p1)
-        set_field(self, "p2", p2)
+        _set_p1(self, p1)
+        _set_p2(self, p2)
 
     @classmethod
     def even(cls, p_total: float) -> "PowerSplit":
         """Split a power budget evenly across the two transmitters."""
         return cls(p_total / 2.0, p_total / 2.0)
+
+
+# the slot descriptors' setters skip object.__setattr__'s lookup by name
+_set_p1, _set_p2 = PowerSplit.p1.__set__, PowerSplit.p2.__set__
 
 
 class BlocklengthParams(Record):
@@ -101,7 +105,7 @@ class BlocklengthParams(Record):
 
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = P(N(0,1) > x) = 0.5 * erfc(x / sqrt 2)."""
-    if not math.isfinite(x):
+    if not -math.inf < x < math.inf:
         raise ValueError(f"q_function requires a finite argument, got {x}")
     return 0.5 * math.erfc(x * _INV_SQRT2)
 
@@ -138,7 +142,7 @@ def rate_gap(gamma: float, blk: BlocklengthParams) -> float:
     if v == 0.0:
         raise ValueError("rate margin undefined where 1 + SNR rounds to 1 (zero SNR "
                          "included); error probability is 1 there")
-    m = blk.per_hop_blocklength
+    m = blk.total_blocklength // 2
     capacity = math.log1p(gamma) / LN2
     return LN2 * math.sqrt(m / v) * (capacity - blk.packet_bits / m)
 
@@ -175,7 +179,10 @@ def decoding_error_probability(gamma: float, blk: BlocklengthParams) -> float:
     if 1.0 + gamma == 1.0:
         return 1.0
     f = rate_gap(gamma, blk)
-    f = max(-_MARGIN_CLAMP, min(_MARGIN_CLAMP, f))
+    if f > _MARGIN_CLAMP:  # max(-clamp, min(clamp, f)) for the finite margin
+        f = _MARGIN_CLAMP
+    elif f < -_MARGIN_CLAMP:
+        f = -_MARGIN_CLAMP
     return q_function(f)
 
 

@@ -106,8 +106,16 @@ def _condition1(
         p1 = min(max(0.5 * pt, lo), hi)
     else:
         b1, b2 = scn.beta1, scn.beta2
-        h_sq = scn.H * scn.H
-        cross = b1 * b2 * (scn.D * scn.D)
+        h_sq, d_sq = scn.H * scn.H, scn.D * scn.D
+        cross = b1 * b2 * d_sq
+        if cross < sys.float_info.min:
+            # b1 b2 D^2 has lost bits or flushed to 0.  Where the lengths are
+            # small, scale both terms of the objective up by the power of two
+            # that brings max(H^2, D^2) to [0.5, 1); that is exact, so the
+            # search makes the comparisons of the unscaled objective
+            e = -math.frexp(max(h_sq, d_sq))[1]
+            if e > 0:
+                h_sq, cross = math.ldexp(h_sq, e), b1 * b2 * math.ldexp(d_sq, e)
         # On budgets near the bottom of the float range (below ~1e-300 W
         # at 50-60 dB gains) b1 b2 D^2 / s overflows at every p1 of the
         # range, and the search would see -inf everywhere.  The objective

@@ -73,8 +73,10 @@ def test_traced_gain_spans_equal_the_real_evaluations(monkeypatch):
 
 def test_traced_freespace_gain_spans_count_each_evaluation():
     # bcd evaluates the gains once at its start and once per iteration,
-    # the other solves once each; a call that bypassed the module
-    # attribute freespace.freespace_gains would be missing from the count
+    # the other solves once each; bcd solves the placement cubic once per
+    # iteration and fixed-power once.  A call that bypassed the module
+    # attribute freespace.freespace_gains or freespace.cubic_real_roots
+    # would be missing from the count
     from test_freespace import GOLDEN_SOLVES, golden_scenarios
 
     golden = json.loads(GOLDEN_SOLVES.read_text())
@@ -89,8 +91,10 @@ def test_traced_freespace_gain_spans_count_each_evaluation():
             oracle.fixed_power_baseline(scn, blk)
         finally:
             tracer.uninstall()
-        calls = tracer.aggregate()["channels.fs_gain"]["calls"]
-        assert calls == golden[name]["bcd"]["iterations"] + 4, name
+        spans = tracer.aggregate()
+        iterations = golden[name]["bcd"]["iterations"]
+        assert spans["channels.fs_gain"]["calls"] == iterations + 4, name
+        assert spans["cubic.roots"]["calls"] == iterations + 1, name
 
 
 def test_constants_the_benchmark_reads():

@@ -50,6 +50,9 @@ def test_zero_rho():
     roots = depressed_real_roots(0.0, 8.0)
     assert roots == [pytest.approx(-2.0, rel=1e-14)]
     assert depressed_real_roots(0.0, 0.0) == [0.0]
+    # kappa^2 flushes to 0, the cube root does not
+    want = pytest.approx(-2.154434690031884e-57, rel=1e-15, abs=0.0)
+    assert depressed_real_roots(0.0, 1e-170) == [want]
 
 
 def test_double_root_boundary():
@@ -65,6 +68,53 @@ def test_near_double_root_stays_finite():
         assert all(math.isfinite(r) for r in roots)
         for r in roots:
             assert abs(residual(1.0, 0.0, -3.0, 2.0 + eps, r)) < 1e-6
+
+
+# the exact roots on each branch, recorded from the library: the closed
+# forms above are checked at a tolerance, this holds every bit
+EXACT_ROOTS = {
+    (-3.0, 36.0): [-3.604008539492461],  # one root, cosh form, kappa > 0
+    (-3.0, -36.0): [3.604008539492461],  # one root, cosh form, kappa < 0
+    (3.0, -36.0): [3.000000000000001],  # one root, sinh form
+    (-7.0, 6.0): [-3.0000000000000004, 1.0000000000000013, 2.0],  # three real roots
+    (-3.0, 2.0): [-2.0, 1.0000000000000002],  # double root, merged
+    (0.0, -8.0): [2.0],  # rho = 0
+    (0.0, 0.0): [0.0],  # rho = kappa = 0
+}
+
+
+@pytest.mark.parametrize("rho,kappa", EXACT_ROOTS)
+def test_roots_keep_every_bit(rho, kappa):
+    got = depressed_real_roots(rho, kappa)
+    assert [r.hex() for r in got] == [r.hex() for r in EXACT_ROOTS[rho, kappa]]
+
+
+@pytest.mark.parametrize("rho,kappa,message", [
+    (math.nan, 1.0, "cubic coefficients must be finite, got rho=nan, kappa=1.0"),
+    (1.0, math.inf, "cubic coefficients must be finite, got rho=1.0, kappa=inf"),
+    (1e103, 1.0, "cubic coefficients overflow: rho=1e+103 cubed exceeds the float range "
+                 "(kappa=1.0)"),
+])
+def test_refusals_state_the_cause(rho, kappa, message):
+    with pytest.raises(ValueError) as exc:
+        depressed_real_roots(rho, kappa)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("rho,kappa,k", [
+    (-1e-110, 1e-170, 180),  # three roots near 1e-55; rho^3 and kappa^2 flush to 0
+    (-1e-110, 1e-167, 180),  # one root; both powers subnormal
+    (1e-110, 1e-170, 180),  # one root, sinh form
+    (-1e-110, 0.0, 180),
+    (-5e-324, 5e-324, 500),
+])
+def test_roots_below_the_normal_range_scale_with_the_coefficients(rho, kappa, k):
+    # t -> 2^k t maps the roots of t^3 + rho t + kappa to those of
+    # t^3 + 4^k rho t + 8^k kappa; where rho^3 and kappa^2 are subnormal or
+    # 0, the roots must still be the 2^-k-scaled roots of the copy in range
+    want = [math.ldexp(r, -k) for r in
+            depressed_real_roots(math.ldexp(rho, 2 * k), math.ldexp(kappa, 3 * k))]
+    assert depressed_real_roots(rho, kappa) == want
 
 
 def test_general_cubic_shift():

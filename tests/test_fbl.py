@@ -36,6 +36,18 @@ EPS_REFERENCE = {
     (14.900058, 100, 80): 2.8940986597843619e-11,
 }
 
+# (gamma, packet_bits, total_blocklength) -> eps, the library's exact floats
+# on each branch of decoding_error_probability: EPS_REFERENCE checks the
+# model at a tolerance, this holds every bit
+EPS_EXACT = {
+    (1e-17, 100, 80): 1.0,  # 1 + gamma rounds to 1
+    (1e-12, 100, 80): 1.0,  # margin -7.7e6, clamped to -40
+    (1e4, 100, 80): 0.0,  # margin 47.3, clamped to 40
+    (10.0, 100, 80): 1.2027363271247615e-05,
+    (3.0, 100, 80): 0.9882070741515661,
+    (14.900058, 100, 80): 2.894098659784328e-11,
+}
+
 # (gamma, packet_bits, total_blocklength) -> (f, f'), same reference
 RATE_GAP_REFERENCE = {
     (10.0, 100, 80): (4.2234907333067234, 0.57415065499772673),
@@ -64,10 +76,9 @@ def test_q_function_symmetry_and_edges():
 
 
 def test_q_function_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        q_function(float("nan"))
-    with pytest.raises(ValueError):
-        q_function(float("inf"))
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"finite argument, got {x}$"):
+            q_function(x)
 
 
 def test_channel_dispersion():
@@ -83,6 +94,26 @@ def test_error_probability_frozen_values():
     for (g, bits, m_total), want in EPS_REFERENCE.items():
         got = decoding_error_probability(g, BlocklengthParams(bits, m_total))
         assert got == pytest.approx(want, rel=1e-12), (g, bits, m_total)
+
+
+def test_error_probability_keeps_every_bit():
+    for (g, bits, m_total), want in EPS_EXACT.items():
+        got = decoding_error_probability(g, BlocklengthParams(bits, m_total))
+        assert got.hex() == want.hex(), (g, bits, m_total)
+
+
+@pytest.mark.parametrize("gamma,message", [
+    (math.nan, "SNR must be finite, got nan"),
+    (math.inf, "SNR must be finite, got inf"),
+    (-math.inf, "SNR must be finite, got -inf"),
+    (-0.1, "SNR must be non-negative, got -0.1"),
+    # 1 + gamma rounds to 1 here too, but the check comes first
+    (-1e-17, "SNR must be non-negative, got -1e-17"),
+])
+def test_error_probability_refusals_state_the_cause(gamma, message):
+    with pytest.raises(ValueError) as exc:
+        decoding_error_probability(gamma, BlocklengthParams(100, 80))
+    assert str(exc.value) == message
 
 
 def test_error_probability_zero_snr_is_one():
