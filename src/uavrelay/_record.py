@@ -1,12 +1,11 @@
 """Immutable value records, the base of the package's data types.
 
 A record lists its fields in ``__slots__``, in repr order, and its own
-``__init__`` checks the arguments and sets the fields with ``set_field``.
-``replace`` builds a changed copy through that constructor, so every
-check runs again.
+``__init__`` checks the arguments, then sets every field in one
+``_fill`` call, derived fields included, in slot order.  ``replace``
+builds a changed copy through that constructor, so every check runs
+again.
 """
-
-set_field = object.__setattr__
 
 
 class Record:
@@ -18,9 +17,19 @@ class Record:
     # derived fields left out of repr, == and hash
     _hidden: tuple[str, ...] = ()
 
+    # each slot's descriptor __set__, in slot order; a subclass that
+    # declares no slots keeps its base's
+    _setters: tuple = ()
+
     def __init_subclass__(cls):
+        if cls.__slots__:
+            cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         cls._shown = tuple(name for name in cls.__slots__ if name not in cls._hidden)
         cls._arguments = tuple(name for name in cls.__slots__ if name not in cls._derived)
+
+    def _fill(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._shown)

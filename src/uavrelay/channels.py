@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, set_field
+from ._record import Record
 from .fbl import BlocklengthParams
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
@@ -35,6 +35,32 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
+def _check_ground(D: float, d1: float, d2: float, p_total: float, band: str) -> None:
+    # the rules both scenario types share; band names the bounded coordinate
+    if not (D > 0.0 and math.isfinite(D)):
+        raise ValueError(f"D must be positive and finite, got {D}")
+    if not (0.0 <= d1 < d2 <= D):
+        raise ValueError(
+            f"{band} bounds must satisfy 0 <= d1 < d2 <= D, got d1={d1}, d2={d2}, D={D}")
+    if not (p_total > 0.0 and math.isfinite(p_total)):
+        raise ValueError(f"p_total must be positive and finite, got {p_total}")
+
+
+def _check_gain_product(hop_gain_bound, hops, p_total: float, detail: str) -> None:
+    # hop_gain_bound(hop) bounds that hop's gain over the scenario, so a
+    # finite g1 g2 p_total^2 keeps the SNR numerator h1 h2 p1 p2 finite;
+    # detail is formatted with the hops only when the bound is refused
+    try:
+        g1, g2 = map(hop_gain_bound, hops)
+        bound = g1 * g2 * p_total ** 2
+    except ArithmeticError:  # overflow, or a squared height underflows to zero
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"hop gains overflow: the gain product bound g1 g2 p_total^2 is {bound} "
+            + detail.format(*hops))
+
+
 class FreeSpaceScenario(Record):
     """Geometry and link budget for the inverse-square model.
 
@@ -48,31 +74,14 @@ class FreeSpaceScenario(Record):
 
     def __init__(self, D: float, H: float, d1: float, d2: float, beta1: float,
                  beta2: float, p_total: float):
-        if not (D > 0.0 and math.isfinite(D)):
-            raise ValueError(f"D must be positive and finite, got {D}")
+        _check_ground(D, d1, d2, p_total, "placement")
         if not (H > 0.0 and math.isfinite(H)):
             raise ValueError(f"H must be positive and finite, got {H}")
-        if not (0.0 <= d1 < d2 <= D):
-            raise ValueError(
-                f"placement bounds must satisfy 0 <= d1 < d2 <= D, got d1={d1}, "
-                f"d2={d2}, D={D}"
-            )
         if not (beta1 > 0.0 and beta2 > 0.0):
             raise ValueError("reference gains beta1, beta2 must be positive")
-        if not (p_total > 0.0 and math.isfinite(p_total)):
-            raise ValueError(f"p_total must be positive and finite, got {p_total}")
-        # each hop gain is at most beta / H^2, so a finite bound keeps the SNR
-        # numerator h1 h2 p1 p2 finite
-        try:
-            g1, g2 = (beta / H ** 2 for beta in (beta1, beta2))
-            bound = g1 * g2 * p_total ** 2
-        except ArithmeticError:  # overflow, or H^2 underflows to zero
-            bound = math.inf
-        if not math.isfinite(bound):
-            raise ValueError(
-                f"hop gains overflow: the gain product bound g1 g2 p_total^2 is {bound} "
-                f"(g = beta / H^2)"
-            )
+        # each hop gain is at most beta / H^2
+        _check_gain_product(lambda beta: beta / H ** 2, (beta1, beta2), p_total,
+                            "(g = beta / H^2)")
         # The placement cubic and the high-SNR surrogate scale the gains by
         # squared distances and powers.  Over every offset in [0, D] and split
         # of p_total: reach bounds half the cubic's c, and 1728 (D + 1) reach
@@ -91,13 +100,7 @@ class FreeSpaceScenario(Record):
                 f"cubic coefficients or high-SNR cross gains overflow: beta1 = {beta1}, "
                 f"beta2 = {beta2}, H = {H}, D = {D}, p_total = {p_total}"
             )
-        set_field(self, "D", D)
-        set_field(self, "H", H)
-        set_field(self, "d1", d1)
-        set_field(self, "d2", d2)
-        set_field(self, "beta1", beta1)
-        set_field(self, "beta2", beta2)
-        set_field(self, "p_total", p_total)
+        self._fill(D, H, d1, d2, beta1, beta2, p_total)
 
     @classmethod
     def from_db(
@@ -148,12 +151,14 @@ class AtgEnvironment(Record):
 
     def __init__(self, s_curve_a: float, s_curve_b: float, excess_loss_los_db: float,
                  excess_loss_nlos_db: float, carrier_hz: float, noise_power_db: float):
-        if s_curve_a <= 0.0 or s_curve_b <= 0.0:
-            raise ValueError("S-curve constants a, b must be positive")
+        if not (0.0 < s_curve_a < math.inf and 0.0 < s_curve_b < math.inf):
+            raise ValueError("S-curve constants a, b must be positive and finite")
+        if not (math.isfinite(excess_loss_los_db) and math.isfinite(excess_loss_nlos_db)):
+            raise ValueError("excess losses must be finite")
         if excess_loss_los_db > excess_loss_nlos_db:
             raise ValueError("LoS excess loss cannot exceed the NLoS excess loss")
-        if carrier_hz <= 0.0:
-            raise ValueError(f"carrier frequency must be positive, got {carrier_hz}")
+        if not 0.0 < carrier_hz < math.inf:
+            raise ValueError(f"carrier frequency must be positive and finite, got {carrier_hz}")
         if not math.isfinite(noise_power_db):
             raise ValueError("noise power (dB) must be finite")
         noise = db_to_linear(noise_power_db)
@@ -164,14 +169,8 @@ class AtgEnvironment(Record):
         offset_db = 20.0 * math.log10(4.0 * math.pi * carrier_hz / SPEED_OF_LIGHT) \
             + excess_loss_nlos_db
         gap_db = excess_loss_los_db - excess_loss_nlos_db
-        set_field(self, "s_curve_a", s_curve_a)
-        set_field(self, "s_curve_b", s_curve_b)
-        set_field(self, "excess_loss_los_db", excess_loss_los_db)
-        set_field(self, "excess_loss_nlos_db", excess_loss_nlos_db)
-        set_field(self, "carrier_hz", carrier_hz)
-        set_field(self, "noise_power_db", noise_power_db)
-        set_field(self, "gain_scale", db_to_linear(-offset_db) / noise)
-        set_field(self, "gain_exponent", -gap_db / 10.0)
+        self._fill(s_curve_a, s_curve_b, excess_loss_los_db, excess_loss_nlos_db, carrier_hz,
+                   noise_power_db, db_to_linear(-offset_db) / noise, -gap_db / 10.0)
 
     @classmethod
     def from_preset(cls, name: str, carrier_hz: float, noise_power_db: float) -> "AtgEnvironment":
@@ -202,42 +201,16 @@ class Atg3dScenario(Record):
     def __init__(self, D: float, d1: float, d2: float, h_min: float, h_max: float,
                  env1: AtgEnvironment, env2: AtgEnvironment, p_total: float,
                  blk: BlocklengthParams):
-        if not (D > 0.0 and math.isfinite(D)):
-            raise ValueError(f"D must be positive and finite, got {D}")
-        if not (0.0 <= d1 < d2 <= D):
+        _check_ground(D, d1, d2, p_total, "offset")
+        if not (0.0 < h_min < h_max < math.inf):
             raise ValueError(
-                f"offset bounds must satisfy 0 <= d1 < d2 <= D, got d1={d1}, "
-                f"d2={d2}, D={D}"
-            )
-        if not (0.0 < h_min < h_max):
-            raise ValueError(
-                f"height bounds must satisfy 0 < h_min < h_max, got "
+                f"height bounds must satisfy 0 < h_min < h_max and be finite, got "
                 f"h_min={h_min}, h_max={h_max}"
             )
-        if not (p_total > 0.0 and math.isfinite(p_total)):
-            raise ValueError(f"p_total must be positive and finite, got {p_total}")
-        # each hop gain is at most gain_scale / h_min^2 * 10^gain_exponent, so
-        # a finite bound keeps the SNR numerator h1 h2 p1 p2 finite
-        try:
-            g1, g2 = (env.gain_scale / h_min ** 2 * 10.0 ** env.gain_exponent
-                      for env in (env1, env2))
-            bound = g1 * g2 * p_total ** 2
-        except ArithmeticError:  # overflow, or h_min^2 underflows to zero
-            bound = math.inf
-        if not math.isfinite(bound):
-            raise ValueError(
-                f"hop gains overflow: the gain product bound g1 g2 p_total^2 is {bound} "
-                f"(noise power {env1.noise_power_db} / {env2.noise_power_db} dB)"
-            )
-        set_field(self, "D", D)
-        set_field(self, "d1", d1)
-        set_field(self, "d2", d2)
-        set_field(self, "h_min", h_min)
-        set_field(self, "h_max", h_max)
-        set_field(self, "env1", env1)
-        set_field(self, "env2", env2)
-        set_field(self, "p_total", p_total)
-        set_field(self, "blk", blk)
-        set_field(self, "gain_constants", (
+        # each hop gain is at most gain_scale / h_min^2 * 10^gain_exponent
+        _check_gain_product(
+            lambda env: env.gain_scale / h_min ** 2 * 10.0 ** env.gain_exponent, (env1, env2),
+            p_total, "(noise power {0.noise_power_db} / {1.noise_power_db} dB)")
+        self._fill(D, d1, d2, h_min, h_max, env1, env2, p_total, blk, (
             D, env1.s_curve_a, env1.s_curve_b, env1.gain_scale, env1.gain_exponent,
             env2.s_curve_a, env2.s_curve_b, env2.gain_scale, env2.gain_exponent))

@@ -1,4 +1,4 @@
-"""Experiment configuration: one-pass JSON checks and object construction.
+"""Experiment configuration: JSON checks against a table, then object construction.
 
 A run is described by a single JSON document whose keys and value types
 are listed, per model, in ``_CONFIG``.  Unknown keys, including those of
@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 
-from ._record import Record, replace, set_field
+from ._record import Record, replace
 from .channels import ATG_PRESETS, Atg3dScenario, AtgEnvironment, FreeSpaceScenario
 from .fbl import BlocklengthParams
 
@@ -48,11 +48,9 @@ class GridSpec(Record):
 
     def __init__(self, x: int | None = None, p1: int | None = None, h: int | None = None):
         for n in (x, p1, h):
-            if n is not None and n < 2:
-                raise ValueError(f"need at least 2 points per axis, got {n}")
-        set_field(self, "x", x)
-        set_field(self, "p1", p1)
-        set_field(self, "h", h)
+            if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 2):
+                raise ValueError(f"need an integer of at least 2 points per axis, got {n!r}")
+        self._fill(x, p1, h)
 
 
 def _with_env2(scn: Atg3dScenario, name: str) -> Atg3dScenario:
@@ -142,13 +140,7 @@ class ProfileSpec(Record):
                                          or sample_range[0] > sample_range[1]):
             raise ConfigError(
                 f"profile range must be [low, high] with low <= high: {list(sample_range)}")
-        set_field(self, "axis", axis)
-        set_field(self, "fixed_x_m", fixed_x_m)
-        set_field(self, "fixed_height_m", fixed_height_m)
-        set_field(self, "step_m", step_m)
-        set_field(self, "sample_range", sample_range)
-        set_field(self, "hop2_presets", hop2_presets)
-        set_field(self, "p1_w", p1_w)
+        self._fill(axis, fixed_x_m, fixed_height_m, step_m, sample_range, hop2_presets, p1_w)
 
 
 class ExperimentConfig(Record):
@@ -169,19 +161,11 @@ class ExperimentConfig(Record):
                  output_trace: str | None):
         from .harness import SOLVERS  # imported here: the harness imports this module
 
-        set_field(self, "scenario_id", scenario_id)
-        set_field(self, "model", "atg3d" if isinstance(scenario, Atg3dScenario) else "freespace")
-        set_field(self, "scenario", scenario)
-        set_field(self, "blk", blk)
-        set_field(self, "solvers", solvers)
-        set_field(self, "sweep_parameter", sweep_parameter)
-        set_field(self, "sweep_values", sweep_values)
-        set_field(self, "grid", grid)
-        set_field(self, "fixed_height_m", fixed_height_m)
-        set_field(self, "profile", profile)
-        set_field(self, "output_csv", output_csv)
-        set_field(self, "output_json", output_json)
-        set_field(self, "output_trace", output_trace)
+        model = "atg3d" if isinstance(scenario, Atg3dScenario) else "freespace"
+        if model == "atg3d" and fixed_height_m is None:
+            fixed_height_m = DEFAULT_FIXED_HEIGHT
+        self._fill(scenario_id, model, scenario, blk, solvers, sweep_parameter, sweep_values,
+                   grid, fixed_height_m, profile, output_csv, output_json, output_trace)
         param, values, scn = sweep_parameter, sweep_values, scenario
         sweeps = _MODEL_SWEEPS[self.model]
         if param is not None and not (isinstance(param, str) and param in sweeps):
@@ -197,12 +181,9 @@ class ExperimentConfig(Record):
         if self.model != "atg3d":
             if self.fixed_height_m is not None:
                 _fail((), "unknown key 'fixed_height_m'")
-        else:
-            if self.fixed_height_m is None:
-                set_field(self, "fixed_height_m", DEFAULT_FIXED_HEIGHT)
-            if not (scn.h_min <= self.fixed_height_m <= scn.h_max):
-                raise ConfigError(f"fixed_height_m = {self.fixed_height_m} outside the height "
-                                  f"band [{scn.h_min}, {scn.h_max}]")
+        elif not (scn.h_min <= self.fixed_height_m <= scn.h_max):
+            raise ConfigError(f"fixed_height_m = {self.fixed_height_m} outside the height "
+                              f"band [{scn.h_min}, {scn.h_max}]")
         if self.profile is not None and self.model != "atg3d":
             _fail((), "unknown key 'profile'")
         if self.profile is not None and self.profile.p1_w is not None \

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, set_field
+from ._record import Record
 
 LN2 = math.log(2.0)
 
@@ -52,8 +52,9 @@ class PowerSplit(Record):
         return cls(p_total / 2.0, p_total / 2.0)
 
 
-# the slot descriptors' setters skip object.__setattr__'s lookup by name
-_set_p1, _set_p2 = PowerSplit.p1.__set__, PowerSplit.p2.__set__
+# called one by one: a PowerSplit is built on every solver step, and a
+# straight call is cheaper there than _fill's loop
+_set_p1, _set_p2 = PowerSplit._setters
 
 
 class BlocklengthParams(Record):
@@ -85,10 +86,7 @@ class BlocklengthParams(Record):
                     f"bandwidth * latency implies M = {implied}, "
                     f"which contradicts total_blocklength = {total_blocklength}"
                 )
-        set_field(self, "packet_bits", packet_bits)
-        set_field(self, "total_blocklength", total_blocklength)
-        set_field(self, "bandwidth_hz", bandwidth_hz)
-        set_field(self, "latency_s", latency_s)
+        self._fill(packet_bits, total_blocklength, bandwidth_hz, latency_s)
 
     @property
     def per_hop_blocklength(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, set_field
+from ._record import Record
 from .channels import FreeSpaceScenario, freespace_gains
 from .cubic import cubic_real_roots
 from .fbl import BlocklengthParams, PowerSplit, af_snr, decoding_error_probability
@@ -35,14 +35,19 @@ class SolveResult(Record):
 
     def __init__(self, solver: str, x: float, height: float, powers: PowerSplit, snr: float,
                  error_prob: float, trace: tuple[float, ...]):
-        set_field(self, "solver", solver)
-        set_field(self, "x", x)
-        set_field(self, "height", height)
-        set_field(self, "powers", powers)
-        set_field(self, "snr", snr)
-        set_field(self, "error_prob", error_prob)
-        set_field(self, "iterations", len(trace))
-        set_field(self, "trace", trace)
+        _set_solver(self, solver)
+        _set_x(self, x)
+        _set_height(self, height)
+        _set_powers(self, powers)
+        _set_snr(self, snr)
+        _set_error_prob(self, error_prob)
+        _set_iterations(self, len(trace))
+        _set_trace(self, trace)
+
+
+# called one by one, as PowerSplit's are: every solve builds a result
+(_set_solver, _set_x, _set_height, _set_powers, _set_snr, _set_error_prob, _set_iterations,
+ _set_trace) = SolveResult._setters
 
 
 def coordinate_ascent(snr, state, blocks):

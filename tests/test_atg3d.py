@@ -159,13 +159,24 @@ def test_gain_constants_stay_out_of_repr_eq_and_hash(blk):
 
 def test_scenario_validation(blk):
     env = AtgEnvironment.from_preset("urban", 2.5e9, -93.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^D must be positive and finite, got -1.0$"):
+        Atg3dScenario(-1.0, 20.0, 200.0, 10.0, 200.0, env, env, 4.0, blk)
+    with pytest.raises(ValueError, match=r"^height bounds must satisfy 0 < h_min < h_max"):
         Atg3dScenario(200.0, 20.0, 200.0, 200.0, 10.0, env, env, 4.0, blk)  # h_min > h_max
-    with pytest.raises(ValueError):
+    for h_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^height bounds must satisfy 0 < h_min < h_max "
+                                             r"and be finite, got h_min=10.0, h_max="):
+            Atg3dScenario(200.0, 20.0, 200.0, 10.0, h_max, env, env, 4.0, blk)
+    with pytest.raises(ValueError, match=r"^offset bounds must satisfy 0 <= d1 < d2 <= D, "
+                                         r"got d1=220.0, d2=200.0, D=200.0$"):
         Atg3dScenario(200.0, 220.0, 200.0, 10.0, 200.0, env, env, 4.0, blk)
+    with pytest.raises(ValueError, match=r"^p_total must be positive and finite, got inf$"):
+        Atg3dScenario(200.0, 20.0, 200.0, 10.0, 200.0, env, env, math.inf, blk)
     # gains near 1e292 per hop: their product overflows
     loud = AtgEnvironment.from_preset("urban", 2.5e9, -3000.0)
-    with pytest.raises(ValueError, match="overflow"):
+    with pytest.raises(ValueError, match=r"^hop gains overflow: the gain product bound "
+                                         r"g1 g2 p_total\^2 is inf "
+                                         r"\(noise power -3000.0 / -3000.0 dB\)$"):
         Atg3dScenario(200.0, 20.0, 200.0, 10.0, 200.0, loud, loud, 4.0, blk)
 
 

@@ -89,18 +89,24 @@ def test_unknown_preset():
 
 
 def test_freespace_scenario_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^D must be positive and finite, got inf$"):
+        FreeSpaceScenario.from_db(math.inf, 120.0, 30.0, 170.0, 50.0, 59.0, 4.0)
+    band = r"^placement bounds must satisfy 0 <= d1 < d2 <= D, got d1={}, d2={}, D=200.0$"
+    with pytest.raises(ValueError, match=band.format(170.0, 30.0)):
         FreeSpaceScenario.from_db(200.0, 120.0, 170.0, 30.0, 50.0, 59.0, 4.0)  # d1 > d2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=band.format(-1.0, 170.0)):
         FreeSpaceScenario.from_db(200.0, 120.0, -1.0, 170.0, 50.0, 59.0, 4.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=band.format(30.0, 201.0)):
         FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 201.0, 50.0, 59.0, 4.0)  # d2 > D
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^H must be positive and finite, got 0.0$"):
         FreeSpaceScenario.from_db(200.0, 0.0, 30.0, 170.0, 50.0, 59.0, 4.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p_total must be positive and finite, got 0.0$"):
         FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 50.0, 59.0, 0.0)
+    with pytest.raises(ValueError, match=r"^p_total must be positive and finite, got nan$"):
+        FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 50.0, 59.0, math.nan)
     # 1e300 per hop: beta1 beta2 overflows
-    with pytest.raises(ValueError, match="overflow"):
+    with pytest.raises(ValueError, match=r"^hop gains overflow: the gain product bound "
+                                         r"g1 g2 p_total\^2 is inf \(g = beta / H\^2\)$"):
         FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 3000.0, 3000.0, 4.0)
     # a finite bound (~8e200) is accepted
     FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 1040.0, 1040.0, 4.0)
@@ -229,3 +235,16 @@ def test_environment_validation():
         AtgEnvironment(4.88, 0.43, 21.0, 0.1, 2.5e9, -93.0)  # LoS loss above NLoS
     with pytest.raises(ValueError):
         AtgEnvironment(4.88, 0.43, 0.1, 21.0, 0.0, -93.0)
+    # non-finite constants: each would leave every solver a NaN or zero SNR
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="S-curve constants a, b must be positive and finite"):
+            AtgEnvironment(bad, 0.43, 0.1, 21.0, 2.5e9, -93.0)
+        with pytest.raises(ValueError, match="S-curve constants a, b must be positive and finite"):
+            AtgEnvironment(4.88, bad, 0.1, 21.0, 2.5e9, -93.0)
+        with pytest.raises(ValueError, match="excess losses must be finite"):
+            AtgEnvironment(4.88, 0.43, -bad, 21.0, 2.5e9, -93.0)
+        with pytest.raises(ValueError, match="excess losses must be finite"):
+            AtgEnvironment(4.88, 0.43, 0.1, bad, 2.5e9, -93.0)
+        with pytest.raises(ValueError, match=f"carrier frequency must be positive and finite, "
+                                             f"got {bad}"):
+            AtgEnvironment(4.88, 0.43, 0.1, 21.0, bad, -93.0)

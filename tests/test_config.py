@@ -257,6 +257,12 @@ def test_grid_points():
         parse_config(variant(FREESPACE_RAW, grid={"h_points": 100}))
     with pytest.raises(ConfigError, match="at least 2 points"):
         parse_config(variant(FREESPACE_RAW, grid={"x_points": 1}))
+    # a count built outside the parser is checked as strictly: no float, no bool
+    grid = GridSpec(x=3, p1=20)
+    for count in (3.0, True, "3"):
+        with pytest.raises(ValueError, match=f"integer of at least 2 points per axis, "
+                                             f"got {count!r}"):
+            replace(grid, x=count)
 
 
 def test_grid_points_are_capped():

@@ -5,6 +5,7 @@ the config-verdict digests and the trace files hash them.
 """
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -22,6 +23,7 @@ from uavrelay import (
     SolveResult,
     replace,
 )
+from uavrelay._record import Record
 from uavrelay.harness import CSV_COLUMNS
 
 POWER = "PowerSplit(p1=1.5, p2=2.5)"
@@ -102,6 +104,18 @@ def test_equal_records_hash_equal_and_other_classes_are_unequal(name):
     for copied in (copy.copy(record), copy.deepcopy(record),
                    pickle.loads(pickle.dumps(record))):
         assert copied == record and type(copied) is type(record)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_constructor_takes_the_fields_in_slot_order(name):
+    # _fill sets the slots in order from the constructor's values, and
+    # replace passes _arguments by name
+    record = build(name)
+    cls = type(record)
+    assert {sub.__name__ for sub in Record.__subclasses__()} == RECORDS.keys()
+    assert tuple(inspect.signature(cls).parameters) == cls._arguments
+    for field in cls.__slots__:
+        getattr(record, field)  # AttributeError where a slot was left unset
 
 
 @pytest.mark.parametrize("name", RECORDS)
