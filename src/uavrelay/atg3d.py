@@ -5,10 +5,11 @@ rational in the relay position and the placement blocks lose their
 closed forms.  Height and ground offset are therefore optimised with
 guarded golden-section line searches, while the power block keeps the
 closed form.  ``coordinate_ascent`` cycles the blocks power -> height ->
-offset; the baselines cycle a subset of them.  The gains along the
-current height line and offset line are kept, so each is evaluated once
-per solve, and a line search that a solve repeats returns its kept
-result; the outputs are the same floats as without either.
+offset over states (x, height, gains, powers); the baselines cycle a
+subset of them.  Each line-search block keeps the gains along its current
+line, so each is evaluated once per solve, and a line search that a solve
+repeats returns its kept result; the outputs are the same floats as
+without either.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 from .channels import Atg3dScenario
 from .fbl import BlocklengthParams, PowerSplit, decoding_error_probability
-from .freespace import SolveResult, coordinate_ascent, optimal_power_for_gains
+from .freespace import SolveResult, coordinate_ascent, power_block
 from .search import line_search_max
 
 # Line-search interval target relative to the searched span.
@@ -64,114 +65,65 @@ def hop_gains_3d(scn: Atg3dScenario, x: float, height: float) -> tuple[float, fl
     )
 
 
-def _gamma(scn: Atg3dScenario, x: float, height: float, powers: PowerSplit) -> float:
-    # the SNR at one point (oracle polish); the callers manage the bounds
-    h1, h2 = hop_gains_3d(scn, x, height)
-    return (h1 * h2 * powers.p1 * powers.p2) / (h2 * powers.p2 + h1 * powers.p1 + 1.0)
-
-
 def _span(scn: Atg3dScenario, axis: int) -> tuple[float, float]:
     # the box's bounds along one axis: 0 is the ground offset, 1 the height
     return (scn.h_min, scn.h_max) if axis else (scn.d1, scn.d2)
 
 
-class _GainMemo:
-    """Hop gains along the current line of each axis of one solve.
+def _line_block(scn: Atg3dScenario, axis: int):
+    """The block that moves state[axis] of a state (x, height, gains, powers)
+    along the line through it: axis 0 is the ground offset x at a fixed
+    height, axis 1 the height at a fixed x.
 
-    Axis 0 is the ground offset x at a fixed height and axis 1 the height
-    at a fixed x; ``lines[axis]`` holds the fixed coordinate and the gains
-    keyed by the coordinate t along the line.  A line starts afresh when
-    its fixed coordinate changes, holding only the point where it crosses
-    the other line.  The gains do not depend on the powers, so a stored
-    pair is exactly the pair that hop_gains_3d returns for that point.
-    The SNR along a line uses _gamma's float expression, and a miss calls
-    hop_gains_3d by its module global at call time, so a wrapper installed
-    on it sees every real evaluation.
+    The block keeps the gains along its current line, keyed by the
+    coordinate t along it; a new line starts with the state's point.  The
+    gains do not depend on the powers, so a kept pair is exactly the pair
+    that hop_gains_3d returns for that point, and a miss calls hop_gains_3d
+    by its module global at call time, so a wrapper installed on it sees
+    every real evaluation.  A search's result depends only on its line and
+    the powers (the bounds are the box's), so the block keeps its results
+    keyed by the fixed coordinate, p1 and p2, and a search that repeats
+    returns the kept float.  The block only replaces the incumbent
+    coordinate when that does not lower the SNR, so any cycle of it and the
+    exact power block gives a non-decreasing trace.
     """
-
-    def __init__(self, scn: Atg3dScenario):
-        self.scn = scn
-        self.lines = [(None, {}), (None, {})]
-
-    def _line(self, axis: int, fixed: float) -> dict:
-        held, line = self.lines[axis]
-        if fixed != held:
-            t, across = self.lines[1 - axis]
-            line = {t: across[fixed]} if fixed in across else {}
-            self.lines[axis] = (fixed, line)
-        return line
-
-    def along(self, axis: int, fixed: float, powers: PowerSplit):
-        """The SNR along one line as a function of t: at (t, fixed) on axis 0
-        and at (fixed, t) on axis 1."""
-        scn, line, p1, p2 = self.scn, self._line(axis, fixed), powers.p1, powers.p2
-
-        def snr(t):
-            gains = line.get(t)
-            if gains is None:
-                gains = line[t] = (hop_gains_3d(scn, fixed, t) if axis
-                                   else hop_gains_3d(scn, t, fixed))
-            h1, h2 = gains
-            return (h1 * h2 * p1 * p2) / (h2 * p2 + h1 * p1 + 1.0)
-
-        return snr
-
-    def gains(self, x: float, height: float) -> tuple[float, float]:
-        """The gains at one point, kept on the offset line."""
-        line = self._line(0, height)
-        pair = line.get(x)
-        if pair is None:
-            pair = line[x] = hop_gains_3d(self.scn, x, height)
-        return pair
-
-
-def _ascent_blocks(scn: Atg3dScenario):
-    """The score and the power, height and offset blocks over states
-    (x, height, powers), sharing one gain memo.
-
-    The power block is exact.  The two line-search blocks only replace
-    the incumbent coordinate when that does not lower the SNR, so any
-    cycle of these blocks gives a non-decreasing trace.  A search's result
-    depends only on its line and the powers (the bounds are the box's), so
-    the blocks keep their results keyed by the axis, the fixed coordinate,
-    p1 and p2, and a search that repeats returns the kept float.
-    """
-    memo = _GainMemo(scn)
+    lo, hi = _span(scn, axis)
+    tol = LINE_SEARCH_RTOL * (hi - lo)
+    held, line = None, {}
     kept = {}
 
-    def score(state):
-        x, height, powers = state
-        return memo.along(0, height, powers)(x)
+    def block(state):
+        nonlocal held, line
+        fixed, t, gains, powers = state[1 - axis], state[axis], state[2], state[3]
+        if fixed != held:
+            held, line = fixed, {t: gains}
+        p1, p2 = powers.p1, powers.p2
 
-    def power_block(state):
-        x, height, _ = state
-        return x, height, optimal_power_for_gains(*memo.gains(x, height), scn.p_total)
+        def snr(s):
+            pair = line.get(s)
+            if pair is None:
+                pair = line[s] = (hop_gains_3d(scn, fixed, s) if axis
+                                  else hop_gains_3d(scn, s, fixed))
+            h1, h2 = pair
+            return (h1 * h2 * p1 * p2) / (h2 * p2 + h1 * p1 + 1.0)
 
-    def line_block(axis):
-        # the block that moves state[axis] along the line through state
-        lo, hi = _span(scn, axis)
-        tol = LINE_SEARCH_RTOL * (hi - lo)
+        key = (fixed, p1, p2)
+        best = kept.get(key)
+        if best is None:
+            # read at call time: a wrapper on this module's global sees every search
+            best = kept[key] = line_search_max(snr, lo, hi, tol)[0]
+        if snr(best) >= snr(t):
+            return (fixed, best, line[best], powers) if axis else (best, fixed, line[best], powers)
+        return state
 
-        def block(state):
-            fixed, t, powers = state[1 - axis], state[axis], state[2]
-            snr = memo.along(axis, fixed, powers)
-            key = (axis, fixed, powers.p1, powers.p2)
-            best = kept.get(key)
-            if best is None:
-                # read at call time: a wrapper on this module's global sees every search
-                best = kept[key] = line_search_max(snr, lo, hi, tol)[0]
-            if snr(best) >= snr(t):
-                return (fixed, best, powers) if axis else (best, fixed, powers)
-            return state
-
-        return block
-
-    return score, power_block, line_block(1), line_block(0)
+    return block
 
 
-def _ascend(blk: BlocklengthParams, solver: str, score, state, blocks) -> SolveResult:
-    """Run coordinate_ascent from state (x, height, powers) over the given blocks."""
-    (x, height, powers), gamma, trace = coordinate_ascent(score, state, blocks)
+def _ascend(scn: Atg3dScenario, blk: BlocklengthParams, solver: str, x: float, height: float,
+            powers: PowerSplit, blocks) -> SolveResult:
+    """Run coordinate_ascent from (x, height, powers) over the given blocks."""
+    start = (x, height, hop_gains_3d(scn, x, height), powers)
+    (x, height, _, powers), gamma, trace = coordinate_ascent(start, blocks)
     eps = decoding_error_probability(gamma, blk)
     return SolveResult(solver, x, height, powers, gamma, eps, trace)
 
@@ -180,9 +132,8 @@ def bcd_solve_3d(scn: Atg3dScenario) -> SolveResult:
     """Cycle power, height and offset blocks until the SNR stalls.
 
     Starts from the box midpoint and an even split; the trace is
-    non-decreasing (see ``_ascent_blocks``).
+    non-decreasing (see ``_line_block``).
     """
-    start = (0.5 * (scn.d1 + scn.d2), 0.5 * (scn.h_min + scn.h_max),
-             PowerSplit.even(scn.p_total))
-    score, *blocks = _ascent_blocks(scn)
-    return _ascend(scn.blk, "bcd", score, start, blocks)
+    return _ascend(scn, scn.blk, "bcd", 0.5 * (scn.d1 + scn.d2), 0.5 * (scn.h_min + scn.h_max),
+                   PowerSplit.even(scn.p_total),
+                   (power_block(scn.p_total), _line_block(scn, 1), _line_block(scn, 0)))

@@ -50,27 +50,42 @@ class SolveResult(Record):
  _set_trace) = SolveResult._setters
 
 
-def coordinate_ascent(snr, state, blocks):
+def coordinate_ascent(state, blocks):
     """Cycle the blocks over state until the SNR stalls.
 
-    Each block maps a state to a state that is no worse; snr scores a
-    state.  A cycle runs every block once, in order, and the loop stops
-    once a cycle improves the SNR by at most BCD_REL_TOL relative, or
-    after BCD_MAX_ITERS cycles.  Returns the final state, its SNR and the
+    A state is (x, height, gains, powers), with gains the hop gains at
+    (x, height), and each block maps a state to a state that is no worse.
+    A cycle runs every block once, in order, and the loop stops once a
+    cycle improves the SNR by at most BCD_REL_TOL relative, or after
+    BCD_MAX_ITERS cycles.  Returns the final state, its SNR and the
     per-cycle SNR trace.
     """
-    gamma = snr(state)
+    _, _, (h1, h2), powers = state
+    gamma = af_snr(h1, h2, powers)
     trace: list[float] = []
     for _ in range(BCD_MAX_ITERS):
         for block in blocks:
             state = block(state)
-        new_gamma = snr(state)
+        _, _, (h1, h2), powers = state
+        new_gamma = af_snr(h1, h2, powers)
         trace.append(new_gamma)
         stalled = new_gamma - gamma <= BCD_REL_TOL * max(gamma, 1e-300)
         gamma = new_gamma
         if stalled:
             break
     return state, gamma, tuple(trace)
+
+
+def power_block(p_total: float):
+    """The exact power block of coordinate_ascent: it moves a state's powers
+    to the SNR-optimal split of p_total at the state's gains."""
+
+    def block(state):
+        x, height, gains, _ = state
+        h1, h2 = gains
+        return x, height, gains, optimal_power_for_gains(h1, h2, p_total)
+
+    return block
 
 
 def snr_at(scn: FreeSpaceScenario, x: float, powers: PowerSplit) -> float:
@@ -155,27 +170,18 @@ def bcd_solve(scn: FreeSpaceScenario, blk: BlocklengthParams) -> SolveResult:
     as ``coordinate_ascent`` says.
     """
 
-    # a state is (x, h1, h2, powers): the hop gains at x ride along, so each
-    # cycle evaluates them once, after the placement block moves x
-    p_total = scn.p_total
-
-    def power_block(state):
-        x, h1, h2, _ = state
-        return x, h1, h2, optimal_power_for_gains(h1, h2, p_total)
+    # the gains at x ride in the state, so each cycle evaluates them once,
+    # after the placement block moves x
+    H = scn.H
 
     def location_block(state):
         powers = state[3]
         x = optimal_location_given_power(scn, powers)
-        h1, h2 = freespace_gains(scn, x)
-        return x, h1, h2, powers
-
-    def score(state):
-        _, h1, h2, powers = state
-        return af_snr(h1, h2, powers)
+        return x, H, freespace_gains(scn, x), powers
 
     x = 0.5 * (scn.d1 + scn.d2)
-    start = (x, *freespace_gains(scn, x), PowerSplit.even(p_total))
+    start = (x, H, freespace_gains(scn, x), PowerSplit.even(scn.p_total))
     (x, _, _, powers), gamma, trace = coordinate_ascent(
-        score, start, (power_block, location_block))
+        start, (power_block(scn.p_total), location_block))
     eps = decoding_error_probability(gamma, blk)
-    return SolveResult("bcd", x, scn.H, powers, gamma, eps, trace)
+    return SolveResult("bcd", x, H, powers, gamma, eps, trace)

@@ -19,9 +19,10 @@ import json
 import time
 
 from ._record import replace
-from .atg3d import Atg3dScenario, _gamma, _span, bcd_solve_3d
+from . import atg3d
+from .atg3d import Atg3dScenario, _span, bcd_solve_3d
 from .config import ConfigError, ExperimentConfig, ProfileSpec, _with_env2, profile_coordinates
-from .fbl import PowerSplit, decoding_error_probability
+from .fbl import PowerSplit, af_snr, decoding_error_probability
 from .freespace import bcd_solve
 from .highsnr import high_snr_solve
 from .oracle import (
@@ -159,13 +160,16 @@ def profile_curves(
 
     coords = profile_coordinates(lo, hi, prof.step_m)
 
+    # hop_gains_3d by its module attribute, so a wrapper set on it sees the calls
     rows: list[tuple[str, float, float]] = []
     for preset in prof.hop2_presets:
         env_scn = _with_env2(scn, preset)
         if axis:
-            rows.extend((preset, h, _gamma(env_scn, fixed, h, powers)) for h in coords)
+            rows.extend((preset, h, af_snr(*atg3d.hop_gains_3d(env_scn, fixed, h), powers))
+                        for h in coords)
         else:
-            rows.extend((preset, x, _gamma(env_scn, x, fixed, powers)) for x in coords)
+            rows.extend((preset, x, af_snr(*atg3d.hop_gains_3d(env_scn, x, fixed), powers))
+                        for x in coords)
     return ("x_m", "height_m")[axis], rows
 
 

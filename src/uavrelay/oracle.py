@@ -22,7 +22,7 @@ import sys
 from bisect import bisect_left, insort
 
 from . import freespace
-from .atg3d import _ascend, _ascent_blocks, _gamma, hop_gains_3d
+from .atg3d import _ascend, _line_block, hop_gains_3d
 from .channels import Atg3dScenario, FreeSpaceScenario
 from .config import DEFAULT_FIXED_HEIGHT, DEFAULT_POINTS_2D, DEFAULT_POINTS_3D, GridSpec
 from .fbl import BlocklengthParams, PowerSplit, af_snr, decoding_error_probability
@@ -30,6 +30,7 @@ from .freespace import (
     SolveResult,
     optimal_location_given_power,
     optimal_power_for_gains,
+    power_block,
     snr_at,
 )
 from .search import golden_section_max
@@ -289,7 +290,7 @@ def exhaustive_search(
     if isinstance(scn, Atg3dScenario):
         n = DEFAULT_POINTS_3D
         bounds = ((scn.d1, scn.d2, grid.x), (scn.h_min, scn.h_max, grid.h), (0.0, pt, grid.p1))
-        snr = lambda x, h, p: _gamma(scn, x, h, PowerSplit(p, pt - p))
+        snr = lambda x, h, p: af_snr(*hop_gains_3d(scn, x, h), PowerSplit(p, pt - p))
         rows = _atg_rows
     else:
         if grid.h is not None:
@@ -341,9 +342,9 @@ def fixed_power_baseline(
     blk = _resolve_blk(scn, blk)
     powers = PowerSplit.even(scn.p_total)
     if isinstance(scn, Atg3dScenario):
-        score, _, height, offset = _ascent_blocks(scn)
-        state = (0.5 * (scn.d1 + scn.d2), 0.5 * (scn.h_min + scn.h_max), powers)
-        return _ascend(blk, "fixed-power", score, state, (height, offset))
+        return _ascend(scn, blk, "fixed-power", 0.5 * (scn.d1 + scn.d2),
+                       0.5 * (scn.h_min + scn.h_max), powers,
+                       (_line_block(scn, 1), _line_block(scn, 0)))
     x = optimal_location_given_power(scn, powers)
     gamma = snr_at(scn, x, powers)
     eps = decoding_error_probability(gamma, blk)
@@ -361,6 +362,5 @@ def fixed_height_baseline(
     blk = _resolve_blk(scn, blk)
     if not (scn.h_min <= height <= scn.h_max):
         raise ValueError(f"pinned height {height} outside [{scn.h_min}, {scn.h_max}]")
-    score, power, _, offset = _ascent_blocks(scn)
-    state = (0.5 * (scn.d1 + scn.d2), height, PowerSplit.even(scn.p_total))
-    return _ascend(blk, "fixed-height", score, state, (power, offset))
+    return _ascend(scn, blk, "fixed-height", 0.5 * (scn.d1 + scn.d2), height,
+                   PowerSplit.even(scn.p_total), (power_block(scn.p_total), _line_block(scn, 0)))

@@ -10,6 +10,8 @@ from uavrelay import (
     Atg3dScenario,
     BlocklengthParams,
     FreeSpaceScenario,
+    af_snr,
+    hop_gains_3d,
 )
 from uavrelay import atg3d, highsnr
 from uavrelay.cli import main
@@ -90,6 +92,11 @@ def make_atg3d(hop2_preset, blk=None, p_total=4.0):
     )
 
 
+def point_snr(scn, x, height, powers):
+    """The end-to-end SNR of an air-to-ground scenario at one point."""
+    return af_snr(*hop_gains_3d(scn, x, height), powers)
+
+
 def line_block_move(scn, axis, fixed, powers):
     """Run the solvers' height block (axis 1, fixed = x) or offset block
     (axis 0, fixed = height) once and return the coordinate it moves to.
@@ -97,11 +104,10 @@ def line_block_move(scn, axis, fixed, powers):
     The relay starts at the top of the searched span, so the result is
     the block's line search unless that search loses to the start.
     """
-    _, _, height_block, offset_block = atg3d._ascent_blocks(scn)
     top = atg3d._span(scn, axis)[1]
-    if axis:
-        return height_block((fixed, top, powers))[1]
-    return offset_block((top, fixed, powers))[0]
+    x, height = (fixed, top) if axis else (top, fixed)
+    state = (x, height, hop_gains_3d(scn, x, height), powers)
+    return atg3d._line_block(scn, axis)(state)[axis]
 
 
 @pytest.fixture

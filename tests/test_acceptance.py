@@ -37,10 +37,9 @@ from uavrelay import (
     run_experiment,
     write_rows_csv,
 )
-from uavrelay.atg3d import _gamma
 
 from conftest import (condition1_hessian, high_snr_cases, line_block_move, make_atg3d,
-                      random_freespace)
+                      point_snr, random_freespace)
 from test_config import ATG3D_RAW, FREESPACE_RAW, variant
 
 RESULTS: list[tuple[int, str, str]] = []
@@ -261,7 +260,7 @@ def test_criterion_8_air_to_ground_suite():
         for preset in presets:
             scn = make_atg3d(preset)
             heights = np.arange(scn.h_min, scn.h_max + 1e-9, 1.0)
-            curve = [_gamma(scn, 100.0, float(h), powers) for h in heights]
+            curve = [point_snr(scn, 100.0, float(h), powers) for h in heights]
             assert len(interior_local_maxima(curve)) == 1, preset
 
         # (b) the solvers' height and offset blocks never lose to a metre-spaced grid
@@ -270,17 +269,17 @@ def test_criterion_8_air_to_ground_suite():
             for x in (50.0, 100.0, 150.0):
                 h_star = line_block_move(scn, 1, x, powers)
                 grid = max(
-                    _gamma(scn, x, float(h), powers)
+                    point_snr(scn, x, float(h), powers)
                     for h in np.arange(scn.h_min, scn.h_max + 1e-9, 1.0)
                 )
-                assert _gamma(scn, x, h_star, powers) >= grid * (1.0 - 1e-6), preset
+                assert point_snr(scn, x, h_star, powers) >= grid * (1.0 - 1e-6), preset
             for h in (30.0, 100.0, 170.0):
                 x_star = line_block_move(scn, 0, h, powers)
                 grid = max(
-                    _gamma(scn, float(x), h, powers)
+                    point_snr(scn, float(x), h, powers)
                     for x in np.arange(scn.d1, scn.d2 + 1e-9, 1.0)
                 )
-                assert _gamma(scn, x_star, h, powers) >= grid * (1.0 - 1e-6), preset
+                assert point_snr(scn, x_star, h, powers) >= grid * (1.0 - 1e-6), preset
 
         # (c) the 3-D solver weakly dominates the fixed-height baseline
         margins = []

@@ -41,14 +41,13 @@ from uavrelay import (
     interior_local_maxima,
     replace,
 )
-from uavrelay import atg3d
-from uavrelay.atg3d import _gamma
+from uavrelay import atg3d, oracle
 from uavrelay.freespace import BCD_MAX_ITERS
 from uavrelay.oracle import fixed_power_baseline
 from uavrelay.search import FALLBACK_POINTS
 
 from conftest import (
-    CARRIER_HZ, NOISE_DB, line_block_move, make_atg3d, rewrite_golden, solve_record,
+    CARRIER_HZ, NOISE_DB, line_block_move, make_atg3d, point_snr, rewrite_golden, solve_record,
 )
 from test_channels import mp_hop_gains
 from test_search import derivative_bisection_max
@@ -196,7 +195,7 @@ def test_interior_height_peak_counts():
         scn = make_atg3d(preset)
         ps = PowerSplit.even(4.0)
         heights = np.arange(scn.h_min, scn.h_max + 1e-9, 1.0)
-        vals = [_gamma(scn, 100.0, h, ps) for h in heights]
+        vals = [point_snr(scn, 100.0, h, ps) for h in heights]
         assert len(interior_local_maxima(vals)) == 1, preset
 
 
@@ -207,10 +206,10 @@ def test_height_block_beats_metre_grid():
         for x in (20.0, 100.0, 180.0):
             h_star = line_block_move(scn, 1, x, ps)
             grid_best = max(
-                _gamma(scn, x, h, ps)
+                point_snr(scn, x, h, ps)
                 for h in np.arange(scn.h_min, scn.h_max + 1e-9, 1.0)
             )
-            assert _gamma(scn, x, h_star, ps) >= grid_best * (1 - 1e-6)
+            assert point_snr(scn, x, h_star, ps) >= grid_best * (1 - 1e-6)
 
 
 def test_height_block_bisect_agrees(atg3d_scn):
@@ -219,10 +218,10 @@ def test_height_block_bisect_agrees(atg3d_scn):
     tol = 1e-4 * (scn.h_max - scn.h_min)
     for x in (50.0, 100.0, 150.0):
         hg = line_block_move(scn, 1, x, ps)
-        hb, _ = derivative_bisection_max(lambda h: _gamma(scn, x, h, ps),
+        hb, _ = derivative_bisection_max(lambda h: point_snr(scn, x, h, ps),
                                          scn.h_min, scn.h_max, tol)
-        gg = _gamma(scn, x, hg, ps)
-        gb = _gamma(scn, x, hb, ps)
+        gg = point_snr(scn, x, hg, ps)
+        gb = point_snr(scn, x, hb, ps)
         assert gb == pytest.approx(gg, rel=1e-6)
 
 
@@ -231,10 +230,10 @@ def test_offset_block_beats_metre_grid(atg3d_scn):
     for h in (20.0, 60.0, 150.0):
         x_star = line_block_move(atg3d_scn, 0, h, ps)
         grid_best = max(
-            _gamma(atg3d_scn, x, h, ps)
+            point_snr(atg3d_scn, x, h, ps)
             for x in np.arange(atg3d_scn.d1, atg3d_scn.d2 + 1e-9, 1.0)
         )
-        assert _gamma(atg3d_scn, x_star, h, ps) >= grid_best * (1 - 1e-6)
+        assert point_snr(atg3d_scn, x_star, h, ps) >= grid_best * (1 - 1e-6)
 
 
 def test_bcd3d_reference_scenarios():
@@ -387,20 +386,26 @@ GOLDEN_LINE_SEARCHES = 435
 def test_no_line_search_repeats_within_a_solve(monkeypatch):
     # each search is tagged with its line (axis and fixed coordinate), its
     # powers and its bounds; within one solve no tag may appear twice
-    real_along, real_search = atg3d._GainMemo.along, atg3d.line_search_max
-    lines = {}
+    real_line_block, real_search = atg3d._line_block, atg3d.line_search_max
+    line = None
     searches = []
 
-    def along(memo, axis, fixed, powers):
-        snr = real_along(memo, axis, fixed, powers)
-        lines[snr] = (axis, fixed, powers.p1, powers.p2)
-        return snr
+    def line_block(scn, axis):
+        block = real_line_block(scn, axis)
+
+        def tagged(state):
+            nonlocal line
+            line = (axis, state[1 - axis], state[3].p1, state[3].p2)
+            return block(state)
+
+        return tagged
 
     def search(f, lo, hi, tol):
-        searches.append((*lines[f], lo, hi))
+        searches.append((*line, lo, hi))
         return real_search(f, lo, hi, tol)
 
-    monkeypatch.setattr(atg3d._GainMemo, "along", along)
+    for module in (atg3d, oracle):
+        monkeypatch.setattr(module, "_line_block", line_block)
     monkeypatch.setattr(atg3d, "line_search_max", search)
     total = 0
     for name, scn in golden_scenarios().items():
@@ -435,11 +440,10 @@ def test_memo_keys_are_exact(blk):
             assert ([g.hex() for g in hop_gains_3d(scn, -0.0, h)]
                     == [g.hex() for g in hop_gains_3d(scn, 0.0, h)]), (hop1, hop2, h)
     scn, ps = make_atg3d("urban", blk), PowerSplit.even(4.0)
-    memo = atg3d._GainMemo(scn)
-    _, _, height_block, offset_block = atg3d._ascent_blocks(scn)
-    for call in (lambda: memo.gains(math.nan, 50.0), lambda: memo.gains(100.0, math.nan),
-                 lambda: height_block((math.nan, 100.0, ps)),
-                 lambda: offset_block((100.0, math.nan, ps))):
+    offset_block, height_block = atg3d._line_block(scn, 0), atg3d._line_block(scn, 1)
+    gains = hop_gains_3d(scn, 100.0, 100.0)
+    for call in (lambda: height_block((math.nan, 100.0, gains, ps)),
+                 lambda: offset_block((100.0, math.nan, gains, ps))):
         messages = []
         for _ in range(3):
             with pytest.raises(ValueError) as exc:

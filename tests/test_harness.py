@@ -24,9 +24,9 @@ from uavrelay import (
     write_traces_json,
 )
 from uavrelay.harness import CSV_COLUMNS, SOLVERS
-from uavrelay.atg3d import _gamma
 from uavrelay import AtgEnvironment, PowerSplit, af_snr, hop_gains_3d, replace
 
+from conftest import point_snr
 from test_config import ATG3D_RAW, FREESPACE_RAW, variant
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -111,7 +111,7 @@ def test_environment_sweep_rows_reevaluate():
         scn = replace(cfg.scenario, env2=env2)
         ps = PowerSplit(row["p1_w"], row["p2_w"])
         assert row["snr"] == pytest.approx(
-            _gamma(scn, row["x_m"], row["height_m"], ps), rel=1e-12
+            point_snr(scn, row["x_m"], row["height_m"], ps), rel=1e-12
         )
 
 
