@@ -31,8 +31,15 @@ ATG_PRESETS: dict[str, tuple[float, float, float, float]] = {
 
 
 def db_to_linear(value_db: float) -> float:
-    """Convert a dB quantity to linear scale."""
-    return 10.0 ** (value_db / 10.0)
+    """Convert a dB quantity to linear scale.
+
+    Raises:
+        ValueError: when the linear value exceeds the float range.
+    """
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{value_db} dB overflows the linear scale") from None
 
 
 def _check_ground(D: float, d1: float, d2: float, p_total: float, band: str) -> None:
@@ -164,10 +171,12 @@ class AtgEnvironment(Record):
         noise = db_to_linear(noise_power_db)
         if noise == 0.0:
             raise ValueError(f"noise power {noise_power_db} dB underflows to zero watts")
+        wavenumber = 4.0 * math.pi * carrier_hz / SPEED_OF_LIGHT
+        if wavenumber == 0.0:
+            raise ValueError(f"carrier frequency {carrier_hz} Hz underflows 4 pi f / c to zero")
         # C = 20 log10(4 pi f_c / c) + eta_nlos, the distance-free loss term,
         # and A = eta_los - eta_nlos <= 0, the LoS advantage in dB
-        offset_db = 20.0 * math.log10(4.0 * math.pi * carrier_hz / SPEED_OF_LIGHT) \
-            + excess_loss_nlos_db
+        offset_db = 20.0 * math.log10(wavenumber) + excess_loss_nlos_db
         gap_db = excess_loss_los_db - excess_loss_nlos_db
         self._fill(s_curve_a, s_curve_b, excess_loss_los_db, excess_loss_nlos_db, carrier_hz,
                    noise_power_db, db_to_linear(-offset_db) / noise, -gap_db / 10.0)

@@ -17,6 +17,8 @@ import sys
 BOUNDARY_RTOL = 1e-9
 
 _NORMAL_MIN = sys.float_info.min
+# Below this, 4 rho^3 + 27 kappa^2 stays inside the float range.
+_DISC_SAFE_MAX = sys.float_info.max / 32
 
 
 def _cbrt(v: float) -> float:
@@ -47,8 +49,9 @@ def depressed_real_roots(rho: float, kappa: float) -> list[float]:
     Returns one root when the discriminant is positive, three otherwise.
     On the repeated-root boundary the near-equal pair collapses to a
     single entry, so a double root shows up once.  Where rho^3 and kappa^2
-    both fall below the normal float range, the roots are found at a
-    power-of-two scale and scaled back.
+    both fall below the normal float range, or the larger is so large that
+    the discriminant could overflow, the roots are found at a power-of-two
+    scale and scaled back.
 
     Raises:
         ValueError: when a coefficient is not finite, or rho^3 overflows.
@@ -65,13 +68,14 @@ def depressed_real_roots(rho: float, kappa: float) -> list[float]:
     scale = -rho_cubed if rho_cubed < 0.0 else rho_cubed
     if kappa_sq >= scale:
         scale = kappa_sq
-    if scale < _NORMAL_MIN:
+    if scale < _NORMAL_MIN or scale > _DISC_SAFE_MAX:
         if rho == 0.0 and kappa == 0.0:
             return [0.0]
-        # rho^3 and kappa^2 have lost bits or flushed to 0: solve for
-        # u = t / 2^k, whose coefficients rho / 4^k and kappa / 8^k are
-        # exact, with 2^k near the larger root size |rho|^(1/2), |kappa|^(1/3)
-        # (a zero coefficient leaves k to the other)
+        # rho^3 and kappa^2 have lost bits or flushed to 0, or kappa^2 or
+        # the discriminant may overflow: solve for u = t / 2^k, whose
+        # coefficients rho / 4^k and kappa / 8^k are exact (bar a rho too
+        # small to matter), with 2^k near the larger root size |rho|^(1/2),
+        # |kappa|^(1/3) (a zero coefficient leaves k to the other)
         k = max(math.frexp(rho)[1] // 2 if rho else -1075,
                 math.frexp(kappa)[1] // 3 if kappa else -1075)
         return [math.ldexp(u, k)

@@ -21,10 +21,6 @@ LN2 = math.log(2.0)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Q saturates far below double precision past |x| ~ 40; clamping the rate
-# margin there keeps extreme SNRs from propagating inf through erfc.
-_MARGIN_CLAMP = 40.0
-
 
 def _check_snr(gamma: float) -> None:
     if not 0.0 <= gamma < math.inf:  # false for NaN, inf and negative SNRs alike
@@ -169,19 +165,14 @@ def decoding_error_probability(gamma: float, blk: BlocklengthParams) -> float:
     """Per-hop decoding error probability under the normal approximation.
 
     Defined as Q(rate_gap) for gamma > 0 and as 1, the limit, where
-    1 + gamma rounds to 1 (gamma = 0 included).  The margin is clamped
-    to +/-40 before evaluating Q so that extreme SNRs return a hard 0/1
-    instead of overflowing.
+    1 + gamma rounds to 1 (gamma = 0 included).  The margin is finite, and
+    Q is exactly 0 or 1 from |margin| ~ 38.5 on, so extreme SNRs give a
+    hard 0 or 1.
     """
     _check_snr(gamma)
     if 1.0 + gamma == 1.0:
         return 1.0
-    f = rate_gap(gamma, blk)
-    if f > _MARGIN_CLAMP:  # max(-clamp, min(clamp, f)) for the finite margin
-        f = _MARGIN_CLAMP
-    elif f < -_MARGIN_CLAMP:
-        f = -_MARGIN_CLAMP
-    return q_function(f)
+    return q_function(rate_gap(gamma, blk))
 
 
 def af_snr(h1: float, h2: float, powers: PowerSplit) -> float:

@@ -10,6 +10,7 @@ are also checked against the digests the benchmark stores for its seed-0
 pools, so a change of their floats fails here before a benchmark run.
 """
 
+import collections
 import hashlib
 import importlib
 import importlib.util
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import uavrelay
-from uavrelay import atg3d, cli, freespace, harness, highsnr, oracle
+from uavrelay import atg3d, cli, freespace, harness, highsnr, oracle, search
 
 from conftest import (count_golden_sections, high_snr_cases, high_snr_winner, make_atg3d,
                       solve_record)
@@ -175,6 +176,55 @@ def test_high_snr_searches_condition1_only_where_it_wins(monkeypatch):
         assert len(calls) == (winner.condition == "I"), scn
         skipped += not calls
     assert skipped == SKIPPED_SEARCHES
+
+
+# The work ledger: calls of each library attribute that bench/tracing.py
+# wraps (in every module it wraps it on) over the first draws of each
+# seed-0 pool, solved as bench/batch_worker.py solves them.  Unlike the
+# benchmark's timings these counts are exact, so a change in the work
+# fails here; a change that means to move them updates them and says why.
+LEDGER_HOOKS = {
+    "decoding_error_probability": (freespace, atg3d, highsnr, oracle),
+    "cubic_real_roots": (freespace,),
+    "freespace_gains": (freespace,),
+    "hop_gains_3d": (atg3d, oracle),
+    "line_search_max": (atg3d,),
+    "golden_section_max": (search, highsnr, oracle),
+}
+LEDGER_DRAWS = {"freespace-batch": PINNED_DRAWS, "atg3d-batch": 64}
+LEDGER = {
+    # the golden sections are condition I's, one per draw it is not skipped on
+    "freespace-batch": {"cubic_real_roots": 3089, "decoding_error_probability": 2048,
+                        "freespace_gains": 4625,
+                        "golden_section_max": PINNED_DRAWS - SKIPPED_SEARCHES},
+    # each line search runs one golden section
+    "atg3d-batch": {"decoding_error_probability": 256, "golden_section_max": 1886,
+                    "hop_gains_3d": 53626, "line_search_max": 1886},
+}
+
+
+@pytest.mark.parametrize("workload", LEDGER)
+def test_work_ledger(monkeypatch, workload):
+    counts = collections.Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name, modules in LEDGER_HOOKS.items():
+        for module in modules:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.syspath_prepend(str(BENCH))
+    batch_worker = importlib.import_module("batch_worker")
+    make, build = batch_worker.GENERATORS[workload]
+    draws = make(0, batch_worker.POOL_SIZE[workload])[:LEDGER_DRAWS[workload]]
+    op = batch_worker.operation(workload, build(uavrelay, draws))
+    for i in range(len(draws)):
+        op(i)
+    assert counts == LEDGER[workload]
 
 
 def test_high_snr_computes_each_crossing_power_once(monkeypatch):

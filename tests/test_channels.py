@@ -75,6 +75,15 @@ def test_db_conversions_roundtrip():
     assert db_to_linear(0.0) == 1.0
 
 
+def test_db_values_past_the_float_range_are_refused_by_name():
+    with pytest.raises(ValueError, match=r"^3085.0 dB overflows the linear scale$"):
+        db_to_linear(3085.0)
+    with pytest.raises(ValueError, match=r"^4000.0 dB overflows the linear scale$"):
+        AtgEnvironment(4.88, 0.43, 0.1, 21.0, 2.5e9, 4000.0)  # the noise power
+    with pytest.raises(ValueError, match=r"^5000 dB overflows the linear scale$"):
+        FreeSpaceScenario.from_db(200, 100, 20, 180, 5000, 50, 4)
+
+
 def test_preset_table():
     assert set(ATG_PRESETS) == {"suburban", "urban", "dense-urban", "high-rise"}
     assert ATG_PRESETS["suburban"] == (4.88, 0.43, 0.1, 21.0)
@@ -100,6 +109,9 @@ def test_freespace_scenario_validation():
         FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 201.0, 50.0, 59.0, 4.0)  # d2 > D
     with pytest.raises(ValueError, match=r"^H must be positive and finite, got 0.0$"):
         FreeSpaceScenario.from_db(200.0, 0.0, 30.0, 170.0, 50.0, 59.0, 4.0)
+    for beta1, beta2 in ((0.0, 1e5), (1e5, -1.0), (math.nan, 1e5)):
+        with pytest.raises(ValueError, match=r"^reference gains beta1, beta2 must be positive$"):
+            FreeSpaceScenario(200.0, 120.0, 30.0, 170.0, beta1, beta2, 4.0)
     with pytest.raises(ValueError, match=r"^p_total must be positive and finite, got 0.0$"):
         FreeSpaceScenario.from_db(200.0, 120.0, 30.0, 170.0, 50.0, 59.0, 0.0)
     with pytest.raises(ValueError, match=r"^p_total must be positive and finite, got nan$"):
@@ -248,3 +260,9 @@ def test_environment_validation():
         with pytest.raises(ValueError, match=f"carrier frequency must be positive and finite, "
                                              f"got {bad}"):
             AtgEnvironment(4.88, 0.43, 0.1, 21.0, bad, -93.0)
+        with pytest.raises(ValueError, match=r"^noise power \(dB\) must be finite$"):
+            AtgEnvironment(4.88, 0.43, 0.1, 21.0, 2.5e9, bad)
+    # a positive carrier whose 4 pi f / c underflows: named, not a math domain error
+    with pytest.raises(ValueError, match=r"^carrier frequency 5e-324 Hz underflows 4 pi f / c "
+                                         r"to zero$"):
+        AtgEnvironment(4.88, 0.43, 0.1, 21.0, 5e-324, -93.0)

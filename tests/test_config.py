@@ -12,6 +12,7 @@ from uavrelay import (
     ConfigError,
     FreeSpaceScenario,
     GridSpec,
+    ProfileSpec,
     load_config,
     parse_config,
     replace,
@@ -431,6 +432,11 @@ RULES_IN_CODE = {
         lambda cfg: replace(cfg, fixed_height_m=1e6, solvers=("bcd",)),
         lambda raw: raw.update(fixed_height_m=1e6, solvers=["bcd"]),
         "at <root>: unknown key 'fixed_height_m'"),
+    "profile-on-free-space": (
+        "freespace.json",
+        lambda cfg: replace(cfg, profile=ProfileSpec()),
+        lambda raw: raw.update(profile={"axis": "height"}),
+        "at <root>: unknown key 'profile'"),
     "profile-power-at-the-budget": (
         "atg3d_height_profile.json",
         lambda cfg: replace(cfg, profile=replace(cfg.profile, p1_w=4.0)),

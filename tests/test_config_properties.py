@@ -18,8 +18,10 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uavrelay import ConfigError, parse_config
+from uavrelay import ATG_PRESETS, ConfigError, parse_config
+from uavrelay.config import _MODEL_SWEEPS, _SWEEPS
 
+from test_config import ATG3D_RAW, FREESPACE_RAW, variant
 from test_config_mutations import BASES, DELETE, at, cases, paths
 
 NAMES = ("suburban", "urban", "high-rise", "bcd", "exhaustive", "height", "x",
@@ -47,6 +49,40 @@ MUTATIONS = (st.just(DELETE) | SCALARS | st.lists(JSON_VALUES, max_size=3)
              | st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=3))
 # every (base, path) pair equally often, whatever the size of its base
 TARGETS = [(name, path) for name, base in BASES.items() for path in paths(base)]
+
+
+# bases for the sweep property, two of them near the gain-overflow bound
+SWEEP_BASES = (
+    FREESPACE_RAW,
+    ATG3D_RAW,
+    variant(FREESPACE_RAW, gains_db={"beta1_db": 1040.0, "beta2_db": 1040.0}),
+    variant(ATG3D_RAW, atg={**ATG3D_RAW["atg"], "noise_power_db": -1500.0}),
+)
+# values of each sweep's JSON type: numbers within the float range, as
+# the reader admits them
+SWEEP_VALUES = {
+    "power_budget_w": (st.floats(allow_nan=False, allow_infinity=False)
+                       | st.integers(-(2 ** 1023), 2 ** 1023)
+                       | st.sampled_from([5e-324, 1e-300, 1e300, 1.7976931348623157e308])),
+    "total_blocklength": st.integers(-(2 ** 1023), 2 ** 1023),
+    "packet_bits": st.integers(-(2 ** 1023), 2 ** 1023),
+    "hop2_environment": st.sampled_from(sorted(ATG_PRESETS)),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_sweep_points_build_or_raise_value_error(data):
+    # the config reader builds every sweep point and turns a ValueError into
+    # a ConfigError; no value of a sweep's type may raise anything else
+    raw = data.draw(st.sampled_from(SWEEP_BASES))
+    cfg = parse_config(copy.deepcopy(raw))
+    param = data.draw(st.sampled_from(sorted(_MODEL_SWEEPS[cfg.model])))
+    value = data.draw(SWEEP_VALUES[param])
+    try:
+        _SWEEPS[param][1](cfg.scenario, cfg.blk, value)
+    except ValueError:
+        pass
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uavrelay import FreeSpaceScenario, PowerSplit, cubic_location_candidates
 from uavrelay.cubic import cubic_real_roots, depressed_real_roots
 
 
@@ -115,6 +117,43 @@ def test_roots_below_the_normal_range_scale_with_the_coefficients(rho, kappa, k)
     want = [math.ldexp(r, -k) for r in
             depressed_real_roots(math.ldexp(rho, 2 * k), math.ldexp(kappa, 3 * k))]
     assert depressed_real_roots(rho, kappa) == want
+
+
+def mp_real_roots(*coeffs):
+    """Real roots of the cubic with these float coefficients (highest first),
+    found at 50 digits and rounded to floats, ascending."""
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in coeffs], maxsteps=400, extraprec=2000)
+        return sorted(float(mpmath.re(r)) for r in roots
+                      if abs(mpmath.im(r)) <= mpmath.mpf(10) ** -40 * abs(r))
+
+
+@pytest.mark.parametrize("rho,kappa", [
+    (-1e90, 1.25e155),  # kappa^2 overflows while rho^3 is finite
+    (-5e102, 1.34e154),  # 4 rho^3 is -inf and 27 kappa^2 +inf: a NaN discriminant
+])
+def test_roots_where_the_discriminant_leaves_the_float_range(rho, kappa):
+    # the roots come from a power-of-two rescaled copy, not from an
+    # infinite or NaN discriminant
+    want = mp_real_roots(1.0, 0.0, rho, kappa)
+    got = depressed_real_roots(rho, kappa)
+    assert len(want) == 1
+    assert got == [pytest.approx(want[0], rel=2e-15)]
+
+
+def test_placement_cubic_beyond_the_discriminant_range():
+    # an accepted scenario whose placement cubic has kappa^2 = inf; its one
+    # real root lies near 0, and the shift x = t + D/2 rounds at ulp(D/2)
+    scn = FreeSpaceScenario(1e52, 1.0, 0.0, 1e52, 1.0, 0.999999e104, 1.0)
+    powers = PowerSplit.even(1.0)
+    w1, w2 = scn.beta1 * powers.p1, scn.beta2 * powers.p2
+    c = 2.0 * (scn.D * scn.D + 2.0 + w1 + w2)
+    d = -2.0 * scn.D * (1.0 + w1)
+    want = mp_real_roots(4.0, -6.0 * scn.D, c, d)
+    assert len(want) == 1
+    got = cubic_location_candidates(scn, powers)
+    assert len(got) == 1
+    assert abs(got[0] - want[0]) <= 1e-15 * scn.D
 
 
 def test_general_cubic_shift():

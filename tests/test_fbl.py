@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import scipy.stats
 
 from uavrelay import (
@@ -41,8 +43,8 @@ EPS_REFERENCE = {
 # model at a tolerance, this holds every bit
 EPS_EXACT = {
     (1e-17, 100, 80): 1.0,  # 1 + gamma rounds to 1
-    (1e-12, 100, 80): 1.0,  # margin -7.7e6, clamped to -40
-    (1e4, 100, 80): 0.0,  # margin 47.3, clamped to 40
+    (1e-12, 100, 80): 1.0,  # margin -7.7e6, where Q is exactly 1
+    (1e4, 100, 80): 0.0,  # margin 47.3, where Q is exactly 0
     (10.0, 100, 80): 1.2027363271247615e-05,
     (3.0, 100, 80): 0.9882070741515661,
     (14.900058, 100, 80): 2.894098659784328e-11,
@@ -73,6 +75,17 @@ def test_q_function_symmetry_and_edges():
     # deep tail underflows to zero gracefully rather than raising
     assert q_function(40.0) >= 0.0
     assert q_function(40.0) < 1e-300
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(f=st.floats(40.0, allow_infinity=False) | st.floats(max_value=-40.0, allow_infinity=False))
+@example(f=40.0)
+@example(f=-40.0)
+@example(f=1.7976931348623157e308)
+@example(f=-1.7976931348623157e308)
+def test_q_function_is_flat_beyond_forty(f):
+    # erfc saturates inside +-40, so no margin needs clamping before Q
+    assert q_function(f) == q_function(math.copysign(40.0, f))
 
 
 def test_q_function_rejects_nonfinite():
@@ -124,12 +137,12 @@ def test_error_probability_zero_snr_is_one():
 def test_error_probability_is_one_where_one_plus_snr_rounds_to_one():
     blk = BlocklengthParams(100, 80)
     assert decoding_error_probability(1e-17, blk) == 1.0
-    # just above, the clamped margin gives the same limit value
+    # just above, Q of the large negative margin gives the same limit value
     assert decoding_error_probability(1e-15, blk) == 1.0
     for gamma in (0.0, 1e-17):
         with pytest.raises(ValueError, match="error probability is 1 there"):
             rate_gap(gamma, blk)
-    # tiny but positive SNR: margin clamps, still reports certain failure
+    # tiny but positive SNR: a margin of -7.7e6 still reports certain failure
     assert decoding_error_probability(1e-12, blk) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -146,6 +159,8 @@ def test_rate_gap_requires_positive_snr():
         rate_gap(0.0, blk)
     with pytest.raises(ValueError):
         rate_gap_derivative(-1.0, blk)
+    with pytest.raises(ValueError, match="^rate margin derivative undefined at zero SNR$"):
+        rate_gap_derivative(0.0, blk)
 
 
 def test_rate_gap_derivative_matches_finite_differences(rng):
@@ -232,3 +247,12 @@ def test_af_snr_formula():
     # h1 p1 = 4, h2 p2 = 6, product 24, denominator 4 + 6 + 1
     assert af_snr(2.0, 3.0, ps) == pytest.approx(24.0 / 11.0, rel=1e-15)
     assert af_snr(0.0, 3.0, ps) == 0.0
+
+
+@pytest.mark.parametrize("gain", [-1.0, -5e-324, math.nan, math.inf])
+def test_af_snr_refuses_a_gain_outside_zero_to_inf(gain):
+    ps = PowerSplit(2.0, 2.0)
+    with pytest.raises(ValueError, match=f"^h1 must be a finite non-negative gain, got {gain}$"):
+        af_snr(gain, 3.0, ps)
+    with pytest.raises(ValueError, match=f"^h2 must be a finite non-negative gain, got {gain}$"):
+        af_snr(3.0, gain, ps)

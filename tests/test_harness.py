@@ -251,6 +251,23 @@ def test_profile_degenerate_range():
     assert rows[0][1] == 50.0
 
 
+@pytest.mark.parametrize("profile, message", [
+    ({"axis": "height", "fixed_x_m": 500.0},
+     "fixed profile coordinate 500.0 outside bounds (20.0, 200.0)"),
+    ({"axis": "x", "fixed_height_m": 1.0},
+     "fixed profile coordinate 1.0 outside bounds (10.0, 200.0)"),
+    ({"axis": "height", "range": [5.0, 100.0]},
+     "profile range (5.0, 100.0) outside bounds (10.0, 200.0)"),
+    ({"axis": "x", "range": [20.0, 250.0]},
+     "profile range (20.0, 250.0) outside bounds (20.0, 200.0)"),
+])
+def test_profile_refuses_points_outside_the_box(profile, message):
+    cfg = parse_config(variant(ATG3D_RAW, profile=profile))
+    with pytest.raises(ConfigError) as exc:
+        profile_curves(cfg)
+    assert str(exc.value) == message
+
+
 def test_profile_rejects_freespace():
     cfg = parse_config(copy.deepcopy(FREESPACE_RAW))
     with pytest.raises(ConfigError):

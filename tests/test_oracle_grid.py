@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavrelay import AtgEnvironment, FreeSpaceScenario, oracle, replace
+from uavrelay import AtgEnvironment, FreeSpaceScenario, hop_gains_3d, oracle, replace
 from uavrelay.config import load_config
 from uavrelay.oracle import (
     DEFAULT_POINTS_2D,
@@ -313,6 +313,23 @@ def test_subnormal_rows_are_read_in_full():
     assert_same_2d(scn, *axes_2d(scn, 2, 200))
 
 
+def test_row_gains_past_the_exp_range_match_hop_gains_3d():
+    # a = 80, b = 20: below 44.5 degrees of elevation exp(-b (theta - a))
+    # overflows, and each one-row box takes the limit P_los = 0 as
+    # hop_gains_3d does; both low corners see both hops below that angle
+    env = AtgEnvironment(80.0, 20.0, 0.1, 21.0, CARRIER_HZ, -93.0)
+    scn = replace(make_atg3d("urban"), d1=0.0, env1=env, env2=env)
+    xs, hs = [0.0, 20.0, 100.0, 180.0, 200.0], [10.0, 50.0, 150.0, 200.0]
+    _, box = _atg_rows(scn, xs, hs)
+    steep = 0
+    for i, x in enumerate(xs):
+        for k, h in enumerate(hs):
+            want = hop_gains_3d(scn, x, h)
+            assert box(i, i + 1, k, k + 1) == pytest.approx(want * 2, rel=1e-14), (x, h)
+            steep += sum(math.degrees(math.atan2(h, ground)) < 44.5 for ground in (x, scn.D - x))
+    assert steep > 0
+
+
 def assert_rows_keep_every_cell_at_or_above(kernel, scn, axes, gam, cut):
     # at each row the kernel reads (each read goes through _walk): the row
     # is one of the reference grid's, and read against a floor it reads
@@ -362,7 +379,7 @@ def freespace_draw(D, H, band, beta1_db, beta2_db, budget_exp):
     try:
         return FreeSpaceScenario.from_db(D, H, band[0] * D, band[1] * D, beta1_db, beta2_db,
                                          10.0 ** budget_exp)
-    except (ValueError, OverflowError):
+    except ValueError:
         return None  # refused at construction
 
 
@@ -371,7 +388,7 @@ def atg_draw(hop1, hop2, noise_db, budget_exp):
         return replace(make_atg3d("urban"), p_total=10.0 ** budget_exp,
                        env1=AtgEnvironment.from_preset(hop1, CARRIER_HZ, noise_db),
                        env2=AtgEnvironment.from_preset(hop2, CARRIER_HZ, noise_db))
-    except (ValueError, OverflowError):
+    except ValueError:
         return None  # refused at construction
 
 

@@ -34,6 +34,21 @@ def test_golden_section_degenerate_interval():
         golden_section_max(lambda t: t, 5.0, 4.0, tol=1e-10)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10])
+def test_golden_section_refuses_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match=f"^tolerance must be positive, got {tol}$"):
+        golden_section_max(lambda t: t, 0.0, 1.0, tol)
+
+
+def test_line_search_degenerate_interval():
+    # a one-point interval is that point, evaluated once
+    calls = []
+    assert line_search_max(lambda t: calls.append(t) or -t, 4.0, 4.0, 1e-10) == (4.0, -4.0)
+    assert calls == [4.0]
+    with pytest.raises(ValueError, match=r"^empty interval \[5.0, 4.0\]$"):
+        line_search_max(lambda t: t, 5.0, 4.0, 1e-10)
+
+
 def test_golden_section_nonsmooth_peak():
     x, _ = golden_section_max(lambda t: -abs(t - 2.5), 0.0, 10.0, tol=1e-12)
     assert x == pytest.approx(2.5, abs=1e-9)
