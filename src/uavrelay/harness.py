@@ -160,16 +160,13 @@ def profile_curves(
 
     coords = profile_coordinates(lo, hi, prof.step_m)
 
-    # hop_gains_3d by its module attribute, so a wrapper set on it sees the calls
     rows: list[tuple[str, float, float]] = []
     for preset in prof.hop2_presets:
         env_scn = _with_env2(scn, preset)
-        if axis:
-            rows.extend((preset, h, af_snr(*atg3d.hop_gains_3d(env_scn, fixed, h), powers))
-                        for h in coords)
-        else:
-            rows.extend((preset, x, af_snr(*atg3d.hop_gains_3d(env_scn, x, fixed), powers))
-                        for x in coords)
+        for t in coords:
+            x, h = (fixed, t) if axis else (t, fixed)
+            # by the module attribute, so a wrapper set on it sees the call
+            rows.append((preset, t, af_snr(*atg3d.hop_gains_3d(env_scn, x, h), powers)))
     return ("x_m", "height_m")[axis], rows
 
 
