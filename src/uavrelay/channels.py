@@ -171,12 +171,12 @@ class AtgEnvironment(Record):
         noise = db_to_linear(noise_power_db)
         if noise == 0.0:
             raise ValueError(f"noise power {noise_power_db} dB underflows to zero watts")
-        wavenumber = 4.0 * math.pi * carrier_hz / SPEED_OF_LIGHT
-        if wavenumber == 0.0:
+        four_pi_f_over_c = 4.0 * math.pi * carrier_hz / SPEED_OF_LIGHT
+        if four_pi_f_over_c == 0.0:
             raise ValueError(f"carrier frequency {carrier_hz} Hz underflows 4 pi f / c to zero")
         # C = 20 log10(4 pi f_c / c) + eta_nlos, the distance-free loss term,
         # and A = eta_los - eta_nlos <= 0, the LoS advantage in dB
-        offset_db = 20.0 * math.log10(wavenumber) + excess_loss_nlos_db
+        offset_db = 20.0 * math.log10(four_pi_f_over_c) + excess_loss_nlos_db
         gap_db = excess_loss_los_db - excess_loss_nlos_db
         self._fill(s_curve_a, s_curve_b, excess_loss_los_db, excess_loss_nlos_db, carrier_hz,
                    noise_power_db, db_to_linear(-offset_db) / noise, -gap_db / 10.0)

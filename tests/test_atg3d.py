@@ -430,8 +430,9 @@ def test_degrees_constant_matches_math_degrees(t):
 
 
 def test_memo_keys_are_exact(blk):
-    # the memo keys on floats: 0.0 == -0.0 share a key, so both must give
-    # the same gains, and NaN never equals a key, so it must raise each time
+    # the line blocks key gains on floats: 0.0 == -0.0 share a key, so both
+    # must give the same gains, and NaN never equals a key, so it must raise
+    # each time
     for hop1, hop2 in itertools.product(ATG_PRESETS, repeat=2):
         scn = Atg3dScenario(200.0, 0.0, 200.0, 10.0, 200.0,
                             AtgEnvironment.from_preset(hop1, CARRIER_HZ, -93.0),

@@ -53,7 +53,7 @@ def test_tracer_installs_and_uninstalls_on_every_hook_point():
 
 
 def test_traced_gain_spans_equal_the_real_evaluations(monkeypatch):
-    # the solvers' gain memo calls atg3d.hop_gains_3d at call time, so the
+    # the solvers' line blocks call atg3d.hop_gains_3d at call time, so the
     # tracer's wrapper records one span per real evaluation
     scn = make_atg3d("dense-urban")
     calls = []
