@@ -28,7 +28,7 @@ _EXPORTS = {
         ("fbl", "BlocklengthParams PowerSplit af_snr channel_dispersion "
                 "decoding_error_probability q_function rate_gap rate_gap_derivative"),
         ("freespace", "SolveResult bcd_solve cubic_location_candidates "
-                      "optimal_location_given_power optimal_power_for_gains snr_at"),
+                      "optimal_location_given_power optimal_power_for_gains"),
         ("harness", "profile_curves run_experiment write_profile_csv write_rows_csv "
                     "write_rows_json write_traces_json"),
         ("highsnr", "gamma_tilde high_snr_solve unconstrained_location"),

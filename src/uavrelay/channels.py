@@ -178,8 +178,13 @@ class AtgEnvironment(Record):
         # and A = eta_los - eta_nlos <= 0, the LoS advantage in dB
         offset_db = 20.0 * math.log10(four_pi_f_over_c) + excess_loss_nlos_db
         gap_db = excess_loss_los_db - excess_loss_nlos_db
+        try:
+            gain_at_1m = db_to_linear(-offset_db)
+        except ValueError:  # -C is no input: name the inputs it comes from
+            raise ValueError(f"carrier {carrier_hz} Hz with NLoS excess loss {excess_loss_nlos_db} "
+                             "dB gives a gain at 1 m beyond the float range") from None
         self._fill(s_curve_a, s_curve_b, excess_loss_los_db, excess_loss_nlos_db, carrier_hz,
-                   noise_power_db, db_to_linear(-offset_db) / noise, -gap_db / 10.0)
+                   noise_power_db, gain_at_1m / noise, -gap_db / 10.0)
 
     @classmethod
     def from_preset(cls, name: str, carrier_hz: float, noise_power_db: float) -> "AtgEnvironment":

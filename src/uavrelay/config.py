@@ -233,12 +233,8 @@ def _fail(path: tuple, message: str):
     raise ConfigError(f"config schema violation at {_where(path)}: {message}")
 
 
-def _is_number(node) -> bool:
-    return isinstance(node, numbers.Real) and not isinstance(node, bool)
-
-
 def _check_number(node, kind: str, path: tuple) -> None:
-    if not _is_number(node):
+    if not isinstance(node, numbers.Real) or isinstance(node, bool):
         _fail(path, f"{node!r} is not a number")
     try:
         finite = math.isfinite(node)
@@ -290,10 +286,8 @@ def _check(node, spec, path: tuple = ()) -> None:
 def _build_environment(spec, carrier_hz: float, noise_power_db: float) -> AtgEnvironment:
     if isinstance(spec, str):
         return AtgEnvironment.from_preset(spec, carrier_hz, noise_power_db)
-    return AtgEnvironment(
-        spec["a"], spec["b"], spec["excess_loss_los_db"], spec["excess_loss_nlos_db"],
-        carrier_hz, noise_power_db,
-    )
+    # _ENVIRONMENT lists the keys in the constructor's order
+    return AtgEnvironment(*(spec[key] for key in _ENVIRONMENT[0]), carrier_hz, noise_power_db)
 
 
 def _build_blocklength(raw: dict) -> BlocklengthParams:

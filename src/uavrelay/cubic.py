@@ -19,6 +19,9 @@ BOUNDARY_RTOL = 1e-9
 _NORMAL_MIN = sys.float_info.min
 # Below this, 4 rho^3 + 27 kappa^2 stays inside the float range.
 _DISC_SAFE_MAX = sys.float_info.max / 32
+# cubic_real_roots polishes a root below this times the shift |b / (3a)|: the
+# shift has cancelled over half of its bits, and its ulps may exceed the root
+_CANCELLED = 2.0 ** -26
 
 
 def _cbrt(v: float) -> float:
@@ -36,6 +39,7 @@ def _three_real(rho: float, kappa: float) -> list[float]:
 
 
 def _merge_close(roots: list[float], tol: float) -> list[float]:
+    # the ascending roots less each one within tol above the last one kept
     out = [roots[0]]
     for r in roots[1:]:
         if r - out[-1] > tol:
@@ -103,8 +107,8 @@ def depressed_real_roots(rho: float, kappa: float) -> list[float]:
 def cubic_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
     """Real roots of a x^3 + b x^2 + c x + d = 0 with a != 0, ascending.
 
-    Depresses the cubic with the shift x = t - b/(3a) and applies
-    ``depressed_real_roots``.
+    Depresses the cubic with the shift x = t - b/(3a), applies
+    ``depressed_real_roots`` and polishes a root that the shift cancels.
     """
     if a == 0.0:
         raise ValueError("leading coefficient must be non-zero")
@@ -112,7 +116,24 @@ def cubic_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
     kappa = (2.0 * b ** 3 - 9.0 * a * b * c + 27.0 * a * a * d) / (27.0 * a ** 3)
     shift = -b / (3.0 * a)
     roots = depressed_real_roots(rho, kappa)
-    if len(roots) == 1:
-        return [roots[0] + shift]
+    reach = _CANCELLED * abs(shift)
     # rounded addition of one shift never reverses two roots, so they stay ascending
-    return [t + shift for t in roots]
+    xs = [roots[0] + shift] if len(roots) == 1 else [t + shift for t in roots]
+    if xs[0] < reach and xs[-1] > -reach:  # a root may lie in (-reach, reach)
+        return _polish(a, b, c, d, xs, reach)
+    return xs
+
+
+def _polish(a: float, b: float, c: float, d: float, xs: list[float], reach: float) -> list[float]:
+    # xs, each root below reach refined by Newton steps in Horner form from -d / c,
+    # the linear part's root; a refined root within reach and no worse stands
+    cubic = lambda v: ((a * v + b) * v + c) * v + d
+    for i, x in enumerate(xs):
+        if abs(x) < reach:
+            y = -d / c if c else x
+            for _ in range(8):
+                slope = (3.0 * a * y + 2.0 * b) * y + c
+                y -= cubic(y) / slope if slope else 0.0
+            if abs(y - x) <= reach and abs(cubic(y)) <= abs(cubic(x)):
+                xs[i] = y
+    return sorted(xs)

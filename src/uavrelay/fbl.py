@@ -84,10 +84,6 @@ class BlocklengthParams(Record):
                 )
         self._fill(packet_bits, total_blocklength, bandwidth_hz, latency_s)
 
-    @property
-    def per_hop_blocklength(self) -> int:
-        return self.total_blocklength // 2
-
     @classmethod
     def from_bandwidth_latency(
         cls, packet_bits: int, bandwidth_hz: float, latency_s: float
@@ -154,7 +150,7 @@ def rate_gap_derivative(gamma: float, blk: BlocklengthParams) -> float:
     _check_snr(gamma)
     if gamma == 0.0:
         raise ValueError("rate margin derivative undefined at zero SNR")
-    m = blk.per_hop_blocklength
+    m = blk.total_blocklength // 2
     # (1+gamma)^2 - 1, written to keep precision for small gamma
     shifted = gamma * (gamma + 2.0)
     scaled_gap = math.log1p(gamma) - blk.packet_bits * LN2 / m

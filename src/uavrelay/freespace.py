@@ -13,7 +13,7 @@ import math
 
 from ._record import Record
 from .channels import FreeSpaceScenario, freespace_gains
-from .cubic import cubic_real_roots
+from .cubic import _merge_close, cubic_real_roots
 from .fbl import BlocklengthParams, PowerSplit, af_snr, decoding_error_probability
 
 # Stop rule of coordinate_ascent, shared by every alternating solver.
@@ -88,12 +88,6 @@ def power_block(p_total: float):
     return block
 
 
-def snr_at(scn: FreeSpaceScenario, x: float, powers: PowerSplit) -> float:
-    """End-to-end SNR at ground offset x under the given power split."""
-    h1, h2 = freespace_gains(scn, x)
-    return af_snr(h1, h2, powers)
-
-
 def optimal_power_for_gains(h1: float, h2: float, p_total: float) -> PowerSplit:
     """SNR-optimal power split for fixed hop gains, spending the full budget.
 
@@ -129,11 +123,8 @@ def cubic_location_candidates(scn: FreeSpaceScenario, powers: PowerSplit) -> lis
     w1, w2 = scn.beta1 * powers.p1, scn.beta2 * powers.p2
     c = 2.0 * (D * D + 2.0 * h_sq + w1 + w2)
     d = -2.0 * D * (h_sq + w1)
-    deduped: list[float] = []
-    for r in cubic_real_roots(4.0, -6.0 * D, c, d):
-        if not deduped or r - deduped[-1] > 1e-9 * D:
-            deduped.append(r)
-    return deduped
+    roots = cubic_real_roots(4.0, -6.0 * D, c, d)
+    return _merge_close(roots, 1e-9 * D) if len(roots) > 1 else roots
 
 
 def optimal_location_given_power(scn: FreeSpaceScenario, powers: PowerSplit) -> float:

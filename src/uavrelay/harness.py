@@ -115,10 +115,7 @@ def write_rows_json(rows, path: str) -> None:
         fh.write("\n")
 
 
-def write_traces_json(traces: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(traces, fh, indent=2)
-        fh.write("\n")
+write_traces_json = write_rows_json
 
 
 def profile_curves(

@@ -29,9 +29,10 @@ from __future__ import annotations
 import math
 import sys
 
+from . import freespace
 from .channels import FreeSpaceScenario
-from .fbl import BlocklengthParams, PowerSplit, decoding_error_probability
-from .freespace import SolveResult, snr_at
+from .fbl import BlocklengthParams, PowerSplit, af_snr, decoding_error_probability
+from .freespace import SolveResult
 from .search import golden_section_max
 
 # Interval width target for the golden-section power search, relative to
@@ -229,6 +230,8 @@ def high_snr_solve(scn: FreeSpaceScenario, blk: BlocklengthParams) -> SolveResul
             if case[0] > best[0]:
                 best = case
     _, x, powers = best
-    gamma = snr_at(scn, x, powers)
+    # by the module attribute, so a wrapper set on it sees the call
+    h1, h2 = freespace.freespace_gains(scn, x)
+    gamma = af_snr(h1, h2, powers)
     eps = decoding_error_probability(gamma, blk)
     return SolveResult("high-snr", x, scn.H, powers, gamma, eps, (gamma,))

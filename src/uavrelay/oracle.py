@@ -31,9 +31,8 @@ from .freespace import (
     optimal_location_given_power,
     optimal_power_for_gains,
     power_block,
-    snr_at,
 )
-from .search import golden_section_max
+from .search import _linspace, golden_section_max
 
 # Relative margin by which a box's gains and its bound are widened before
 # they prune, and a walk's stopping value narrowed: far above the few ulps
@@ -51,32 +50,6 @@ def _resolve_blk(scn, blk: BlocklengthParams | None) -> BlocklengthParams:
     if isinstance(scn, Atg3dScenario):
         return scn.blk
     raise ValueError("blocklength parameters are required for this scenario type")
-
-
-def _refine_axis(f, center: float, step: float, lo: float, hi: float,
-                 best: tuple[float, float]) -> tuple[float, float]:
-    # one golden-section polish inside +/- one grid step around the best cell
-    a = max(lo, center - step)
-    b = min(hi, center + step)
-    if b <= a:
-        return best
-    x, v = golden_section_max(f, a, b, tol=max(step * 1e-6, 1e-12))
-    if v > best[1]:
-        return x, v
-    return best
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """``np.linspace(lo, hi, n).tolist()`` for n >= 2, on plain floats."""
-    div = n - 1
-    delta = hi - lo
-    step = delta / div
-    if step == 0.0:  # numpy's path for a span too small to divide
-        points = [i / div * delta + lo for i in range(n)]
-    else:
-        points = [i * step + lo for i in range(n)]
-    points[-1] = hi
-    return points
 
 
 def _peak_bound(g1: float, g2: float, pt: float, low: float) -> tuple[bool, float]:
@@ -297,7 +270,8 @@ def exhaustive_search(
             raise ValueError("height axis only applies to the air-to-ground model")
         n = DEFAULT_POINTS_2D
         bounds = ((scn.d1, scn.d2, grid.x), (0.0, pt, grid.p1))
-        snr = lambda x, p: snr_at(scn, x, PowerSplit(p, pt - p))
+        # by the module attribute, so a wrapper set on it sees the call
+        snr = lambda x, p: af_snr(*freespace.freespace_gains(scn, x), PowerSplit(p, pt - p))
         rows = _freespace_rows
     axes = [_linspace(lo, hi, n if points is None else points) for lo, hi, points in bounds]
 
@@ -305,9 +279,14 @@ def exhaustive_search(
     index = (*divmod(r, len(axes[1])), j) if len(axes) == 3 else (r, j)
     point = [axis[i] for axis, i in zip(axes, index)]
     for k, (axis, (lo, hi, _)) in enumerate(zip(axes, bounds)):
-        f = lambda t: snr(*point[:k], t, *point[k + 1:])
-        point[k], v_best = _refine_axis(f, point[k], axis[1] - axis[0], lo, hi,
-                                        (point[k], v_best))
+        # one golden-section polish inside +/- one grid step around the best cell
+        step = axis[1] - axis[0]
+        a, b = max(lo, point[k] - step), min(hi, point[k] + step)
+        if b > a:
+            t, v = golden_section_max(lambda t: snr(*point[:k], t, *point[k + 1:]), a, b,
+                                      tol=max(step * 1e-6, 1e-12))
+            if v > v_best:
+                point[k], v_best = t, v
 
     gamma = snr(*point)
     eps = decoding_error_probability(gamma, blk)
@@ -346,7 +325,8 @@ def fixed_power_baseline(
                        0.5 * (scn.h_min + scn.h_max), powers,
                        (_line_block(scn, 1), _line_block(scn, 0)))
     x = optimal_location_given_power(scn, powers)
-    gamma = snr_at(scn, x, powers)
+    h1, h2 = freespace.freespace_gains(scn, x)
+    gamma = af_snr(h1, h2, powers)
     eps = decoding_error_probability(gamma, blk)
     return SolveResult("fixed-power", x, scn.H, powers, gamma, eps, (gamma,))
 

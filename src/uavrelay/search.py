@@ -60,6 +60,19 @@ def golden_section_max(
     return _best_of(f, (lo, 0.5 * (a + b), hi))
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n).tolist()`` for n >= 2, on plain floats."""
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:  # numpy's path for a span too small to divide
+        points = [i / div * delta + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    points[-1] = hi
+    return points
+
+
 def interior_local_maxima(values: Sequence[float]) -> list[int]:
     """Indices 0 < i < n-1 where values[i] strictly exceeds both neighbours."""
     return [
@@ -86,14 +99,13 @@ def line_search_max(
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
         return lo, f(lo)
-    # the last point is pinned to hi: lo + (hi - lo) * n / n can round past it
-    xs = [lo + (hi - lo) * i / (PRESAMPLES - 1) for i in range(PRESAMPLES - 1)] + [hi]
+    xs = _linspace(lo, hi, PRESAMPLES)
     vals = [f(x) for x in xs]
     if len(interior_local_maxima(vals)) <= 1:
         x_best, v_best = golden_section_max(f, lo, hi, tol)
     else:
         step = (hi - lo) / (FALLBACK_POINTS - 1)
-        grid = [lo + step * i for i in range(FALLBACK_POINTS - 1)] + [hi]
+        grid = _linspace(lo, hi, FALLBACK_POINTS)
         grid_vals = [f(x) for x in grid]
         # the first point of the largest value; a NaN wins only as the first point
         i = grid_vals.index(max(grid_vals))

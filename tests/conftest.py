@@ -11,6 +11,7 @@ from uavrelay import (
     BlocklengthParams,
     FreeSpaceScenario,
     af_snr,
+    freespace_gains,
     hop_gains_3d,
 )
 from uavrelay import atg3d, highsnr
@@ -95,6 +96,11 @@ def make_atg3d(hop2_preset, blk=None, p_total=4.0):
 def point_snr(scn, x, height, powers):
     """The end-to-end SNR of an air-to-ground scenario at one point."""
     return af_snr(*hop_gains_3d(scn, x, height), powers)
+
+
+def freespace_snr(scn, x, powers):
+    """The end-to-end SNR of a free-space scenario at ground offset x."""
+    return af_snr(*freespace_gains(scn, x), powers)
 
 
 def line_block_move(scn, axis, fixed, powers):

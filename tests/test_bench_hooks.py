@@ -203,6 +203,29 @@ LEDGER = {
 }
 
 
+# The rest of the ledger, over the same draws: each solver's summed
+# iterations (its bcd cycles; one for a one-shot solver), and the line
+# searches' objective evaluations, calls and dense-grid fallbacks.
+SOLVE_LEDGER = {
+    "freespace-batch": {"bcd": 2577, "high-snr": 512, "fixed-location": 512,
+                        "fixed-power": 512},
+    "atg3d-batch": {"bcd": 592, "fixed-power": 207, "fixed-height": 530, "fixed-location": 64,
+                    "line_search_max evaluations": 83712, "line_search_max calls": 1886,
+                    "line_search_max fallbacks": 9},
+}
+
+
+def ledger_solves(monkeypatch, workload: str) -> list:
+    """The results of the first LEDGER_DRAWS draws of the seed-0 pool,
+    solved as bench/batch_worker.py solves them."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    batch_worker = importlib.import_module("batch_worker")
+    make, build = batch_worker.GENERATORS[workload]
+    draws = make(0, batch_worker.POOL_SIZE[workload])[:LEDGER_DRAWS[workload]]
+    op = batch_worker.operation(workload, build(uavrelay, draws))
+    return [op(i) for i in range(len(draws))]
+
+
 @pytest.mark.parametrize("workload", LEDGER)
 def test_work_ledger(monkeypatch, workload):
     counts = collections.Counter()
@@ -217,14 +240,33 @@ def test_work_ledger(monkeypatch, workload):
     for name, modules in LEDGER_HOOKS.items():
         for module in modules:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    monkeypatch.syspath_prepend(str(BENCH))
-    batch_worker = importlib.import_module("batch_worker")
-    make, build = batch_worker.GENERATORS[workload]
-    draws = make(0, batch_worker.POOL_SIZE[workload])[:LEDGER_DRAWS[workload]]
-    op = batch_worker.operation(workload, build(uavrelay, draws))
-    for i in range(len(draws)):
-        op(i)
+    ledger_solves(monkeypatch, workload)
     assert counts == LEDGER[workload]
+
+
+@pytest.mark.parametrize("workload", SOLVE_LEDGER)
+def test_work_ledger_of_cycles_and_line_search_evaluations(monkeypatch, workload):
+    counts = collections.Counter()
+    line_search = atg3d.line_search_max
+
+    def counted_search(f, *args):
+        evals = [0]
+
+        def objective(x):
+            evals[0] += 1
+            return f(x)
+
+        result = line_search(objective, *args)
+        counts["line_search_max calls"] += 1
+        counts["line_search_max evaluations"] += evals[0]
+        counts["line_search_max fallbacks"] += evals[0] >= search.FALLBACK_POINTS
+        return result
+
+    monkeypatch.setattr(atg3d, "line_search_max", counted_search)
+    for results in ledger_solves(monkeypatch, workload):
+        for res in results:
+            counts[res.solver] += res.iterations
+    assert counts == SOLVE_LEDGER[workload]
 
 
 def test_high_snr_computes_each_crossing_power_once(monkeypatch):

@@ -7,9 +7,12 @@ implementation, built from the preset table and the textbook formulas.
 """
 
 import math
+import sys
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavrelay import (
     ATG_PRESETS,
@@ -82,6 +85,27 @@ def test_db_values_past_the_float_range_are_refused_by_name():
         AtgEnvironment(4.88, 0.43, 0.1, 21.0, 2.5e9, 4000.0)  # the noise power
     with pytest.raises(ValueError, match=r"^5000 dB overflows the linear scale$"):
         FreeSpaceScenario.from_db(200, 100, 20, 180, 5000, 50, 4)
+
+
+@pytest.mark.parametrize("carrier_hz,eta_los,eta_nlos", [
+    (1e-200, 0.1, 21.0),  # 20 log10(4 pi f / c) is about -4147.6 dB
+    (2.5e9, -5000.0, -4000.0),  # an NLoS excess loss far below 0 dB
+])
+def test_an_overflowing_distance_free_loss_names_the_carrier_and_nlos_loss(
+        carrier_hz, eta_los, eta_nlos):
+    # the dB value that overflows is -C = -(20 log10(4 pi f / c) + eta_nlos),
+    # which the caller never gave; the refusal names the inputs it comes from
+    with pytest.raises(ValueError, match=rf"^carrier {carrier_hz} Hz with NLoS excess loss "
+                                         rf"{eta_nlos} dB gives a gain at 1 m beyond the float "
+                                         rf"range$"):
+        AtgEnvironment(4.88, 0.43, eta_los, eta_nlos, carrier_hz, -93.0)
+
+
+def test_large_finite_distance_free_gains_are_accepted():
+    # -C of about 2127 dB and 959 dB: inside the float range, so built as before
+    for carrier_hz, eta_los, eta_nlos in ((1e-100, 0.1, 21.0), (2.5e9, -5000.0, -1000.0)):
+        env = AtgEnvironment(4.88, 0.43, eta_los, eta_nlos, carrier_hz, -93.0)
+        assert 0.0 < env.gain_scale < math.inf
 
 
 def test_preset_table():
@@ -266,3 +290,94 @@ def test_environment_validation():
     with pytest.raises(ValueError, match=r"^carrier frequency 5e-324 Hz underflows 4 pi f / c "
                                          r"to zero$"):
         AtgEnvironment(4.88, 0.43, 0.1, 21.0, 5e-324, -93.0)
+
+
+# Floats of both signs: any float (NaN and the infinities included), the
+# edges of the float range, and subnormal and near-overflow magnitudes
+_EDGES = [0.0, 5e-324, sys.float_info.min, 1e-300, 1e154, 1e300, sys.float_info.max, math.inf]
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from(_EDGES + [-v for v in _EDGES] + [math.nan]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(1e150, sys.float_info.max).flatmap(lambda v: st.sampled_from((v, -v))),
+)
+# positive finite magnitudes, from the smallest subnormal to the largest
+# float, and ordinary ones
+POSITIVE = st.one_of(st.floats(5e-324, sys.float_info.max),
+                     st.sampled_from([v for v in _EDGES if 0.0 < v < math.inf]),
+                     st.floats(0.5, 500.0))
+DB = st.one_of(st.floats(-4000.0, 4000.0), st.floats(-200.0, 200.0))
+FRACTION = st.floats(0.0, 1.0)
+
+
+@st.composite
+def spoiled(draw, args, floats=None):
+    """args, a list of values in the order and ranges the constructor
+    checks, with up to two of them (of the indices in floats, all by
+    default) replaced by any float."""
+    args = list(args)
+    floats = range(len(args)) if floats is None else floats
+    for i in draw(st.lists(st.sampled_from(floats), max_size=2)):
+        args[i] = draw(ANY_FLOAT)
+    return args
+
+
+@st.composite
+def ground(draw):
+    # D, d1, d2 with 0 <= d1 < d2 <= D before rounding
+    D = draw(POSITIVE)
+    lo, hi = sorted((draw(FRACTION), draw(FRACTION)))
+    return [D, D * lo, D * hi]
+
+
+@st.composite
+def free_space_args(draw, gains):
+    D, d1, d2 = draw(ground())
+    return draw(spoiled([D, draw(POSITIVE), d1, d2, draw(gains), draw(gains), draw(POSITIVE)]))
+
+
+@st.composite
+def environment_args(draw):
+    los = draw(DB)
+    nlos = los + draw(st.floats(0.0, 100.0))
+    return draw(spoiled([draw(POSITIVE), draw(POSITIVE), los, nlos, draw(POSITIVE), draw(DB)]))
+
+
+@st.composite
+def environments(draw):
+    # a drawn environment where one builds, else a preset
+    try:
+        return AtgEnvironment(*draw(environment_args()))
+    except ValueError:
+        return AtgEnvironment.from_preset(draw(st.sampled_from(sorted(ATG_PRESETS))),
+                                          2.5e9, -93.0)
+
+
+@st.composite
+def atg3d_args(draw):
+    D, d1, d2 = draw(ground())
+    h_min = draw(POSITIVE)
+    return draw(spoiled([D, d1, d2, h_min, h_min + draw(POSITIVE), draw(environments()),
+                         draw(environments()), draw(POSITIVE), BlocklengthParams(100, 80)],
+                        floats=(0, 1, 2, 3, 4, 7)))
+
+
+CONSTRUCTORS = {
+    "FreeSpaceScenario": (FreeSpaceScenario, free_space_args(POSITIVE)),
+    "FreeSpaceScenario.from_db": (FreeSpaceScenario.from_db, free_space_args(DB)),
+    "AtgEnvironment": (AtgEnvironment, environment_args()),
+    "Atg3dScenario": (Atg3dScenario, atg3d_args()),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_constructors_build_or_refuse_with_value_error(name, data):
+    # any other exception (OverflowError, ZeroDivisionError, a math domain
+    # error) escapes and fails the property
+    build, args = CONSTRUCTORS[name]
+    try:
+        build(*data.draw(args))
+    except ValueError:
+        pass

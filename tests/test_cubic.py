@@ -128,6 +128,22 @@ def mp_real_roots(*coeffs):
                       if abs(mpmath.im(r)) <= mpmath.mpf(10) ** -40 * abs(r))
 
 
+def mp_root_near(x0, *coeffs):
+    """The real root next to x0 of the cubic with these float coefficients
+    (highest first), found by Newton's method at 60 digits and rounded to a
+    float.  Unlike mp_real_roots, it keeps its relative accuracy on a root
+    far smaller than the others."""
+    with mpmath.workdps(60):
+        # in z = x / x0, whose root is near 1, with the cubic scaled to
+        # order 1 there, as findroot's tolerances are absolute
+        a, b, c, d = (mpmath.mpf(v) for v in coeffs)
+        u = mpmath.mpf(x0)
+        a, b, c = a * u ** 3, b * u ** 2, c * u
+        norm = abs(a) + abs(b) + abs(c) + abs(d)
+        z = mpmath.findroot(lambda z: (((a * z + b) * z + c) * z + d) / norm, mpmath.mpf(1))
+        return float(z * u)
+
+
 @pytest.mark.parametrize("rho,kappa", [
     (-1e90, 1.25e155),  # kappa^2 overflows while rho^3 is finite
     (-5e102, 1.34e154),  # 4 rho^3 is -inf and 27 kappa^2 +inf: a NaN discriminant
@@ -143,17 +159,35 @@ def test_roots_where_the_discriminant_leaves_the_float_range(rho, kappa):
 
 def test_placement_cubic_beyond_the_discriminant_range():
     # an accepted scenario whose placement cubic has kappa^2 = inf; its one
-    # real root lies near 0, and the shift x = t + D/2 rounds at ulp(D/2)
+    # real root, ~1e-52, lies far below ulp(D/2), the rounding of the shift
+    # x = t + D/2, and is polished on the cubic itself
     scn = FreeSpaceScenario(1e52, 1.0, 0.0, 1e52, 1.0, 0.999999e104, 1.0)
     powers = PowerSplit.even(1.0)
     w1, w2 = scn.beta1 * powers.p1, scn.beta2 * powers.p2
     c = 2.0 * (scn.D * scn.D + 2.0 + w1 + w2)
     d = -2.0 * scn.D * (1.0 + w1)
-    want = mp_real_roots(4.0, -6.0 * scn.D, c, d)
-    assert len(want) == 1
-    got = cubic_location_candidates(scn, powers)
-    assert len(got) == 1
-    assert abs(got[0] - want[0]) <= 1e-15 * scn.D
+    assert len(mp_real_roots(4.0, -6.0 * scn.D, c, d)) == 1
+    want = mp_root_near(-d / c, 4.0, -6.0 * scn.D, c, d)
+    assert cubic_location_candidates(scn, powers) == [pytest.approx(want, rel=1e-14, abs=0.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.1, 10.0), st.floats(-50.0, 45.0),
+       st.one_of(st.floats(-2.0, -0.5), st.floats(0.5, 2.0)),
+       st.floats(0.1, 2.0), st.floats(9.0, 60.0), st.booleans())
+@example(1.0, 0.0, 1.0, 1.0, 9.0, False)
+def test_one_tiny_root_survives_the_shift(a, scale_exp, u, v, tiny_exp, negative):
+    # a (x - r)(x^2 - 2 s u x + s^2 (u^2 + v^2)) has one real root r, with
+    # |r| <= 1e-9 s; the shift b / (3a), near 2 s u / 3 with |u| >= 0.5, is
+    # over 1e8 times larger, so t + shift cancels more than half of the bits
+    # of r, which must still come out to the relative accuracy of its float
+    # coefficients
+    s = 10.0 ** scale_exp
+    r = math.copysign(s * 10.0 ** -tiny_exp, -1.0 if negative else 1.0)
+    p, q = -2.0 * s * u, s * s * (u * u + v * v)
+    b, c, d = a * (p - r), a * (q - r * p), -a * r * q
+    want = mp_root_near(r, a, b, c, d)
+    assert cubic_real_roots(a, b, c, d) == [pytest.approx(want, rel=1e-12, abs=0.0)]
 
 
 def test_general_cubic_shift():

@@ -181,7 +181,7 @@ def test_rate_gap_derivative_lower_bound(rng):
         bits = int(rng.integers(32, 513))
         m_total = 2 * int(rng.integers(8, 257))
         blk = BlocklengthParams(bits, m_total)
-        m = blk.per_hop_blocklength
+        m = m_total // 2
         bound = math.sqrt(m) / (2.0 * math.sqrt(g * (g + 2.0)))
         assert rate_gap_derivative(g, blk) >= bound * (1.0 - 1e-12)
 
@@ -201,8 +201,6 @@ def test_blocklength_params_validation():
         BlocklengthParams(100, 79)  # odd
     with pytest.raises(ValueError):
         BlocklengthParams(100, 0)
-    blk = BlocklengthParams(100, 80)
-    assert blk.per_hop_blocklength == 40.0
 
 
 def test_blocklength_from_bandwidth_latency():

@@ -35,12 +35,11 @@ from uavrelay import (
     optimal_location_given_power,
     optimal_power_for_gains,
     replace,
-    snr_at,
 )
 from uavrelay import freespace
 from uavrelay.freespace import BCD_MAX_ITERS
 
-from conftest import (count_golden_sections, high_snr_cases, high_snr_winner,
+from conftest import (count_golden_sections, freespace_snr, high_snr_cases, high_snr_winner,
                       random_freespace, rewrite_golden, solve_record)
 
 
@@ -62,11 +61,15 @@ def grid_location_argmax(scn, powers, step=0.001):
     return float(xs[int(np.argmax(num / den))])
 
 
-def test_snr_at_consistency(freespace_scn):
-    ps = PowerSplit(1.0, 3.0)
-    h1, h2 = freespace_gains(freespace_scn, 80.0)
-    want = h1 * h2 * 1.0 * 3.0 / (h1 * 1.0 + h2 * 3.0 + 1.0)
-    assert snr_at(freespace_scn, 80.0, ps) == pytest.approx(want, rel=1e-14)
+def test_reported_snr_is_the_af_snr_at_the_solved_point(freespace_scn, blk):
+    # each solver scores its placement and split by the AF formula at the hop gains
+    for res in (bcd_solve(freespace_scn, blk), high_snr_solve(freespace_scn, blk),
+                fixed_location_baseline(freespace_scn, blk),
+                fixed_power_baseline(freespace_scn, blk)):
+        h1, h2 = freespace_gains(freespace_scn, res.x)
+        p1, p2 = res.powers.p1, res.powers.p2
+        want = h1 * h2 * p1 * p2 / (h1 * p1 + h2 * p2 + 1.0)
+        assert res.snr == pytest.approx(want, rel=1e-14), res.solver
 
 
 def test_power_split_matches_grid(rng):
@@ -87,10 +90,10 @@ def test_power_split_stationarity(rng):
         x = float(rng.uniform(scn.d1, scn.d2))
         h1, h2 = freespace_gains(scn, x)
         ps = optimal_power_for_gains(h1, h2, scn.p_total)
-        g0 = snr_at(scn, x, ps)
+        g0 = freespace_snr(scn, x, ps)
         dp = 1e-7 * scn.p_total
-        gp = snr_at(scn, x, PowerSplit(ps.p1 + dp, ps.p2 - dp))
-        gm = snr_at(scn, x, PowerSplit(ps.p1 - dp, ps.p2 + dp))
+        gp = freespace_snr(scn, x, PowerSplit(ps.p1 + dp, ps.p2 - dp))
+        gm = freespace_snr(scn, x, PowerSplit(ps.p1 - dp, ps.p2 + dp))
         slope = (gp - gm) / (2 * dp)
         assert abs(slope) <= 1e-6 * g0 / scn.p_total
         assert g0 >= max(gp, gm) - 1e-12 * g0
@@ -206,7 +209,7 @@ def test_location_matches_grid(rng):
         step = 0.001
         assert abs(got - want) <= max(2 * step, 1e-6 * scn.D)
         # and the returned point is at least as good as the grid winner
-        assert snr_at(scn, got, ps) >= snr_at(scn, want, ps) * (1 - 1e-12)
+        assert freespace_snr(scn, got, ps) >= freespace_snr(scn, want, ps) * (1 - 1e-12)
 
 
 def test_location_stays_in_band(rng):

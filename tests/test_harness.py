@@ -206,6 +206,8 @@ def test_traces_written(tmp_path):
     (key,) = data.keys()
     assert key == "fs/bcd/base"
     assert all(b >= a for a, b in zip(data[key], data[key][1:]))
+    # the rows and the traces have one JSON writer, under two names
+    assert write_traces_json is write_rows_json
 
 
 def test_profile_height_curves():

@@ -1,6 +1,7 @@
 """High-SNR closed-form solver: per-case grid oracles, convexity
 certificates, the crossing powers and the case-selection logic."""
 
+import inspect
 import math
 import sys
 from fractions import Fraction
@@ -20,12 +21,12 @@ from uavrelay import (
     gamma_tilde,
     high_snr_solve,
     replace,
-    snr_at,
     unconstrained_location,
 )
+from uavrelay import highsnr
 from uavrelay.highsnr import _condition1_bound, _crossing_power
 
-from conftest import (condition1_hessian, count_golden_sections, high_snr_cases,
+from conftest import (condition1_hessian, count_golden_sections, freespace_snr, high_snr_cases,
                       high_snr_winner, random_freespace)
 
 
@@ -60,7 +61,7 @@ def test_gamma_tilde_never_underestimates(rng):
         x = float(rng.uniform(scn.d1, scn.d2))
         p1 = float(rng.uniform(0.05, 0.95)) * scn.p_total
         ps = PowerSplit(p1, scn.p_total - p1)
-        assert gamma_tilde(scn, x, ps) >= snr_at(scn, x, ps)
+        assert gamma_tilde(scn, x, ps) >= freespace_snr(scn, x, ps)
 
 
 def test_unconstrained_location(freespace_scn):
@@ -160,6 +161,47 @@ def test_condition1_objective_is_infinite_where_the_weight_underflows(blk):
     res = high_snr_solve(scn, blk)
     assert res.snr == 0.0
     assert res.error_prob == 1.0
+
+
+def executed_lines(module, call):
+    """The line numbers of module that run while call() runs, and its result."""
+    lines = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != module.__file__:
+            return None
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return lines, result
+
+
+def test_condition1_search_steps_over_powers_where_the_weight_underflows(blk):
+    # gains near 1e-307 and 1e-309 on a 1.7e-16 W budget: condition I is
+    # searched, and at some of its powers b1 p1 + b2 p2 underflows to 0,
+    # where its objective returns -inf; the row stays feasible
+    scn = FreeSpaceScenario(71627.91313473143, 621.7904360509003, 15254.467371306275,
+                            65252.153823917404, 4.8495259047680585e-307, 1.56235839754882e-309,
+                            1.747243947978681e-16)
+    source = inspect.getsource(highsnr).splitlines()
+    guard = next(i for i, line in enumerate(source, 1) if "if s == 0.0:" in line)
+    assert source[guard].strip() == "return -math.inf"
+    lines, res = executed_lines(highsnr, lambda: high_snr_solve(scn, blk))
+    assert guard + 1 in lines
+    assert res.x == 39211.0
+    assert scn.d1 <= res.x <= scn.d2
+    assert 0.0 <= res.powers.p1 and 0.0 <= res.powers.p2
+    assert res.powers.p1 + res.powers.p2 <= scn.p_total
+    assert res.snr == 0.0
+    assert res.error_prob == 1.0
+
 
 def test_edge_cases_keep_the_split_inside_the_budget(blk):
     # on this budget the crossing power of d1 rounds above p_total; the
@@ -327,7 +369,7 @@ def test_edge_root_survives_huge_gain_gaps(beta2_db, p_total):
 def full_selection(scn, blk):
     """high_snr_solve with condition I always solved, re-scored exactly."""
     best = high_snr_winner(scn)
-    gamma = snr_at(scn, best.x, best.powers)
+    gamma = freespace_snr(scn, best.x, best.powers)
     return SolveResult("high-snr", best.x, scn.H, best.powers, gamma,
                        decoding_error_probability(gamma, blk), (gamma,))
 

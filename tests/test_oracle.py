@@ -13,11 +13,10 @@ from uavrelay import (
     fixed_location_baseline,
     fixed_power_baseline,
     optimal_power_for_gains,
-    snr_at,
 )
 from uavrelay import freespace_gains
 
-from conftest import make_atg3d
+from conftest import freespace_snr, make_atg3d
 
 
 def test_gridspec_validation():
@@ -105,7 +104,7 @@ def test_fixed_power_baseline_freespace(freespace_scn, blk):
     assert res.powers.p1 == pytest.approx(2.0, rel=1e-15)
     # location block is exact, so the result maximises over x at even split
     xs = np.linspace(freespace_scn.d1, freespace_scn.d2, 20001)
-    best = max(snr_at(freespace_scn, float(x), res.powers) for x in xs)
+    best = max(freespace_snr(freespace_scn, float(x), res.powers) for x in xs)
     assert res.snr >= best * (1 - 1e-9)
 
 

@@ -28,8 +28,8 @@ from uavrelay.oracle import (
     _atg_rows,
     _freespace_rows,
     _grid_argmax,
-    _linspace,
 )
+from uavrelay.search import _linspace
 
 from conftest import CARRIER_HZ, make_atg3d
 
