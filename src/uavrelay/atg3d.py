@@ -6,10 +6,11 @@ closed forms.  Height and ground offset are therefore optimised with
 guarded golden-section line searches, while the power block keeps the
 closed form.  ``coordinate_ascent`` cycles the blocks power -> height ->
 offset over states (x, height, gains, powers); the baselines cycle a
-subset of them.  Each line-search block keeps the gains along its current
-line, so each is evaluated once per solve, and a line search that a solve
-repeats returns its kept result; the outputs are the same floats as
-without either.
+subset of them.  Each line-search block builds its pre-sample grid once,
+keeps the gains along its current line, so each is evaluated once per
+solve, and keeps each line search's point and SNR, so a search that a
+solve repeats returns them; the outputs are the same floats as without
+any of these.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from .channels import Atg3dScenario
 from .fbl import BlocklengthParams, PowerSplit, decoding_error_probability
 from .freespace import SolveResult, coordinate_ascent, power_block
-from .search import line_search_max
+from .search import PRESAMPLES, _linspace, line_search_max
 
 # Line-search interval target relative to the searched span.
 LINE_SEARCH_RTOL = 1e-4
@@ -80,15 +81,21 @@ def _line_block(scn: Atg3dScenario, axis: int):
     gains do not depend on the powers, so a kept pair is exactly the pair
     that hop_gains_3d returns for that point, and a miss calls hop_gains_3d
     by its module global at call time, so a wrapper installed on it sees
-    every real evaluation.  A search's result depends only on its line and
-    the powers (the bounds are the box's), so the block keeps its results
-    keyed by the fixed coordinate, p1 and p2, and a search that repeats
-    returns the kept float.  The block only replaces the incumbent
+    every real evaluation.  Every search spans the box along the axis, so
+    the block builds the pre-sample grid once, when it is created.  A
+    search's result depends only on its line and the powers, so the block
+    keeps the point and SNR each search returns, with the gains there,
+    keyed by the fixed coordinate, p1 and p2; a search that repeats returns
+    the kept result, and the kept SNR is compared with the incumbent's
+    without scoring the point again.  The block only replaces the incumbent
     coordinate when that does not lower the SNR, so any cycle of it and the
     exact power block gives a non-decreasing trace.
     """
     lo, hi = _span(scn, axis)
     tol = LINE_SEARCH_RTOL * (hi - lo)
+    xs = _linspace(lo, hi, PRESAMPLES)
+    # the grid's first point is 0.0 + lo, which drops the sign of a -0.0 bound
+    xs[0] = lo
     held, line = None, {}
     kept = {}
 
@@ -108,12 +115,14 @@ def _line_block(scn: Atg3dScenario, axis: int):
             return (h1 * h2 * p1 * p2) / (h2 * p2 + h1 * p1 + 1.0)
 
         key = (fixed, p1, p2)
-        best = kept.get(key)
-        if best is None:
+        found = kept.get(key)
+        if found is None:
             # read at call time: a wrapper on this module's global sees every search
-            best = kept[key] = line_search_max(snr, lo, hi, tol)[0]
-        if snr(best) >= snr(t):
-            return (fixed, best, line[best], powers) if axis else (best, fixed, line[best], powers)
+            best, value = line_search_max(snr, xs, tol)
+            found = kept[key] = (best, value, line[best])
+        best, value, pair = found
+        if value >= snr(t):
+            return (fixed, best, pair, powers) if axis else (best, fixed, pair, powers)
         return state
 
     return block

@@ -7,8 +7,8 @@ from typing import Callable, Sequence
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# line_search_max: points of the coarse pre-sample, and of the dense grid
-# that a profile with several interior peaks falls back to
+# line_search_max: points of the coarse pre-sample its callers build, and of
+# the dense grid that a profile with several interior peaks falls back to
 PRESAMPLES = 17
 FALLBACK_POINTS = 512
 
@@ -84,22 +84,24 @@ def interior_local_maxima(values: Sequence[float]) -> list[int]:
 
 def line_search_max(
     f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    xs: Sequence[float],
     tol: float,
 ) -> tuple[float, float]:
-    """Maximise f on [lo, hi], guarding against non-unimodal profiles.
+    """Maximise f on [xs[0], xs[-1]], guarding against non-unimodal profiles.
 
-    A coarse pre-sample checks for multiple interior peaks.  Clean
-    profiles go straight to golden-section search; suspicious ones fall
-    back to a dense grid followed by a local golden-section refinement
-    around the best grid point.
+    xs is the ascending coarse pre-sample grid, whose ends are the bounds;
+    a caller that searches one interval many times builds it once
+    (``_linspace(lo, hi, PRESAMPLES)``).  The pre-sample checks for
+    multiple interior peaks.  Clean profiles go straight to golden-section
+    search; suspicious ones fall back to a dense grid of FALLBACK_POINTS
+    followed by a local golden-section refinement around the best grid
+    point.
     """
+    lo, hi = xs[0], xs[-1]
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
         return lo, f(lo)
-    xs = _linspace(lo, hi, PRESAMPLES)
     vals = [f(x) for x in xs]
     if len(interior_local_maxima(vals)) <= 1:
         x_best, v_best = golden_section_max(f, lo, hi, tol)
@@ -117,4 +119,3 @@ def line_search_max(
     if vals[i] > v_best:
         return xs[i], vals[i]
     return x_best, v_best
-

@@ -89,7 +89,7 @@ def test_hop_gains_equal_scalar_reference(blk):
                        for h in (scn.h_min, scn.h_max, 1e-9)]
             for x, h in points:
                 want = mp_hop_gains((hop1, hop2), 2.5e9, noise_db, D, x, h)
-                assert hop_gains_3d(scn, x, h) == pytest.approx(want, rel=1e-13), (x, h)
+                assert hop_gains_3d(scn, x, h) == pytest.approx(want, rel=1e-13, abs=0.0), (x, h)
 
 
 def attribute_hop_gains(scn, x, height):
@@ -236,6 +236,14 @@ def test_offset_block_beats_metre_grid(atg3d_scn):
         assert point_snr(atg3d_scn, x_star, h, ps) >= grid_best * (1 - 1e-6)
 
 
+def test_offset_block_keeps_the_sign_of_a_zero_bound(blk):
+    # the SNR falls along x from a box edge given as -0.0: the block returns
+    # that bound as given, not the 0.0 + lo that the pre-sample grid starts at
+    env = AtgEnvironment.from_preset("high-rise", 2.5e9, -93.0)
+    scn = Atg3dScenario(200.0, -0.0, 50.0, 10.0, 200.0, env, env, 4.0, blk)
+    assert repr(line_block_move(scn, 0, 50.0, PowerSplit(0.001, 3.999))) == "-0.0"
+
+
 def test_bcd3d_reference_scenarios():
     for preset, (want_x, want_h, want_p1, want_g) in BCD3D_REFERENCE.items():
         res = bcd_solve_3d(make_atg3d(preset))
@@ -251,7 +259,7 @@ def test_bcd3d_trace_monotone_and_error_consistent():
     res = bcd_solve_3d(scn)
     assert all(b >= a for a, b in zip(res.trace, res.trace[1:]))
     assert res.error_prob == pytest.approx(
-        decoding_error_probability(res.snr, scn.blk), rel=1e-14
+        decoding_error_probability(res.snr, scn.blk), rel=1e-14, abs=0.0
     )
 
 
@@ -358,9 +366,9 @@ def test_memo_evaluates_each_point_once_per_line_search(monkeypatch):
         points.append((x, height))
         return real_gains(scn, x, height)
 
-    def search(f, lo, hi, tol):
+    def search(f, xs, tol):
         start, evals = len(points), []
-        best = real_search(lambda t: evals.append(t) or f(t), lo, hi, tol)
+        best = real_search(lambda t: evals.append(t) or f(t), xs, tol)
         per_search.append(points[start:])
         fell_back.append(len(evals) >= FALLBACK_POINTS)
         return best
@@ -400,9 +408,9 @@ def test_no_line_search_repeats_within_a_solve(monkeypatch):
 
         return tagged
 
-    def search(f, lo, hi, tol):
-        searches.append((*line, lo, hi))
-        return real_search(f, lo, hi, tol)
+    def search(f, xs, tol):
+        searches.append((*line, xs[0], xs[-1]))
+        return real_search(f, xs, tol)
 
     for module in (atg3d, oracle):
         monkeypatch.setattr(module, "_line_block", line_block)

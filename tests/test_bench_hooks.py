@@ -204,14 +204,18 @@ LEDGER = {
 
 
 # The rest of the ledger, over the same draws: each solver's summed
-# iterations (its bcd cycles; one for a one-shot solver), and the line
-# searches' objective evaluations, calls and dense-grid fallbacks.
+# iterations (its bcd cycles; one for a one-shot solver), the line
+# searches' objective evaluations, calls and dense-grid fallbacks, and the
+# grids they search: one pre-sample grid per line block (two each in bcd and
+# fixed-power, one in fixed-height, 5 per draw) and one dense grid per
+# fallback.
 SOLVE_LEDGER = {
     "freespace-batch": {"bcd": 2577, "high-snr": 512, "fixed-location": 512,
                         "fixed-power": 512},
     "atg3d-batch": {"bcd": 592, "fixed-power": 207, "fixed-height": 530, "fixed-location": 64,
                     "line_search_max evaluations": 83712, "line_search_max calls": 1886,
-                    "line_search_max fallbacks": 9},
+                    "line_search_max fallbacks": 9, "pre-sample grids": 5 * 64,
+                    "fallback grids": 9},
 }
 
 
@@ -262,6 +266,14 @@ def test_work_ledger_of_cycles_and_line_search_evaluations(monkeypatch, workload
         counts["line_search_max fallbacks"] += evals[0] >= search.FALLBACK_POINTS
         return result
 
+    linspace = search._linspace
+
+    def counted_grid(lo, hi, n):
+        counts["fallback grids" if n == search.FALLBACK_POINTS else "pre-sample grids"] += 1
+        return linspace(lo, hi, n)
+
+    for module in (search, atg3d):
+        monkeypatch.setattr(module, "_linspace", counted_grid)
     monkeypatch.setattr(atg3d, "line_search_max", counted_search)
     for results in ledger_solves(monkeypatch, workload):
         for res in results:

@@ -73,7 +73,7 @@ def atg_hop_scenario(preset, D, noise_db=-93.0):
 
 def test_db_conversions_roundtrip():
     for v in (1e-6, 0.5, 1.0, 794328.2347242822):
-        assert db_to_linear(10.0 * math.log10(v)) == pytest.approx(v, rel=1e-12)
+        assert db_to_linear(10.0 * math.log10(v)) == pytest.approx(v, rel=1e-12, abs=0.0)
     assert db_to_linear(50.0) == pytest.approx(1e5, rel=1e-12)
     assert db_to_linear(0.0) == 1.0
 

@@ -106,7 +106,7 @@ def test_channel_dispersion():
 def test_error_probability_frozen_values():
     for (g, bits, m_total), want in EPS_REFERENCE.items():
         got = decoding_error_probability(g, BlocklengthParams(bits, m_total))
-        assert got == pytest.approx(want, rel=1e-12), (g, bits, m_total)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (g, bits, m_total)
 
 
 def test_error_probability_keeps_every_bit():

@@ -257,7 +257,7 @@ def test_bcd_monotone_on_random_scenarios(rng):
         assert all(b >= a for a, b in zip(res.trace, res.trace[1:]))
         assert scn.d1 <= res.x <= scn.d2
         assert res.error_prob == pytest.approx(
-            decoding_error_probability(res.snr, blk), rel=1e-14
+            decoding_error_probability(res.snr, blk), rel=1e-14, abs=0.0
         )
 
 

@@ -58,7 +58,7 @@ def test_rows_error_prob_rederives():
         assert row["status"] == "ok"
         blk = BlocklengthParams(100, int(row["sweep_value"]))
         assert row["error_prob"] == pytest.approx(
-            decoding_error_probability(row["snr"], blk), rel=1e-12
+            decoding_error_probability(row["snr"], blk), rel=1e-12, abs=0.0
         )
 
 

@@ -363,7 +363,7 @@ def test_edge_root_survives_huge_gain_gaps(beta2_db, p_total):
     cross1 = mpmath.mpf(scn.beta1) * (scn.H ** 2 + (mpmath.mpf(scn.D) - scn.d1) ** 2)
     cross2 = mpmath.mpf(scn.beta2) * (scn.H ** 2 + mpmath.mpf(scn.d1) ** 2)
     p2 = p_total * mpmath.sqrt(cross1) / (mpmath.sqrt(cross1) + mpmath.sqrt(cross2))
-    assert res.powers.p2 == pytest.approx(float(p2), rel=1e-6)
+    assert res.powers.p2 == pytest.approx(float(p2), rel=1e-6, abs=0.0)
 
 
 def full_selection(scn, blk):

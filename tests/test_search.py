@@ -6,10 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavrelay.search import (
+    PRESAMPLES,
+    _linspace,
     golden_section_max,
     interior_local_maxima,
     line_search_max,
 )
+
+
+def presamples(lo, hi):
+    # the pre-sample grid a line-search caller builds for [lo, hi]
+    return _linspace(lo, hi, PRESAMPLES)
 
 
 def test_golden_section_quadratic():
@@ -43,10 +50,11 @@ def test_golden_section_refuses_a_tolerance_that_is_not_positive(tol):
 def test_line_search_degenerate_interval():
     # a one-point interval is that point, evaluated once
     calls = []
-    assert line_search_max(lambda t: calls.append(t) or -t, 4.0, 4.0, 1e-10) == (4.0, -4.0)
+    point = line_search_max(lambda t: calls.append(t) or -t, presamples(4.0, 4.0), 1e-10)
+    assert point == (4.0, -4.0)
     assert calls == [4.0]
     with pytest.raises(ValueError, match=r"^empty interval \[5.0, 4.0\]$"):
-        line_search_max(lambda t: t, 5.0, 4.0, 1e-10)
+        line_search_max(lambda t: t, presamples(5.0, 4.0), 1e-10)
 
 
 def test_golden_section_nonsmooth_peak():
@@ -67,7 +75,7 @@ def test_interior_local_maxima():
 
 def test_line_search_unimodal_matches_golden():
     f = lambda t: -(t - 1.3) ** 2
-    x, v = line_search_max(f, -4.0, 4.0, tol=1e-9)
+    x, v = line_search_max(f, presamples(-4.0, 4.0), tol=1e-9)
     assert x == pytest.approx(1.3, abs=1e-6)
 
 
@@ -76,7 +84,7 @@ def test_line_search_multimodal_finds_global_peak():
     def f(t):
         return math.exp(-((t - 2.0) ** 2)) + 1.5 * math.exp(-((t - 7.4) ** 2) / 0.5)
 
-    x, v = line_search_max(f, 0.0, 10.0, tol=1e-9)
+    x, v = line_search_max(f, presamples(0.0, 10.0), tol=1e-9)
     assert x == pytest.approx(7.4, abs=1e-4)
     # never worse than a dense reference grid
     grid = np.linspace(0.0, 10.0, 20001)
@@ -86,7 +94,7 @@ def test_line_search_multimodal_finds_global_peak():
 def test_line_search_never_leaves_the_box():
     # lo + (hi - lo) * 16 / 16 rounds past hi here
     lo, hi = 151.585, 446.497
-    x, v = line_search_max(lambda t: t, lo, hi, 0.0294912)
+    x, v = line_search_max(lambda t: t, presamples(lo, hi), 0.0294912)
     assert (x, v) == (hi, hi)
 
 
@@ -103,7 +111,7 @@ def test_line_search_fallback_grid_stays_in_the_box():
 
     vals = [wavy(lo + (hi - lo) * i / 16) for i in range(16)] + [wavy(hi)]
     assert len(interior_local_maxima(vals)) >= 2
-    x, v = line_search_max(wavy, lo, hi, 1e-6)
+    x, v = line_search_max(wavy, presamples(lo, hi), 1e-6)
     assert (x, v) == (hi, wavy(hi))
 
 
@@ -158,9 +166,11 @@ def test_derivative_bisection_monotone_function():
 
 def test_nan_everywhere_is_an_error_naming_the_interval():
     nan = lambda t: math.nan
-    for search in (golden_section_max, line_search_max):
-        with pytest.raises(ValueError, match=r"NaN at every sampled point of \[1.5, 4.0\]"):
-            search(nan, 1.5, 4.0, 1e-6)
+    named = r"NaN at every sampled point of \[1.5, 4.0\]"
+    with pytest.raises(ValueError, match=named):
+        golden_section_max(nan, 1.5, 4.0, 1e-6)
+    with pytest.raises(ValueError, match=named):
+        line_search_max(nan, presamples(1.5, 4.0), 1e-6)
     with pytest.raises(ValueError, match="NaN at every sampled point"):
         golden_section_max(nan, 2.0, 2.0, 1e-6)
 
