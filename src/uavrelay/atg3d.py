@@ -128,10 +128,12 @@ def _line_block(scn: Atg3dScenario, axis: int):
     return block
 
 
-def _ascend(scn: Atg3dScenario, blk: BlocklengthParams, solver: str, x: float, height: float,
-            powers: PowerSplit, blocks) -> SolveResult:
-    """Run coordinate_ascent from (x, height, powers) over the given blocks."""
-    start = (x, height, hop_gains_3d(scn, x, height), powers)
+def _ascend(scn: Atg3dScenario, blk: BlocklengthParams, solver: str, height: float,
+            blocks) -> SolveResult:
+    """Run coordinate_ascent over the given blocks from the offset band's
+    centre at the given height, with an even split."""
+    x = 0.5 * (scn.d1 + scn.d2)
+    start = (x, height, hop_gains_3d(scn, x, height), PowerSplit.even(scn.p_total))
     (x, height, _, powers), gamma, trace = coordinate_ascent(start, blocks)
     eps = decoding_error_probability(gamma, blk)
     return SolveResult(solver, x, height, powers, gamma, eps, trace)
@@ -143,6 +145,5 @@ def bcd_solve_3d(scn: Atg3dScenario) -> SolveResult:
     Starts from the box midpoint and an even split; the trace is
     non-decreasing (see ``_line_block``).
     """
-    return _ascend(scn, scn.blk, "bcd", 0.5 * (scn.d1 + scn.d2), 0.5 * (scn.h_min + scn.h_max),
-                   PowerSplit.even(scn.p_total),
+    return _ascend(scn, scn.blk, "bcd", 0.5 * (scn.h_min + scn.h_max),
                    (power_block(scn.p_total), _line_block(scn, 1), _line_block(scn, 0)))

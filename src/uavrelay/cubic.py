@@ -20,8 +20,8 @@ _NORMAL_MIN = sys.float_info.min
 # Below this, 4 rho^3 + 27 kappa^2 stays inside the float range.
 _DISC_SAFE_MAX = sys.float_info.max / 32
 # cubic_real_roots polishes a root below this times the shift |b / (3a)|: the
-# shift has cancelled over half of its bits, and its ulps may exceed the root
-_CANCELLED = 2.0 ** -26
+# shift's rounding, up to 2^-53 of the shift, may then exceed 2^-37 of the root
+_CANCELLED = 2.0 ** -16
 
 
 def _cbrt(v: float) -> float:

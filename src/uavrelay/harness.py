@@ -101,12 +101,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[dict], dict[str, list
     return rows, traces, failures
 
 
-def write_rows_csv(rows, path: str) -> None:
+def _write_csv(header, rows, path: str) -> None:
+    # csv writes None as "" and every other cell as str(cell)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow("" if v is None else str(v) for v in row.values())
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_rows_csv(rows, path: str) -> None:
+    _write_csv(CSV_COLUMNS, (row.values() for row in rows), path)
 
 
 def write_rows_json(rows, path: str) -> None:
@@ -168,8 +172,4 @@ def profile_curves(
 
 
 def write_profile_csv(coord_name: str, rows, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("environment", coord_name, "snr"))
-        for env_name, coord, snr in rows:
-            writer.writerow((env_name, str(coord), str(snr)))
+    _write_csv(("environment", coord_name, "snr"), rows, path)

@@ -8,9 +8,10 @@ solvers, so it evaluates the SNR itself and takes none of their answers;
 the closed-form maximiser of the power split serves only to bound boxes
 of grid rows and to start the reading of a row, so that the boxes, rows
 and cells that cannot win are skipped.  Both models share one kernel on
-plain floats: a row generator per model gives the upper and lower hop
-gains over a box of grid rows, the air-to-ground one writing the gain
-out again rather than calling the solvers' ``hop_gains_3d``.  The
+plain floats and one row generator, which gives the upper and lower hop
+gains over a box of grid rows from one box formula; each model supplies
+only its hop gain, the air-to-ground one writing the S-curve out again
+rather than calling the solvers' ``hop_gains_3d``.  The
 baselines pin one decision variable (placement or power split) and
 optimise the rest, mirroring the usual comparison schemes.
 """
@@ -132,45 +133,46 @@ def _split(i0: int, i1: int, k0: int, k1: int):
     return (i0, i1, k0, m), (i0, i1, m, k1)
 
 
-def _freespace_rows(scn: FreeSpaceScenario, xs: list[float]):
-    """(shape, box) of the free-space grid, one row per offset x.
+def _rows(D: float, xs: list[float], hs: list[float], gain1, gain2):
+    """(shape, box) of a grid with one row per (x, h) pair, xs[i] and hs[k].
 
-    box(i0, i1, 0, 1) gives the upper and lower hop gains
-    beta / (H^2 + d^2) over xs[i0:i1], at its ends: xs ascends within
-    [0, D], and each gain falls with its distance.  Over one row both
-    pairs are that row's gains.
+    gain_i(r_sq, ground, h) is hop i's gain at squared distance r_sq,
+    ground offset and height h.  box(i0, i1, k0, k1) gives the upper and
+    lower hop gains (g1, g2, l1, l2) over the box of rows [i0, i1) x
+    [k0, k1); over one row both pairs are that row's gains.  With xs
+    ascending in [0, D] and hs ascending and positive, each gain falls
+    with r and rises with the elevation: the upper gain takes r at the
+    box's nearest offset and lowest height, and the elevation at that
+    offset and the top height.
     """
-    D, b1, b2 = scn.D, scn.beta1, scn.beta2
-    h_sq = scn.H * scn.H
 
     def box(i0: int, i1: int, k0: int, k1: int) -> tuple[float, float, float, float]:
-        x0, x1 = xs[i0], xs[i1 - 1]
+        x0, x1, low, top = xs[i0], xs[i1 - 1], hs[k0], hs[k1 - 1]
         u0, u1 = D - x1, D - x0  # the second hop's nearest and farthest offsets
-        return (b1 / (h_sq + x0 * x0), b2 / (h_sq + u0 * u0),
-                b1 / (h_sq + x1 * x1), b2 / (h_sq + u1 * u1))
+        return (gain1(x0 * x0 + low * low, x0, top), gain2(u0 * u0 + low * low, u0, top),
+                gain1(x1 * x1 + top * top, x1, low), gain2(u1 * u1 + top * top, u1, low))
 
-    return (len(xs), 1), box
+    return (len(xs), len(hs)), box
 
 
-def _atg_rows(scn: Atg3dScenario, xs: list[float], hs: list[float]):
-    """(shape, box) of the air-to-ground grid, one row per (x, h) pair.
+def _inverse_square(beta: float):
+    # the free-space hop gain beta / r^2, which the elevation leaves alone
+    return lambda r_sq, ground, h: beta / r_sq
 
-    The S-curve gain of Al-Hourani et al. (IEEE WCL 2014), written out
-    here independently of ``atg3d.hop_gains_3d``, which the oracle checks:
-    gain_scale / r^2 * 10^(gain_exponent s), with s the LoS probability
-    1 / (1 + a exp(-b (theta - a))) at the elevation theta in degrees.
-    Where the exponential overflows, s is below 1 / (a e^709.78) and its
-    limit 0 is taken.  box(i0, i1, k0, k1) gives the upper and lower hop
-    gains over a box of rows; over one row, at (xs[i], hs[k]), both pairs
-    are that row's gains.  With xs ascending in [0, D] and hs in
-    (0, inf), the gain falls with r and, as a, b > 0 and
-    gain_exponent >= 0, rises with theta: the upper gain takes r at the
-    box's nearest offset and lowest height, and theta at that offset and
-    the top height.
+
+def _s_curve(env):
+    """The S-curve gain of Al-Hourani et al. (IEEE WCL 2014) of one hop.
+
+    Written out here independently of ``atg3d.hop_gains_3d``, which the
+    oracle checks: gain_scale / r^2 * 10^(gain_exponent s), with s the
+    LoS probability 1 / (1 + a exp(-b (theta - a))) at the elevation theta
+    in degrees.  Where the exponential overflows, s is below
+    1 / (a e^709.78) and its limit 0 is taken.  As a, b > 0 and
+    gain_exponent >= 0, the gain rises with theta.
     """
+    a, b = env.s_curve_a, env.s_curve_b
 
-    def gain(env, r_sq: float, ground: float, h: float) -> float:
-        a, b = env.s_curve_a, env.s_curve_b
+    def gain(r_sq: float, ground: float, h: float) -> float:
         theta = math.degrees(math.atan2(h, ground))
         try:
             s = 1.0 / (1.0 + a * math.exp(-b * (theta - a)))
@@ -178,15 +180,7 @@ def _atg_rows(scn: Atg3dScenario, xs: list[float], hs: list[float]):
             s = 0.0
         return env.gain_scale / r_sq * 10.0 ** (env.gain_exponent * s)
 
-    D, env1, env2 = scn.D, scn.env1, scn.env2
-
-    def box(i0: int, i1: int, k0: int, k1: int) -> tuple[float, float, float, float]:
-        x0, x1, low, top = xs[i0], xs[i1 - 1], hs[k0], hs[k1 - 1]
-        u0, u1 = D - x1, D - x0  # the second hop's nearest and farthest offsets
-        return (gain(env1, x0 * x0 + low * low, x0, top), gain(env2, u0 * u0 + low * low, u0, top),
-                gain(env1, x1 * x1 + top * top, x1, low), gain(env2, u1 * u1 + top * top, u1, low))
-
-    return (len(xs), len(hs)), box
+    return gain
 
 
 def _grid_argmax(pt: float, ps: list[float], shape: tuple[int, int],
@@ -252,47 +246,46 @@ def exhaustive_search(
 ) -> SolveResult:
     """Dense grid search over the decision variables, locally refined.
 
-    The axes are x and p1, with the height between them in the
-    air-to-ground model.  The best grid cell is polished along each axis
-    in turn.  Grid ties are broken towards the lexicographically smallest
-    index (x-major order), which makes the result deterministic.
+    The axes are x, the height and p1; in the free-space model the
+    height axis is the one height H.  The best grid cell is polished
+    along each axis of several points in turn.  Grid ties are broken
+    towards the lexicographically smallest index (x-major order), which
+    makes the result deterministic.
     """
     blk = _resolve_blk(scn, blk)
     grid = grid or GridSpec()
     pt = scn.p_total
     if isinstance(scn, Atg3dScenario):
-        n = DEFAULT_POINTS_3D
-        bounds = ((scn.d1, scn.d2, grid.x), (scn.h_min, scn.h_max, grid.h), (0.0, pt, grid.p1))
+        n, heights = DEFAULT_POINTS_3D, (scn.h_min, scn.h_max, grid.h)
+        gains = _s_curve(scn.env1), _s_curve(scn.env2)
         snr = lambda x, h, p: af_snr(*hop_gains_3d(scn, x, h), PowerSplit(p, pt - p))
-        rows = _atg_rows
     else:
         if grid.h is not None:
             raise ValueError("height axis only applies to the air-to-ground model")
-        n = DEFAULT_POINTS_2D
-        bounds = ((scn.d1, scn.d2, grid.x), (0.0, pt, grid.p1))
+        n, heights = DEFAULT_POINTS_2D, (scn.H, scn.H, 1)
+        gains = _inverse_square(scn.beta1), _inverse_square(scn.beta2)
         # by the module attribute, so a wrapper set on it sees the call
-        snr = lambda x, p: af_snr(*freespace.freespace_gains(scn, x), PowerSplit(p, pt - p))
-        rows = _freespace_rows
-    axes = [_linspace(lo, hi, n if points is None else points) for lo, hi, points in bounds]
+        snr = lambda x, h, p: af_snr(*freespace.freespace_gains(scn, x), PowerSplit(p, pt - p))
+    bounds = ((scn.d1, scn.d2, grid.x), heights, (0.0, pt, grid.p1))
+    axes = [[lo] if points == 1 else _linspace(lo, hi, points or n) for lo, hi, points in bounds]
 
-    r, j, v_best = _grid_argmax(pt, axes[-1], *rows(scn, *axes[:-1]))
-    index = (*divmod(r, len(axes[1])), j) if len(axes) == 3 else (r, j)
-    point = [axis[i] for axis, i in zip(axes, index)]
+    r, j, v_best = _grid_argmax(pt, axes[2], *_rows(scn.D, *axes[:2], *gains))
+    point = [axis[i] for axis, i in zip(axes, (*divmod(r, len(axes[1])), j))]
     for k, (axis, (lo, hi, _)) in enumerate(zip(axes, bounds)):
         # one golden-section polish inside +/- one grid step around the best cell
-        step = axis[1] - axis[0]
-        a, b = max(lo, point[k] - step), min(hi, point[k] + step)
-        if b > a:
-            t, v = golden_section_max(lambda t: snr(*point[:k], t, *point[k + 1:]), a, b,
-                                      tol=max(step * 1e-6, 1e-12))
-            if v > v_best:
-                point[k], v_best = t, v
+        if len(axis) > 1:
+            step = axis[1] - axis[0]
+            a, b = max(lo, point[k] - step), min(hi, point[k] + step)
+            if b > a:
+                t, v = golden_section_max(lambda t: snr(*point[:k], t, *point[k + 1:]), a, b,
+                                          tol=max(step * 1e-6, 1e-12))
+                if v > v_best:
+                    point[k], v_best = t, v
 
     gamma = snr(*point)
     eps = decoding_error_probability(gamma, blk)
-    height = point[1] if len(point) == 3 else scn.H
-    return SolveResult("exhaustive", point[0], height, PowerSplit(point[-1], pt - point[-1]),
-                       gamma, eps, (gamma,))
+    x, height, p1 = point
+    return SolveResult("exhaustive", x, height, PowerSplit(p1, pt - p1), gamma, eps, (gamma,))
 
 
 def fixed_location_baseline(
@@ -319,11 +312,10 @@ def fixed_power_baseline(
 ) -> SolveResult:
     """Pin an even power split and optimise the placement."""
     blk = _resolve_blk(scn, blk)
-    powers = PowerSplit.even(scn.p_total)
     if isinstance(scn, Atg3dScenario):
-        return _ascend(scn, blk, "fixed-power", 0.5 * (scn.d1 + scn.d2),
-                       0.5 * (scn.h_min + scn.h_max), powers,
+        return _ascend(scn, blk, "fixed-power", 0.5 * (scn.h_min + scn.h_max),
                        (_line_block(scn, 1), _line_block(scn, 0)))
+    powers = PowerSplit.even(scn.p_total)
     x = optimal_location_given_power(scn, powers)
     h1, h2 = freespace.freespace_gains(scn, x)
     gamma = af_snr(h1, h2, powers)
@@ -342,5 +334,5 @@ def fixed_height_baseline(
     blk = _resolve_blk(scn, blk)
     if not (scn.h_min <= height <= scn.h_max):
         raise ValueError(f"pinned height {height} outside [{scn.h_min}, {scn.h_max}]")
-    return _ascend(scn, blk, "fixed-height", 0.5 * (scn.d1 + scn.d2), height,
-                   PowerSplit.even(scn.p_total), (power_block(scn.p_total), _line_block(scn, 0)))
+    return _ascend(scn, blk, "fixed-height", height,
+                   (power_block(scn.p_total), _line_block(scn, 0)))

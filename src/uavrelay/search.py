@@ -41,8 +41,6 @@ def golden_section_max(
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if hi - lo <= tol:
-        return _best_of(f, (lo, 0.5 * (lo + hi), hi))
     inv_phi = _INV_PHI
     a, b = lo, hi
     c = b - inv_phi * (b - a)

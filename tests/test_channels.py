@@ -177,10 +177,10 @@ def test_atg_frozen_reference_values():
     noise = db_to_linear(-93.0)
     for (preset, x, h), want in ATG_REFERENCE.items():
         assert mp_atg_hop(*ATG_PRESETS[preset], 2.5e9, -93.0, x, h) \
-            == pytest.approx(want, rel=1e-13)
+            == pytest.approx(want, rel=1e-13, abs=0.0)
         scn = atg_hop_scenario(preset, 2.0 * x)
         for g in hop_gains_3d(scn, x, h):
-            assert g == pytest.approx(want[3], rel=1e-13)
+            assert g == pytest.approx(want[3], rel=1e-13, abs=0.0)
             assert -10.0 * math.log10(g * noise) == pytest.approx(want[2], rel=1e-13)
 
 
@@ -192,7 +192,7 @@ def test_atg_gain_pathloss_identity():
         loss = mp_atg_hop(*ATG_PRESETS["suburban"], 2.5e9, -93.0, x, h)[2]
         scn = atg_hop_scenario("suburban", 2.0 * x)
         for g in hop_gains_3d(scn, x, h):
-            assert g == pytest.approx(10.0 ** (-loss / 10.0) / noise, rel=1e-13)
+            assert g == pytest.approx(10.0 ** (-loss / 10.0) / noise, rel=1e-13, abs=0.0)
 
 
 def test_hop_gains_past_the_exp_range_take_the_s_curve_limit():
@@ -204,7 +204,7 @@ def test_hop_gains_past_the_exp_range_take_the_s_curve_limit():
     scn = Atg3dScenario(200.0, 0.0, 200.0, 1.0, 200.0, env, env, 4.0, BlocklengthParams(100, 80))
     for x, h in ((100.0, 10.0), (20.0, 100.0), (180.0, 100.0), (100.0, 150.0)):
         want = [mp_atg_hop(*spec, 2.5e9, -93.0, ground, h)[3] for ground in (x, 200.0 - x)]
-        assert hop_gains_3d(scn, x, h) == pytest.approx(want, rel=1e-13), (x, h)
+        assert hop_gains_3d(scn, x, h) == pytest.approx(want, rel=1e-13, abs=0.0), (x, h)
 
 
 def test_los_probability_monotone_in_elevation():

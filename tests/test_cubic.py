@@ -190,6 +190,33 @@ def test_one_tiny_root_survives_the_shift(a, scale_exp, u, v, tiny_exp, negative
     assert cubic_real_roots(a, b, c, d) == [pytest.approx(want, rel=1e-12, abs=0.0)]
 
 
+def test_root_just_above_half_the_shift_bits_is_polished():
+    # (x - 1e-4)(x^2 - 12500 x + 1.00390625e10): the root is ~2^-25.3 of the
+    # shift, 4166.67, whose rounding costs it ~27 bits: unpolished it comes
+    # out as 1.00000001e-4
+    coeffs = (1.0, -12500.0001, 10039062501.25, -1003906.25)
+    want = mp_root_near(1e-4, *coeffs)
+    assert want == pytest.approx(1e-4, rel=1e-15, abs=0.0)
+    assert cubic_real_roots(*coeffs)[0] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.1, 10.0), st.floats(-50.0, 45.0),
+       st.one_of(st.floats(-2.0, -0.5), st.floats(0.5, 2.0)),
+       st.floats(0.1, 2.0), st.floats(-40.0, -8.0), st.booleans())
+def test_tiny_roots_near_the_polish_trigger_keep_their_bits(a, scale_exp, u, v, ratio_exp,
+                                                            negative):
+    # a (x - r)(x^2 - 2 s u x + s^2 (u^2 + v^2)) with |r| between 2^-40 and
+    # 2^-8 of the shift 2 s u / 3, on both sides of the polish trigger: a
+    # root left unpolished just above it loses the fewest bits it may lose
+    s = 10.0 ** scale_exp
+    r = math.copysign(2.0 ** ratio_exp * abs(2.0 * s * u / 3.0), -1.0 if negative else 1.0)
+    p, q = -2.0 * s * u, s * s * (u * u + v * v)
+    b, c, d = a * (p - r), a * (q - r * p), -a * r * q
+    want = mp_root_near(r, a, b, c, d)
+    assert cubic_real_roots(a, b, c, d) == [pytest.approx(want, rel=5e-11, abs=0.0)]
+
+
 def test_general_cubic_shift():
     # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
     roots = cubic_real_roots(1.0, -6.0, 11.0, -6.0)

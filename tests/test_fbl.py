@@ -67,7 +67,7 @@ def test_q_function_matches_gaussian_tail_integral():
 
 
 def test_q_function_symmetry_and_edges():
-    assert q_function(0.0) == pytest.approx(0.5, rel=1e-15)
+    assert q_function(0.0) == pytest.approx(0.5, rel=1e-15, abs=0.0)
     for x in (0.3, 1.0, 6.0):
         assert q_function(x) + q_function(-x) == pytest.approx(1.0, rel=1e-14)
     assert q_function(37.0) > 0.0
@@ -96,7 +96,7 @@ def test_q_function_rejects_nonfinite():
 
 def test_channel_dispersion():
     assert channel_dispersion(0.0) == 0.0
-    assert channel_dispersion(1.0) == pytest.approx(0.75, rel=1e-15)
+    assert channel_dispersion(1.0) == pytest.approx(0.75, rel=1e-15, abs=0.0)
     # V -> 1 as gamma grows
     assert channel_dispersion(1e9) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
@@ -150,7 +150,7 @@ def test_rate_gap_frozen_values():
     for (g, bits, m_total), (want_f, want_fp) in RATE_GAP_REFERENCE.items():
         blk = BlocklengthParams(bits, m_total)
         assert rate_gap(g, blk) == pytest.approx(want_f, rel=1e-13)
-        assert rate_gap_derivative(g, blk) == pytest.approx(want_fp, rel=1e-13)
+        assert rate_gap_derivative(g, blk) == pytest.approx(want_fp, rel=1e-13, abs=0.0)
 
 
 def test_rate_gap_requires_positive_snr():
@@ -243,7 +243,7 @@ def test_af_snr_bounds(rng):
 def test_af_snr_formula():
     ps = PowerSplit(2.0, 2.0)
     # h1 p1 = 4, h2 p2 = 6, product 24, denominator 4 + 6 + 1
-    assert af_snr(2.0, 3.0, ps) == pytest.approx(24.0 / 11.0, rel=1e-15)
+    assert af_snr(2.0, 3.0, ps) == pytest.approx(24.0 / 11.0, rel=1e-15, abs=0.0)
     assert af_snr(0.0, 3.0, ps) == 0.0
 
 

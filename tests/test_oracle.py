@@ -101,7 +101,7 @@ def test_fixed_location_baseline_freespace(freespace_scn, blk):
 def test_fixed_power_baseline_freespace(freespace_scn, blk):
     res = fixed_power_baseline(freespace_scn, blk)
     assert res.solver == "fixed-power"
-    assert res.powers.p1 == pytest.approx(2.0, rel=1e-15)
+    assert res.powers.p1 == pytest.approx(2.0, rel=1e-15, abs=0.0)
     # location block is exact, so the result maximises over x at even split
     xs = np.linspace(freespace_scn.d1, freespace_scn.d2, 20001)
     best = max(freespace_snr(freespace_scn, float(x), res.powers) for x in xs)

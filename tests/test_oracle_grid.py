@@ -25,9 +25,10 @@ from uavrelay.oracle import (
     DEFAULT_POINTS_2D,
     DEFAULT_POINTS_3D,
     GridSpec,
-    _atg_rows,
-    _freespace_rows,
     _grid_argmax,
+    _inverse_square,
+    _rows,
+    _s_curve,
 )
 from uavrelay.search import _linspace
 
@@ -74,14 +75,23 @@ def reference_argmax(gam):
     return tuple(int(i) for i in np.unravel_index(k, gam.shape)), float(gam.flat[k])
 
 
+def freespace_rows(scn, xs):
+    # the oracle's free-space rows: one per x, at the one height H
+    return _rows(scn.D, xs, [scn.H], _inverse_square(scn.beta1), _inverse_square(scn.beta2))
+
+
+def atg_rows(scn, xs, hs):
+    return _rows(scn.D, xs, hs, _s_curve(scn.env1), _s_curve(scn.env2))
+
+
 def blocked_2d(scn, xs, ps):
-    r, j, value = _grid_argmax(scn.p_total, ps.tolist(), *_freespace_rows(scn, xs.tolist()))
+    r, j, value = _grid_argmax(scn.p_total, ps.tolist(), *freespace_rows(scn, xs.tolist()))
     return (r, j), value
 
 
 def blocked_3d(scn, xs, hs, ps):
     r, j, value = _grid_argmax(scn.p_total, ps.tolist(),
-                               *_atg_rows(scn, xs.tolist(), hs.tolist()))
+                               *atg_rows(scn, xs.tolist(), hs.tolist()))
     return (*divmod(r, len(hs)), j), value
 
 
@@ -164,7 +174,7 @@ def test_shipped_air_to_ground_grids_compute_few_row_gains(monkeypatch):
     # most 1,000 boxes, the rows read among them, have their gains computed
     # on each 40,000-row default grid of the shipped sweep
     computed = []
-    rows = oracle._atg_rows
+    rows = oracle._rows
 
     def counting(*args):
         shape, box = rows(*args)
@@ -176,7 +186,7 @@ def test_shipped_air_to_ground_grids_compute_few_row_gains(monkeypatch):
 
         return shape, counted
 
-    monkeypatch.setattr(oracle, "_atg_rows", counting)
+    monkeypatch.setattr(oracle, "_rows", counting)
     config = load_config(str(CONFIGS / "atg3d_environments.json"))
     for value in config.sweep_values:
         oracle.exhaustive_search(config.point(value)[0])
@@ -254,7 +264,7 @@ def test_refusal_edge_matches_full_grid(p_total):
         axes = axes_2d(scn, 500, np_)
         gam = full_grid_2d(scn, *axes)
         assert blocked_2d(scn, *axes) == reference_argmax(gam)
-        assert_boxes_bound_their_cells(_freespace_rows, scn, axes, gam)
+        assert_boxes_bound_their_cells(freespace_rows, scn, axes, gam)
 
 
 @pytest.mark.parametrize("beta2_db", [400.0, 450.0])
@@ -320,12 +330,12 @@ def test_row_gains_past_the_exp_range_match_hop_gains_3d():
     env = AtgEnvironment(80.0, 20.0, 0.1, 21.0, CARRIER_HZ, -93.0)
     scn = replace(make_atg3d("urban"), d1=0.0, env1=env, env2=env)
     xs, hs = [0.0, 20.0, 100.0, 180.0, 200.0], [10.0, 50.0, 150.0, 200.0]
-    _, box = _atg_rows(scn, xs, hs)
+    _, box = atg_rows(scn, xs, hs)
     steep = 0
     for i, x in enumerate(xs):
         for k, h in enumerate(hs):
             want = hop_gains_3d(scn, x, h)
-            assert box(i, i + 1, k, k + 1) == pytest.approx(want * 2, rel=1e-14), (x, h)
+            assert box(i, i + 1, k, k + 1) == pytest.approx(want * 2, rel=1e-14, abs=0.0), (x, h)
             steep += sum(math.degrees(math.atan2(h, ground)) < 44.5 for ground in (x, scn.D - x))
     assert steep > 0
 
@@ -468,7 +478,7 @@ def test_2d_box_bound_bounds_every_cell_of_its_box(nx, np_, **draw):
     axes = axes_2d(scn, nx, np_)
     with np.errstate(all="ignore"):
         gam = full_grid_2d(scn, *axes)
-    assert_boxes_bound_their_cells(_freespace_rows, scn, axes, gam)
+    assert_boxes_bound_their_cells(freespace_rows, scn, axes, gam)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -480,4 +490,4 @@ def test_3d_box_bound_bounds_every_cell_of_its_box(shape, **draw):
     axes = axes_3d(scn, *shape)
     with np.errstate(all="ignore"):
         gam = full_grid_3d(scn, *axes)
-    assert_boxes_bound_their_cells(_atg_rows, scn, axes, gam)
+    assert_boxes_bound_their_cells(atg_rows, scn, axes, gam)

@@ -160,6 +160,24 @@ def source_trees(directory):
             for path in sorted(directory.rglob("*.py"))}
 
 
+# the most code lines src/uavrelay may hold (no docstrings, comments or
+# blank lines): a change that adds code raises it and says why in CHANGES.md
+CODE_LINE_CEILING = 1492
+
+
+def test_package_code_lines_stay_under_the_ceiling():
+    count = 0
+    for path, tree in source_trees(ROOT / "src" / "uavrelay").items():
+        docstrings = {n for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None
+                      for n in range(node.body[0].lineno, node.body[0].end_lineno + 1)}
+        count += sum(1 for n, line in enumerate(path.read_text().splitlines(), 1)
+                     if line.strip() and not line.lstrip().startswith("#")
+                     and n not in docstrings)
+    assert count <= CODE_LINE_CEILING, count
+
+
 def name_uses(trees, strings=False):
     """(name, path, line, is_attribute) of every name loaded, attribute read
     or name imported, and with strings, of every string constant, read as an
