@@ -8,9 +8,10 @@ closed form.  ``coordinate_ascent`` cycles the blocks power -> height ->
 offset over states (x, height, gains, powers); the baselines cycle a
 subset of them.  Each line-search block builds its pre-sample grid once,
 keeps the gains along its current line, so each is evaluated once per
-solve, and keeps each line search's point and SNR, so a search that a
-solve repeats returns them; the outputs are the same floats as without
-any of these.
+solve, scores each search's pre-sample from the gains it keeps at the
+grid's points, and keeps each line search's point and SNR, so a search
+that a solve repeats returns them; the outputs are the same floats as
+without any of these.
 """
 
 from __future__ import annotations
@@ -82,7 +83,12 @@ def _line_block(scn: Atg3dScenario, axis: int):
     that hop_gains_3d returns for that point, and a miss calls hop_gains_3d
     by its module global at call time, so a wrapper installed on it sees
     every real evaluation.  Every search spans the box along the axis, so
-    the block builds the pre-sample grid once, when it is created.  A
+    the block builds the pre-sample grid once, when it is created.  On a
+    line's first search it also keeps the gain pairs at the grid's points,
+    filled in grid order through the line's gains, and every search on the
+    line scores its pre-sample from those pairs for its powers and hands
+    the values to line_search_max, which calls the objective only off the
+    grid.  A
     search's result depends only on its line and the powers, so the block
     keeps the point and SNR each search returns, with the gains there,
     keyed by the fixed coordinate, p1 and p2; a search that repeats returns
@@ -96,14 +102,14 @@ def _line_block(scn: Atg3dScenario, axis: int):
     xs = _linspace(lo, hi, PRESAMPLES)
     # the grid's first point is 0.0 + lo, which drops the sign of a -0.0 bound
     xs[0] = lo
-    held, line = None, {}
+    held, line, pairs = None, {}, None
     kept = {}
 
     def block(state):
-        nonlocal held, line
+        nonlocal held, line, pairs
         fixed, t, gains, powers = state[1 - axis], state[axis], state[2], state[3]
         if fixed != held:
-            held, line = fixed, {t: gains}
+            held, line, pairs = fixed, {t: gains}, None
         p1, p2 = powers.p1, powers.p2
 
         def snr(s):
@@ -117,8 +123,15 @@ def _line_block(scn: Atg3dScenario, axis: int):
         key = (fixed, p1, p2)
         found = kept.get(key)
         if found is None:
+            if pairs is None:
+                for s in xs:
+                    if s not in line:
+                        line[s] = (hop_gains_3d(scn, fixed, s) if axis
+                                   else hop_gains_3d(scn, s, fixed))
+                pairs = [line[s] for s in xs]
+            vals = [(h1 * h2 * p1 * p2) / (h2 * p2 + h1 * p1 + 1.0) for h1, h2 in pairs]
             # read at call time: a wrapper on this module's global sees every search
-            best, value = line_search_max(snr, xs, tol)
+            best, value = line_search_max(snr, xs, vals, tol)
             found = kept[key] = (best, value, line[best])
         best, value, pair = found
         if value >= snr(t):

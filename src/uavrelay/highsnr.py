@@ -143,8 +143,8 @@ def _condition1(
             return -(first + cross / s)
 
         # below ~2.47e-314 W the relative tolerance underflows to 0
-        p1, _ = golden_section_max(neg_objective, lo, hi,
-                                   tol=_POWER_SEARCH_RTOL * pt or math.ulp(0.0))
+        p1, _ = golden_section_max(neg_objective, lo, hi, _POWER_SEARCH_RTOL * pt or math.ulp(0.0),
+                                   neg_objective(lo), neg_objective(hi))
 
     powers = PowerSplit(p1, pt - p1)
     _, x = unconstrained_location(scn, powers)

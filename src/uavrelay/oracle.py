@@ -277,8 +277,8 @@ def exhaustive_search(
             step = axis[1] - axis[0]
             a, b = max(lo, point[k] - step), min(hi, point[k] + step)
             if b > a:
-                t, v = golden_section_max(lambda t: snr(*point[:k], t, *point[k + 1:]), a, b,
-                                          tol=max(step * 1e-6, 1e-12))
+                line = lambda t: snr(*point[:k], t, *point[k + 1:])
+                t, v = golden_section_max(line, a, b, max(step * 1e-6, 1e-12), line(a), line(b))
                 if v > v_best:
                     point[k], v_best = t, v
 

@@ -353,12 +353,14 @@ def test_3d_solves_match_golden():
 
 
 def test_memo_evaluates_each_point_once_per_line_search(monkeypatch):
-    # within one line search no point is evaluated twice, and over the
-    # golden scenarios the solves make at most 0.65x the pinned calls,
-    # which were counted before the gain memo
+    # within one line search, its pre-sample included, no point is
+    # evaluated twice, and over the golden scenarios the solves make at
+    # most 0.65x the pinned calls, which were counted before the gain memo
     golden = json.loads(GOLDEN_SOLVES.read_text())
     real_gains, real_search = atg3d.hop_gains_3d, atg3d.line_search_max
+    real_line_block = atg3d._line_block
     points = []
+    start = 0
     per_search = []
     fell_back = []
 
@@ -366,14 +368,27 @@ def test_memo_evaluates_each_point_once_per_line_search(monkeypatch):
         points.append((x, height))
         return real_gains(scn, x, height)
 
-    def search(f, xs, tol):
-        start, evals = len(points), []
-        best = real_search(lambda t: evals.append(t) or f(t), xs, tol)
+    def line_block(scn, axis):
+        block = real_line_block(scn, axis)
+
+        def marked(state):
+            # the block scores its pre-sample before it calls the search
+            nonlocal start
+            start = len(points)
+            return block(state)
+
+        return marked
+
+    def search(f, xs, vals, tol):
+        evals = []
+        best = real_search(lambda t: evals.append(t) or f(t), xs, vals, tol)
         per_search.append(points[start:])
         fell_back.append(len(evals) >= FALLBACK_POINTS)
         return best
 
     monkeypatch.setattr(atg3d, "hop_gains_3d", gains)
+    for module in (atg3d, oracle):
+        monkeypatch.setattr(module, "_line_block", line_block)
     monkeypatch.setattr(atg3d, "line_search_max", search)
     pinned = 0
     for name, scn in golden_scenarios().items():
@@ -408,9 +423,9 @@ def test_no_line_search_repeats_within_a_solve(monkeypatch):
 
         return tagged
 
-    def search(f, xs, tol):
+    def search(f, xs, vals, tol):
         searches.append((*line, xs[0], xs[-1]))
-        return real_search(f, xs, tol)
+        return real_search(f, xs, vals, tol)
 
     for module in (atg3d, oracle):
         monkeypatch.setattr(module, "_line_block", line_block)

@@ -162,7 +162,7 @@ def source_trees(directory):
 
 # the most code lines src/uavrelay may hold (no docstrings, comments or
 # blank lines): a change that adds code raises it and says why in CHANGES.md
-CODE_LINE_CEILING = 1492
+CODE_LINE_CEILING = 1497
 
 
 def test_package_code_lines_stay_under_the_ceiling():
